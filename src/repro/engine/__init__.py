@@ -20,9 +20,9 @@ they now execute through:
   per-chunk seed derivation (``numpy.random.SeedSequence.spawn``
   semantics), backpressure-bounded queues, and a serial fallback that is
   bit-identical to the parallel path;
-* :mod:`repro.engine.kernels` — SWAR (SIMD-within-a-register) Monte Carlo
-  kernels that evaluate all windows of a batch at once instead of looping
-  per window;
+* :mod:`repro.engine.kernels` — the SWAR (SIMD-within-a-register) Monte
+  Carlo kernel: every error counter for all windows of a batch from one
+  add and one all-ones test per window plan, instead of a per-window loop;
 * :mod:`repro.engine.metrics` — cache-hit counters, per-phase wall-clock
   timers, and chunk throughput, exposed via the ``repro engine`` CLI
   subcommand and a machine-readable JSON report;
@@ -68,7 +68,12 @@ from repro.engine.jobs import (
     SweepRows,
     chunk_seed_sequence,
 )
-from repro.engine.kernels import scsa1_error_count, scsa1_error_flags_swar
+from repro.engine.kernels import (
+    counter_counts,
+    counter_flags,
+    scsa1_error_count,
+    scsa1_error_flags_swar,
+)
 from repro.engine.metrics import EngineMetrics
 from repro.engine.runner import (
     EngineError,
@@ -117,6 +122,8 @@ __all__ = [
     "cache_key",
     "chunk_digest",
     "chunk_seed_sequence",
+    "counter_counts",
+    "counter_flags",
     "default_cache_dir",
     "job_digest",
     "measure_design",

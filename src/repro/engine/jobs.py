@@ -28,8 +28,13 @@ from typing import Any, Dict, Optional, Tuple
 import numpy as np
 
 from repro.engine.cache import ElaborationCache, cache_key
-from repro.engine.kernels import scsa1_error_count
+from repro.engine.kernels import (
+    ERROR_COUNTERS,
+    counter_counts,
+    scsa1_error_count,
+)
 from repro.model.behavioral import (
+    WindowProfile,
     err0_flags,
     err1_flags,
     scsa1_error_flags,
@@ -42,7 +47,7 @@ from repro.model.behavioral import (
 #: small enough that a 512-bit chunk stays comfortably in cache/RAM.
 DEFAULT_CHUNK = 1 << 16
 
-_ERROR_COUNTERS = ("scsa1", "vlcsa1_nominal", "vlcsa2", "vlcsa2_stall")
+_ERROR_COUNTERS = ERROR_COUNTERS
 _DISTRIBUTIONS = ("uniform", "gaussian", "gaussian-unsigned")
 
 
@@ -141,17 +146,69 @@ class ErrorCounts:
         return counts
 
 
+#: ``ErrorCounts`` field each counter adds to.
+_COUNTER_FIELDS = {
+    "scsa1": "scsa1_errors",
+    "vlcsa1_nominal": "vlcsa1_nominal",
+    "vlcsa2": "vlcsa2_errors",
+    "vlcsa2_stall": "vlcsa2_stalls",
+}
+
+
+def reference_counter_flags(
+    a: np.ndarray,
+    b: np.ndarray,
+    width: int,
+    window: int,
+    counters: Tuple[str, ...] = _ERROR_COUNTERS,
+    profiles: Optional[Dict[str, WindowProfile]] = None,
+) -> Dict[str, np.ndarray]:
+    """Per-sample counter flags read off :func:`window_profile`.
+
+    The executable definition of each counter: the SWAR kernel is tested
+    and fuzzed against it.  Like ``window_profile``, it handles windows of
+    at most 63 bits.  ``profiles`` may hand in already-built
+    ``{"lsb": ..., "msb": ...}`` profiles of the same batch.
+    """
+    profiles = dict(profiles or {})
+
+    def profile(remainder: str) -> WindowProfile:
+        if remainder not in profiles:
+            profiles[remainder] = window_profile(a, b, width, window, remainder)
+        return profiles[remainder]
+
+    flags: Dict[str, np.ndarray] = {}
+    for name in counters:
+        if name == "scsa1":
+            flags[name] = scsa1_error_flags(profile("lsb"))
+        elif name == "vlcsa1_nominal":
+            flags[name] = err0_flags(profile("lsb"))
+        elif name == "vlcsa2":
+            msb = profile("msb")
+            flags[name] = scsa1_error_flags(msb) & scsa2_s1_error_flags(msb)
+        elif name == "vlcsa2_stall":
+            msb = profile("msb")
+            flags[name] = err0_flags(msb) & err1_flags(msb)
+        else:
+            raise ValueError(f"unknown counter {name!r}; choose from {_ERROR_COUNTERS}")
+    return flags
+
+
 @dataclass(frozen=True)
 class MonteCarloErrorJob:
     """Monte Carlo error/stall rates of the (n, k) speculative family.
 
-    ``counters`` selects what is measured (each entry adds work):
+    ``counters`` selects what is measured; every subset is one pass of
+    the SWAR kernel (:func:`repro.engine.kernels.counter_counts`), so
+    an unselected counter saves only its few per-block terms:
 
-    * ``"scsa1"`` — SCSA 1 / VLCSA 1 mis-speculation (LSB remainder),
-      via the SWAR kernel when it is the only LSB-side counter;
+    * ``"scsa1"`` — SCSA 1 / VLCSA 1 mis-speculation (LSB remainder);
     * ``"vlcsa1_nominal"`` — ERR0 fires (LSB remainder);
     * ``"vlcsa2"`` — both VLCSA 2 hypotheses wrong (MSB remainder);
     * ``"vlcsa2_stall"`` — ERR0 & ERR1 (MSB remainder).
+
+    Windows above 63 bits are rejected when a chunk runs, as by every
+    window_profile-based model.
 
     ``chain_lengths`` adds a carry-chain-length count histogram;
     ``vlsa_chain`` adds the VLSA error count for that chain length.
@@ -226,24 +283,9 @@ class MonteCarloErrorJob:
         counts = self.new_aggregate()
         counts.samples = spec.size
 
-        want = set(self.counters)
-        if "vlcsa1_nominal" in want:
-            # The LSB profile is being built anyway; read SCSA 1 off it.
-            profile = window_profile(a, b, self.width, self.window, "lsb")
-            counts.vlcsa1_nominal = int(err0_flags(profile).sum())
-            if "scsa1" in want:
-                counts.scsa1_errors = int(scsa1_error_flags(profile).sum())
-        elif "scsa1" in want:
-            counts.scsa1_errors = scsa1_error_count(a, b, self.width, self.window, "lsb")
-
-        if want & {"vlcsa2", "vlcsa2_stall"}:
-            profile = window_profile(a, b, self.width, self.window, "msb")
-            if "vlcsa2" in want:
-                both_wrong = scsa1_error_flags(profile) & scsa2_s1_error_flags(profile)
-                counts.vlcsa2_errors = int(both_wrong.sum())
-            if "vlcsa2_stall" in want:
-                stall = err0_flags(profile) & err1_flags(profile)
-                counts.vlcsa2_stalls = int(stall.sum())
+        found = counter_counts(a, b, self.width, self.window, self.counters)
+        for name, value in found.items():
+            setattr(counts, _COUNTER_FIELDS[name], value)
 
         if self.vlsa_chain is not None:
             counts.vlsa_errors = int(

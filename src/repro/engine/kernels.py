@@ -1,114 +1,355 @@
-"""SWAR Monte Carlo kernels: all windows of a batch evaluated at once.
+"""SWAR Monte Carlo kernel: every error counter from one add and one
+all-ones test per window plan.
 
 :func:`repro.model.behavioral.window_profile` loops over the ⌈n/k⌉
-windows, doing ~10 vector passes per window; for an error-*rate* question
-that is mostly wasted work.  The kernel here exploits the algebra of SCSA
-speculation:
+windows, doing ~10 vector passes per window.  An error-*rate* question
+needs far less.  Write ``p = a ^ b`` (bit propagates), ``c`` for the
+true carry into each bit (one full-width add, ``c = p ^ (a + b)``) and,
+per window ``i``, ``P_i`` (every bit propagates), ``cin_i`` / ``cout_i``
+(true carries into and out of the window) and ``G_i`` (group generate).
 
-    window i mis-speculates  ⟺  P_i ∧ c(lo_i)
+* **P ∧ cout.**  A fully propagating window passes its carry-in
+  through, so ``P_i`` implies ``cout_i = cin_i``; a window with a
+  generating or killing bit has ``cout_i = G_i``.  SCSA 1 speculates
+  ``cout_i = G_i`` and is wrong exactly where ``P_i ∧ cout_i``; SCSA 2's
+  alternate result S*1 speculates ``G_i ∨ P_i`` and is wrong exactly
+  where ``P_i ∧ ¬cout_i``.
+* **G = cout ∧ ¬P.**  ``P_i`` excludes ``G_i``, and without ``P_i`` the
+  carry-out *is* the group generate.
+* **ERR0 and ERR1 as k-shifts.**  ERR0 = ``any(P_i ∧ G_{i-1})`` and
+  ERR1 = ``any(P_i ∧ ¬P_{i+1})`` pair each window with a neighbour.
 
-(a fully-propagating window whose true carry-in is 1; if any bit of the
-window generates or kills, the group generate equals the true carry-out).
-Equivalently, with ``w = (a ^ b) & c`` (propagate AND true carry-in per
-bit), window i mis-speculates iff *every* bit of ``w`` inside the window
-is 1 — an all-ones field test, which SIMD-within-a-register performs for
-all windows simultaneously: add 1 at each window's low bit and observe the
-carry pop out at the window's high boundary.
+Every per-window bit lives at its window's *top* bit ``hi_i - 1``
+(a "marker"): ``P_i`` from an all-ones test of ``p``, ``cout_i`` as
+the carry out of that bit, which under ``P_i`` equals the carry into
+it, so ``P_i ∧ cout_i`` is just ``Pm & c`` at the marker.  The all-ones
+test runs on every window at once, SIMD within a register: mask each
+window's top bit out of ``p``, add 1 at each window's low bit, and the
+test carry pops into the (cleared) top bit iff the rest of the window is
+all ones; ANDed with the top bit of ``p`` that is ``P_i``.  Because the
+top bit is cleared, no test carry ever leaves a window: one add covers
+adjacent windows, and the top window needs no bit above the adder.
 
-Adjacent windows share a boundary bit, so the windows are processed in two
-interleaved passes (even indices, odd indices); in each pass the skipped
-windows are zeroed, which stops the test carry after exactly one bit.  The
-result is O(limbs) vector passes **independent of the window count** —
-5-10× faster than the profile path at thesis widths, and the reason the
-engine beats the pre-engine serial Monte Carlo even on one core.
+Two neighbouring markers are ``size_{i+1}`` bits apart.  Every window
+but the remainder window is exactly ``k`` bits wide, so shifting the
+marker words right by ``k`` lines each window up with its upper
+neighbour: ERR0 is ``G & (Pm >> k)`` and ERR1 is ``Pm & (~P >> k)``
+with ``~P`` the non-propagating markers.  Shifted-in bits from beyond
+the top marker are 0, which is exactly "no neighbour".  The LSB plan's
+remainder is window 0, which is never the upper partner of a pair, so
+the shifts are exact.  The MSB plan puts the remainder at the *top*, so
+its one irregular pair (window ``m - 2`` with the top window) is read
+off the two marker bits directly: the special case of the top window.
+
+The kernel walks each chunk in fixed :data:`BLOCK_ROWS`-row sub-blocks,
+transposed limb-major (``(limbs, rows)`` contiguous), so every numpy
+pass is over one contiguous limb row that stays in cache.  Counts are
+exact integer sums of per-sample flags, identical to the profile path's
+at every width, window and distribution — the test suite and the fuzz
+oracle assert so.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple
+from typing import Collection, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.window import plan_windows
-from repro.model.behavioral import (
-    carry_into_bits,
-    extract_field,
-    num_limbs,
-    scsa1_error_flags,
-    window_profile,
-)
+from repro.model.behavioral import num_limbs
 
 _LIMB_BITS = 64
 _U64 = np.uint64
+_ONE = _U64(1)
+_SIGN = _U64(_LIMB_BITS - 1)
+
+#: Largest window the kernel accepts: the neighbour shifts move markers
+#: by ``k`` bits within one limb step.  The window_profile reference
+#: extracts each window as one uint64 field and stops at the same size.
+SWAR_MAX_WINDOW = 63
+
+#: Rows per limb-major sub-block: one uint64 limb row of a block is
+#: 64 KiB, so a block's working set stays in L2 at every thesis width.
+BLOCK_ROWS = 8192
+
+#: Each counter's per-sample flag is the AND of these ``(plan, term)``
+#: flags; ``spec`` is SCSA 1 mis-speculation, ``s1`` S*1 wrong.
+COUNTER_TERMS: Dict[str, Tuple[Tuple[str, str], ...]] = {
+    "scsa1": (("lsb", "spec"),),
+    "vlcsa1_nominal": (("lsb", "err0"),),
+    "vlcsa2": (("msb", "spec"), ("msb", "s1")),
+    "vlcsa2_stall": (("msb", "err0"), ("msb", "err1")),
+}
+
+#: Every counter the kernel computes, in report order.
+ERROR_COUNTERS: Tuple[str, ...] = tuple(COUNTER_TERMS)
 
 
-def _set_bit(mask: np.ndarray, position: int) -> None:
-    q, r = divmod(position, _LIMB_BITS)
-    mask[q] |= _U64(1) << _U64(r)
+@dataclass(frozen=True)
+class _PlanMasks:
+    """Per-limb constants of one window plan.
+
+    ``body`` holds every window bit but the window's top bit, ``low``
+    each window's low bit and ``top`` each window's top bit (the
+    markers).  ``carry_out[j]`` says a test carry can leave limb ``j``
+    (a window straddles the limb boundary) and ``low_msb[j]`` that bit 63
+    of ``low`` is set.  ``pair`` is ``(top marker, marker below it)``
+    when the top window is not ``k`` bits wide, else ``None``.
+    """
+
+    body: Tuple[np.uint64, ...]
+    low: Tuple[np.uint64, ...]
+    top: Tuple[np.uint64, ...]
+    carry_out: Tuple[bool, ...]
+    low_msb: Tuple[bool, ...]
+    pair: Optional[Tuple[int, int]]
 
 
-def _set_range(mask: np.ndarray, lo: int, hi: int) -> None:
-    for q in range(lo // _LIMB_BITS, (hi - 1) // _LIMB_BITS + 1):
-        start = max(lo, q * _LIMB_BITS) - q * _LIMB_BITS
-        stop = min(hi, (q + 1) * _LIMB_BITS) - q * _LIMB_BITS
-        field = (1 << stop) - (1 << start)
-        mask[q] |= _U64(field)
+def _limb_words(bits: Collection[int], limbs: int) -> Tuple[np.uint64, ...]:
+    words = [0] * limbs
+    for bit in bits:
+        words[bit // _LIMB_BITS] |= 1 << (bit % _LIMB_BITS)
+    return tuple(_U64(w) for w in words)
+
+
+def _plan_key(width: int, window_size: int, remainder: str) -> str:
+    """``"lsb"`` when both placements give the same plan (k divides n,
+    or one window covers the adder)."""
+    return remainder if width % window_size and window_size < width else "lsb"
 
 
 @lru_cache(maxsize=256)
-def _swar_masks(
-    width: int, window_size: int, remainder: str
-) -> Tuple[Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...], Tuple[int, int]]:
-    """Constant masks for the two-pass all-ones test.
-
-    Returns ``(passes, top)`` where each pass is three ready-to-use
-    ``(limbs,)`` uint64 masks — window bits M, low bits L, high-boundary
-    bits H — over same-parity windows whose high end is below ``width``,
-    and ``top = (lo, size)`` of the most significant window (whose carry
-    boundary is the adder's carry-out, tested by direct field extraction).
-    The arrays are marked read-only so the lru_cache can hand out the
-    same objects on every call without a defensive copy or a per-call
-    ``np.frombuffer`` rehydration.
-    """
-    plan = plan_windows(width, window_size, remainder)
+def _plan_masks(width: int, window_size: int, remainder: str) -> _PlanMasks:
+    bounds = plan_windows(width, window_size, remainder).bounds
     limbs = num_limbs(width)
-    bounds = list(plan.bounds)
-    top_lo, top_hi = bounds[-1]
-    passes = []
-    for parity in (0, 1):
-        members = [
-            (lo, hi)
-            for i, (lo, hi) in enumerate(bounds[:-1])
-            if i % 2 == parity
-        ]
-        if not members:
-            continue
-        m = np.zeros(limbs, dtype=_U64)
-        l = np.zeros(limbs, dtype=_U64)
-        h = np.zeros(limbs, dtype=_U64)
-        for lo, hi in members:
-            _set_range(m, lo, hi)
-            _set_bit(l, lo)
-            _set_bit(h, hi)
-        for mask in (m, l, h):
-            mask.setflags(write=False)
-        passes.append((m, l, h))
-    return tuple(passes), (top_lo, top_hi - top_lo)
+    body = _limb_words([t for lo, hi in bounds for t in range(lo, hi - 1)], limbs)
+    low = _limb_words([lo for lo, _ in bounds], limbs)
+    top = _limb_words([hi - 1 for _, hi in bounds], limbs)
+    pair = None
+    if len(bounds) > 1 and bounds[-1][1] - bounds[-1][0] != window_size:
+        pair = (width - 1, bounds[-1][0] - 1)
+    return _PlanMasks(
+        body=body,
+        low=low,
+        top=top,
+        carry_out=tuple(bool(int(w) >> 63) for w in body),
+        low_msb=tuple(bool(int(w) >> 63) for w in low),
+        pair=pair,
+    )
 
 
-def _add_row_const(arr: np.ndarray, const: np.ndarray) -> np.ndarray:
-    """``arr + const`` per row with inter-limb carry (no width wrap)."""
-    out = np.empty_like(arr)
-    carry = np.zeros(arr.shape[0], dtype=bool)
-    for j in range(arr.shape[1]):
-        t = arr[:, j] + const[j]
-        c1 = t < const[j]
-        t2 = t + carry.astype(_U64)
-        c2 = t2 < t
-        out[:, j] = t2
-        carry = c1 | c2
+def _propagate_markers(p: List[np.ndarray], masks: _PlanMasks) -> List[np.ndarray]:
+    """``P_i`` at each window's top bit: the all-ones test of ``p``."""
+    out = []
+    carry = None
+    for j, pj in enumerate(p):
+        x = pj & masks.body[j]
+        y = x + masks.low[j]
+        if carry is not None:
+            y += carry
+            carry = None
+        if masks.carry_out[j]:
+            # Carry out of bit 63 is maj(x, low, carry-in); with low's bit
+            # fixed it reduces to one AND/OR against the sum bit.
+            if masks.low_msb[j]:
+                carry = (x | ~y) >> _SIGN
+            else:
+                carry = (x & ~y) >> _SIGN
+        out.append(y & (pj & masks.top[j]))
     return out
+
+
+def _any(words: List[np.ndarray]) -> np.ndarray:
+    acc = words[0]
+    for word in words[1:]:
+        acc = acc | word
+    return acc != 0
+
+
+def _shift_down(words: List[np.ndarray], k: int) -> List[np.ndarray]:
+    """Multi-limb logical right shift by ``0 < k < 64`` bits."""
+    right, left = _U64(k), _U64(_LIMB_BITS - k)
+    out = [w >> right for w in words]
+    for j in range(len(words) - 1):
+        out[j] |= words[j + 1] << left
+    return out
+
+
+def _bit(words: List[np.ndarray], position: int) -> np.ndarray:
+    q, r = divmod(position, _LIMB_BITS)
+    return (words[q] >> _U64(r)) & _ONE
+
+
+def _plan_terms(
+    p: List[np.ndarray],
+    c: List[np.ndarray],
+    cout: List[np.ndarray],
+    masks: _PlanMasks,
+    window_size: int,
+    wanted: Collection[str],
+) -> Dict[str, np.ndarray]:
+    """The ``wanted`` per-sample term flags of one window plan."""
+    pm = _propagate_markers(p, masks)
+    out: Dict[str, np.ndarray] = {}
+    if "spec" in wanted or "s1" in wanted:
+        hit = [m & cj for m, cj in zip(pm, c)]  # P ∧ cout
+        if "spec" in wanted:
+            out["spec"] = _any(hit)
+        if "s1" in wanted:
+            out["s1"] = _any([h ^ m for h, m in zip(hit, pm)])  # P ∧ ¬cout
+    if "err0" in wanted or "err1" in wanted:
+        stop = [m ^ t for m, t in zip(pm, masks.top)]  # ¬P markers
+        if masks.pair is not None:
+            top_bit, below = masks.pair
+            p_top, p_below = _bit(pm, top_bit), _bit(pm, below)
+        if "err0" in wanted:
+            g = [co & n for co, n in zip(cout, stop)]  # G = cout ∧ ¬P
+            flags = _any([gj & up for gj, up in zip(g, _shift_down(pm, window_size))])
+            if masks.pair is not None:
+                flags |= (p_top & _bit(cout, below) & ~p_below) != 0
+            out["err0"] = flags
+        if "err1" in wanted:
+            flags = _any([m & up for m, up in zip(pm, _shift_down(stop, window_size))])
+            if masks.pair is not None:
+                flags |= (p_below & ~p_top) != 0
+            out["err1"] = flags
+    return out
+
+
+def _block_terms(
+    a: np.ndarray,
+    b: np.ndarray,
+    width: int,
+    window_size: int,
+    terms: FrozenSet[Tuple[str, str]],
+) -> Dict[Tuple[str, str], np.ndarray]:
+    """Per-sample term flags of one limb-major ``(limbs, rows)`` block."""
+    limbs = a.shape[0]
+    need_cout = any(term == "err0" for _, term in terms)
+    p: List[np.ndarray] = []
+    c: List[np.ndarray] = []
+    cout: List[np.ndarray] = []
+    carry = None
+    for j in range(limbs):
+        aj, bj = a[j], b[j]
+        pj = aj ^ bj
+        s = aj + bj
+        if carry is not None:
+            s += carry
+        cj = pj ^ s
+        p.append(pj)
+        c.append(cj)
+        if need_cout or j + 1 < limbs:
+            coj = (aj & bj) | (pj & cj)  # carry out of each bit
+            cout.append(coj)
+            carry = coj >> _SIGN
+
+    # Both plans are one plan when k divides n: compute its terms once.
+    by_key: Dict[str, set] = {}
+    for plan, term in terms:
+        by_key.setdefault(_plan_key(width, window_size, plan), set()).add(term)
+    found = {
+        key: _plan_terms(p, c, cout, _plan_masks(width, window_size, key), window_size, wanted)
+        for key, wanted in by_key.items()
+    }
+    return {
+        (plan, term): found[_plan_key(width, window_size, plan)][term] for plan, term in terms
+    }
+
+
+def _blocks(
+    a: np.ndarray,
+    b: np.ndarray,
+    width: int,
+    window_size: int,
+    wanted: Dict[str, Tuple[Tuple[str, str], ...]],
+) -> Iterator[Tuple[int, Dict[str, np.ndarray]]]:
+    """``(first row, {name: flags})`` per sub-block, each flag the AND of
+    the ``(plan, term)`` flags ``wanted[name]`` lists."""
+    if not 1 <= window_size <= SWAR_MAX_WINDOW:
+        raise ValueError(
+            f"SWAR kernel handles windows of 1..{SWAR_MAX_WINDOW} bits, got {window_size}"
+        )
+    if a.shape != b.shape or a.ndim != 2 or a.shape[1] != num_limbs(width):
+        raise ValueError(f"operands must be equal (rows, {num_limbs(width)}) arrays")
+    terms = frozenset(t for conj in wanted.values() for t in conj)
+    for start in range(0, a.shape[0], BLOCK_ROWS):
+        stop = start + BLOCK_ROWS
+        found = _block_terms(
+            np.ascontiguousarray(a[start:stop].T),
+            np.ascontiguousarray(b[start:stop].T),
+            width,
+            window_size,
+            terms,
+        )
+        flags = {}
+        for name, (first, *rest) in wanted.items():
+            value = found[first]
+            for term in rest:
+                value = value & found[term]
+            flags[name] = value
+        yield start, flags
+
+
+def _counter_terms(counters: Collection[str]) -> Dict[str, Tuple[Tuple[str, str], ...]]:
+    unknown = set(counters) - set(COUNTER_TERMS)
+    if unknown:
+        raise ValueError(f"unknown counters {sorted(unknown)}; choose from {ERROR_COUNTERS}")
+    return {name: COUNTER_TERMS[name] for name in counters}
+
+
+def _scsa1_terms(remainder: str) -> Dict[str, Tuple[Tuple[str, str], ...]]:
+    if remainder not in ("lsb", "msb"):
+        raise ValueError(f"remainder must be 'lsb' or 'msb', got {remainder!r}")
+    return {"spec": ((remainder, "spec"),)}
+
+
+def _gather(rows: int, names: Collection[str], blocks) -> Dict[str, np.ndarray]:
+    out = {name: np.zeros(rows, dtype=bool) for name in names}
+    for start, flags in blocks:
+        for name, value in flags.items():
+            out[name][start : start + value.shape[0]] = value
+    return out
+
+
+def _count(names: Collection[str], blocks) -> Dict[str, int]:
+    totals = dict.fromkeys(names, 0)
+    for _, flags in blocks:
+        for name, value in flags.items():
+            totals[name] += int(np.count_nonzero(value))
+    return totals
+
+
+def counter_flags(
+    a: np.ndarray,
+    b: np.ndarray,
+    width: int,
+    window_size: int,
+    counters: Collection[str] = ERROR_COUNTERS,
+) -> Dict[str, np.ndarray]:
+    """Per-sample flags of each requested counter (see :data:`COUNTER_TERMS`).
+
+    ``a`` and ``b`` are packed ``(rows, limbs)`` operands.  Bit-identical
+    to the window_profile reference
+    (:func:`repro.engine.jobs.reference_counter_flags`); windows above
+    :data:`SWAR_MAX_WINDOW` bits raise ``ValueError``, as there.
+    """
+    wanted = _counter_terms(counters)
+    return _gather(a.shape[0], wanted, _blocks(a, b, width, window_size, wanted))
+
+
+def counter_counts(
+    a: np.ndarray,
+    b: np.ndarray,
+    width: int,
+    window_size: int,
+    counters: Collection[str] = ERROR_COUNTERS,
+) -> Dict[str, int]:
+    """Number of flagged samples per counter (exact integers)."""
+    wanted = _counter_terms(counters)
+    return _count(wanted, _blocks(a, b, width, window_size, wanted))
 
 
 def scsa1_error_flags_swar(
@@ -118,40 +359,13 @@ def scsa1_error_flags_swar(
     window_size: int,
     remainder: str = "lsb",
 ) -> np.ndarray:
-    """Per-sample SCSA 1 mis-speculation flags, without a window loop.
+    """Per-sample SCSA 1 mis-speculation flags under either window plan.
 
-    Bit-identical to ``scsa1_error_flags(window_profile(...))`` — the test
-    suite asserts so — but O(limbs) vector work per batch instead of
-    O(windows · limbs).  Falls back to the profile path for window sizes
-    above 63 bits (beyond single-field extraction).
+    The ``spec`` term of the kernel; bit-identical to
+    ``scsa1_error_flags(window_profile(...))``.
     """
-    if window_size > 63:
-        return scsa1_error_flags(window_profile(a, b, width, window_size, remainder))
-    passes, (top_lo, top_size) = _swar_masks(width, window_size, remainder)
-    limbs = num_limbs(width)
-    if limbs == 1:
-        # Single-limb fast path: plain uint64 scalar ops, no carry loop.
-        # The test carry never crosses bit width-1 (the top window is
-        # excluded from the masks), so a wrapping add is exact.
-        av, bv = a[:, 0], b[:, 0]
-        p = av ^ bv
-        w = p & (p ^ (av + bv))  # p & carry-in mask
-        flags = np.zeros(av.shape[0], dtype=bool)
-        for m_arr, l_arr, h_arr in passes:
-            m, l, h = m_arr[0], l_arr[0], h_arr[0]
-            flags |= (((w & m) + l) & h) != 0
-        top = (w >> _U64(top_lo)) & _U64((1 << top_size) - 1)
-        flags |= top == _U64((1 << top_size) - 1)
-        return flags
-    c, _ = carry_into_bits(a, b, width)
-    w = (a ^ b) & c
-    flags = np.zeros(a.shape[0], dtype=bool)
-    for m, l, h in passes:
-        u = _add_row_const(w & m, l)
-        flags |= np.any(u & h, axis=1)
-    top = extract_field(w, top_lo, top_size)
-    flags |= top == _U64((1 << top_size) - 1)
-    return flags
+    wanted = _scsa1_terms(remainder)
+    return _gather(a.shape[0], wanted, _blocks(a, b, width, window_size, wanted))["spec"]
 
 
 def scsa1_error_count(
@@ -162,4 +376,5 @@ def scsa1_error_count(
     remainder: str = "lsb",
 ) -> int:
     """Number of mis-speculating samples in the batch (exact integer)."""
-    return int(scsa1_error_flags_swar(a, b, width, window_size, remainder).sum())
+    wanted = _scsa1_terms(remainder)
+    return _count(wanted, _blocks(a, b, width, window_size, wanted))["spec"]

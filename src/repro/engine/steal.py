@@ -9,10 +9,14 @@ structures —
 * the **manifest** (see :mod:`repro.engine.checkpoint`): a chunk with a
   verified manifest record is done, forever;
 * **lease files** (``leases/<index>``): a worker claims a chunk by
-  creating its lease with ``O_CREAT | O_EXCL`` — exactly one creator
-  wins.  A lease carries ``{pid, host, time}``; it is *stale* (and its
-  chunk stealable) when its owner process is dead on this host, or when
-  it is older than the TTL (the cross-host/NFS fallback).
+  writing its lease body to a temporary file and hard-linking it into
+  place — ``link`` fails when the lease exists, so exactly one creator
+  wins, and no reader ever sees a half-written lease.  A lease carries
+  ``{pid, host, time}``; it is *stale* (and its chunk stealable) when its
+  owner process is dead on this host, or when it is older than the TTL
+  (the cross-host/NFS fallback).  An empty lease is one still being
+  written by a non-atomic creator: it stays live until its mtime passes
+  the TTL.
 
 Stealing is safe because completion is idempotent: a chunk's payload is a
 pure function of ``(job, chunk index)``, so two workers racing on a
@@ -37,6 +41,7 @@ import json
 import multiprocessing as mp
 import os
 import sys
+import tempfile
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -123,7 +128,10 @@ class StealScheduler:
 
     def _lease_is_stale(self, path: Path) -> bool:
         try:
-            record = json.loads(path.read_bytes())
+            raw = path.read_bytes()
+            if not raw:  # body not written yet: live until the TTL
+                return (_wall_time() - path.stat().st_mtime) > self.lease_ttl
+            record = json.loads(raw)
         except (OSError, ValueError):
             return True  # unreadable lease: treat as orphaned
         if not isinstance(record, dict):
@@ -151,7 +159,7 @@ class StealScheduler:
         manifest dedups."""
         path = self._lease_path(index)
         try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            self._publish_lease(path)
         except FileExistsError:
             if not self._lease_is_stale(path):
                 return False
@@ -164,9 +172,18 @@ class StealScheduler:
             return True
         except OSError:
             return False
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(self._lease_body())
         return True
+
+    def _publish_lease(self, path: Path) -> None:
+        """Create ``path`` with a complete lease body in one step; raises
+        ``FileExistsError`` when another worker holds the lease."""
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(self._lease_body())
+            os.link(tmp, path)
+        finally:
+            os.unlink(tmp)
 
     def release(self, index: int) -> None:
         """Drop a claim (also called after completion; errors ignored)."""

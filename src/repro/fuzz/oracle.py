@@ -15,7 +15,10 @@ implementations and cross-checks them:
 3. **behavioural models** — :mod:`repro.model.behavioral` window profiles
    supply the expected ERR0/ERR1/stall flags and speculation-correctness
    verdicts; :func:`repro.model.error_magnitude.scsa1_speculative_values`
-   pins the speculative sum *value* at widths <= 63;
+   pins the speculative sum *value* at widths <= 63; the Monte Carlo
+   engine's SWAR kernel (:func:`repro.engine.kernels.counter_flags`)
+   must reproduce the profile's per-sample counter flags (check id
+   ``kernel-swar``);
 4. **gate-level machine** — :class:`repro.model.machine.VariableLatencyMachine`
    executes a subsample through the VALID/STALL protocol and its latency
    cycles are checked against the behaviourally predicted stalls.
@@ -35,6 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.model.behavioral import (
     err0_flags,
     err1_flags,
@@ -53,6 +58,12 @@ Pair = Tuple[int, int]
 #: end (SCSA 1 / VLCSA 1) vs the MSB end (SCSA 2 / VLCSA 2).
 _LSB_SPECULATIVE = ("scsa1", "vlcsa1")
 _MSB_SPECULATIVE = ("scsa2", "vlcsa2")
+
+#: Monte Carlo counters defined over each window plan's profile.
+_PLAN_COUNTERS = {
+    "lsb": ("scsa1", "vlcsa1_nominal"),
+    "msb": ("vlcsa2", "vlcsa2_stall"),
+}
 
 #: Designs implementing the full VALID/STALL variable-latency protocol.
 _VARIABLE_LATENCY = ("vlcsa1", "vlcsa2", "vlsa")
@@ -267,6 +278,7 @@ class Oracle:
                     packed_a, packed_b, width, point.window, "msb"
                 )
         self._check_semantics(pairs, compiled, profiles, out)
+        self._check_kernel(pairs, packed_a, packed_b, profiles, out)
         if count_rate and "lsb" in profiles:
             out.lsb_profile_errors = int(scsa1_error_flags(profiles["lsb"]).sum())
             out.lsb_profile_samples = num_vectors
@@ -286,6 +298,39 @@ class Oracle:
             )
             for key, index in keys.items():
                 out.coverage[key] = pairs[index]
+
+    def _check_kernel(
+        self,
+        pairs: Sequence[Pair],
+        packed_a: np.ndarray,
+        packed_b: np.ndarray,
+        profiles: Dict[str, object],
+        out: BatchOutcome,
+    ) -> None:
+        """SWAR kernel counter flags vs the same counters read off the
+        profiles already built for this batch."""
+        from repro.engine.jobs import reference_counter_flags
+        from repro.engine.kernels import SWAR_MAX_WINDOW, counter_flags
+
+        window = self.point.window
+        if window is None or window > SWAR_MAX_WINDOW:
+            return
+        counters = tuple(name for plan in profiles for name in _PLAN_COUNTERS[plan])
+        want = reference_counter_flags(
+            packed_a, packed_b, self.point.width, window, counters, profiles
+        )
+        got = counter_flags(packed_a, packed_b, self.point.width, window, counters)
+        for name in counters:
+            mismatch = (got[name] != want[name]).nonzero()[0]
+            if mismatch.size:
+                index = int(mismatch[0])
+                self._diverge(
+                    out,
+                    "kernel-swar",
+                    pairs[index],
+                    f"counter {name!r}: kernel={bool(got[name][index])} "
+                    f"profile={bool(want[name][index])}",
+                )
 
     def _check_semantics(
         self,

@@ -57,6 +57,32 @@ _HTTP_REASONS = {
 }
 
 
+class _BadRequest(Exception):
+    """A malformed HTTP request: answered with ``status`` and a protocol
+    error, then the connection is closed (its framing cannot be trusted)."""
+
+    def __init__(self, status: int, code: str, message: str):
+        super().__init__(message)
+        self.status = status
+        self.code = code
+
+
+def _content_length(text: str) -> int:
+    """The body length a ``Content-Length`` value announces, or _BadRequest."""
+    if not (text.isascii() and text.isdigit()):
+        raise _BadRequest(
+            400, "bad-content-length", f"Content-Length {text!r} is not a non-negative integer"
+        )
+    length = int(text)
+    if length > MAX_BODY_BYTES:
+        raise _BadRequest(
+            413,
+            "body-too-large",
+            f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit",
+        )
+    return length
+
+
 class OverloadedError(RuntimeError):
     """Raised into a waiter when its batch was shed (maps to 429)."""
 
@@ -285,7 +311,13 @@ class Server:
     ) -> None:
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _BadRequest as exc:
+                    self.collector.add("serve.bad_requests")
+                    error = protocol.error_response(exc.code, str(exc))
+                    await self._write_response(writer, exc.status, error, keep_alive=False)
+                    break
                 if request is None:
                     break
                 method, path, headers, body = request
@@ -325,9 +357,7 @@ class Server:
                 break
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if length > MAX_BODY_BYTES:
-            raise asyncio.IncompleteReadError(b"", length)  # drop oversize
+        length = _content_length(headers.get("content-length", "0") or "0")
         body = await reader.readexactly(length) if length else b""
         return method, path, headers, body
 

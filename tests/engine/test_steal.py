@@ -7,6 +7,7 @@ stale leases from dead workers are stolen rather than waited on.
 """
 
 import json
+import multiprocessing as mp
 import os
 import signal
 import subprocess
@@ -92,6 +93,70 @@ def test_unreadable_lease_is_stolen(tmp_path):
     sched = _scheduler(tmp_path)
     (sched.store.leases_dir / "0").write_text("not json")
     assert sched.try_claim(0)
+
+
+def test_empty_lease_with_fresh_mtime_is_live(tmp_path):
+    """An empty lease is one whose creator has not written its body yet."""
+    sched = _scheduler(tmp_path)
+    lease = sched.store.leases_dir / "0"
+    lease.write_bytes(b"")
+    assert not sched._lease_is_stale(lease)
+    assert not sched.try_claim(0)
+
+
+def test_empty_lease_past_ttl_is_stolen(tmp_path):
+    sched = _scheduler(tmp_path)
+    sched.lease_ttl = 60.0
+    lease = sched.store.leases_dir / "0"
+    lease.write_bytes(b"")
+    old = time.time() - 120.0
+    os.utime(lease, (old, old))
+    assert sched._lease_is_stale(lease)
+    assert sched.try_claim(0)
+    assert json.loads(lease.read_bytes())["pid"] == os.getpid()
+
+
+def test_claimed_lease_is_complete_and_leaves_no_temp_files(tmp_path):
+    sched = _scheduler(tmp_path)
+    assert sched.try_claim(0)
+    assert not sched.try_claim(0)  # our own live lease: link refuses
+    record = json.loads((sched.store.leases_dir / "0").read_bytes())
+    assert record["pid"] == os.getpid()
+    assert sorted(p.name for p in sched.store.leases_dir.iterdir()) == ["0"]
+
+
+def _claim_every_chunk(directory, total, start, results, done):
+    sched = StealScheduler(CheckpointStore(directory), total=total)
+    start.wait(60)
+    results.put([i for i in range(total) if sched.try_claim(i)])
+    done.wait(60)  # stay alive: a dead owner's leases are rightly stealable
+
+
+def test_racing_claimers_win_each_chunk_once(tmp_path):
+    """More claimers than cores race for every lease; each chunk must have
+    exactly one winner (a reader that saw a half-written lease used to
+    call it orphaned and take it over)."""
+    total, claimers = 400, 4
+    _scheduler(tmp_path, total=total)
+    ctx = mp.get_context("spawn")
+    start, done, results = ctx.Barrier(claimers), ctx.Event(), ctx.Queue()
+    procs = [
+        ctx.Process(
+            target=_claim_every_chunk,
+            args=(str(tmp_path), total, start, results, done),
+        )
+        for _ in range(claimers)
+    ]
+    for proc in procs:
+        proc.start()
+    try:
+        won = [results.get(timeout=120) for _ in procs]
+    finally:
+        done.set()
+        for proc in procs:
+            proc.join(timeout=30)
+    assert not any(proc.is_alive() for proc in procs)
+    assert sorted(i for chunk in won for i in chunk) == list(range(total))
 
 
 # -- run_checkpointed: bit-identity ---------------------------------------

@@ -97,3 +97,24 @@ def test_machine_latency_cross_check_runs():
     outcome = oracle.check_batch(_pairs(16, strategy="sign-extension"))
     assert outcome.divergences == []
     assert _MACHINE_SAMPLE > 0
+
+
+@pytest.mark.parametrize("design", ["vlcsa1", "vlcsa2"])
+def test_kernel_leg_catches_a_wrong_counter_flag(design, monkeypatch):
+    """The SWAR kernel leg compares per-sample counter flags with the
+    profile's; a kernel that drops one flagged sample must diverge."""
+    from repro.engine import kernels
+
+    real = kernels.counter_flags
+
+    def off_by_one(a, b, width, window, counters):
+        flags = real(a, b, width, window, counters)
+        flags[counters[0]][0] = ~flags[counters[0]][0]
+        return flags
+
+    oracle = Oracle(DesignPoint(design, 16, 5))
+    pairs = _pairs(16, strategy="boundary")
+    assert oracle.check_batch(pairs).divergences == []
+    monkeypatch.setattr(kernels, "counter_flags", off_by_one)
+    checks = [d for d in oracle.check_batch(pairs).divergences if d.check == "kernel-swar"]
+    assert len(checks) == 1 and (checks[0].a, checks[0].b) == pairs[0]

@@ -237,3 +237,52 @@ def test_metrics_snapshot_counts_sheds(tmp_path):
         assert snapshot["slo"]["requests"] == 1
         assert snapshot["slo"]["shed_rate"] == 0.0
         assert json.dumps(snapshot, default=float)  # JSON-serializable
+
+
+def _raw_exchange(uds: str, head: bytes) -> tuple:
+    """Send raw request bytes; return ``(status, json body)`` of the reply
+    and whether the server then closed the connection."""
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+        sock.settimeout(10)
+        sock.connect(uds)
+        sock.sendall(head)
+        data = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            data += chunk
+    head_bytes, _, body = data.partition(b"\r\n\r\n")
+    status_line, *header_lines = head_bytes.decode("latin-1").split("\r\n")
+    headers = dict(
+        (name.strip().lower(), value.strip())
+        for name, _, value in (line.partition(":") for line in header_lines)
+    )
+    assert int(headers["content-length"]) == len(body)
+    return int(status_line.split()[1]), json.loads(body), headers["connection"]
+
+
+@pytest.mark.parametrize(
+    "length, status, code",
+    [
+        ("twelve", 400, "bad-content-length"),
+        ("-5", 400, "bad-content-length"),
+        ("1e3", 400, "bad-content-length"),
+        (str((1 << 20) + 1), 413, "body-too-large"),
+    ],
+)
+def test_bad_content_length_gets_wellformed_error(tmp_path, length, status, code):
+    uds = _uds(tmp_path)
+    with ServerThread(ServeConfig(uds=uds, shards=1)):
+        request = (
+            f"POST /v1/eval HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
+        ).encode("latin-1")
+        got_status, payload, connection = _raw_exchange(uds, request)
+        assert got_status == status
+        assert payload["ok"] is False
+        assert payload["error"]["code"] == code
+        assert connection == "close"
+        # The server stays up and answers the next client normally.
+        with ServeClient(uds=uds) as client:
+            assert client.health()["ok"] is True
+            assert client.metrics()["slo"]["bad_requests"] >= 1
