@@ -14,17 +14,31 @@ of N, one default-size chunk, the default four counters) and reports:
   plus ``chunk_s`` and ``samples_per_s`` of a whole ``run_chunk``.
   These are informational: they depend on the machine.
 
+The ``mc_checkpoint_k8`` row times a whole checkpointed job (uniform
+64/8, scsa1 only, 48 chunks of 2^16) through ``run_checkpointed`` into
+fresh directories, serially and on two steal-workers (best of N each):
+
+* ``pooled_over_serial`` — serial wall time over pooled wall time, the
+  gated ratio (floor 1.0 on hosts with at least two CPUs);
+* ``wall_s`` and ``samples_per_s`` of the pooled run, ``serial_s``, and
+  ``publish_s`` — the mean per-chunk checkpoint publish time.  These are
+  informational.
+
 Rows are keyed by ``(architecture, width)`` like the other ``BENCH_*``
-reports, so ``repro bench compare --metrics swar_speedup`` gates them.
+reports, so ``repro bench compare --metrics swar_speedup
+pooled_over_serial`` gates them.
 ``python -m benchmarks.test_perf_engine OUT.json`` writes the report
 format of the checked-in ``BENCH_engine.json``.
 """
 
 import json
+import os
 import sys
+import tempfile
 import time
 
 import numpy as np
+import pytest
 
 from repro.analysis.report import format_table
 from repro.engine.jobs import (
@@ -36,6 +50,8 @@ from repro.engine.jobs import (
     reference_counter_flags,
 )
 from repro.engine.kernels import ERROR_COUNTERS, counter_counts
+from repro.engine.runner import run_job
+from repro.engine.steal import run_checkpointed
 
 from benchmarks.conftest import run_once
 
@@ -55,6 +71,14 @@ POINTS = (
 #: The kernel must beat the profile path by at least this much at every
 #: point (measured 9-34x on a 2-vCPU x86 VM).
 SPEEDUP_FLOOR = 3.0
+
+#: The checkpointed job: 48 chunks of 2^16 samples, timed best of this many.
+CHECKPOINT_CHUNKS = 48
+CHECKPOINT_REPEAT = 7
+CHECKPOINT_WORKERS = 2
+
+#: Two steal-workers must not be slower than the serial runner.
+POOLED_FLOOR = 1.0
 
 
 def _best(fn, repeat):
@@ -115,6 +139,48 @@ def measure(repeat=REPEAT):
     return rows
 
 
+def measure_checkpoint(repeat=CHECKPOINT_REPEAT):
+    """The ``mc_checkpoint_k8`` row; asserts every run matches ``run_job``."""
+    job = MonteCarloErrorJob(
+        width=64, window=8, samples=CHECKPOINT_CHUNKS * DEFAULT_CHUNK,
+        counters=("scsa1",), seed=SEED,
+    )
+    expected = run_job(job).aggregate.to_payload()
+    with tempfile.TemporaryDirectory() as root:
+
+        def timed(workers):
+            directory = tempfile.mkdtemp(dir=root)  # a fresh job directory
+            start = time.perf_counter()
+            result = run_checkpointed(job, directory, workers)
+            elapsed = time.perf_counter() - start
+            assert result.aggregate.to_payload() == expected
+            return elapsed, result.stats["checkpoint_s"]
+
+        timed(0)  # warm-up
+        timed(CHECKPOINT_WORKERS)
+        serial, pooled = [], []
+        for _ in range(repeat):  # interleaved, so host drift hits both alike
+            serial.append(timed(0))
+            pooled.append(timed(CHECKPOINT_WORKERS))
+    serial_s = min(elapsed for elapsed, _ in serial)
+    wall_s, publish = min(pooled, key=lambda run: run[0])
+    return {
+        "architecture": "mc_checkpoint_k8",
+        "width": 64,
+        "window": 8,
+        "distribution": "uniform",
+        "counters": ["scsa1"],
+        "chunks": CHECKPOINT_CHUNKS,
+        "samples": job.samples,
+        "workers": CHECKPOINT_WORKERS,
+        "pooled_over_serial": serial_s / wall_s,
+        "wall_s": wall_s,
+        "serial_s": serial_s,
+        "samples_per_s": job.samples / wall_s,
+        "publish_s": publish.mean,
+    }
+
+
 def report(rows, repeat):
     """The ``BENCH_engine.json`` document."""
     return {
@@ -154,9 +220,35 @@ def test_perf_engine_swar_vs_profile(benchmark):
         )
 
 
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="pooled floor needs two CPUs")
+def test_perf_engine_checkpointed_pooled_vs_serial(benchmark):
+    row = run_once(benchmark, measure_checkpoint)
+    print()
+    print(
+        format_table(
+            ["job", "serial", "pooled", "pooled/serial", "publish", "samples/s"],
+            [(
+                f"{row['chunks']} x {DEFAULT_CHUNK} scsa1 n=64 k=8",
+                f"{row['serial_s'] * 1e3:.1f} ms",
+                f"{row['wall_s'] * 1e3:.1f} ms",
+                f"{row['pooled_over_serial']:.2f}x",
+                f"{row['publish_s'] * 1e3:.2f} ms",
+                f"{row['samples_per_s'] / 1e6:.1f} M",
+            )],
+            title=(f"checkpointed job, {CHECKPOINT_WORKERS} steal-workers vs serial "
+                   f"(best of {CHECKPOINT_REPEAT})"),
+        )
+    )
+    assert row["pooled_over_serial"] >= POOLED_FLOOR, (
+        f"{CHECKPOINT_WORKERS} steal-workers ran the checkpointed job at "
+        f"{row['pooled_over_serial']:.2f}x the serial speed (floor {POOLED_FLOOR:.1f}x)"
+    )
+
+
 if __name__ == "__main__":
     if len(sys.argv) != 2:
         sys.exit("usage: python -m benchmarks.test_perf_engine OUT.json")
+    rows = measure() + [measure_checkpoint()]
     with open(sys.argv[1], "w") as handle:
-        json.dump(report(measure(), REPEAT), handle, indent=2, sort_keys=True)
+        json.dump(report(rows, REPEAT), handle, indent=2, sort_keys=True)
         handle.write("\n")

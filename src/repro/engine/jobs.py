@@ -26,12 +26,18 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
+import numpy.random  # noqa: F401 - numpy loads it lazily; forked workers inherit it
 
 from repro.engine.cache import ElaborationCache, cache_key
 from repro.engine.kernels import (
     ERROR_COUNTERS,
     counter_counts,
     scsa1_error_count,
+)
+from repro.inputs.generators import (
+    GAUSSIAN_SIGMA_THESIS,
+    gaussian_operands,
+    uniform_operands,
 )
 from repro.model.behavioral import (
     WindowProfile,
@@ -42,6 +48,8 @@ from repro.model.behavioral import (
     vlsa_error_flags,
     window_profile,
 )
+from repro.model.carry_chains import chain_length_counts
+from repro.model.error_magnitude import scsa1_speculative_values
 
 #: Default Monte Carlo chunk: large enough to amortize numpy dispatch,
 #: small enough that a 512-bit chunk stays comfortably in cache/RAM.
@@ -259,12 +267,6 @@ class MonteCarloErrorJob:
         return counts
 
     def _operands(self, rng: np.random.Generator, size: int) -> Tuple[np.ndarray, np.ndarray]:
-        from repro.inputs.generators import (
-            GAUSSIAN_SIGMA_THESIS,
-            gaussian_operands,
-            uniform_operands,
-        )
-
         if self.distribution == "uniform":
             return (
                 uniform_operands(self.width, size, rng),
@@ -292,8 +294,6 @@ class MonteCarloErrorJob:
                 vlsa_error_flags(a, b, self.width, self.vlsa_chain).sum()
             )
         if self.chain_lengths:
-            from repro.model.carry_chains import chain_length_counts
-
             counts.chain_counts = chain_length_counts(a, b, self.width)
         return counts
 
@@ -388,8 +388,6 @@ class MonteCarloMagnitudeJob:
 
     def run_chunk(self, spec: ChunkSpec) -> MagnitudeStats:
         """Measure one chunk's |true - speculative| statistics."""
-        from repro.model.error_magnitude import scsa1_speculative_values
-
         job = MonteCarloErrorJob(  # reuse the operand recipe (same streams)
             width=self.width,
             window=self.window,
@@ -530,8 +528,6 @@ class SweepJob:
         ):
             row["model_error_rate"] = scsa_error_rate(point.width, point.window)
             if self.mc_samples:
-                from repro.inputs.generators import uniform_operands
-
                 rng = np.random.default_rng(chunk_seed_sequence(self.seed, spec.index))
                 a = uniform_operands(point.width, self.mc_samples, rng)
                 b = uniform_operands(point.width, self.mc_samples, rng)

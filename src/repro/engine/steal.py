@@ -30,9 +30,12 @@ aggregate algebra.
 manifest, forks steal-workers for the remainder, and stream-merges
 results through a :class:`~repro.engine.checkpoint.ManifestTail` as they
 land — the merged accumulator is the only per-sample state the parent
-holds, so memory stays O(1) in samples.  An interrupted run (Ctrl-C,
-SIGTERM, SIGKILL, power loss) resumes to a final aggregate bit-identical
-to an uninterrupted one.
+holds, so memory stays O(1) in samples.  The parent and its own workers
+also signal each other directly: a worker writes a byte to a wake pipe
+per published chunk, and the parent sets a completion event that idle
+workers wait on, so nobody sleeps out a poll tick on the completion
+path.  An interrupted run (Ctrl-C, SIGTERM, SIGKILL, power loss) resumes
+to a final aggregate bit-identical to an uninterrupted one.
 """
 
 from __future__ import annotations
@@ -45,10 +48,11 @@ import tempfile
 import time
 import traceback
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Sequence, Set
 
-from repro.engine.checkpoint import CheckpointStore, ManifestTail
+from repro.engine.checkpoint import CheckpointStore, ManifestTail, _atomic_write
 from repro.engine.metrics import EngineMetrics
 from repro.engine.runner import EngineError, _sigterm_interrupts
 from repro.obs.accumulator import StreamingMoments
@@ -57,10 +61,14 @@ from repro.obs.accumulator import StreamingMoments
 #: undecidable pid) stays respected before its chunk is stolen.
 DEFAULT_LEASE_TTL = 60.0
 
-#: Parent poll cadence while streaming worker results out of the manifest.
+#: Fallback timeout of the parent's wait.  Its own workers wake it through
+#: a pipe; only chunks completed by a foreign invocation sharing the
+#: directory surface on this tick.
 _POLL_S = 0.05
 
-#: An idle worker's back-off while every pending chunk is leased elsewhere.
+#: Fallback timeout of an idle worker's wait while every pending chunk is
+#: leased elsewhere.  Job completion wakes it at once; only a sibling
+#: dying on its lease (stale-lease reclaim) is noticed on this tick.
 _IDLE_SLEEP_S = 0.05
 
 _JOIN_TIMEOUT_S = 5.0
@@ -158,18 +166,18 @@ class StealScheduler:
         lease.  Racing takeovers may double-run a chunk — harmless, the
         manifest dedups."""
         path = self._lease_path(index)
-        try:
-            self._publish_lease(path)
-        except FileExistsError:
-            if not self._lease_is_stale(path):
-                return False
-            try:  # takeover: atomically replace the orphaned lease
-                from repro.engine.checkpoint import _atomic_write
-
-                _atomic_write(path, self._lease_body())
+        if not path.exists():  # a held lease needs no doomed temp file
+            try:
+                self._publish_lease(path)
+                return True
+            except FileExistsError:
+                pass  # another claimer linked it first
             except OSError:
                 return False
-            return True
+        if not self._lease_is_stale(path):
+            return False
+        try:  # takeover: atomically replace the orphaned lease
+            _atomic_write(path, self._lease_body())
         except OSError:
             return False
         return True
@@ -234,13 +242,17 @@ def _steal_worker_main(
     lease_ttl: float,
     deadline: Optional[float],
     parent_pid: int,
+    wake_fd: int,
+    stop: Any,
 ) -> None:
     """One steal-worker: claim, compute, publish, repeat.
 
-    Exits when the job is complete, the time budget lapses, or the parent
-    disappears (a SIGKILLed parent must not leave computing orphans).
-    Per-run timing moments are dropped in ``stats/`` for the parent to
-    fold into the cumulative ``stats.json``.
+    Every published chunk writes one byte to ``wake_fd`` so the parent
+    merges it at once.  Exits when the job is complete (or the parent
+    sets ``stop``), the time budget lapses, or the parent disappears (a
+    SIGKILLed parent must not leave computing orphans).  Per-run timing
+    moments are dropped in ``stats/`` for the parent to fold into the
+    cumulative ``stats.json``.
     """
     store = CheckpointStore(directory)
     specs = job.chunk_specs()
@@ -249,7 +261,7 @@ def _steal_worker_main(
     checkpoint_s = StreamingMoments()
     status = 0
     try:
-        while True:
+        while not stop.is_set():
             if os.getppid() != parent_pid:
                 break  # orphaned: the parent was killed out from under us
             if deadline is not None and time.monotonic() >= deadline:
@@ -258,7 +270,7 @@ def _steal_worker_main(
             if index is None:
                 if scheduler.pending() == 0:
                     break
-                time.sleep(_IDLE_SLEEP_S)  # all pending chunks leased: wait
+                stop.wait(_IDLE_SLEEP_S)  # all pending chunks leased: wait
                 continue
             try:
                 start = time.perf_counter()
@@ -271,12 +283,23 @@ def _steal_worker_main(
                 traceback.print_exc(file=sys.stderr)
                 status = 1
                 break
+            _wake(wake_fd)
             chunk_s.record(computed - start)
             checkpoint_s.record(published - computed)
     finally:
         _write_worker_stats(store, rank, chunk_s, checkpoint_s)
     if status:
         sys.exit(status)
+
+
+def _wake(fd: int) -> None:
+    """Nudge the parent's wait.  The pipe is non-blocking: when it is
+    full the parent has unread wake-ups already, and when the parent is
+    gone nobody is listening."""
+    try:
+        os.write(fd, b"\x01")
+    except OSError:
+        pass
 
 
 def _write_worker_stats(
@@ -287,8 +310,6 @@ def _write_worker_stats(
 ) -> None:
     if chunk_s.count == 0 and checkpoint_s.count == 0:
         return
-    from repro.engine.checkpoint import _atomic_write
-
     payload = {"chunk_s": chunk_s.to_dict(), "checkpoint_s": checkpoint_s.to_dict()}
     try:
         _atomic_write(
@@ -508,52 +529,98 @@ def _run_pooled(
         )
     ctx = mp.get_context("fork")
     restore = type(aggregate).from_payload
+    stop = ctx.Event()
+    wake_r, wake_w = os.pipe()
+    os.set_blocking(wake_r, False)
+    os.set_blocking(wake_w, False)
     procs = [
         ctx.Process(
             target=_steal_worker_main,
-            args=(job, str(store.directory), rank, lease_ttl, deadline, os.getpid()),
+            args=(job, str(store.directory), rank, lease_ttl, deadline, os.getpid(),
+                  wake_w, stop),
             daemon=True,
         )
         for rank in range(workers)
     ]
-    for proc in procs:
-        proc.start()
     try:
-        while done < total:
-            done = _drain_tail(tail, aggregate, restore, metrics, done)
-            if progress is not None:
-                progress(done, total, [aggregate])
-            if done >= total:
-                break
-            if not any(proc.is_alive() for proc in procs):
-                done = _drain_tail(tail, aggregate, restore, metrics, done)
-                if done >= total:
-                    break
-                if deadline is not None and time.monotonic() >= deadline:
-                    break  # budget lapsed: a clean partial stop
-                failed = [proc.exitcode for proc in procs if proc.exitcode]
-                raise EngineError(
-                    f"checkpoint workers exited with {total - done} chunk(s) "
-                    f"unfinished (exit codes {failed or 'clean'}); the job "
-                    f"directory is resumable"
-                )
-            time.sleep(_POLL_S)
+        try:
+            for proc in procs:
+                proc.start()
+        finally:
+            os.close(wake_w)  # the workers hold the only write ends now
+        done = _merge_until_done(
+            procs, wake_r, tail, aggregate, restore, metrics, progress,
+            total, done, deadline,
+        )
     except BaseException:
+        stop.set()
         for proc in procs:
             if proc.is_alive():
                 proc.terminate()
-        for proc in procs:
-            proc.join(timeout=_JOIN_TIMEOUT_S)
         raise
-    for proc in procs:
-        proc.join(timeout=_JOIN_TIMEOUT_S)
-    for proc in procs:  # pragma: no cover - defensive
-        if proc.is_alive():
-            proc.terminate()
-            proc.join(timeout=_JOIN_TIMEOUT_S)
+    finally:
+        stop.set()  # idle workers leave their wait now, not on its timeout
+        os.close(wake_r)
+        _reap(procs)
     if progress is not None:
         progress(done, total, [aggregate])
     return done
+
+
+def _merge_until_done(
+    procs, wake_r, tail, aggregate, restore, metrics, progress,
+    total, done, deadline,
+) -> int:
+    """Fold worker results into ``aggregate`` as they land.
+
+    The parent sleeps in one ``wait`` on the wake pipe and the sentinels
+    of its live workers: a published chunk or a worker exit wakes it
+    immediately; the ``_POLL_S`` timeout only catches chunks completed
+    by foreign invocations sharing the directory.
+    """
+    while True:
+        done = _drain_tail(tail, aggregate, restore, metrics, done)
+        if progress is not None:
+            progress(done, total, [aggregate])
+        if done >= total:
+            return done
+        live = [proc for proc in procs if proc.is_alive()]
+        if not live:
+            done = _drain_tail(tail, aggregate, restore, metrics, done)
+            if done >= total:
+                return done
+            if deadline is not None and time.monotonic() >= deadline:
+                return done  # budget lapsed: a clean partial stop
+            failed = [proc.exitcode for proc in procs if proc.exitcode]
+            raise EngineError(
+                f"checkpoint workers exited with {total - done} chunk(s) "
+                f"unfinished (exit codes {failed or 'clean'}); the job "
+                f"directory is resumable"
+            )
+        wait([wake_r] + [proc.sentinel for proc in live], timeout=_POLL_S)
+        _drain_pipe(wake_r)
+
+
+def _drain_pipe(fd: int) -> None:
+    """Consume every pending wake-up byte (the manifest says what landed)."""
+    try:
+        while os.read(fd, 4096):
+            pass
+    except BlockingIOError:
+        pass
+
+
+def _reap(procs) -> None:
+    """Join every worker (terminating stragglers) and free its sentinel."""
+    for proc in procs:
+        if proc.pid is None:
+            continue  # never started
+        proc.join(timeout=_JOIN_TIMEOUT_S)
+        if proc.is_alive():  # pragma: no cover - defensive
+            proc.terminate()
+            proc.join(timeout=_JOIN_TIMEOUT_S)
+        if not proc.is_alive():
+            proc.close()
 
 
 def _fold_stats(store: CheckpointStore) -> Dict[str, StreamingMoments]:

@@ -10,6 +10,7 @@ compare`` can warn when two reports are not actually comparable.
 
 from __future__ import annotations
 
+import functools
 import os
 import platform
 import subprocess
@@ -21,8 +22,13 @@ from typing import Optional, Sequence
 REPORT_SCHEMA_VERSION = 1
 
 
+@functools.lru_cache(maxsize=None)
 def git_revision() -> Optional[str]:
-    """The repository HEAD revision, or ``None`` outside a checkout."""
+    """The repository HEAD revision, or ``None`` outside a checkout.
+
+    Resolved once per process: the running code cannot change under it,
+    and a resident server stamps every response with it.
+    """
     try:
         proc = subprocess.run(
             ["git", "rev-parse", "HEAD"],
@@ -47,11 +53,13 @@ def provenance_block(
         numpy_version = numpy.__version__
     except Exception:  # pragma: no cover - numpy is a hard dep today
         numpy_version = None
-    from repro._version import package_version
+    # Resolved once at import; package_version() opens and parses the
+    # package metadata on every call, and a server stamps every response.
+    from repro._version import __version__
 
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
-        "repro_version": package_version(),
+        "repro_version": __version__,
         "seed": seed,
         "argv": list(argv) if argv is not None else None,
         "git_rev": git_revision(),

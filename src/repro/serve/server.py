@@ -46,12 +46,17 @@ from repro.serve.shards import ShardSet, execute_entries
 #: bytes of JSON; anything larger is a client bug, answered 413).
 MAX_BODY_BYTES = 1 << 20
 
+#: Most header lines the server will read before answering 431 (a client
+#: sends a handful).  Each line is bounded by the stream reader's limit.
+MAX_HEADER_LINES = 100
+
 _HTTP_REASONS = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
     413: "Payload Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -65,6 +70,16 @@ class _BadRequest(Exception):
         super().__init__(message)
         self.status = status
         self.code = code
+
+
+async def _read_head_line(reader: asyncio.StreamReader) -> bytes:
+    """One request or header line; a line past the reader's limit is 431."""
+    try:
+        return await reader.readline()
+    except ValueError:  # readline's form of LimitOverrunError
+        raise _BadRequest(
+            431, "headers-too-large", "a request or header line exceeds the line limit"
+        ) from None
 
 
 def _content_length(text: str) -> int:
@@ -343,7 +358,7 @@ class Server:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-        line = await reader.readline()
+        line = await _read_head_line(reader)
         if not line or line in (b"\r\n", b"\n"):
             return None
         parts = line.decode("latin-1").split()
@@ -351,10 +366,15 @@ class Server:
             return None
         method, path = parts[0].upper(), parts[1]
         headers: Dict[str, str] = {}
-        while True:
-            raw = await reader.readline()
+        for count in range(MAX_HEADER_LINES + 1):
+            raw = await _read_head_line(reader)
             if not raw or raw in (b"\r\n", b"\n"):
                 break
+            if count == MAX_HEADER_LINES:
+                raise _BadRequest(
+                    431, "headers-too-large",
+                    f"more than {MAX_HEADER_LINES} header lines",
+                )
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         length = _content_length(headers.get("content-length", "0") or "0")

@@ -2,8 +2,9 @@
 
 The load-bearing claims: a checkpointed run is bit-identical to a plain
 ``run_jobs`` pass, a killed-and-resumed run is bit-identical to an
-uninterrupted one (including a real SIGKILL of a pooled subprocess), and
-stale leases from dead workers are stolen rather than waited on.
+uninterrupted one (including a real SIGKILL of a pooled subprocess),
+stale leases from dead workers are stolen rather than waited on, and a
+pooled run completes on wake-ups, not on its fallback poll timeouts.
 """
 
 import json
@@ -16,10 +17,15 @@ import time
 
 import pytest
 
+from repro.engine import steal
 from repro.engine.checkpoint import CheckpointStore
 from repro.engine.jobs import MonteCarloErrorJob
 from repro.engine.runner import EngineError, run_job
 from repro.engine.steal import StealScheduler, run_checkpointed
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in mp.get_all_start_methods(), reason="needs fork start method"
+)
 
 
 def _job(samples=4096, chunk=512, **kw):
@@ -293,6 +299,127 @@ def test_worker_failure_raises_resumable_error(tmp_path, monkeypatch):
     monkeypatch.setattr(MonteCarloErrorJob, "run_chunk", boom)
     with pytest.raises(EngineError, match="resumable"):
         run_checkpointed(_job(), tmp_path / "ckpt", workers=2)
+
+
+# -- the event-driven pooled path -----------------------------------------
+
+
+@needs_fork
+def test_pooled_completion_does_not_ride_a_timeout(tmp_path, monkeypatch):
+    """Published chunks wake the parent through the pipe and completion
+    wakes idle workers through the event, so fallback timeouts far longer
+    than the run (inherited by the forked workers) never elapse.  The
+    join timeout is raised too, or it would cut a stuck worker short."""
+    monkeypatch.setattr(steal, "_POLL_S", 30.0)
+    monkeypatch.setattr(steal, "_IDLE_SLEEP_S", 30.0)
+    monkeypatch.setattr(steal, "_JOIN_TIMEOUT_S", 30.0)
+    run_chunk = MonteCarloErrorJob.run_chunk
+
+    def slow_chunk(self, spec):
+        time.sleep(0.02)  # chunks land well apart, while workers still run
+        return run_chunk(self, spec)
+
+    monkeypatch.setattr(MonteCarloErrorJob, "run_chunk", slow_chunk)
+    job = _job()
+    seen = []
+    start = time.monotonic()
+    result = run_checkpointed(
+        job, tmp_path / "ckpt", workers=2,
+        progress=lambda done, total, aggs: seen.append(done),
+    )
+    assert time.monotonic() - start < 10.0
+    assert result.total_chunks == 8 and not result.partial
+    assert result.aggregate.to_payload() == _reference(job)
+    # The parent merged chunks as they landed, not only once workers exited.
+    assert any(0 < done < 8 for done in seen)
+
+
+@needs_fork
+def test_sibling_steals_the_lease_of_a_worker_that_died(tmp_path, monkeypatch):
+    """A worker dies mid-chunk, holding its lease; the survivor reclaims
+    the stale lease and the run lands on the one-shot answer."""
+    job = _job()
+    clean = run_checkpointed(job, tmp_path / "clean")
+    marker = tmp_path / "died"
+    run_chunk = MonteCarloErrorJob.run_chunk
+
+    def dies_once(self, spec):
+        if spec.index == 3:
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+            except FileExistsError:
+                pass
+            else:
+                os._exit(1)
+        return run_chunk(self, spec)
+
+    monkeypatch.setattr(MonteCarloErrorJob, "run_chunk", dies_once)
+    result = run_checkpointed(job, tmp_path / "ckpt", workers=2)
+    assert marker.exists()
+    assert not result.partial
+    assert result.aggregate.to_payload() == clean.aggregate.to_payload()
+    assert result.state_digest == clean.state_digest
+
+
+_CONCURRENT_SCRIPT = """
+import json, os, sys, time
+from repro.engine import run_checkpointed
+from repro.engine.jobs import MonteCarloErrorJob
+
+directory, go = sys.argv[1], sys.argv[2]
+job = MonteCarloErrorJob(width=64, window=8, samples=64 * 8192, chunk_size=8192)
+open(go + "." + str(os.getpid()), "w").close()
+while not os.path.exists(go):
+    time.sleep(0.005)
+result = run_checkpointed(job, directory, workers=2)
+print(json.dumps({"payload": result.aggregate.to_payload(),
+                  "digest": result.state_digest, "partial": result.partial}))
+"""
+
+
+@needs_fork
+def test_concurrent_pooled_invocations_share_a_directory(tmp_path):
+    """Two pooled runs on one directory: neither one's pipe hears the
+    other's workers, so foreign completions arrive on the poll fallback."""
+    job = MonteCarloErrorJob(width=64, window=8, samples=64 * 8192, chunk_size=8192)
+    clean = run_checkpointed(job, tmp_path / "clean")
+    directory, go = tmp_path / "shared", tmp_path / "go"
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _CONCURRENT_SCRIPT, str(directory), str(go)],
+            stdout=subprocess.PIPE, text=True,
+        )
+        for _ in range(2)
+    ]
+    try:
+        deadline = time.monotonic() + 60.0
+        while len(list(tmp_path.glob("go.*"))) < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        go.touch()
+        outputs = [proc.communicate(timeout=120)[0] for proc in procs]
+    finally:
+        for proc in procs:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+    assert [proc.returncode for proc in procs] == [0, 0]
+    for output in outputs:
+        report = json.loads(output)
+        assert not report["partial"]
+        assert report["payload"] == clean.aggregate.to_payload()
+        assert report["digest"] == clean.state_digest
+
+
+@needs_fork
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_pooled_runs_leak_no_file_descriptors(tmp_path):
+    job = _job(samples=2048)
+    run_checkpointed(job, tmp_path / "warm", workers=2)
+    before = len(os.listdir("/proc/self/fd"))
+    for i in range(50):
+        result = run_checkpointed(job, tmp_path / f"ckpt-{i}", workers=2)
+        assert not result.partial
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 # -- the SIGKILL drill ----------------------------------------------------

@@ -156,6 +156,46 @@ class TestResponses:
         assert body["provenance"]["seed"] == 7
         assert body["provenance"]["repro_version"] == package_version()
 
+    def test_ok_response_resolves_git_revision_once(self, monkeypatch):
+        from repro.obs import provenance
+
+        calls = []
+        real_run = provenance.subprocess.run
+
+        def counting_run(*args, **kwargs):
+            calls.append(args)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(provenance.subprocess, "run", counting_run)
+        provenance.git_revision.cache_clear()
+        request = parse_request(_errors_payload(id="q"))
+        revisions = {
+            ok_response(request, {"x": i}, server_block("9.9.9"))["provenance"]["git_rev"]
+            for i in range(20)
+        }
+        assert len(calls) <= 1
+        assert len(revisions) == 1
+
+    def test_ok_response_reads_no_package_metadata(self, monkeypatch):
+        import importlib.metadata
+
+        expected = package_version()
+        calls = []
+        real_version = importlib.metadata.version
+
+        def counting_version(name):
+            calls.append(name)
+            return real_version(name)
+
+        monkeypatch.setattr(importlib.metadata, "version", counting_version)
+        request = parse_request(_errors_payload(id="q"))
+        versions = {
+            ok_response(request, {"x": i}, server_block("9.9.9"))["provenance"]["repro_version"]
+            for i in range(20)
+        }
+        assert calls == []
+        assert versions == {expected}
+
     def test_error_response_shape(self):
         body = error_response("overloaded", "try later", "r9")
         assert body["ok"] is False

@@ -15,7 +15,7 @@ from repro._version import package_version
 from repro.serve.client import AsyncServeClient, ServeClient, ServeError
 from repro.serve.harness import ServerThread
 from repro.serve.protocol import errors_result, parse_request, request_to_job
-from repro.serve.server import ServeConfig, Server
+from repro.serve.server import MAX_HEADER_LINES, ServeConfig, Server
 
 SAMPLES = 2048
 
@@ -248,7 +248,10 @@ def _raw_exchange(uds: str, head: bytes) -> tuple:
         sock.sendall(head)
         data = b""
         while True:
-            chunk = sock.recv(65536)
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:
+                break  # the server closed with part of our request unread
             if not chunk:
                 break
             data += chunk
@@ -286,3 +289,43 @@ def test_bad_content_length_gets_wellformed_error(tmp_path, length, status, code
         with ServeClient(uds=uds) as client:
             assert client.health()["ok"] is True
             assert client.metrics()["slo"]["bad_requests"] >= 1
+
+
+@pytest.mark.parametrize(
+    "head",
+    [
+        # One header line past the stream reader's 64 KiB line limit.
+        b"POST /v1/eval HTTP/1.1\r\nX-Padding: " + b"a" * 70000 + b"\r\n\r\n",
+        # An over-long request line.
+        b"GET /" + b"a" * 70000 + b" HTTP/1.1\r\n\r\n",
+        # More header lines than the server reads.
+        b"GET / HTTP/1.1\r\n"
+        + b"".join(b"X-H%d: v\r\n" % i for i in range(MAX_HEADER_LINES + 1))
+        + b"\r\n",
+    ],
+    ids=["long-header-line", "long-request-line", "too-many-headers"],
+)
+def test_oversized_headers_get_431(tmp_path, head):
+    uds = _uds(tmp_path)
+    with ServerThread(ServeConfig(uds=uds, shards=1)):
+        got_status, payload, connection = _raw_exchange(uds, head)
+        assert got_status == 431
+        assert payload["ok"] is False
+        assert payload["error"]["code"] == "headers-too-large"
+        assert connection == "close"
+        with ServeClient(uds=uds) as client:
+            assert client.health()["ok"] is True
+            assert client.metrics()["slo"]["bad_requests"] == 1
+
+
+def test_header_count_at_the_limit_is_served(tmp_path):
+    uds = _uds(tmp_path)
+    with ServerThread(ServeConfig(uds=uds, shards=1)):
+        head = (
+            b"GET /healthz HTTP/1.1\r\nConnection: close\r\n"
+            + b"".join(b"X-H%d: v\r\n" % i for i in range(MAX_HEADER_LINES - 1))
+            + b"\r\n"
+        )
+        got_status, payload, connection = _raw_exchange(uds, head)
+        assert got_status == 200
+        assert payload["ok"] is True
