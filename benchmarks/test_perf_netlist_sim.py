@@ -1,12 +1,12 @@
-"""Performance: compiled gate-level simulation vs the interpreter.
+"""Performance: vectorized gate-level simulation vs the interpreter.
 
-The compiled backend (:mod:`repro.netlist.compile`) levelizes the
-netlist once, generates a straight-line Python kernel, and moves the
-batch transposes to vectorized numpy bit-plane packing; concurrent fault
-simulation packs 64 stuck-at faults per forward pass and recomputes only
-each fault group's fan-out cone.  This benchmark times both backends on
-the same inputs, asserts they agree bit for bit, and enforces the PR's
-speedup floors (>=10x batch simulation, >=20x fault coverage at n=64).
+The vectorized backend (:mod:`repro.netlist.compile`) levelizes the
+netlist once and evaluates ``(level, kind)`` gate groups over uint64
+bit-plane limbs; concurrent fault simulation packs 64 stuck-at faults
+per forward pass and recomputes only each fault group's fan-out cone.
+This benchmark times both against the reference interpreter on the same
+inputs, asserts they agree bit for bit, and enforces the speedup floors
+(>=10x batch simulation, >=20x fault coverage at n=64).
 
 The floors are asserted at full scale only (``REPRO_FULL_SCALE=1``);
 at the reduced CI scale the compile overhead is a visible fraction of
@@ -53,12 +53,10 @@ def test_perf_simulate_batch(benchmark):
         t_ref, out_ref = _best_of(
             lambda: simulate_batch_reference(circuit, batch)
         )
-        t_cmp, out_cmp = _best_of(
-            lambda: simulate_batch(circuit, batch, backend="compiled")
-        )
-        assert out_cmp == out_ref, "compiled backend diverged from reference"
-        return {"reference_s": t_ref, "compiled_s": t_cmp,
-                "speedup": t_ref / t_cmp}
+        t_vec, out_vec = _best_of(lambda: simulate_batch(circuit, batch))
+        assert out_vec == out_ref, "vectorized backend diverged from reference"
+        return {"reference_s": t_ref, "vectorized_s": t_vec,
+                "speedup": t_ref / t_vec}
 
     r = run_once(benchmark, compute)
     print()
@@ -67,7 +65,7 @@ def test_perf_simulate_batch(benchmark):
             ["backend", "time", "speedup"],
             [
                 ("reference interpreter", f"{r['reference_s'] * 1e3:.2f} ms", "1.0x"),
-                ("compiled", f"{r['compiled_s'] * 1e3:.2f} ms",
+                ("vectorized", f"{r['vectorized_s'] * 1e3:.2f} ms",
                  f"{r['speedup']:.1f}x"),
             ],
             title=f"simulate_batch, VLCSA 1 n={WIDTH} k={K}, "
@@ -76,7 +74,7 @@ def test_perf_simulate_batch(benchmark):
     )
     floor = 10.0 if full_scale() else 4.0
     assert r["speedup"] >= floor, (
-        f"compiled simulate_batch speedup {r['speedup']:.1f}x "
+        f"vectorized simulate_batch speedup {r['speedup']:.1f}x "
         f"below the {floor:.0f}x floor"
     )
 
@@ -90,11 +88,11 @@ def test_perf_fault_coverage(benchmark):
         t_ref, slow = _best_of(
             lambda: fault_coverage_reference(circuit, batch)
         )
-        t_cmp, fast = _best_of(lambda: fault_coverage(circuit, batch))
+        t_fast, fast = _best_of(lambda: fault_coverage(circuit, batch))
         assert (fast.total, fast.detected) == (slow.total, slow.detected)
         assert fast.undetected == slow.undetected
-        return {"reference_s": t_ref, "compiled_s": t_cmp,
-                "speedup": t_ref / t_cmp, "coverage": fast.coverage,
+        return {"reference_s": t_ref, "concurrent_s": t_fast,
+                "speedup": t_ref / t_fast, "coverage": fast.coverage,
                 "faults": fast.total}
 
     r = run_once(benchmark, compute)
@@ -104,7 +102,7 @@ def test_perf_fault_coverage(benchmark):
             ["backend", "time", "speedup"],
             [
                 ("per-fault interpreter", f"{r['reference_s']:.3f} s", "1.0x"),
-                ("concurrent bit-plane", f"{r['compiled_s']:.3f} s",
+                ("concurrent bit-plane", f"{r['concurrent_s']:.3f} s",
                  f"{r['speedup']:.1f}x"),
             ],
             title=f"fault_coverage, VLCSA 1 n={WIDTH} k={K}, "
@@ -120,22 +118,18 @@ def test_perf_fault_coverage(benchmark):
 
 
 def test_perf_vectorized_backend(benchmark):
-    """PR 8 headline: the level-vectorized limb backend vs the compiled
-    big-int kernel at large batch sizes, bit identity asserted.
+    """The level-vectorized limb backend vs the reference interpreter at
+    large batch sizes, bit identity asserted.
 
     Measured on the DesignWare-style baseline adder at n=64, the
     acceptance point from the bench trajectory (the deepest-fused level
-    structure of the grid; VLCSA's wide mux levels fuse less and land
-    around 2.5x).  The gate-evaluation phase alone is ~10x faster than
-    the big-int kernel; the end-to-end ratio is Amdahl-capped by the
-    shared Python-int pack/unpack boundary at ~2.5-3.5x for n=64 (wide
-    buses at n=256 reach 20-65x because the compiled backend loses its
-    uint64 packing fast path there).  Floors are accel-aware: with the
-    C transpose fast path (:mod:`repro.netlist._accel`, available
-    wherever a system C compiler is) the floor is 2.3x at full scale —
-    safely under the observed 2.6-3.4x band on shared runners; the
-    pure-numpy fallback keeps a lower floor.  At 1024 vectors the
-    vectorized backend must at least hold its ground (no regression).
+    structure of the grid).  The interpreter's big-int work grows with
+    the batch while the limb backend's per-call cost is mostly fixed, so
+    the ratio climbs with the batch: ~85x at 1024 vectors and ~180x at
+    4096 with the C transpose fast path (:mod:`repro.netlist._accel`),
+    ~45x and ~160x pure-numpy, on a 2-vCPU x86 VM.  The floors sit far
+    below that band and no lower than the 10x (full scale) / 4x
+    (reduced) simulate_batch floor above.
 
     The ratio is taken over CPU time (``time.process_time``): on shared
     single-CPU runners wall-clock noise lands disproportionately on the
@@ -153,49 +147,47 @@ def test_perf_vectorized_backend(benchmark):
         rows = {}
         for count in (1024, n_large):
             batch = _vectors(circuit, count, 41)
-            # Untimed warmup: the first vectorized call pays one-time
-            # plan/codegen/scratch costs, the first compiled call the
-            # kernel compile.
-            simulate_batch(circuit, batch, backend="compiled")
+            # Untimed warmup: the first call pays the one-time scratch
+            # allocation for this limb count.
             simulate_batch(circuit, batch, backend="vectorized")
-            t_cmp, out_cmp = _best_of(
-                lambda: simulate_batch(circuit, batch, backend="compiled"),
-                repeat=5, clock=time.process_time,
+            t_ref, out_ref = _best_of(
+                lambda: simulate_batch_reference(circuit, batch),
+                clock=time.process_time,
             )
             t_vec, out_vec = _best_of(
                 lambda: simulate_batch(circuit, batch, backend="vectorized"),
                 repeat=5, clock=time.process_time,
             )
-            assert out_vec == out_cmp, "vectorized diverged from compiled"
-            rows[count] = {"compiled_s": t_cmp, "vectorized_s": t_vec,
-                           "ratio": t_cmp / t_vec}
+            assert out_vec == out_ref, "vectorized diverged from reference"
+            rows[count] = {"reference_s": t_ref, "vectorized_s": t_vec,
+                           "ratio": t_ref / t_vec}
         return rows
 
     r = run_once(benchmark, compute)
     print()
     print(
         format_table(
-            ["vectors", "compiled", "vectorized", "ratio"],
+            ["vectors", "reference", "vectorized", "ratio"],
             [
-                (count, f"{row['compiled_s'] * 1e3:.2f} ms",
+                (count, f"{row['reference_s'] * 1e3:.2f} ms",
                  f"{row['vectorized_s'] * 1e3:.2f} ms",
-                 f"{row['ratio']:.2f}x")
+                 f"{row['ratio']:.1f}x")
                 for count, row in r.items()
             ],
-            title=f"vectorized vs compiled, designware n={WIDTH} "
-            f"(best of 5, C fast path {'on' if accel else 'off'})",
+            title=f"vectorized vs reference, designware n={WIDTH} "
+            f"(CPU time, C fast path {'on' if accel else 'off'})",
         )
     )
     if full_scale():
-        floor = 2.3 if accel else 1.2
+        floor = 30.0 if accel else 20.0
     else:
-        floor = 1.5 if accel else 1.0
+        floor = 15.0 if accel else 10.0
     ratio = r[n_large]["ratio"]
     assert ratio >= floor, (
-        f"vectorized backend {ratio:.2f}x vs compiled at {n_large} vectors, "
-        f"below the {floor:.1f}x floor"
+        f"vectorized backend {ratio:.1f}x vs reference at {n_large} "
+        f"vectors, below the {floor:.0f}x floor"
     )
-    assert r[1024]["ratio"] >= 0.9, (
+    assert r[1024]["ratio"] >= 10.0, (
         f"vectorized backend regressed at 1024 vectors "
-        f"({r[1024]['ratio']:.2f}x vs compiled)"
+        f"({r[1024]['ratio']:.1f}x vs reference, floor 10x)"
     )

@@ -14,7 +14,7 @@ analyses this reproduction adds:
   self-test of the rules themselves;
 * ``engine``  — the batch-execution engine: cached, optionally parallel
   Monte Carlo / sweep / magnitude runs with a metrics report;
-* ``sim``     — gate-level simulation benchmark: compiled vs reference
+* ``sim``     — gate-level simulation benchmark: vectorized vs reference
   backends over a design × width grid, with bit-for-bit cross-checking
   and optional concurrent fault coverage;
 * ``stats``   — per-operation latency-cycle histograms of the
@@ -319,9 +319,9 @@ def _cmd_opt(args: argparse.Namespace) -> int:
     Reports gate-count and unit-depth reductions per (architecture,
     width); with ``--prove`` every pass runs through the equivalence
     funnel and unproven rewrites are rolled back (any rollback fails the
-    run).  ``--sim`` adds compiled-backend throughput for the raw vs
-    optimized netlists plus a bit-identity cross-check of the optimized
-    netlist under both backends.  The JSON report is the checked-in
+    run).  ``--sim`` adds simulation throughput for the raw vs optimized
+    netlists plus a bit-identity cross-check of the optimized netlist
+    under both backends.  The JSON report is the checked-in
     ``BENCH_netlist_opt.json`` format.
     """
     import random
@@ -389,14 +389,14 @@ def _cmd_opt(args: argparse.Namespace) -> int:
                     for name, nets in circuit.input_buses.items()
                 }
                 raw_ref = simulate_batch_reference(circuit, inputs)
-                opt_compiled = simulate_batch(opt, inputs, backend="compiled")
+                opt_fast = simulate_batch(opt, inputs)
                 opt_ref = simulate_batch_reference(opt, inputs)
-                if opt_compiled != opt_ref:
+                if opt_fast != opt_ref:
                     failures.append(
                         f"{design} n={width}: optimized netlist diverges "
-                        f"between compiled and reference backends"
+                        f"between vectorized and reference backends"
                     )
-                if opt_compiled != raw_ref:
+                if opt_fast != raw_ref:
                     failures.append(
                         f"{design} n={width}: optimized outputs differ from "
                         f"the raw netlist's"
@@ -406,7 +406,7 @@ def _cmd_opt(args: argparse.Namespace) -> int:
                     best = None
                     for _ in range(max(1, args.repeat)):
                         t0 = time.perf_counter()
-                        simulate_batch(target, inputs, backend="compiled")
+                        simulate_batch(target, inputs)
                         dt = time.perf_counter() - t0
                         best = dt if best is None else min(best, dt)
                     timings[label] = best
@@ -997,13 +997,15 @@ def _cmd_engine_magnitude(args: argparse.Namespace) -> int:
 
 
 def _cmd_sim(args: argparse.Namespace) -> int:
-    """Gate-level simulation benchmark across the three backends.
+    """Gate-level simulation benchmark across the two backends.
 
     Runs a design x width x batch-size grid of random batches through the
-    chosen backend(s); in ``both`` mode all three backends (compiled,
-    vectorized, reference) run and their outputs (and, with ``--faults``,
-    the fault reports) are compared bit for bit — any mismatch exits 1.
-    The JSON report is the checked-in ``BENCH_netlist_sim.json`` format.
+    chosen backend(s); in ``both`` mode the vectorized backend and the
+    reference interpreter both run and their outputs (and, with
+    ``--faults``, the fault reports) are compared bit for bit — any
+    mismatch exits 1.  ``auto`` is reported as ``vectorized``, the
+    backend it runs.  The JSON report is the checked-in
+    ``BENCH_netlist_sim.json`` format.
     """
     import random
     import time
@@ -1014,11 +1016,10 @@ def _cmd_sim(args: argparse.Namespace) -> int:
     from repro.netlist.simulate import simulate_batch, simulate_batch_reference
 
     seed = _resolve_seed(args)
-    backends = (
-        ["compiled", "vectorized", "reference"]
-        if args.backend == "both"
-        else [args.backend]
-    )
+    backends = {
+        "both": ["vectorized", "reference"],
+        "auto": ["vectorized"],
+    }.get(args.backend, [args.backend])
     fault_widths = set(args.fault_widths) if args.fault_widths else None
     repeat = max(1, args.repeat)
     metrics = EngineMetrics()
@@ -1093,21 +1094,9 @@ def _cmd_sim(args: argparse.Namespace) -> int:
                     row[f"{backend}_samples_per_s"] = (
                         vectors / times[backend] if times[backend] > 0 else None
                     )
-                if "reference" in times and "compiled" in times:
-                    row["speedup"] = (
-                        times["reference"] / times["compiled"]
-                        if times["compiled"] > 0
-                        else None
-                    )
                 if "reference" in times and "vectorized" in times:
                     row["vectorized_speedup"] = (
                         times["reference"] / times["vectorized"]
-                        if times["vectorized"] > 0
-                        else None
-                    )
-                if "compiled" in times and "vectorized" in times:
-                    row["vectorized_vs_compiled"] = (
-                        times["compiled"] / times["vectorized"]
                         if times["vectorized"] > 0
                         else None
                     )
@@ -1131,8 +1120,8 @@ def _cmd_sim(args: argparse.Namespace) -> int:
                             def cov(c=circuit, v=inputs):
                                 return fault_coverage_reference(c, v)
                         else:
-                            def cov(c=circuit, v=inputs, b=backend):
-                                return fault_coverage(c, v, backend=b)
+                            def cov(c=circuit, v=inputs):
+                                return fault_coverage(c, v)
                         start = time.perf_counter()
                         with metrics.phase("faults"):
                             reports[backend] = cov()
@@ -1142,10 +1131,10 @@ def _cmd_sim(args: argparse.Namespace) -> int:
                     row["faults_total"] = report.total
                     row["faults_detected"] = report.detected
                     row["fault_coverage"] = report.coverage
-                    if "reference" in fault_times and "compiled" in fault_times:
+                    if "reference" in fault_times and "vectorized" in fault_times:
                         row["fault_speedup"] = (
-                            fault_times["reference"] / fault_times["compiled"]
-                            if fault_times["compiled"] > 0
+                            fault_times["reference"] / fault_times["vectorized"]
+                            if fault_times["vectorized"] > 0
                             else None
                         )
                     for backend in backends[1:]:
@@ -1165,11 +1154,8 @@ def _cmd_sim(args: argparse.Namespace) -> int:
                     cols.append(f"{times[backend] * 1e3:.2f}")
                 if len(backends) > 1:
                     cols.append(
-                        f"{row['speedup']:.1f}x" if row.get("speedup") else "-"
-                    )
-                    cols.append(
-                        f"{row['vectorized_vs_compiled']:.2f}x"
-                        if row.get("vectorized_vs_compiled")
+                        f"{row['vectorized_speedup']:.1f}x"
+                        if row.get("vectorized_speedup")
                         else "-"
                     )
                 if args.faults:
@@ -1187,7 +1173,7 @@ def _cmd_sim(args: argparse.Namespace) -> int:
     headers = ["design", "n", "vectors", "gates"]
     headers += [f"{b} ms" for b in backends]
     if len(backends) > 1:
-        headers += ["ref/comp", "comp/vec"]
+        headers += ["ref/vec"]
     if args.faults:
         headers += ["coverage", "fault speedup"]
     print(
@@ -1536,7 +1522,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     """Coverage-guided differential fuzzing of the whole adder stack.
 
     Cross-checks the behavioural models, the reference netlist
-    interpreter, the compiled backend, and the analytical error model on
+    interpreter, the vectorized backend, and the analytical error model on
     adversarial operand batches; exits 0 on full agreement, 1 with
     minimized reproducers on any divergence.  ``--replay CORPUS`` re-runs
     a saved corpus (the artifact a nightly CI failure uploads);
@@ -1939,7 +1925,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="fanout-repair pin limit (default: no buffering, "
                           "so gate counts measure logic alone)")
     opt.add_argument("--sim", action="store_true",
-                     help="also benchmark compiled-backend throughput raw vs "
+                     help="also benchmark simulation throughput raw vs "
                           "optimized and cross-check bit-identity")
     opt.add_argument("--sim-vectors", type=int, default=1024,
                      help="vectors for the --sim benchmark (default 1024)")
@@ -2119,8 +2105,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser(
         "sim",
-        help="gate-level simulation benchmark "
-             "(compiled / vectorized / reference)",
+        help="gate-level simulation benchmark (vectorized / reference)",
     )
     sim.add_argument("designs", nargs="+",
                      help="architectures to simulate (e.g. vlcsa1 designware)")
@@ -2133,10 +2118,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="batch sizes to run per design point "
                           "(default: 1024)")
     sim.add_argument("--backend",
-                     choices=["auto", "compiled", "vectorized", "reference",
-                              "both"],
-                     default="compiled",
-                     help="backend(s) to run; 'both' runs all three and "
+                     choices=["auto", "vectorized", "reference", "both"],
+                     default="auto",
+                     help="backend(s) to run (default: auto, the vectorized "
+                          "backend); 'both' runs vectorized and reference and "
                           "cross-checks outputs bit for bit, exiting 1 on "
                           "divergence")
     sim.add_argument("--faults", action="store_true",

@@ -3,7 +3,7 @@
 The repository computes the same answer four independent ways — the
 behavioural numpy models (:mod:`repro.model.behavioral`), the reference
 netlist interpreter (:func:`repro.netlist.simulate.simulate_batch_reference`),
-the compiled execution backend (:mod:`repro.netlist.compile`) and the
+the vectorized execution backend (:mod:`repro.netlist.compile`) and the
 analytical error model (thesis Eq. 3.13 and its exact refinement).  This
 package hunts for inputs on which they *disagree*:
 

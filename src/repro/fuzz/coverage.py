@@ -12,8 +12,8 @@ us anything new:
   boundary has seen every window-level decision the architecture makes;
 
 * **mux-select toggles** (structural) — for every MUX2 gate in the
-  compiled netlist (:func:`repro.netlist.compile.mux_select_points`,
-  which reuses the kernel's levelization), whether its select has been
+  netlist (:func:`repro.netlist.compile.mux_select_points`, which
+  reuses the kernel's levelization), whether its select has been
   observed at 0 and at 1.  The carry-select sum rows, the VLCSA 2
   hypothesis muxes, and the recovery path are all mux-structured, so
   select toggles approximate path coverage of the datapath.
@@ -26,6 +26,8 @@ corpus reproducible run over run.
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.model.behavioral import WindowProfile
 
@@ -57,35 +59,49 @@ def window_pattern_keys(
     return keys
 
 
-def _lowest_set_bit(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
+def _lowest_set_bits(rows: np.ndarray) -> np.ndarray:
+    """Index of the lowest set bit of every limb row (``-1`` if none).
 
-
-def _lowest_clear_bit(mask: int, num_vectors: int) -> int:
-    inverted = ~mask & ((1 << num_vectors) - 1)
-    return _lowest_set_bit(inverted)
+    Bit ``64 * limb + b`` of a row is vector ``64 * limb + b``, so this
+    is the lowest vector index at which the row is 1.
+    """
+    nonzero = rows != 0
+    limb = nonzero.argmax(axis=1)
+    word = rows[np.arange(len(rows)), limb]
+    low = word & (~word + np.uint64(1))  # isolate the lowest set bit
+    # Powers of two are exact in float64, so log2 recovers the position.
+    bit = np.log2(np.where(low == 0, np.uint64(1), low).astype(np.float64))
+    index = limb * 64 + bit.astype(np.int64)
+    return np.where(nonzero.any(axis=1), index, -1)
 
 
 def mux_toggle_keys(
     points: Sequence[Tuple[int, int, int]],
-    values: Sequence[int],
-    ones: int,
-    num_vectors: int,
+    rows: np.ndarray,
+    ones: np.ndarray,
+    perm: np.ndarray,
 ) -> Dict[CoverageKey, int]:
     """Observed mux-select values -> first vector index exercising them.
 
     ``points`` comes from :func:`repro.netlist.compile.mux_select_points`;
-    ``values`` is the full per-net mask list of one compiled evaluation
-    (every net is evaluated, so intermediate selects are free to read).
-    Key: ``("m", gate_index, value)``.
+    ``rows`` is the limb bit-plane array of one vectorized evaluation
+    (every net is evaluated, so intermediate selects are free to read),
+    ``ones`` its masked all-ones row and ``perm`` the plan's net-to-row
+    map.  Key: ``("m", gate_index, value)``.
     """
     keys: Dict[CoverageKey, int] = {}
-    for gate_index, select_net, _level in points:
-        mask = values[select_net] & ones
-        if mask:
-            keys[("m", gate_index, 1)] = _lowest_set_bit(mask)
-        if mask != ones:
-            keys[("m", gate_index, 0)] = _lowest_clear_bit(mask, num_vectors)
+    if not points:
+        return keys
+    selects = rows[perm[[net for _, net, _ in points]]]
+    first_one = _lowest_set_bits(selects)
+    first_zero = _lowest_set_bits(selects ^ ones)
+    for (gate_index, _net, _level), one, zero in zip(
+        points, first_one.tolist(), first_zero.tolist()
+    ):
+        if one >= 0:
+            keys[("m", gate_index, 1)] = one
+        if zero >= 0:
+            keys[("m", gate_index, 0)] = zero
     return keys
 
 

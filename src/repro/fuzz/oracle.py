@@ -3,15 +3,12 @@
 For a batch of operand pairs the oracle evaluates up to five independent
 implementations and cross-checks them:
 
-1. **compiled backend** — :class:`repro.netlist.compile.CompiledSim` over
-   the elaborated netlist (also the source of mux-select coverage, since
-   the kernel evaluates every net);
+1. **vectorized limb backend** — :class:`repro.netlist.compile.CompiledSim`
+   over the elaborated netlist (also the source of mux-select coverage,
+   since the limb array holds every net);
 2. **reference interpreter** —
    :func:`repro.netlist.simulate.simulate_batch_reference`, compared bus
-   by bus, bit for bit, against the compiled outputs;
-   the **vectorized limb backend** (``backend="vectorized"``) is a
-   further leg held to the same bit identity (check id
-   ``backend-vectorized``);
+   by bus, bit for bit, against the limb outputs (check id ``backend``);
 3. **behavioural models** — :mod:`repro.model.behavioral` window profiles
    supply the expected ERR0/ERR1/stall flags and speculation-correctness
    verdicts; :func:`repro.model.error_magnitude.scsa1_speculative_values`
@@ -218,50 +215,35 @@ class Oracle:
         inputs = {"a": [a for a, _ in pairs], "b": [b for _, b in pairs]}
         num_vectors = len(pairs)
 
-        # 1. Compiled backend — one eval of every net (coverage for free).
-        masks, ones, _ = self.sim.pack_inputs(inputs)
-        values = self.sim.eval_masks(masks, ones)
-        from repro.netlist.compile import unpack_values
+        # 1. Limb backend — one eval of every net (coverage for free).
+        # The mux keys are read at once: the latency check below runs
+        # this circuit again and reuses the sim's scratch limb array.
+        V, ones, _ = self.sim.pack_inputs_limbs(inputs)
+        self.sim.eval_limbs(V, ones)
+        fast = self.sim.unpack_outputs(V, num_vectors)
+        mux_keys: Dict[tuple, int] = {}
+        if collect_coverage:
+            from repro.fuzz.coverage import mux_toggle_keys
 
-        compiled = {
-            name: unpack_values([values[n] for n in nets], num_vectors)
-            for name, nets in self.out_buses.items()
-        }
+            mux_keys = mux_toggle_keys(
+                self.mux_points, V, ones, self.sim.vector_plan().perm
+            )
 
         # 2. Reference interpreter, bus by bus, bit for bit.
         reference = simulate_batch_reference(self.circuit, inputs)
         for name in self.out_buses:
-            if compiled[name] != reference[name]:
+            if fast[name] != reference[name]:
                 index = next(
                     i
-                    for i, (c, r) in enumerate(zip(compiled[name], reference[name]))
-                    if c != r
+                    for i, (f, r) in enumerate(zip(fast[name], reference[name]))
+                    if f != r
                 )
                 self._diverge(
                     out,
                     "backend",
                     pairs[index],
-                    f"bus {name!r}: compiled={compiled[name][index]:#x} "
+                    f"bus {name!r}: vectorized={fast[name][index]:#x} "
                     f"reference={reference[name][index]:#x}",
-                )
-
-        # 2b. Vectorized limb backend, same bus-by-bus bit identity.
-        vectorized = self.sim.run_batch(inputs, backend="vectorized")
-        for name in self.out_buses:
-            if compiled[name] != vectorized[name]:
-                index = next(
-                    i
-                    for i, (c, v) in enumerate(
-                        zip(compiled[name], vectorized[name])
-                    )
-                    if c != v
-                )
-                self._diverge(
-                    out,
-                    "backend-vectorized",
-                    pairs[index],
-                    f"bus {name!r}: compiled={compiled[name][index]:#x} "
-                    f"vectorized={vectorized[name][index]:#x}",
                 )
 
         # 3. Behavioural cross-checks.
@@ -277,7 +259,7 @@ class Oracle:
                 profiles["msb"] = window_profile(
                     packed_a, packed_b, width, point.window, "msb"
                 )
-        self._check_semantics(pairs, compiled, profiles, out)
+        self._check_semantics(pairs, fast, profiles, out)
         self._check_kernel(pairs, packed_a, packed_b, profiles, out)
         if count_rate and "lsb" in profiles:
             out.lsb_profile_errors = int(scsa1_error_flags(profiles["lsb"]).sum())
@@ -288,14 +270,12 @@ class Oracle:
 
         # 5. Coverage extraction.
         if collect_coverage:
-            from repro.fuzz.coverage import mux_toggle_keys, window_pattern_keys
+            from repro.fuzz.coverage import window_pattern_keys
 
             keys: Dict[tuple, int] = {}
             for remainder, profile in profiles.items():
                 keys.update(window_pattern_keys(profile, remainder))
-            keys.update(
-                mux_toggle_keys(self.mux_points, values, ones, num_vectors)
-            )
+            keys.update(mux_keys)
             for key, index in keys.items():
                 out.coverage[key] = pairs[index]
 

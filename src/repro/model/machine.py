@@ -70,9 +70,9 @@ class VariableLatencyMachine:
         self.width = len(inputs["a"])
         # Compile once at construction; every run() reuses the kernel.
         self._sim = compile_circuit(circuit)
-        #: simulation backend for run() batches (as
-        #: :func:`repro.netlist.simulate.simulate_batch`); ``"auto"``
-        #: routes long operand streams to the vectorized limb backend.
+        #: simulation backend for run() batches (``"auto"`` or
+        #: ``"vectorized"``, as
+        #: :meth:`repro.netlist.compile.CompiledSim.run_batch`).
         self.backend = backend
 
     def run(self, operands: Iterable[Tuple[int, int]]) -> MachineTrace:

@@ -10,9 +10,9 @@ a pure-Python equivalent:
   JSON / SARIF output and a mutation self-test.
 * :mod:`repro.netlist.rules`    — the lint-rule registry.
 * :mod:`repro.netlist.simulate` — bit-parallel functional simulation.
-* :mod:`repro.netlist.compile`  — compiled simulation backend: levelized,
-  codegen'd straight-line kernels with vectorized batch transposes,
-  cached per netlist content hash.
+* :mod:`repro.netlist.compile`  — vectorized simulation backend: levelized
+  ``(level, kind)`` gate groups over uint64 bit-plane limbs, with
+  bit-plane batch transposes, cached per netlist content hash.
 * :mod:`repro.netlist.timing`   — static timing analysis (load-dependent).
 * :mod:`repro.netlist.area`     — cell-area accounting.
 * :mod:`repro.netlist.optimize` — peephole "synthesis" passes.

@@ -43,8 +43,7 @@ class ClockedDesign:
         self.circuit = circuit
         self.registers: List[RegisterSpec] = list(registers)
         #: simulation backend for every step (as
-        #: :func:`repro.netlist.simulate.simulate_batch`); single-cycle
-        #: steps resolve to the compiled kernel under ``"auto"``.
+        #: :func:`repro.netlist.simulate.simulate_batch`).
         self.backend = backend
         in_buses = circuit.input_buses
         out_buses = circuit.output_buses

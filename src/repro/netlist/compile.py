@@ -1,51 +1,48 @@
-"""Compiled gate-level simulation backend.
+"""Level-vectorized gate-level simulation backend.
 
 The interpreted simulator (:func:`repro.netlist.simulate.simulate_batch_reference`)
 pays, per gate per batch, a list construction, a function call, and a
-dict dispatch — all of which are loop-invariant.  This module moves that
-work to *compile time*:
+dict dispatch — all of which are loop-invariant — plus big-int
+arithmetic that grows with the batch.  This module moves the invariant
+work to *compile time* and runs the batch on uint64 bit-planes:
 
 * **levelization** (:func:`levelize`) — one pass over the topologically
   ordered gate list assigns every gate its logic level and records the
   reader (fanout) adjacency, the structure the concurrent fault simulator
   (:mod:`repro.netlist.faults`) uses to restart evaluation at a fault's
   level and only recompute its fanout cone;
-* **code generation** — the whole gate list is emitted as one
-  straight-line Python function (``V[out] = v_out = v_a & v_b`` per
-  gate), compiled with :func:`compile`/``exec`` once, then reused for
-  every batch.  Per-gate cost drops to a single bytecode-level big-int
-  operation;
-* **vectorized transposes** — batches enter and leave as per-vector bus
-  values; packing them into the per-net bit-plane form (bit ``v`` of net
-  mask = value under vector ``v``, 64 vectors per uint64 limb) is done
-  with ``numpy`` ``packbits``/``unpackbits`` over uint64/uint8 views
-  instead of the O(vectors × width) Python loops of the interpreter;
+* **level-vectorized execution** — gates are grouped by ``(logic level,
+  kind)`` into a :class:`VectorPlan`; net values live in a ``(num_nets,
+  limbs)`` uint64 bit-plane array (64 vectors per limb) and each group
+  evaluates as one fancy-index gather, a couple of fused numpy bitwise
+  ops, and one scatter.  Within a level no gate reads a same-level
+  output (a level is ``1 + max(input levels)``), so the scatter is
+  always safe.  The group schedule itself is generated as one
+  straight-line function (:func:`_build_limb_runner`);
+* **bit-plane transposes** — batches enter and leave as per-vector bus
+  values; :func:`pack_values_limbs` and :func:`unpack_values_limbs` move
+  them to and from the limb rows with a byte-level
+  ``unpackbits``/``packbits`` transpose for one-limb batches (at most 64
+  vectors) and above that with the optional C library
+  (:mod:`repro.netlist._accel`) when it loads, else masked-swap 64x64
+  block transposes;
 * **compile caching** — kernels are cached in an
   :class:`repro.engine.cache.ElaborationCache` (memory LRU) keyed by a
   content hash of the netlist (:func:`circuit_fingerprint`), plus an
   instance-level memo, so machine stepping, clocked simulation, lint
-  self-tests, and repeated Monte Carlo batches pay code generation once;
-* **level-vectorized execution** (the ``vectorized`` backend) — instead
-  of one straight-line statement per gate, gates are grouped by
-  ``(logic level, kind)`` into a :class:`VectorPlan`; net values live in
-  a ``(num_nets, limbs)`` uint64 bit-plane array (64 vectors per limb)
-  and each group evaluates as one fancy-index gather, a couple of fused
-  numpy bitwise ops, and one scatter.  Within a level no gate reads a
-  same-level output (a level is ``1 + max(input levels)``), so the
-  scatter is always safe.  Big batches thereby skip Python big-int
-  arithmetic (O(vectors) per gate) entirely; :func:`pack_values_limbs`
-  and :func:`unpack_values_limbs` are the limb-array transposes that
-  avoid the Python-int round-trip.
+  self-tests, and repeated Monte Carlo batches pay plan building once.
 
-The generated kernel evaluates *every* net (not only output cones), so
-power estimation and fault simulation read intermediate values for free.
-Backend selection (``auto`` → vectorized at/above
-:data:`repro.netlist.simulate._VECTORIZED_MIN_BATCH` vectors) lives in
-:func:`repro.netlist.simulate.resolve_backend`.
+Every net is evaluated (not only output cones), so power estimation and
+fault simulation read intermediate rows for free.  Backend names are
+validated by :func:`repro.netlist.simulate.resolve_backend`.
 """
 
 from __future__ import annotations
 
+import array
+import functools
+import hashlib
+import numbers
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -59,9 +56,6 @@ from typing import (
     Union,
 )
 
-import functools
-import hashlib
-
 import numpy as np
 
 from repro.netlist import _accel
@@ -70,36 +64,8 @@ from repro.netlist.circuit import GATE_ARITY, Circuit, NetlistError
 if TYPE_CHECKING:  # deferred at runtime: netlist sits below engine
     from repro.engine.cache import ElaborationCache
 
-#: Bump when the generated-code layout changes; cached kernels then miss.
-_CODEGEN_VERSION = 3
-
-#: Per-kind straight-line expression templates; ``{0}``.. are the operand
-#: locals and ``ones`` is the all-ones mask of the active batch width.
-#: Kept textually parallel to :data:`repro.netlist.simulate.GATE_EVAL`.
-_GATE_EXPR: Dict[str, str] = {
-    "AND2": "{0} & {1}",
-    "OR2": "{0} | {1}",
-    "XOR2": "{0} ^ {1}",
-    "INV": "{0} ^ ones",
-    "NAND2": "({0} & {1}) ^ ones",
-    "NOR2": "({0} | {1}) ^ ones",
-    "XNOR2": "({0} ^ {1}) ^ ones",
-    "MUX2": "{1} ^ ({0} & ({1} ^ {2}))",
-    "BUF": "{0}",
-    "AOI21": "(({0} & {1}) | {2}) ^ ones",
-    "OAI21": "(({0} | {1}) & {2}) ^ ones",
-    "AOI22": "(({0} & {1}) | ({2} & {3})) ^ ones",
-    "OAI22": "(({0} | {1}) & ({2} | {3})) ^ ones",
-    "CONST0": "0",
-    "CONST1": "ones",
-}
-
-#: Batches below this size skip numpy and use the scalar transpose (the
-#: fixed per-call numpy overhead beats the loop only past a few vectors).
-_NUMPY_MIN_BATCH = 16
-
-#: Vectors per transpose block (bounds the uint64 broadcast temporaries).
-_BLOCK = 1 << 15
+#: Bump when the kernel layout changes; cached kernels then miss.
+_CODEGEN_VERSION = 4
 
 _U64 = np.uint64
 _ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
@@ -280,34 +246,6 @@ def circuit_fingerprint(circuit: Circuit) -> str:
         digest,
     )
     return digest
-
-
-def _generate_source(circuit: Circuit) -> str:
-    """Emit the straight-line kernel source for a circuit's gate list."""
-    lines = [
-        "def _kernel(V, ones):",
-        '    """Generated straight-line evaluation of every gate."""',
-    ]
-    gate_driven = {gate.output for gate in circuit.gates}
-    loads = sorted(
-        {
-            net
-            for gate in circuit.gates
-            for net in gate.inputs
-            if net not in gate_driven
-        }
-    )
-    for net in loads:
-        lines.append(f"    v{net} = V[{net}]")
-    for gate in circuit.gates:
-        expr_template = _GATE_EXPR.get(gate.kind)
-        if expr_template is None:
-            raise NetlistError(f"cannot simulate gate kind {gate.kind!r}")
-        expr = expr_template.format(*(f"v{n}" for n in gate.inputs))
-        lines.append(f"    V[{gate.output}] = v{gate.output} = {expr}")
-    if len(lines) == 2:
-        lines.append("    pass")
-    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -555,11 +493,10 @@ def _build_limb_runner(
 
     Emits one line per :class:`PlanGroup` — kernel call on gathered
     operand rows, slice outputs written in place, scatter outputs
-    staged through one shared buffer — and ``exec``-compiles it, the
-    same idiom as the big-int kernel's codegen.  Removes the per-group
-    interpreter overhead (loop, genexprs, dict lookups) from
-    :meth:`CompiledSim.eval_limbs`, which is measurable at small batch
-    sizes where numpy dispatch dominates.
+    staged through one shared buffer — and ``exec``-compiles it.  This
+    removes the per-group interpreter overhead (loop, genexprs, dict
+    lookups) from :meth:`CompiledSim.eval_limbs`, which is measurable at
+    small batch sizes where numpy dispatch dominates.
     """
     sels: List[Union[slice, np.ndarray]] = []
     kernels: List[Callable[..., None]] = []
@@ -601,30 +538,24 @@ class CompiledKernel:
     """Reusable compilation artifacts, keyed by circuit content hash.
 
     Holds everything derived purely from the gate-level structure: the
-    generated evaluation function, the levelization, and the fanout
-    adjacency.  Bus binding (names to nets) stays with the
-    :class:`CompiledSim` wrapper so one kernel serves any identically
-    structured circuit.  ``plan`` is the lazily built
-    :class:`VectorPlan` of the vectorized backend — cached here so every
-    identically structured circuit shares one index-precomputation pass.
+    levelization, the fanout adjacency, the :class:`VectorPlan` and its
+    generated group schedule (``limb_runner``).  Bus binding (names to
+    nets) stays with the :class:`CompiledSim` wrapper so one kernel
+    serves any identically structured circuit.
     """
 
     key: str
     num_nets: int
     num_gates: int
-    kernel: Callable[[List[int], int], None]
     gate_level: List[int]
     net_level: List[int]
     readers: Tuple[Tuple[int, ...], ...]
-    source: str
-    plan: Optional[VectorPlan] = None
-    limb_runner: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = (
-        None
-    )
+    plan: VectorPlan
+    limb_runner: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def _build_kernel(circuit: Circuit, key: str) -> CompiledKernel:
-    """Generate, compile, and package the kernel for one circuit."""
+    """Levelize, plan, and package the kernel for one circuit."""
     from repro.obs import spans as _obs
 
     with _obs.span(
@@ -634,129 +565,89 @@ def _build_kernel(circuit: Circuit, key: str) -> CompiledKernel:
 
 
 def _build_kernel_inner(circuit: Circuit, key: str) -> CompiledKernel:
-    source = _generate_source(circuit)
-    namespace: Dict[str, object] = {}
-    exec(compile(source, f"<compiled {circuit.name}>", "exec"), namespace)
+    for gate in circuit.gates:
+        if gate.kind not in _VEC_KERNELS:
+            raise NetlistError(f"cannot simulate gate kind {gate.kind!r}")
     gate_level, net_level, readers = levelize(circuit)
+    plan = build_vector_plan(circuit, gate_level)
     return CompiledKernel(
         key=key,
         num_nets=circuit.num_nets,
         num_gates=circuit.num_gates,
-        kernel=namespace["_kernel"],  # type: ignore[arg-type]
         gate_level=gate_level,
         net_level=net_level,
         readers=tuple(tuple(r) for r in readers),
-        source=source,
+        plan=plan,
+        limb_runner=_build_limb_runner(plan),
     )
 
 
-def pack_values(values: Sequence[int], width: int, name: str = "bus") -> List[int]:
-    """Transpose per-vector bus values into per-bit vector masks.
+def _does_not_fit(value: object, width: int, name: str) -> NetlistError:
+    """The reference interpreter's error for a value a bus cannot hold."""
+    return NetlistError(f"value {value} does not fit in {width}-bit bus {name!r}")
 
-    Returns ``width`` Python integers; bit ``v`` of mask ``b`` is bit
-    ``b`` of ``values[v]``.  Values must satisfy ``0 <= value < 2**width``
-    (:class:`~repro.netlist.circuit.NetlistError` otherwise).  Large
-    batches on buses up to 64 bits go through vectorized ``packbits``;
-    small batches, wider buses, and out-of-range inputs take a scalar
-    path with identical semantics.
+
+def _fast_words(values: Sequence[int], chunks: int) -> Optional[np.ndarray]:
+    """``(len(values), chunks)`` uint64 words, or ``None`` when unsure.
+
+    Takes the C-level conversions: integer numpy arrays by dtype,
+    ``array('Q')`` for one-word buses (it rejects negative, too-wide
+    and non-integer values, where ``np.fromiter`` would truncate
+    ``1.5`` to ``1``), and ``int.to_bytes`` for wider ones.  ``None``
+    sends the batch to :func:`_checked_words`, which names the first
+    offending value or converts what these paths do not take.
     """
-    num_vectors = len(values)
-    if num_vectors == 0:
-        return [0] * width
-    if width <= 64 and num_vectors >= _NUMPY_MIN_BATCH:
-        try:
-            arr = np.asarray(values, dtype=_U64)
-        except (OverflowError, TypeError, ValueError):
-            arr = None  # negative/too-wide/non-integer: scalar path reports
-        if arr is not None and arr.ndim == 1:
-            if width < 64:
-                over = arr >> _U64(width)
-                if over.any():
-                    bad = int(np.argmax(over != 0))
-                    raise NetlistError(
-                        f"value {values[bad]} does not fit in "
-                        f"{width}-bit bus {name!r}"
-                    )
-            return _pack_u64(arr, width, num_vectors)
+    if isinstance(values, np.ndarray):
+        if values.ndim != 1 or values.dtype.kind not in "biu":
+            return None
+        if values.dtype.kind == "i" and values.size and values.min() < 0:
+            return None
+        words = np.zeros((values.size, chunks), dtype=_U64)
+        words[:, 0] = values
+        return words
+    try:
+        if chunks == 1:
+            return np.frombuffer(array.array("Q", values), dtype=_U64).reshape(-1, 1)
+        buf = b"".join(v.to_bytes(8 * chunks, "little") for v in values)
+    except (OverflowError, TypeError, AttributeError):
+        return None
+    return np.frombuffer(buf, dtype="<u8").astype(_U64, copy=False).reshape(-1, chunks)
+
+
+def _checked_words(
+    values: Sequence[int], width: int, name: str, chunks: int
+) -> np.ndarray:
+    """Per-value validation in vector order, then the word conversion
+    of the now plain, in-range Python ints."""
     limit = 1 << width
-    masks = [0] * width
-    for v, value in enumerate(values):
-        if not 0 <= value < limit:
-            raise NetlistError(
-                f"value {value} does not fit in {width}-bit bus {name!r}"
-            )
-        vbit = 1 << v
-        for bit in range(width):
-            if (value >> bit) & 1:
-                masks[bit] |= vbit
-    return masks
+    ints = []
+    for value in values:
+        if not (isinstance(value, numbers.Integral) and 0 <= int(value) < limit):
+            raise _does_not_fit(value, width, name)
+        ints.append(int(value))
+    words = _fast_words(ints, chunks)
+    assert words is not None
+    return words
 
 
-def _pack_u64(arr: np.ndarray, width: int, num_vectors: int) -> List[int]:
-    """Vectorized transpose of a uint64 value array into per-bit masks."""
-    shifts = np.arange(width, dtype=_U64)[:, None]
-    masks = [0] * width
-    for start in range(0, num_vectors, _BLOCK):
-        block = arr[start : start + _BLOCK]
-        bits = ((block[None, :] >> shifts) & _U64(1)).astype(np.uint8)
-        packed = np.packbits(bits, axis=1, bitorder="little")
-        for b in range(width):
-            masks[b] |= int.from_bytes(packed[b].tobytes(), "little") << start
-    return masks
+def _bus_words(values: Sequence[int], width: int, name: str) -> np.ndarray:
+    """Validate one bus's batch; return it as ``(len(values), chunks)`` words.
 
-
-def unpack_values(masks: Sequence[int], num_vectors: int) -> List[int]:
-    """Transpose per-bit vector masks back into per-vector bus values.
-
-    Inverse of :func:`pack_values` for a bus of ``len(masks)`` bits.
-    Buses wider than 64 bits are processed in 64-bit chunks and combined
-    as Python integers, so output widths like ``n + 1 = 65`` are exact.
+    Column ``k`` holds bits ``64k .. 64k + 63`` of every value.  A value
+    must be a non-negative integer below ``2**width``; anything else
+    raises the reference interpreter's :class:`NetlistError`, naming the
+    first offending value in vector order.
     """
-    width = len(masks)
-    if num_vectors == 0:
-        return []
-    if num_vectors < _NUMPY_MIN_BATCH:
-        out = [0] * num_vectors
-        for bit, mask in enumerate(masks):
-            while mask:
-                low = mask & -mask
-                v = low.bit_length() - 1
-                out[v] |= 1 << bit
-                mask ^= low
-        return out
-    nbytes = (num_vectors + 7) // 8
-    rows = np.zeros((width, nbytes), dtype=np.uint8)
-    for b, mask in enumerate(masks):
-        rows[b] = np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8)
-    return _values_from_rows(rows, width, num_vectors)
-
-
-def _values_from_rows(
-    rows: np.ndarray, width: int, num_vectors: int
-) -> List[int]:
-    """Per-vector values from ``(width, nbytes)`` uint8 bit-plane rows.
-
-    Numpy transpose core of :func:`unpack_values` (the limb path has its
-    own uint64 core, :func:`_values_from_limbs`); 64-bit chunks combine
-    as Python ints so widths like ``n + 1 = 65`` are exact.  Bits at or
-    beyond ``num_vectors`` in ``rows`` are ignored.
-    """
-    values: Optional[List[int]] = None
-    for lo in range(0, width, 64):
-        sub = rows[lo : lo + 64]
-        bits = np.unpackbits(sub, axis=1, count=num_vectors, bitorder="little")
-        packed = np.packbits(
-            np.ascontiguousarray(bits.T), axis=1, bitorder="little"
-        )
-        buf = np.zeros((num_vectors, 8), dtype=np.uint8)
-        buf[:, : packed.shape[1]] = packed
-        chunk = buf.view(_U64)[:, 0].tolist()
-        if values is None:
-            values = chunk
-        else:
-            values = [v | (c << lo) for v, c in zip(values, chunk)]
-    assert values is not None
-    return values
+    chunks = max(1, (width + 63) // 64)
+    words = _fast_words(values, chunks)
+    if words is None:
+        return _checked_words(values, width, name, chunks)
+    top = width - 64 * (chunks - 1)
+    if top < 64 and words.size:
+        over = words[:, -1] >> _U64(top)
+        if over.any():
+            raise _does_not_fit(values[int(np.argmax(over != 0))], width, name)
+    return words
 
 
 def pack_values_limbs(
@@ -764,92 +655,44 @@ def pack_values_limbs(
 ) -> np.ndarray:
     """Transpose per-vector bus values into uint64 bit-plane limb rows.
 
-    Limb-array counterpart of :func:`pack_values`: returns a
-    ``(width, limbs)`` uint64 array where bit ``v`` of row ``b`` (64
-    vectors per limb, little-endian across limbs) is bit ``b`` of
-    ``values[v]``.  Tail bits beyond ``len(values)`` in the last limb
-    are zero.  Validation and error messages match :func:`pack_values`
-    exactly — small batches, wide buses, and out-of-range inputs fall
-    back to it and convert its masks.
+    Returns a ``(width, limbs)`` uint64 array where bit ``v`` of row
+    ``b`` (64 vectors per limb, little-endian across limbs) is bit ``b``
+    of ``values[v]``.  Tail bits beyond ``len(values)`` in the last limb
+    are zero.  Validation and error messages match the reference
+    interpreter (:func:`_bus_words`).
     """
-    num_vectors = len(values)
-    limbs = limb_count(num_vectors)
-    if width <= 64 and num_vectors >= _NUMPY_MIN_BATCH:
-        try:
-            if type(values) is list:
-                # ~15% faster than asarray for plain int lists, the
-                # common case of simulate_batch callers.
-                arr = np.fromiter(values, dtype=_U64, count=num_vectors)
-            else:
-                arr = np.asarray(values, dtype=_U64)
-        except (OverflowError, TypeError, ValueError):
-            arr = None  # negative/too-wide/non-integer: scalar path reports
-        if arr is not None and arr.ndim == 1:
-            if width < 64:
-                over = arr >> _U64(width)
-                if over.any():
-                    bad = int(np.argmax(over != 0))
-                    raise NetlistError(
-                        f"value {values[bad]} does not fit in "
-                        f"{width}-bit bus {name!r}"
-                    )
-            return _pack_u64_limbs(arr, width, num_vectors)
-    if width > 64 and num_vectors >= _NUMPY_MIN_BATCH:
-        # Wide buses: serialize every value to whole 64-bit words in one
-        # C-level pass, then run the fast block transpose per word
-        # column.  This replaces the per-bit scalar transpose, which is
-        # what made 256-bit operand buses quadratic-ish.
-        wchunks = (width + 63) // 64
-        try:
-            buf = b"".join(v.to_bytes(wchunks * 8, "little") for v in values)
-        except (OverflowError, TypeError, AttributeError):
-            buf = None  # negative/too-wide/non-integer: scalar path reports
-        if buf is not None:
-            words = np.frombuffer(buf, dtype=_U64).reshape(
-                num_vectors, wchunks
-            )
-            rem = width & 63
-            if rem:
-                over = words[:, -1] >> _U64(rem)
-                if over.any():
-                    bad = int(np.argmax(over != 0))
-                    raise NetlistError(
-                        f"value {values[bad]} does not fit in "
-                        f"{width}-bit bus {name!r}"
-                    )
-            rows = np.empty((width, limbs), dtype=_U64)
-            for k in range(wchunks):
-                lo = 64 * k
-                rows[lo : lo + 64] = _pack_u64_limbs(
-                    np.ascontiguousarray(words[:, k]),
-                    min(64, width - lo),
-                    num_vectors,
-                )
-            return rows
-    masks = pack_values(values, width, name)
-    rows8 = np.zeros((width, limbs * 8), dtype=np.uint8)
-    for bit, mask in enumerate(masks):
-        rows8[bit] = np.frombuffer(
-            mask.to_bytes(limbs * 8, "little"), dtype=np.uint8
+    words = _bus_words(values, width, name)
+    num_vectors = len(words)
+    if num_vectors == 0:
+        return np.zeros((width, 0), dtype=_U64)
+    if words.shape[1] == 1:
+        return _pack_u64_limbs(words[:, 0], width, num_vectors)
+    rows = np.empty((width, limb_count(num_vectors)), dtype=_U64)
+    for k in range(words.shape[1]):
+        lo = 64 * k
+        rows[lo : lo + 64] = _pack_u64_limbs(
+            np.ascontiguousarray(words[:, k]), min(64, width - lo), num_vectors
         )
-    return rows8.view(_U64)
+    return rows
 
 
 def _pack_u64_limbs(
     arr: np.ndarray, width: int, num_vectors: int
 ) -> np.ndarray:
-    """Vectorized transpose of a uint64 value array into limb rows.
+    """Transpose a uint64 value array into its low ``width`` limb rows.
 
-    Pads the batch to whole 64-vector blocks (tail bits stay zero, per
-    the :func:`limb_ones` invariant), bit-transposes every block with
-    :func:`_transpose64_blocks`, and reads plane ``b``'s limbs off row
-    ``b``.  The word-transpose copy into the owned ``(64, limbs)``
-    buffer both feeds the rows-first swap layout and guarantees the
-    in-place rounds never touch ``arr``'s buffer (at one block,
-    ``(1, 64).T`` is "contiguous" by the size-1-axis stride rule, so an
-    ``ascontiguousarray`` here would alias the caller's data).
+    A one-limb batch takes the byte transpose (:func:`_pack_one_limb`),
+    which beats even the C call's fixed ctypes cost there.  Larger ones
+    go through the C library in one call or, without it, pad to whole
+    64-vector blocks (tail bits stay zero, per the :func:`limb_ones`
+    invariant) and bit-transpose every block with
+    :func:`_transpose64_blocks`.  The word-transpose copy into the owned
+    ``(64, limbs)`` buffer both feeds the rows-first swap layout and
+    guarantees the in-place rounds never touch ``arr``'s buffer.
     """
     limbs = limb_count(num_vectors)
+    if limbs == 1:
+        return _pack_one_limb(arr, num_vectors)[:width]
     blocks = np.empty((64, limbs), dtype=_U64)
     lib = _accel.load()
     if lib is not None and arr.flags.c_contiguous:
@@ -864,84 +707,109 @@ def _pack_u64_limbs(
     return _transpose64_blocks(blocks)[:width]
 
 
+def _pack_one_limb(arr: np.ndarray, num_vectors: int) -> np.ndarray:
+    """``(64, 1)`` bit-plane rows of at most 64 values, via byte bits.
+
+    ``unpackbits`` spreads every value into its 64 bits, a transpose
+    makes them plane-major, and ``packbits`` folds each plane back into
+    one word: a handful of numpy calls where the masked-swap rounds take
+    ~70.
+    """
+    bits = np.zeros((64, 64), dtype=np.uint8)
+    le = arr.astype("<u8", copy=False).view(np.uint8).reshape(num_vectors, 8)
+    bits[:, :num_vectors] = np.unpackbits(le, axis=1, bitorder="little").T
+    planes = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+    return planes.astype(_U64, copy=False)
+
+
 def unpack_values_limbs(rows: np.ndarray, num_vectors: int) -> List[int]:
     """Transpose uint64 bit-plane limb rows back to per-vector values.
 
     Inverse of :func:`pack_values_limbs` for a ``(width, limbs)`` row
     array; tail bits beyond ``num_vectors`` are ignored.
     """
-    width = len(rows)
     if num_vectors == 0:
         return []
-    if num_vectors < _NUMPY_MIN_BATCH:
-        masks = [
-            int.from_bytes(np.ascontiguousarray(rows[b]).tobytes(), "little")
-            for b in range(width)
-        ]
-        return unpack_values(masks, num_vectors)
     return _values_from_limbs(np.asarray(rows, dtype=_U64), num_vectors)
+
+
+def _unpack_one_limb(sub: np.ndarray, num_vectors: int) -> np.ndarray:
+    """Inverse of :func:`_pack_one_limb` for ``(planes <= 64, 1)`` rows."""
+    bits = np.zeros((num_vectors, 64), dtype=np.uint8)
+    le = np.ascontiguousarray(sub, dtype="<u8").view(np.uint8)
+    bits[:, : sub.shape[0]] = np.unpackbits(
+        le, axis=1, count=num_vectors, bitorder="little"
+    ).T
+    values = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+    return values.astype(_U64, copy=False).reshape(-1)
 
 
 def _values_from_limbs(rows: np.ndarray, num_vectors: int) -> List[int]:
     """Per-vector values from ``(width, limbs)`` uint64 bit-plane rows.
 
     Inverse transpose core of :func:`unpack_values_limbs`: each 64-plane
-    chunk becomes one block bit-transpose (:func:`_transpose64_blocks`)
-    and chunks combine as Python ints, so widths like ``n + 1 = 65`` are
-    exact.  A single-plane chunk (the carry-out of an ``n + 1`` sum bus)
-    skips the block transpose for one ``unpackbits``, and the combine
-    only pays a big-int op where the high chunk is nonzero.  Bits at or
-    beyond ``num_vectors`` are ignored.
+    chunk becomes one word per vector (:func:`_chunk_words`), and chunks
+    combine as Python ints, so widths like ``n + 1 = 65`` are exact.  A
+    two-chunk bus (the ``n + 1`` sum bus) pays a big-int op only where
+    its high word is nonzero; wider buses join each vector's words with
+    one ``int.from_bytes``.  Bits at or beyond ``num_vectors`` are
+    ignored.
     """
-    width, limbs = rows.shape
-    values: Optional[np.ndarray] = None  # object dtype once combining
-    first: Optional[np.ndarray] = None  # uint64 chunk awaiting a combine
-    for lo in range(0, width, 64):
-        sub = rows[lo : lo + 64]
-        if sub.shape[0] == 1:
-            bits = np.unpackbits(
-                np.ascontiguousarray(sub).view(np.uint8),
-                count=num_vectors,
-                bitorder="little",
-            )
-            if values is None and first is None:
-                return bits.tolist()
-            if values is None:
-                assert first is not None
-                values = first.astype(object)
-            # Touch only the vectors whose high bit is set; an
-            # object-dtype masked |= runs the big-int ors in one C loop.
-            values[bits.view(bool)] |= 1 << lo
-            continue
-        lib = _accel.load()
-        if lib is not None:
-            if sub.shape[0] == 64 and sub.flags.c_contiguous:
-                planes = sub
-            else:
-                planes = np.zeros((64, limbs), dtype=_U64)
-                planes[: sub.shape[0]] = sub
-            flat = np.empty(num_vectors, dtype=_U64)
-            lib.unpack_planes(planes, flat, num_vectors)
-            chunk = flat
-        else:
-            blocks = np.zeros((64, limbs), dtype=_U64)
-            blocks[: sub.shape[0]] = sub
-            _transpose64_blocks(blocks)
-            out = np.empty((limbs, 64), dtype=_U64)
-            out[:, :] = blocks.T
-            chunk = out.reshape(-1)[:num_vectors]
-        if values is None and first is None:
-            first = chunk
-        else:
-            if values is None:
-                assert first is not None
-                values = first.astype(object)
-            nz = chunk != 0
-            values[nz] |= chunk[nz].astype(object) << lo
-    if values is None:
-        assert first is not None
-        return first.tolist()
-    return values.tolist()
+    chunks = [
+        _chunk_words(rows[lo : lo + 64], num_vectors)
+        for lo in range(0, rows.shape[0], 64)
+    ]
+    if len(chunks) == 1:
+        return chunks[0].tolist()
+    if len(chunks) == 2:
+        values = chunks[0].astype(object)
+        high = chunks[1]
+        nz = high != 0
+        # An object-dtype masked |= runs the big-int ors in one C loop;
+        # a one-plane high chunk (the carry-out) ORs one constant.
+        values[nz] |= 1 << 64 if rows.shape[0] == 65 else high[nz].astype(object) << 64
+        return values.tolist()
+    buf = np.stack(chunks, axis=1).astype("<u8", copy=False).tobytes()
+    step = 8 * len(chunks)
+    return [
+        int.from_bytes(buf[i : i + step], "little")
+        for i in range(0, len(buf), step)
+    ]
+
+
+def _chunk_words(sub: np.ndarray, num_vectors: int) -> np.ndarray:
+    """The ``num_vectors`` words of a ``(planes <= 64, limbs)`` chunk.
+
+    One byte transpose for a one-limb batch (:func:`_unpack_one_limb`),
+    else one C ``unpack_planes`` call or one block bit-transpose
+    (:func:`_transpose64_blocks`); a single plane (the carry-out of an
+    ``n + 1`` sum bus, a 1-bit flag) is one ``unpackbits``, left as
+    0/1 bytes.
+    """
+    planes, limbs = sub.shape
+    if planes == 1:
+        return np.unpackbits(
+            np.ascontiguousarray(sub).view(np.uint8),
+            count=num_vectors,
+            bitorder="little",
+        )
+    if limbs == 1:
+        return _unpack_one_limb(sub, num_vectors)
+    lib = _accel.load()
+    if lib is not None:
+        if planes < 64 or not sub.flags.c_contiguous:
+            full = np.zeros((64, limbs), dtype=_U64)
+            full[:planes] = sub
+            sub = full
+        words = np.empty(num_vectors, dtype=_U64)
+        lib.unpack_planes(sub, words, num_vectors)
+        return words
+    blocks = np.zeros((64, limbs), dtype=_U64)
+    blocks[:planes] = sub
+    _transpose64_blocks(blocks)
+    out = np.empty((limbs, 64), dtype=_U64)
+    out[:, :] = blocks.T
+    return out.reshape(-1)[:num_vectors]
 
 
 class CompiledSim:
@@ -949,11 +817,9 @@ class CompiledSim:
 
     Obtain one via :func:`compile_circuit`.  ``run_batch`` replaces the
     interpreted :func:`repro.netlist.simulate.simulate_batch_reference`
-    bit-for-bit and routes between the straight-line big-int kernel and
-    the level-vectorized limb backend; ``pack_inputs``/``eval_masks``
-    (Python-int masks) and ``pack_inputs_limbs``/``eval_limbs`` (uint64
-    limb arrays) expose both bit-plane layers for callers that consume
-    per-net values directly (power estimation, fault simulation).
+    bit-for-bit; ``pack_inputs_limbs``/``eval_limbs`` expose the uint64
+    limb bit-plane layer for callers that consume per-net values
+    directly (power estimation, fault simulation, fuzz coverage).
     """
 
     def __init__(self, circuit: Circuit, kernel: CompiledKernel):
@@ -961,20 +827,15 @@ class CompiledSim:
         self.kernel = kernel
         self._in_buses = circuit.input_buses
         self._out_buses = circuit.output_buses
-        self._in_nets = {
-            name: np.asarray(nets, dtype=np.int64)
-            for name, nets in self._in_buses.items()
-        }
-        self._out_nets = {
-            name: np.asarray(nets, dtype=np.int64)
-            for name, nets in self._out_buses.items()
-        }
-        self._io_sels: Optional[
-            Tuple[
-                Dict[str, Union[slice, np.ndarray]],
-                Dict[str, Union[slice, np.ndarray]],
-            ]
-        ] = None
+        # Bus nets mapped into the plan's renumbered limb rows, with
+        # contiguous runs collapsed to slices.
+        perm = kernel.plan.perm
+
+        def rows_of(nets: Sequence[int]) -> Union[slice, np.ndarray]:
+            return _index_selector(perm[np.asarray(nets, dtype=np.int64)])
+
+        self._in_sels = {name: rows_of(nets) for name, nets in self._in_buses.items()}
+        self._out_sels = {name: rows_of(nets) for name, nets in self._out_buses.items()}
         self._scratch_V: Optional[np.ndarray] = None
         self._signature = (
             circuit.num_gates,
@@ -997,66 +858,9 @@ class CompiledSim:
         )
 
     def vector_plan(self) -> VectorPlan:
-        """The circuit's :class:`VectorPlan` (built once, cached on the
-        kernel so structurally identical circuits share it)."""
-        if self.kernel.plan is None:
-            self.kernel.plan = build_vector_plan(
-                self.circuit, self.kernel.gate_level
-            )
+        """The circuit's :class:`VectorPlan` (cached on the kernel so
+        structurally identical circuits share it)."""
         return self.kernel.plan
-
-    def _limb_io_sels(
-        self,
-    ) -> Tuple[
-        Dict[str, Union[slice, np.ndarray]],
-        Dict[str, Union[slice, np.ndarray]],
-    ]:
-        """Input/output bus selectors into the renumbered limb array.
-
-        Bus net ids mapped through the plan's ``perm``, with contiguous
-        runs collapsed to slices; built lazily with the plan and cached
-        per sim.
-        """
-        if self._io_sels is None:
-            perm = self.vector_plan().perm
-            self._io_sels = (
-                {
-                    name: _index_selector(perm[nets])
-                    for name, nets in self._in_nets.items()
-                },
-                {
-                    name: _index_selector(perm[nets])
-                    for name, nets in self._out_nets.items()
-                },
-            )
-        return self._io_sels
-
-    def pack_inputs(
-        self, inputs: Mapping[str, Sequence[int]]
-    ) -> Tuple[Dict[int, int], int, int]:
-        """Validate and transpose a batch into per-net input masks.
-
-        Returns ``(masks, ones, num_vectors)`` where ``masks`` maps each
-        input-bit net to its vector mask and ``ones`` is the all-ones
-        mask of the batch width.
-        """
-        from repro.netlist.simulate import check_batch_inputs
-
-        num_vectors = check_batch_inputs(self.circuit, inputs)
-        masks: Dict[int, int] = {}
-        for name, nets in self._in_buses.items():
-            bus_masks = pack_values(inputs[name], len(nets), name)
-            for net, mask in zip(nets, bus_masks):
-                masks[net] = mask
-        return masks, (1 << num_vectors) - 1, num_vectors
-
-    def eval_masks(self, masks: Mapping[int, int], ones: int) -> List[int]:
-        """One forward pass: input masks in, every net's mask out."""
-        values: List[int] = [0] * self.kernel.num_nets
-        for net, mask in masks.items():
-            values[net] = mask
-        self.kernel.kernel(values, ones)
-        return values
 
     def pack_inputs_limbs(
         self, inputs: Mapping[str, Sequence[int]]
@@ -1078,7 +882,6 @@ class CompiledSim:
 
         num_vectors = check_batch_inputs(self.circuit, inputs)
         limbs = limb_count(num_vectors)
-        plan = self.vector_plan()
         V = self._scratch_V
         if V is None or V.shape[1] != limbs:
             V = np.empty((self.kernel.num_nets, limbs), dtype=_U64)
@@ -1086,81 +889,10 @@ class CompiledSim:
         # Rows below num_undriven are primary inputs plus dangling nets
         # (constant 0); everything above is written by its gate's group
         # before any reader runs, so only the prefix needs clearing.
-        V[: plan.num_undriven] = 0
-        in_sels = self._limb_io_sels()[0]
-        blocks = None
-        if num_vectors >= _NUMPY_MIN_BATCH and all(
-            len(nets) <= 64 for nets in self._in_buses.values()
-        ):
-            blocks = self._pack_input_stack(inputs, num_vectors, limbs)
-        if blocks is None:
-            for name, nets in self._in_buses.items():
-                V[in_sels[name]] = pack_values_limbs(
-                    inputs[name], len(nets), name
-                )
-        else:
-            for g, (name, nets) in enumerate(self._in_buses.items()):
-                V[in_sels[name]] = blocks[64 * g : 64 * g + len(nets)]
-        return V, limb_ones(num_vectors), num_vectors
-
-    def _pack_input_stack(
-        self,
-        inputs: Mapping[str, Sequence[int]],
-        num_vectors: int,
-        limbs: int,
-    ) -> Optional[np.ndarray]:
-        """Transpose every input bus in one stacked block transpose.
-
-        Builds a ``(64 * num_buses, limbs)`` stack and runs a single
-        :func:`_transpose64_blocks` call over it, halving the per-op
-        numpy dispatch cost versus one transpose per bus.  Returns
-        ``None`` when any bus needs the generic path (non-integer or
-        out-of-range values), which then re-raises with
-        :func:`pack_values`'s exact error; out-of-range values caught
-        here raise the same message directly.
-        """
-        arrs: List[np.ndarray] = []
+        V[: self.kernel.plan.num_undriven] = 0
         for name, nets in self._in_buses.items():
-            values = inputs[name]
-            try:
-                if type(values) is list:
-                    arr = np.fromiter(values, dtype=_U64, count=num_vectors)
-                else:
-                    arr = np.asarray(values, dtype=_U64)
-            except (OverflowError, TypeError, ValueError):
-                return None
-            if arr.ndim != 1:
-                return None
-            width = len(nets)
-            if width < 64:
-                over = arr >> _U64(width)
-                if over.any():
-                    bad = int(np.argmax(over != 0))
-                    raise NetlistError(
-                        f"value {values[bad]} does not fit in "
-                        f"{width}-bit bus {name!r}"
-                    )
-            arrs.append(arr)
-        blocks = np.empty((64 * len(arrs), limbs), dtype=_U64)
-        lib = _accel.load()
-        if lib is not None:
-            for g, arr in enumerate(arrs):
-                lib.pack_planes(
-                    np.ascontiguousarray(arr),
-                    num_vectors,
-                    blocks[64 * g : 64 * (g + 1)],
-                )
-            return blocks
-        pad = limbs * 64 != num_vectors
-        for g, arr in enumerate(arrs):
-            sub = blocks[64 * g : 64 * (g + 1)]
-            if pad:
-                padded = np.zeros(limbs * 64, dtype=_U64)
-                padded[:num_vectors] = arr
-                sub[:, :] = padded.reshape(limbs, 64).T
-            else:
-                sub[:, :] = arr.reshape(limbs, 64).T
-        return _transpose64_blocks(blocks)
+            V[self._in_sels[name]] = pack_values_limbs(inputs[name], len(nets), name)
+        return V, limb_ones(num_vectors), num_vectors
 
     def eval_limbs(self, V: np.ndarray, ones: np.ndarray) -> np.ndarray:
         """One level-vectorized forward pass over the limb array, in place.
@@ -1174,20 +906,15 @@ class CompiledSim:
         ``ones`` must be the masked row of the batch so inverting gates
         leave the tail bits of the last limb zero.
         """
-        runner = self.kernel.limb_runner
-        if runner is None:
-            runner = _build_limb_runner(self.vector_plan())
-            self.kernel.limb_runner = runner
-        return runner(V, ones)
+        return self.kernel.limb_runner(V, ones)
 
-    def _unpack_limb_outputs(
+    def unpack_outputs(
         self, V: np.ndarray, num_vectors: int
     ) -> Dict[str, List[int]]:
         """Gather and transpose every output bus from the limb array."""
-        out_sels = self._limb_io_sels()[1]
         return {
-            name: unpack_values_limbs(V[out_sels[name]], num_vectors)
-            for name in self._out_buses
+            name: unpack_values_limbs(V[sel], num_vectors)
+            for name, sel in self._out_sels.items()
         }
 
     def run_batch(
@@ -1196,30 +923,21 @@ class CompiledSim:
         """Simulate a batch; same contract as
         :func:`repro.netlist.simulate.simulate_batch`.
 
-        ``backend`` routes between the straight-line big-int kernel
-        (``"compiled"``) and the level-vectorized limb backend
-        (``"vectorized"``); ``"auto"`` picks by batch size
-        (:func:`repro.netlist.simulate.resolve_backend`).  All routes are
-        bit-identical.
+        ``backend`` is ``"auto"`` or ``"vectorized"`` (both the limb
+        backend); anything else raises
+        (:func:`repro.netlist.simulate.resolve_backend`).
         """
         from repro.obs import spans as _obs
         from repro.netlist.simulate import check_batch_inputs, resolve_backend
 
         num_vectors = check_batch_inputs(self.circuit, inputs)
-        chosen = resolve_backend(backend, num_vectors)
+        chosen = resolve_backend(backend)
         if not _obs.is_enabled():
             if num_vectors == 0:
                 return {name: [] for name in self._out_buses}
-            if chosen == "vectorized":
-                V, ones_row, _ = self.pack_inputs_limbs(inputs)
-                self.eval_limbs(V, ones_row)
-                return self._unpack_limb_outputs(V, num_vectors)
-            masks, ones, num_vectors = self.pack_inputs(inputs)
-            values = self.eval_masks(masks, ones)
-            return {
-                name: unpack_values([values[n] for n in nets], num_vectors)
-                for name, nets in self._out_buses.items()
-            }
+            V, ones, _ = self.pack_inputs_limbs(inputs)
+            self.eval_limbs(V, ones)
+            return self.unpack_outputs(V, num_vectors)
         # Traced path: per-stage spans plus the batch-size histogram.  Kept
         # separate so the default path pays one branch, nothing more.
         with _obs.span(
@@ -1229,22 +947,19 @@ class CompiledSim:
             _obs.record("sim.batch_vectors", num_vectors)
             if num_vectors == 0:
                 return {name: [] for name in self._out_buses}
-            if chosen == "vectorized":
-                with _obs.span("sim.pack"):
-                    V, ones_row, _ = self.pack_inputs_limbs(inputs)
-                with _obs.span("sim.exec", gates=self.kernel.num_gates):
-                    self.eval_limbs(V, ones_row)
-                with _obs.span("sim.unpack"):
-                    return self._unpack_limb_outputs(V, num_vectors)
             with _obs.span("sim.pack"):
-                masks, ones, num_vectors = self.pack_inputs(inputs)
+                V, ones, _ = self.pack_inputs_limbs(inputs)
             with _obs.span("sim.exec", gates=self.kernel.num_gates):
-                values = self.eval_masks(masks, ones)
+                self.eval_limbs(V, ones)
             with _obs.span("sim.unpack"):
-                return {
-                    name: unpack_values([values[n] for n in nets], num_vectors)
-                    for name, nets in self._out_buses.items()
-                }
+                return self.unpack_outputs(V, num_vectors)
+
+
+# The benchmark harness (perfbench/layers.py) wraps these three former
+# names by getattr in its traced pass; it is their only reader.
+CompiledSim.pack_inputs = CompiledSim.pack_inputs_limbs  # type: ignore[attr-defined]
+CompiledSim.eval_masks = CompiledSim.eval_limbs  # type: ignore[attr-defined]
+unpack_values = unpack_values_limbs
 
 
 def mux_select_points(circuit: Circuit) -> Tuple[Tuple[int, int, int], ...]:

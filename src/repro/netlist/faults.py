@@ -11,8 +11,8 @@ a vector set, and report coverage.  Two uses in this repository:
   (``benchmarks/test_ext_fault_coverage.py``.)
 
 :func:`fault_coverage` runs **concurrent** fault simulation on top of the
-compiled backend (:mod:`repro.netlist.compile`): the fault-free circuit
-is evaluated once through the compiled kernel (bit-parallel over all
+vectorized backend (:mod:`repro.netlist.compile`): the fault-free circuit
+is evaluated once on the limb bit-plane array (bit-parallel over all
 vectors), then faults are packed 64 per pass — one fault per bit-plane of
 a uint64 — over arrays indexed by vector.  Each pass restarts evaluation
 at the faulted nets and recomputes only the union of their fanout cones;
@@ -174,27 +174,12 @@ def _observed_nets(
     return nets
 
 
-def _expand_planes(mask: int, num_vectors: int) -> np.ndarray:
-    """Broadcast a bit-parallel net mask into fault-plane form.
+def _expand_plane_row(row: np.ndarray, num_vectors: int) -> np.ndarray:
+    """Broadcast a limb bit-plane row into fault-plane form.
 
     Element ``v`` of the result is all-ones when the net is 1 under
     vector ``v`` and zero otherwise — i.e. the fault-free value
     replicated across all 64 fault planes.
-    """
-    data = mask.to_bytes((num_vectors + 7) // 8, "little")
-    bits = np.unpackbits(
-        np.frombuffer(data, dtype=np.uint8), count=num_vectors, bitorder="little"
-    )
-    return bits.astype(_U64) * _ALL_ONES
-
-
-def _expand_plane_row(row: np.ndarray, num_vectors: int) -> np.ndarray:
-    """:func:`_expand_planes` from a limb bit-plane row.
-
-    The limb row's little-endian byte stream is exactly the big-int mask's
-    ``to_bytes(..., "little")``, so both expansions are bit-identical —
-    the fault-detection verdicts cannot depend on which backend produced
-    the fault-free values.
     """
     bits = np.unpackbits(
         row.view(np.uint8), count=num_vectors, bitorder="little"
@@ -326,7 +311,6 @@ def fault_coverage(
     vectors: Mapping[str, Sequence[int]],
     observe: Optional[Sequence[str]] = None,
     faults: Optional[Sequence[Fault]] = None,
-    backend: str = "auto",
 ) -> FaultReport:
     """Coverage of ``vectors`` over single stuck-at faults.
 
@@ -334,19 +318,16 @@ def fault_coverage(
     (default: every output bus).  A fault counts as detected when any
     observed bit differs from the fault-free value under any vector.
 
-    Concurrent implementation: one fault-free pass through the compiled
-    family (``backend`` as in :func:`repro.netlist.simulate.resolve_backend`
-    — the big-int kernel or the vectorized limb array, ``"auto"`` picks by
-    batch size), then 64 faults per numpy pass over each fault group's
-    union fanout cone.  The fault planes expanded from either golden
-    layout are bit-identical, so the verdicts are byte-identical across
-    backends and to :func:`fault_coverage_reference` (asserted by the
-    differential test suite).
+    Concurrent implementation: one fault-free pass on the vectorized limb
+    array, then 64 faults per numpy pass over each fault group's union
+    fanout cone.  The verdicts are byte-identical to
+    :func:`fault_coverage_reference` (asserted by the differential test
+    suite).
     """
     from repro.obs import spans as _obs
 
-    with _obs.span("faults.coverage", circuit=circuit.name, backend=backend):
-        return _fault_coverage_inner(circuit, vectors, observe, faults, backend)
+    with _obs.span("faults.coverage", circuit=circuit.name):
+        return _fault_coverage_inner(circuit, vectors, observe, faults)
 
 
 def _fault_coverage_inner(
@@ -354,47 +335,29 @@ def _fault_coverage_inner(
     vectors: Mapping[str, Sequence[int]],
     observe: Optional[Sequence[str]],
     faults: Optional[Sequence[Fault]],
-    backend: str = "auto",
 ) -> FaultReport:
     from repro.netlist.compile import compile_circuit
-    from repro.netlist.simulate import resolve_backend
     from repro.obs import spans as _obs
 
     num_vectors = _check_vectors(circuit, vectors)
     observed = _observed_nets(circuit, observe)
 
+    # Golden pass on the limb bit-plane array; rows are permuted by the
+    # vector plan, so fault-net lookups map through ``perm``.
     sim = compile_circuit(circuit)
-    chosen = resolve_backend(backend, num_vectors)
-    if chosen == "vectorized":
-        # Golden pass on the limb bit-plane array; rows are permuted by
-        # the vector plan, so fault-net lookups map through ``perm``.
-        V, ones_row, _ = sim.pack_inputs_limbs(vectors)
-        rows = sim.eval_limbs(V, ones_row)
-        perm = sim.vector_plan().perm
+    V, ones_row, _ = sim.pack_inputs_limbs(vectors)
+    rows = sim.eval_limbs(V, ones_row)
+    perm = sim.vector_plan().perm
 
-        def _expand(net: int) -> np.ndarray:
-            return _expand_plane_row(rows[perm[net]], num_vectors)
-
-        def _stuck_everywhere(net: int, stuck_at: int) -> bool:
-            row = rows[perm[net]]
-            if stuck_at:
-                return bool(np.array_equal(row, ones_row))
-            return not row.any()
-
-    else:
-        input_masks, ones, _ = sim.pack_inputs(vectors)
-        golden = sim.eval_masks(input_masks, ones)
-
-        def _expand(net: int) -> np.ndarray:
-            return _expand_planes(golden[net], num_vectors)
-
-        def _stuck_everywhere(net: int, stuck_at: int) -> bool:
-            return golden[net] == (ones if stuck_at else 0)
+    def _stuck_everywhere(net: int, stuck_at: int) -> bool:
+        row = rows[perm[net]]
+        if stuck_at:
+            return bool(np.array_equal(row, ones_row))
+        return not row.any()
 
     net_level = sim.kernel.net_level
     readers = sim.kernel.readers
-    # Plan-group schedule for the cone restarts (shared with the
-    # vectorized backend, cached on the kernel).
+    # Plan-group schedule for the cone restarts (cached on the kernel).
     group_of_gate = sim.vector_plan().group_of_gate
 
     fault_list = list(faults) if faults is not None else enumerate_faults(circuit)
@@ -418,7 +381,7 @@ def _fault_coverage_inner(
     def plane_of(net: int) -> np.ndarray:
         cached = planes.get(net)
         if cached is None:
-            planes[net] = cached = _expand(net)
+            planes[net] = cached = _expand_plane_row(rows[perm[net]], num_vectors)
         return cached
     # Vector chunks with fault dropping: most faults fall to the first few
     # vectors, so after the first chunk only the hard residue (usually one

@@ -8,7 +8,7 @@ repository can answer the obvious follow-up question:
     P_dyn ∝ f_clk * V² * Σ_nets  activity(net) * C_load(net)
 
 * ``activity`` — toggles per applied input vector, measured by simulating
-  a representative vector stream through the compiled backend
+  a representative vector stream through the vectorized backend
   (:mod:`repro.netlist.compile`; bit-parallel, so one pass suffices);
 * ``C_load`` — fanout pins plus the driving cell's own output load, in
   arbitrary femtofarad-like units proportional to cell area.
@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Sequence
+
+import numpy as np
 
 from repro.cells.library import CellLibrary, default_library
 from repro.netlist.circuit import Circuit, NetlistError
@@ -54,17 +56,14 @@ class PowerReport:
         return f_clk * vdd * vdd * self.switched_capacitance / transitions
 
 
-def _toggle_counts_limbs(sim, inputs, num_vectors: int) -> List[int]:
-    """Per-net toggle counts via the vectorized limb backend.
+def _toggle_counts(sim, inputs, num_vectors: int) -> List[int]:
+    """Per-net toggle counts from one pass of the limb backend.
 
-    The cross-vector shift becomes a cross-limb shift (bit ``v+1`` of a
-    row is bit 0 of the next limb when ``v+1`` crosses a limb boundary)
-    and the transition mask is the all-ones row with bit ``nv-1``
-    cleared — exactly ``ones >> 1`` of the big-int path, so the counts
-    are identical integers.
+    A transition ``v -> v+1`` is bit ``v`` of ``row ^ (row >> 1)``; the
+    cross-vector shift becomes a cross-limb shift (bit ``v+1`` of a row
+    is bit 0 of the next limb when ``v+1`` crosses a limb boundary) and
+    the transition mask is the all-ones row with bit ``nv-1`` cleared.
     """
-    import numpy as np
-
     from repro.netlist.compile import limb_ones, popcount_rows
 
     V, ones_row, _ = sim.pack_inputs_limbs(inputs)
@@ -87,53 +86,32 @@ def estimate_power(
     circuit: Circuit,
     inputs: Mapping[str, Sequence[int]],
     library: Optional[CellLibrary] = None,
-    backend: str = "auto",
 ) -> PowerReport:
     """Estimate switching activity under the given input vector stream.
 
     ``inputs`` maps each input bus to a *sequence* of vectors; toggles are
     counted between consecutive vectors (zero-delay model: each net
     toggles at most once per vector, glitches are not modelled).
-
-    ``backend`` selects the simulation backend for the activity pass
-    (as :func:`repro.netlist.simulate.resolve_backend`); toggle counts —
-    and therefore every report field — are identical on all of them.
     """
     from repro.netlist.compile import compile_circuit
-    from repro.netlist.simulate import check_batch_inputs, resolve_backend
+    from repro.netlist.simulate import check_batch_inputs
 
     lib = library if library is not None else default_library()
     sim = compile_circuit(circuit)
     num_vectors = check_batch_inputs(circuit, inputs)
     if num_vectors < 2:
         raise NetlistError("activity estimation needs at least two vectors")
-
-    if resolve_backend(backend, num_vectors) == "vectorized":
-        per_net = _toggle_counts_limbs(sim, inputs, num_vectors)
-
-        def toggle_count(net: int) -> int:
-            return per_net[net]
-
-    else:
-        input_masks, ones, _ = sim.pack_inputs(inputs)
-        transition_mask = ones >> 1  # bits 0..W-2: transitions v -> v+1
-        values = sim.eval_masks(input_masks, ones)
-
-        def toggle_count(net: int) -> int:
-            v = values[net]
-            return ((v ^ (v >> 1)) & transition_mask).bit_count()
+    toggles = _toggle_counts(sim, inputs, num_vectors)
 
     fanout = circuit.fanout_counts()
     loads: List[float] = [fanout[n] * _PIN_LOAD for n in range(circuit.num_nets)]
     for gate in circuit.gates:
         loads[gate.output] += _SELF_LOAD_PER_AREA * lib.area(gate.kind)
 
-    toggles = [0] * circuit.num_nets
     switched = 0.0
     total = 0
     for net in range(circuit.num_nets):
-        t = toggle_count(net)
-        toggles[net] = t
+        t = toggles[net]
         total += t
         switched += t * loads[net]
 

@@ -7,35 +7,31 @@ unbounded because Python integers are arbitrary precision.  This is the
 classic "parallel pattern" trick gate-level simulators use, and it makes
 gate-level Monte Carlo validation of the behavioural models cheap.
 
-Three backends implement these semantics:
+Two backends implement these semantics:
 
-* the **compiled** backend (:mod:`repro.netlist.compile`) — levelizes the
-  circuit once, generates straight-line Python code for the whole gate
-  list, caches the result under a content hash of the netlist, and moves
-  the batch transposes into vectorized numpy;
-* the **vectorized** backend (same module) — net values live in a
-  ``(num_nets, limbs)`` uint64 bit-plane array and gates grouped by
-  ``(logic level, kind)`` evaluate as a few fused numpy ops per group,
-  which removes the O(vectors) big-int cost of large batches; and
+* the **vectorized** backend (:mod:`repro.netlist.compile`) — levelizes
+  the circuit once and caches the result under a content hash of the
+  netlist; net values live in a ``(num_nets, limbs)`` uint64 bit-plane
+  array and gates grouped by ``(logic level, kind)`` evaluate as a few
+  fused numpy ops per group; and
 * the **reference** interpreter (:func:`simulate_batch_reference`) — the
   original per-gate dispatch loop, retained as the executable
-  specification the other backends are differentially tested against.
+  specification the vectorized backend is differentially tested
+  against.
 
-:func:`simulate_batch` defaults to ``backend="auto"``, which picks the
-compiled kernel for small batches and the vectorized limb backend at or
-above a calibrated cutover (:func:`resolve_backend` — 256 vectors when
-the optional C transpose fast path of :mod:`repro.netlist._accel` is
-available, 2048 pure-numpy); any backend can be forced by name.  All
-three are bit-identical.
+:func:`simulate_batch` defaults to ``backend="auto"``, which is the
+vectorized backend at every batch size (:func:`resolve_backend`);
+``"reference"`` selects the interpreter.  Both are bit-identical.
 
 The per-gate semantics live in the public :data:`GATE_EVAL` table so that
-other evaluators over bitmask operands (fault simulation, the compiled
-backend's fault-plane evaluation, power estimation) share one definition
-of every cell's function.
+other evaluators over bitmask operands (the reference fault simulator
+and the concurrent fault-plane evaluation) share one definition of every
+cell's function.
 """
 
 from __future__ import annotations
 
+import numbers
 from typing import Callable, Dict, List, Mapping, Sequence
 
 from repro.netlist.circuit import Circuit, NetlistError
@@ -64,56 +60,24 @@ GATE_EVAL: Dict[str, Callable[[Sequence[int], int], int]] = {
 }
 
 
-#: Batches at or above this many vectors route to the vectorized limb
-#: backend under ``backend="auto"`` when the C transpose fast path
-#: (:mod:`repro.netlist._accel`) is available.  Calibrated on the
-#: BENCH_netlist_sim designs: with the fast path the limb backend wins
-#: from ~256 vectors on 1k-gate circuits (2.3-2.4x) and roughly ties on
-#: 140-gate ones; at 1024+ it wins everywhere (>= 3x at 4096 on n=64).
-_VECTORIZED_MIN_BATCH = 256
-
-#: The pure-numpy threshold, used when no C compiler is available:
-#: per-op dispatch in the SWAR transposes dominates until the big-int
-#: word count (vectors / 64) grows past a few dozen limbs, so small
-#: circuits only break even around 2k-4k vectors.
-_VECTORIZED_MIN_BATCH_NUMPY = 2048
-
-
-def _vectorized_min_batch() -> int:
-    """The active ``"auto"`` cutover, by C fast-path availability."""
-    from repro.netlist import _accel
-
-    if _accel.load() is not None:
-        return _VECTORIZED_MIN_BATCH
-    return _VECTORIZED_MIN_BATCH_NUMPY
-
 #: Backends :func:`simulate_batch` accepts.
-BACKENDS = ("auto", "compiled", "reference", "vectorized")
+BACKENDS = ("auto", "reference", "vectorized")
 
 
-def resolve_backend(backend: str, num_vectors: int) -> str:
-    """Resolve a backend request to a concrete compiled-family backend.
+def resolve_backend(backend: str) -> str:
+    """Validate a fast-path backend name; every accepted name is the limb
+    backend.
 
-    ``"auto"`` picks ``"vectorized"`` at or above the calibrated batch
-    cutover (:func:`_vectorized_min_batch` — 256 vectors with the C
-    transpose fast path, 2048 pure-numpy) and ``"compiled"`` below;
-    explicit ``"compiled"``/``"vectorized"`` pass through.  The
-    ``"reference"`` interpreter is not a compiled-family backend — route
-    it through :func:`simulate_batch` — so it is rejected here along
-    with unknown names.
+    ``"auto"`` and ``"vectorized"`` resolve to ``"vectorized"``.  The
+    ``"reference"`` interpreter is not a fast-path backend — route it
+    through :func:`simulate_batch` — so it is rejected here along with
+    unknown names.
     """
-    if backend == "auto":
-        return (
-            "vectorized"
-            if num_vectors >= _vectorized_min_batch()
-            else "compiled"
-        )
-    if backend in ("compiled", "vectorized"):
-        return backend
+    if backend in ("auto", "vectorized"):
+        return "vectorized"
     raise NetlistError(
-        f"unknown simulation backend {backend!r}; "
-        f"choose 'auto', 'compiled', or 'vectorized' "
-        f"(or 'reference' via simulate_batch)"
+        f"unknown simulation backend {backend!r}; choose 'auto' or "
+        f"'vectorized' (or 'reference' via simulate_batch)"
     )
 
 
@@ -156,9 +120,9 @@ def simulate_batch_reference(
     """Reference interpreter for :func:`simulate_batch`.
 
     The original per-gate dispatch loop over Python big-ints.  Slower than
-    the compiled backend but entirely transparent; kept as the executable
-    specification the compiled backend's differential tests compare
-    against.
+    the vectorized backend but entirely transparent; kept as the
+    executable specification the vectorized backend's differential tests
+    compare against.
     """
     num_vectors = check_batch_inputs(circuit, inputs)
     if num_vectors == 0:
@@ -173,7 +137,7 @@ def simulate_batch_reference(
         limit = 1 << width
         masks = [0] * width
         for v, value in enumerate(inputs[name]):
-            if not 0 <= value < limit:
+            if not (isinstance(value, numbers.Integral) and 0 <= value < limit):
                 raise NetlistError(
                     f"value {value} does not fit in {width}-bit bus {name!r}"
                 )
@@ -214,21 +178,14 @@ def simulate_batch(
     vector, all sequences the same length).  Returns the output-bus values in
     the same layout.  Input values must fit in the bus width.
 
-    ``backend`` selects ``"auto"`` (default: the compiled kernel for
-    small batches, the vectorized limb backend for large ones — see
-    :func:`resolve_backend`), ``"compiled"`` (codegen'd straight-line
-    kernel, cached per netlist content hash — see
-    :mod:`repro.netlist.compile`), ``"vectorized"`` (level-grouped fused
-    numpy ops over the uint64 limb array), or ``"reference"`` (the
-    retained interpreter).  All are bit-identical.
+    ``backend`` selects ``"auto"`` or ``"vectorized"`` (default: the
+    level-vectorized limb backend, cached per netlist content hash — see
+    :mod:`repro.netlist.compile`) or ``"reference"`` (the retained
+    interpreter).  Both are bit-identical; any other name raises
+    :class:`~repro.netlist.circuit.NetlistError`.
     """
     if backend == "reference":
         return simulate_batch_reference(circuit, inputs)
-    if backend not in ("auto", "compiled", "vectorized"):
-        raise NetlistError(
-            f"unknown simulation backend {backend!r}; "
-            f"choose one of {BACKENDS}"
-        )
     from repro.netlist.compile import compile_circuit
 
     return compile_circuit(circuit).run_batch(inputs, backend=backend)

@@ -52,9 +52,9 @@ def test_mux_select_points_and_toggles():
     sim = compile_circuit(circuit)
     pairs = [(0, 0), ((1 << 16) - 1, (1 << 16) - 1)]
     inputs = {"a": [a for a, _ in pairs], "b": [b for _, b in pairs]}
-    masks, ones, num_vectors = sim.pack_inputs(inputs)
-    values = sim.eval_masks(masks, ones)
-    keys = mux_toggle_keys(points, values, ones, num_vectors)
+    V, ones, num_vectors = sim.pack_inputs_limbs(inputs)
+    rows = sim.eval_limbs(V, ones)
+    keys = mux_toggle_keys(points, rows, ones, sim.vector_plan().perm)
     assert keys
     observed = {key[2] for key in keys}
     assert observed == {0, 1}  # the two extreme vectors toggle selects
@@ -66,3 +66,31 @@ def test_witnessed_orders_and_maps_to_pairs():
     pairs = [(0xA, 0xB), (0xC, 0xD)]
     out = witnessed(keys, pairs)
     assert out == [(("m", 1, 0), 0xA, 0xB), (("m", 3, 1), 0xC, 0xD)]
+
+
+def test_mux_toggle_witness_is_lowest_vector_across_limbs():
+    """Witnesses are the lowest vector index holding each select value,
+    also when it sits past the first 64-vector limb."""
+    circuit = build_design("scsa2", 16, 4)
+    points = mux_select_points(circuit)
+    sim = compile_circuit(circuit)
+    ones_pair, zeros_pair = ((1 << 16) - 1, (1 << 16) - 1), (0, 0)
+    pairs = [zeros_pair] * 70 + [ones_pair] * 3 + [zeros_pair] * 60
+    inputs = {"a": [a for a, _ in pairs], "b": [b for _, b in pairs]}
+    V, ones, num_vectors = sim.pack_inputs_limbs(inputs)
+    rows = sim.eval_limbs(V, ones)
+    keys = mux_toggle_keys(points, rows, ones, sim.vector_plan().perm)
+    masks = {}
+    for _, net, _ in points:
+        row = rows[sim.vector_plan().perm[net]]
+        masks[net] = sum(int(word) << (64 * k) for k, word in enumerate(row))
+    for gate_index, net, _ in points:
+        mask = masks[net]
+        clear = ~mask & ((1 << num_vectors) - 1)
+        for value, bits in ((1, mask), (0, clear)):
+            key = ("m", gate_index, value)
+            if bits:
+                assert keys[key] == (bits & -bits).bit_length() - 1
+            else:
+                assert key not in keys
+    assert 70 in keys.values()  # a witness in the second limb

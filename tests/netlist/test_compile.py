@@ -1,21 +1,25 @@
-"""Differential tests for the compiled simulation backend.
+"""Differential tests for the compiled (vectorized) simulation backend.
 
 The reference interpreter (:func:`simulate_batch_reference`) is the
-specification; the compiled backend must be bit-identical to it on
+specification; the vectorized backend must be bit-identical to it on
 randomized circuits covering every gate kind, on every design of the
-adder grid, and on edge batch sizes around the 64-vector limb boundary.
+adder grid, and on small batch sizes around the 64-vector limb boundary
+(with and without the C transpose library).
 Fault simulation is checked the same way: the concurrent bit-plane
 implementation against one interpreted resimulation per fault.
 """
 
+import functools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.cache import ElaborationCache
 from repro.engine.elab import LINTABLE_DESIGNS, build_design
+from repro.netlist import _accel
 from repro.netlist.circuit import GATE_ARITY, Circuit, NetlistError
 from repro.netlist.compile import (
     CompiledSim,
@@ -61,23 +65,44 @@ def _random_batch(circuit, num_vectors, rng):
 def test_compiled_matches_reference_on_random_circuits(circuit, num_vectors, seed):
     """Property: compiled output == interpreted output, any circuit/batch."""
     batch = _random_batch(circuit, num_vectors, random.Random(seed))
-    assert simulate_batch(circuit, batch, backend="compiled") == \
-        simulate_batch_reference(circuit, batch)
-
-
-@pytest.mark.parametrize("num_vectors", [0, 1, 63, 64, 65])
-def test_batch_size_edges(num_vectors):
-    """Edge batch sizes around the 64-vector uint64 limb boundary."""
-    circuit = build_design("vlcsa1", 16, 4)
-    batch = _random_batch(circuit, num_vectors, random.Random(7))
     assert simulate_batch(circuit, batch) == \
         simulate_batch_reference(circuit, batch)
+
+
+#: The benchmark's simulated designs; vlcsa2@256 has >64-bit buses.
+BENCH_DESIGNS = (
+    ("vlcsa1", 64, 8),
+    ("vlcsa2", 256, 12),
+    ("designware", 64, None),
+    ("kogge_stone", 64, None),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _bench_circuit(design):
+    return build_design(*design)
+
+
+@pytest.mark.parametrize("num_vectors", [0, 1, 2, 15, 16, 17, 63, 64, 65])
+def test_batch_size_edges(num_vectors, monkeypatch):
+    """Small batches around the 64-vector limb boundary, on every
+    benchmark design, with the C library loaded and without it (one-limb
+    batches take the byte transpose either way; 65 vectors switches
+    between the C and the numpy masked-swap transposes)."""
+    for design in BENCH_DESIGNS:
+        circuit = _bench_circuit(design)
+        batch = _random_batch(circuit, num_vectors, random.Random(7))
+        want = simulate_batch_reference(circuit, batch)
+        assert simulate_batch(circuit, batch) == want, design
+        with monkeypatch.context() as patch:
+            patch.setattr(_accel, "load", lambda: None)
+            assert simulate_batch(circuit, batch) == want, design
 
 
 @pytest.mark.parametrize("design", sorted(LINTABLE_DESIGNS) + ["vlsa"])
 @pytest.mark.parametrize("width", [16, 32, 64])
 def test_adder_grid_bit_identity(design, width):
-    """Acceptance: compiled backend bit-identical on the full adder grid."""
+    """Acceptance: vectorized backend bit-identical on the full adder grid."""
     circuit = build_design(design, width, None)
     batch = _random_batch(circuit, 64, random.Random(width * 1000 + 1))
     assert simulate_batch(circuit, batch) == \
@@ -167,19 +192,33 @@ def test_mutated_circuit_recompiles():
 
 def test_unknown_backend_rejected():
     circuit = build_design("designware", 8, None)
-    with pytest.raises(NetlistError, match="backend"):
-        simulate_batch(circuit, _random_batch(circuit, 2, random.Random(0)),
-                       backend="verilator")
+    for backend in ("verilator", "compiled"):
+        with pytest.raises(NetlistError, match="backend"):
+            simulate_batch(circuit, _random_batch(circuit, 2, random.Random(0)),
+                           backend=backend)
 
 
-def test_compiled_input_validation_matches_reference():
-    """The compiled path keeps the interpreter's error contract."""
-    circuit = build_design("designware", 8, None)
+@pytest.mark.parametrize("container", ["list", "int64", "float"])
+@pytest.mark.parametrize("size", [1, 16, 1024])
+def test_compiled_input_validation_matches_reference(size, container):
+    """The vectorized path keeps the interpreter's error contract at every
+    batch size: negative and non-integer values are rejected with the
+    reference's error, not wrapped or truncated."""
+    circuit = _bench_circuit(("kogge_stone", 64, None))
     with pytest.raises(NetlistError, match="mismatch"):
-        simulate_batch(circuit, {"a": [1]})
+        simulate_batch(circuit, {"a": [1] * size})
     with pytest.raises(NetlistError, match="equal length"):
-        simulate_batch(circuit, {"a": [1, 2], "b": [3]})
-    with pytest.raises(NetlistError, match="does not fit"):
-        simulate_batch(circuit, {"a": [1 << 8], "b": [0]})
-    with pytest.raises(NetlistError, match="does not fit"):
-        simulate_batch(circuit, {"a": [-1] * 20, "b": [0] * 20})
+        simulate_batch(circuit, {"a": [1] * (size + 1), "b": [3] * size})
+    bad_values = {
+        "list": [[-1] * size, [1 << 64] * size],
+        "int64": [np.full(size, -1, dtype=np.int64)],
+        "float": [[1.5] * size, np.full(size, 1.5)],
+    }[container]
+    for bad in bad_values:
+        batch = {"a": [0] * size, "b": bad}
+        with pytest.raises(NetlistError, match="does not fit") as want:
+            simulate_batch_reference(circuit, batch)
+        for backend in ("auto", "vectorized"):
+            with pytest.raises(NetlistError, match="does not fit") as got:
+                simulate_batch(circuit, batch, backend=backend)
+            assert str(got.value) == str(want.value)

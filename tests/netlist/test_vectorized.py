@@ -2,16 +2,16 @@
 
 Three cross-checked layers:
 
-* **three-way bit identity** — reference == compiled == vectorized over
-  the full architecture grid and over the limb-boundary batch sizes
-  (0/1/63/64/65/4096), per the PR acceptance grid;
+* **bit identity** — reference == vectorized over the full architecture
+  grid and over the limb-boundary batch sizes (0/1/63/64/65/300/4096);
 * **transpose-seam properties** — the pack/unpack limb transposes at
-  their seams: bus width 65 (the ``n+1`` sum bus), batch sizes around
-  ``_NUMPY_MIN_BATCH`` (15/16), ``_BLOCK``±1, and empty batches, on both
-  the Python-int and limb-array paths;
+  their seams: bus width 65 (the ``n+1`` sum bus), one-limb batches,
+  2**15 ± 1 vectors, and empty batches, checked against big-int masks
+  built bit by bit;
 * **C fast path** — the optional :mod:`repro.netlist._accel` library is
   cross-checked against the pure-numpy SWAR rounds whenever it loads,
-  and ``REPRO_ACCEL=0`` must disable it.
+  the one-limb byte transpose against the same rounds, and
+  ``REPRO_ACCEL=0`` must disable the library.
 """
 
 import os
@@ -26,17 +26,15 @@ from hypothesis import strategies as st
 
 from repro.engine.elab import build_design, grid_designs
 from repro.netlist import _accel
-from repro.netlist.circuit import Circuit
+from repro.netlist.circuit import NetlistError
 from repro.netlist.compile import (
-    _BLOCK,
-    _NUMPY_MIN_BATCH,
+    _pack_one_limb,
     _transpose64_blocks_numpy,
+    _unpack_one_limb,
     compile_circuit,
     limb_count,
     limb_ones,
-    pack_values,
     pack_values_limbs,
-    unpack_values,
     unpack_values_limbs,
 )
 from repro.netlist.simulate import (
@@ -46,6 +44,9 @@ from repro.netlist.simulate import (
 )
 
 _U64 = np.uint64
+
+#: A batch size whose limb count (512) is far past one 64x64 block.
+_BIG_BATCH = 1 << 15
 
 
 def _random_batch(circuit, num_vectors, rng):
@@ -60,45 +61,50 @@ def _circuit_of(design, width):
     return getattr(built, "circuit", built)
 
 
+def _int_masks(values, width):
+    """Big-int bit-plane masks, bit by bit: bit ``v`` of mask ``b`` is
+    bit ``b`` of ``values[v]``."""
+    masks = [0] * width
+    for v, value in enumerate(values):
+        for bit in range(width):
+            if (value >> bit) & 1:
+                masks[bit] |= 1 << v
+    return masks
+
+
 # ---------------------------------------------------------------------------
-# Three-way bit identity
+# Bit identity
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("design", grid_designs())
 @pytest.mark.parametrize("width", [8, 16, 32, 64])
 def test_three_way_identity_full_grid(design, width):
-    """reference == compiled == vectorized on every architecture/width."""
+    """reference == vectorized == auto on every architecture/width."""
     circuit = _circuit_of(design, width)
     rng = random.Random(width * 1000003 + hash(design) % 1000)
     inputs = _random_batch(circuit, 65, rng)
     reference = simulate_batch_reference(circuit, inputs)
-    compiled = simulate_batch(circuit, inputs, backend="compiled")
-    vectorized = simulate_batch(circuit, inputs, backend="vectorized")
-    assert compiled == reference
-    assert vectorized == reference
+    assert simulate_batch(circuit, inputs, backend="vectorized") == reference
+    assert simulate_batch(circuit, inputs) == reference
 
 
 @pytest.mark.parametrize("num_vectors", [0, 1, 63, 64, 65, 300, 4096])
 def test_three_way_identity_batch_edges(num_vectors):
-    """Limb-boundary batch sizes, three ways, on a speculative design."""
+    """Limb-boundary batch sizes on a speculative design."""
     circuit = _circuit_of("vlcsa1", 16)
     rng = random.Random(num_vectors)
     inputs = _random_batch(circuit, num_vectors, rng)
-    compiled = simulate_batch(circuit, inputs, backend="compiled")
     vectorized = simulate_batch(circuit, inputs, backend="vectorized")
-    assert vectorized == compiled
-    if num_vectors <= 300:  # the interpreter is the slow leg
-        assert simulate_batch_reference(circuit, inputs) == compiled
+    assert simulate_batch_reference(circuit, inputs) == vectorized
 
 
 def test_three_way_identity_large_batch_wide_design():
     """The benchmark point itself: designware n=64 at 4096 vectors."""
     circuit = _circuit_of("designware", 64)
     inputs = _random_batch(circuit, 4096, random.Random(3))
-    compiled = simulate_batch(circuit, inputs, backend="compiled")
     vectorized = simulate_batch(circuit, inputs, backend="vectorized")
-    assert vectorized == compiled
+    assert simulate_batch_reference(circuit, inputs) == vectorized
 
 
 def test_vectorized_does_not_mutate_inputs():
@@ -110,10 +116,13 @@ def test_vectorized_does_not_mutate_inputs():
 
 
 def test_auto_routes_by_batch_size():
-    assert resolve_backend("auto", 1) == "compiled"
-    assert resolve_backend("auto", 1 << 20) == "vectorized"
-    assert resolve_backend("vectorized", 1) == "vectorized"
-    assert resolve_backend("compiled", 1 << 20) == "compiled"
+    """Every batch size runs on the limb backend; the retired
+    ``compiled`` name is rejected like any unknown one."""
+    assert resolve_backend("auto") == "vectorized"
+    assert resolve_backend("vectorized") == "vectorized"
+    for name in ("compiled", "reference", "verilator"):
+        with pytest.raises(NetlistError, match="backend"):
+            resolve_backend(name)
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +139,8 @@ def test_auto_routes_by_batch_size():
 def test_limb_pack_unpack_roundtrip(width, num_vectors, seed):
     """pack_values_limbs o unpack_values_limbs is the identity.
 
-    Width 65 exercises the multi-plane (n+1 sum bus) path; 15/16 sit on
-    the ``_NUMPY_MIN_BATCH`` fast-path boundary.
+    Width 65 exercises the multi-plane (n+1 sum bus) path; batches up to
+    64 vectors take the one-limb transposes.
     """
     rng = random.Random(seed)
     values = [rng.getrandbits(width) for _ in range(num_vectors)]
@@ -151,39 +160,35 @@ def test_limb_and_int_paths_agree(width, num_vectors, seed):
     rng = random.Random(seed)
     values = [rng.getrandbits(width) for _ in range(num_vectors)]
     rows = pack_values_limbs(values, width, "bus")
-    masks = pack_values(values, width, "bus")
+    masks = _int_masks(values, width)
     limbs = limb_count(num_vectors)
     for bit in range(width):
         packed = sum(int(rows[bit][k]) << (64 * k) for k in range(limbs))
         assert packed == masks[bit]
-    assert unpack_values(masks, num_vectors) == values
 
 
-@pytest.mark.parametrize("num_vectors", [_BLOCK - 1, _BLOCK, _BLOCK + 1])
+@pytest.mark.parametrize(
+    "num_vectors", [_BIG_BATCH - 1, _BIG_BATCH, _BIG_BATCH + 1]
+)
 def test_block_boundary_roundtrip(num_vectors):
-    """The int path's chunking block boundary, on both layouts."""
+    """Hundreds of limbs, with and without a partial last limb."""
     rng = random.Random(num_vectors)
     values = [rng.getrandbits(65) for _ in range(num_vectors)]
     rows = pack_values_limbs(values, 65, "bus")
     assert unpack_values_limbs(rows, num_vectors) == values
-    masks = pack_values(values, 65, "bus")
-    assert unpack_values(masks, num_vectors) == values
 
 
 def test_empty_batch_both_paths():
     assert pack_values_limbs([], 65, "bus").shape == (65, 0)
+    assert pack_values_limbs([], 8, "bus").shape == (8, 0)
     assert unpack_values_limbs(np.empty((65, 0), dtype=_U64), 0) == []
-    assert pack_values([], 65, "bus") == [0] * 65
-    assert unpack_values([0] * 65, 0) == []
 
 
 def test_limb_pack_range_check_matches_int_path():
-    for values in ([3, 7, 9], [2**65]):
-        with pytest.raises(Exception) as limb_err:
-            pack_values_limbs(values, 1 if values[0] == 3 else 65, "bus")
-        with pytest.raises(Exception) as int_err:
-            pack_values(values, 1 if values[0] == 3 else 65, "bus")
-        assert type(limb_err.value) is type(int_err.value)
+    """Out-of-range values raise the reference interpreter's error."""
+    for values, width in (([3, 7, 9], 1), ([2**65], 65)):
+        with pytest.raises(NetlistError, match=f"does not fit in {width}-bit"):
+            pack_values_limbs(values, width, "bus")
 
 
 def test_wide_bus_fast_path_range_check():
@@ -290,6 +295,24 @@ def test_accel_pack_unpack_roundtrip_when_available():
         assert np.array_equal(out, arr)
 
 
+@pytest.mark.parametrize("num_vectors", [1, 2, 15, 16, 17, 63, 64])
+def test_one_limb_byte_transpose_matches_swap_rounds(num_vectors):
+    """The numpy fallback's one-limb pack/unpack equal the masked-swap
+    rounds on the zero-padded block, and invert each other."""
+    rng = np.random.default_rng(num_vectors)
+    arr = rng.integers(0, 1 << 64, size=num_vectors, dtype=np.uint64)
+    block = np.zeros((64, 1), dtype=np.uint64)
+    block[:num_vectors, 0] = arr
+    expect = _transpose64_blocks_numpy(block)
+    planes = _pack_one_limb(arr, num_vectors)
+    assert planes.shape == (64, 1)
+    assert np.array_equal(planes, expect)
+    assert np.array_equal(_unpack_one_limb(planes, num_vectors), arr)
+    # A partial plane stack (a sub-64-bit bus) unpacks to the low bits.
+    low = _unpack_one_limb(planes[:40], num_vectors)
+    assert np.array_equal(low, arr & np.uint64((1 << 40) - 1))
+
+
 def test_accel_env_gate_disables_fast_path():
     """REPRO_ACCEL=0 must force load() to None in a fresh process."""
     code = (
@@ -306,19 +329,20 @@ def test_accel_env_gate_disables_fast_path():
 
 def test_vectorized_identity_without_accel():
     """The pure-numpy fallback is bit-identical too (fresh process with
-    the accel gated off runs a compiled-vs-vectorized cross-check)."""
+    the accel gated off runs a vectorized-vs-reference cross-check)."""
     code = """
 import random
 from repro.engine.elab import build_design
-from repro.netlist.simulate import simulate_batch
+from repro.netlist.simulate import simulate_batch, simulate_batch_reference
 built = build_design("vlcsa1", 16)
 c = getattr(built, "circuit", built)
 rng = random.Random(2)
-inputs = {n: [rng.getrandbits(len(b)) for _ in range(130)]
-          for n, b in c.input_buses.items()}
-a = simulate_batch(c, inputs, backend="compiled")
-b = simulate_batch(c, inputs, backend="vectorized")
-assert a == b
+for count in (1, 16, 130):
+    inputs = {n: [rng.getrandbits(len(b)) for _ in range(count)]
+              for n, b in c.input_buses.items()}
+    a = simulate_batch_reference(c, inputs)
+    b = simulate_batch(c, inputs, backend="vectorized")
+    assert a == b
 from repro.netlist import _accel
 assert _accel.load() is None
 """
@@ -335,42 +359,62 @@ assert _accel.load() is None
 # ---------------------------------------------------------------------------
 
 
-def test_fault_coverage_backend_parity():
-    from repro.netlist.faults import fault_coverage
+def test_fault_coverage_backend_parity(monkeypatch):
+    """Fault verdicts are identical with and without the C transposes,
+    and equal the per-fault reference."""
+    from repro.netlist.faults import fault_coverage, fault_coverage_reference
 
     circuit = _circuit_of("vlcsa1", 16)
-    inputs = _random_batch(circuit, 300, random.Random(8))
-    by_backend = {
-        backend: fault_coverage(circuit, inputs, backend=backend)
-        for backend in ("compiled", "vectorized")
-    }
-    compiled, vectorized = by_backend["compiled"], by_backend["vectorized"]
-    assert compiled.total == vectorized.total
-    assert compiled.detected == vectorized.detected
-    assert compiled.undetected == vectorized.undetected
+    inputs = _random_batch(circuit, 90, random.Random(8))
+    with_accel = fault_coverage(circuit, inputs)
+    monkeypatch.setattr(_accel, "load", lambda: None)
+    without = fault_coverage(circuit, inputs)
+    reference = fault_coverage_reference(circuit, inputs)
+    for report in (with_accel, without):
+        assert report.total == reference.total
+        assert report.detected == reference.detected
+        assert report.undetected == reference.undetected
 
 
 def test_power_backend_parity():
+    """Limb-path toggle counts equal the reference interpreter's per-net
+    transitions, net for net."""
+    from repro.netlist.faults import values_with_fault
     from repro.netlist.power import estimate_power
 
     circuit = _circuit_of("vlcsa2", 16)
     inputs = _random_batch(circuit, 200, random.Random(9))
-    a = estimate_power(circuit, inputs, backend="compiled")
-    b = estimate_power(circuit, inputs, backend="vectorized")
-    assert a.toggles == b.toggles
-    assert a.switched_capacitance == b.switched_capacitance
+    masks = {}
+    for name, nets in circuit.input_buses.items():
+        masks.update(zip(nets, _int_masks(inputs[name], len(nets))))
+    ones = (1 << 200) - 1
+    values = values_with_fault(circuit, masks, ones, None)
+    want = [((v ^ (v >> 1)) & (ones >> 1)).bit_count() for v in values]
+    assert estimate_power(circuit, inputs).toggles == want
 
 
 def test_machine_backend_parity():
+    """The machine's VALID/STALL verdicts follow the reference outputs,
+    under both accepted backend names."""
     from repro.model.machine import VariableLatencyMachine
 
     circuit = _circuit_of("vlcsa1", 16)
     rng = random.Random(10)
     pairs = [(rng.getrandbits(16), rng.getrandbits(16)) for _ in range(120)]
-    a = VariableLatencyMachine(circuit, backend="compiled").run(pairs)
-    b = VariableLatencyMachine(circuit, backend="vectorized").run(pairs)
-    assert a.results == b.results
-    assert a.cycles == b.cycles
+    ref = simulate_batch_reference(
+        circuit, {"a": [a for a, _ in pairs], "b": [b for _, b in pairs]}
+    )
+    want_results = [
+        rec if err else spec
+        for spec, rec, err in zip(ref["sum"], ref["sum_rec"], ref["err"])
+    ]
+    want_cycles = [2 if err else 1 for err in ref["err"]]
+    for backend in ("auto", "vectorized"):
+        trace = VariableLatencyMachine(circuit, backend=backend).run(pairs)
+        assert trace.results == want_results
+        assert trace.cycles == want_cycles
+    with pytest.raises(NetlistError, match="backend"):
+        VariableLatencyMachine(circuit, backend="compiled").run(pairs)
 
 
 def test_simulate_design_digest_identity():
@@ -380,6 +424,6 @@ def test_simulate_design_digest_identity():
         backend: simulate_design(
             "vlcsa1", 16, vectors=150, seed=4, backend=backend
         )["digest"]
-        for backend in ("compiled", "vectorized", "reference")
+        for backend in ("auto", "vectorized", "reference")
     }
     assert len(set(digests.values())) == 1

@@ -214,13 +214,14 @@ class TestSimKind:
         assert params["backend"] == "auto"
 
     def test_rejects_unknown_backend(self):
-        with pytest.raises(ProtocolError) as err:
-            parse_request(
-                {"kind": "sim",
-                 "params": {"architecture": "vlcsa1", "width": 16,
-                            "backend": "gpu"}}
-            )
-        assert err.value.code == "bad-param"
+        for backend in ("gpu", "compiled"):
+            with pytest.raises(ProtocolError) as err:
+                parse_request(
+                    {"kind": "sim",
+                     "params": {"architecture": "vlcsa1", "width": 16,
+                                "backend": backend}}
+                )
+            assert err.value.code == "bad-param"
 
     def test_rejects_window_on_fixed_design(self):
         with pytest.raises(ProtocolError):

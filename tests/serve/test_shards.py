@@ -118,7 +118,7 @@ def test_execute_sim_digest_is_backend_independent():
                         "vectors": 200, "backend": backend},
              "seed": 12}
         )
-        for backend in ("compiled", "vectorized")
+        for backend in ("auto", "vectorized", "reference")
     ]
     collector = Collector()
     rows = []
@@ -127,7 +127,7 @@ def test_execute_sim_digest_is_backend_independent():
         admit(pending, request, "w", shards=1)
         (batch,) = plan_batches(list(pending.values()), max_batch=8)
         rows.extend(execute_entries("sim", batch.entries, collector))
-    assert rows[0]["digest"] == rows[1]["digest"]
+    assert rows[0]["digest"] == rows[1]["digest"] == rows[2]["digest"]
     assert rows[0]["vectors"] == 200
-    assert collector.counters["sim_requests"] == 2
-    assert collector.counters["sim_vectors"] == 400
+    assert collector.counters["sim_requests"] == 3
+    assert collector.counters["sim_vectors"] == 600

@@ -235,12 +235,19 @@ def test_tb_lint_gate(tmp_path, capsys):
 
 
 def test_sim_compiled_backend(capsys):
+    """The default run is the vectorized backend; the retired
+    ``compiled`` name is an argparse error."""
     assert main(
         ["sim", "vlcsa1", "--widths", "16", "--vectors", "32", "--repeat", "1"]
     ) == 0
     out = capsys.readouterr().out
     assert "gate-level simulation" in out
     assert "vlcsa1" in out
+    assert "vectorized ms" in out
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sim", "vlcsa1", "--widths", "16", "--backend", "compiled"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'compiled'" in capsys.readouterr().err
 
 
 def test_sim_both_backends_cross_check_json(tmp_path, capsys):
@@ -257,9 +264,12 @@ def test_sim_both_backends_cross_check_json(tmp_path, capsys):
     assert doc["ok"] is True
     assert len(doc["rows"]) == 2
     for row in doc["rows"]:
-        assert row["speedup"] > 0
+        assert row["vectorized_speedup"] > 0
         assert row["fault_speedup"] > 0
+        assert row["fault_vectorized_s"] > 0
+        assert row["fault_reference_s"] > 0
         assert 0.0 < row["fault_coverage"] <= 1.0
+        assert not any("compiled" in key for key in row)
     assert doc["metrics"]["counters"]["samples"] > 0
     table = capsys.readouterr().out
     assert "speedup" in table
@@ -280,7 +290,7 @@ def test_sim_vectorized_backend_and_vector_grid(tmp_path):
         assert row["vectorized_s"] > 0
         assert row["vectorized_samples_per_s"] > 0
         assert row["vectorized_speedup"] > 0
-        assert row["vectorized_vs_compiled"] > 0
+        assert row["reference_s"] > 0
     # elaborations stay one per (design, width), not per batch size
     assert doc["metrics"]["counters"]["elaborations"] == 1
 
