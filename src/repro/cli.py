@@ -82,6 +82,16 @@ def _resolve_seed(args: argparse.Namespace, default: int = DEFAULT_SEED) -> int:
     return default if seed is None else seed
 
 
+def _checked(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, or ``error: ...`` and exit status 2 when it
+    raises ``ValueError`` (jobs and input checks refuse what cannot run)."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def _build_design(name: str, width: int, window: Optional[int]) -> Circuit:
     """Elaborate any named design at the given parameters."""
     from repro.engine.elab import build_design
@@ -217,7 +227,8 @@ def _cmd_errors(args: argparse.Namespace) -> int:
 
     width = args.width
     k = args.window if args.window is not None else scsa_window_size_for(width, 1e-4)
-    job = MonteCarloErrorJob(
+    job = _checked(
+        MonteCarloErrorJob,
         width=width,
         window=k,
         samples=args.samples,
@@ -566,7 +577,12 @@ def _cmd_sta(args: argparse.Namespace) -> int:
 
 
 def _cmd_chains(args: argparse.Namespace) -> int:
-    from repro.inputs.generators import gaussian_operands, uniform_operands
+    from repro.inputs.generators import (
+        GAUSSIAN_SIGMA_THESIS,
+        check_gaussian_sigma,
+        gaussian_operands,
+        uniform_operands,
+    )
     from repro.model.carry_chains import chain_length_histogram
 
     gen = np.random.default_rng(_resolve_seed(args))
@@ -574,6 +590,7 @@ def _cmd_chains(args: argparse.Namespace) -> int:
         a = uniform_operands(args.width, args.samples, gen)
         b = uniform_operands(args.width, args.samples, gen)
     else:
+        _checked(check_gaussian_sigma, args.width, GAUSSIAN_SIGMA_THESIS)
         a = gaussian_operands(args.width, args.samples, rng=gen)
         b = gaussian_operands(args.width, args.samples, rng=gen)
     hist = chain_length_histogram(a, b, args.width)
@@ -692,7 +709,8 @@ def _cmd_engine_errors(args: argparse.Namespace) -> int:
     ]
     seed = _resolve_seed(args)
     jobs = [
-        MonteCarloErrorJob(
+        _checked(
+            MonteCarloErrorJob,
             width=width,
             window=k,
             samples=args.samples,
@@ -953,7 +971,8 @@ def _cmd_engine_magnitude(args: argparse.Namespace) -> int:
 
     width = args.width
     k = args.window if args.window is not None else scsa_window_size_for(width, 1e-4)
-    job = MonteCarloMagnitudeJob(
+    job = _checked(
+        MonteCarloMagnitudeJob,
         width=width,
         window=k,
         samples=args.samples,
@@ -1390,7 +1409,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     width = args.width
     k = args.window if args.window is not None else scsa_window_size_for(width, 1e-4)
     seed = _resolve_seed(args)
-    job = MonteCarloErrorJob(
+    job = _checked(
+        MonteCarloErrorJob,
         width=width,
         window=k,
         samples=args.samples,

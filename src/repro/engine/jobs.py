@@ -31,11 +31,13 @@ import numpy.random  # noqa: F401 - numpy loads it lazily; forked workers inheri
 from repro.engine.cache import ElaborationCache, cache_key
 from repro.engine.kernels import (
     ERROR_COUNTERS,
+    SWAR_MAX_WINDOW,
     counter_counts,
     scsa1_error_count,
 )
 from repro.inputs.generators import (
     GAUSSIAN_SIGMA_THESIS,
+    check_gaussian_sigma,
     gaussian_operands,
     uniform_operands,
 )
@@ -81,6 +83,22 @@ class ChunkSpec:
     payload: Any = None
 
 
+def _check_sampling(
+    width: int, samples: int, chunk_size: int, distribution: str, sigma: Optional[float]
+) -> None:
+    """The checks every Monte Carlo job runs at construction."""
+    if samples < 1:
+        raise ValueError(f"samples must be positive, got {samples}")
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
+    if distribution not in _DISTRIBUTIONS:
+        raise ValueError(
+            f"unknown distribution {distribution!r}; choose from {_DISTRIBUTIONS}"
+        )
+    if distribution != "uniform":
+        check_gaussian_sigma(width, GAUSSIAN_SIGMA_THESIS if sigma is None else sigma)
+
+
 def _chunk_sizes(samples: int, chunk_size: int) -> Tuple[int, ...]:
     full, rem = divmod(samples, chunk_size)
     return (chunk_size,) * full + ((rem,) if rem else ())
@@ -97,9 +115,9 @@ class ErrorCounts:
 
     samples: int = 0
     scsa1_errors: int = 0  # LSB-remainder profile: SCSA 1 / VLCSA 1 error
-    vlcsa1_nominal: int = 0  # ERR0 over the LSB profile (detector fires)
+    vlcsa1_nominal: int = 0  # ERR0 over the LSB profile (= scsa1_errors when both counted)
     vlcsa2_errors: int = 0  # MSB profile: both hypotheses wrong
-    vlcsa2_stalls: int = 0  # MSB profile: ERR0 & ERR1 (stall taken)
+    vlcsa2_stalls: int = 0  # MSB profile: ERR0 & ERR1 (ERR0 = MSB-plan mis-speculation)
     vlsa_errors: int = 0  # l-bit per-output speculation wrong
     chain_counts: Optional[np.ndarray] = None  # int64, shape (width + 1,)
 
@@ -211,12 +229,17 @@ class MonteCarloErrorJob:
     an unselected counter saves only its few per-block terms:
 
     * ``"scsa1"`` — SCSA 1 / VLCSA 1 mis-speculation (LSB remainder);
-    * ``"vlcsa1_nominal"`` — ERR0 fires (LSB remainder);
+    * ``"vlcsa1_nominal"`` — ERR0 fires (LSB remainder); ERR0 is exact
+      detection, so this equals ``"scsa1"`` sample by sample and the
+      kernel computes the two from one term;
     * ``"vlcsa2"`` — both VLCSA 2 hypotheses wrong (MSB remainder);
-    * ``"vlcsa2_stall"`` — ERR0 & ERR1 (MSB remainder).
+    * ``"vlcsa2_stall"`` — ERR0 & ERR1 (MSB remainder), i.e. MSB-plan
+      mis-speculation & ERR1.
 
-    Windows above 63 bits are rejected when a chunk runs, as by every
-    window_profile-based model.
+    Construction rejects what cannot run: a window above 63 bits when
+    any counter is selected (the kernel and every window_profile-based
+    model stop there), and Gaussian inputs whose sigma breaks the
+    headroom rule of :func:`repro.inputs.generators.check_gaussian_sigma`.
 
     ``chain_lengths`` adds a carry-chain-length count histogram;
     ``vlsa_chain`` adds the VLSA error count for that chain length.
@@ -238,14 +261,14 @@ class MonteCarloErrorJob:
             raise ValueError(f"width must be >= 2, got {self.width}")
         if not 1 <= self.window <= self.width:
             raise ValueError(f"window {self.window} out of range for width {self.width}")
-        if self.samples < 1:
-            raise ValueError(f"samples must be positive, got {self.samples}")
-        if self.chunk_size < 1:
-            raise ValueError(f"chunk_size must be positive, got {self.chunk_size}")
-        if self.distribution not in _DISTRIBUTIONS:
+        if self.counters and self.window > SWAR_MAX_WINDOW:
             raise ValueError(
-                f"unknown distribution {self.distribution!r}; choose from {_DISTRIBUTIONS}"
+                f"error counters handle windows of 1..{SWAR_MAX_WINDOW} bits, "
+                f"got {self.window}"
             )
+        _check_sampling(
+            self.width, self.samples, self.chunk_size, self.distribution, self.sigma
+        )
         unknown = set(self.counters) - set(_ERROR_COUNTERS)
         if unknown:
             raise ValueError(f"unknown counters {sorted(unknown)}; choose from {_ERROR_COUNTERS}")
@@ -285,9 +308,10 @@ class MonteCarloErrorJob:
         counts = self.new_aggregate()
         counts.samples = spec.size
 
-        found = counter_counts(a, b, self.width, self.window, self.counters)
-        for name, value in found.items():
-            setattr(counts, _COUNTER_FIELDS[name], value)
+        if self.counters:
+            found = counter_counts(a, b, self.width, self.window, self.counters)
+            for name, value in found.items():
+                setattr(counts, _COUNTER_FIELDS[name], value)
 
         if self.vlsa_chain is not None:
             counts.vlsa_errors = int(
@@ -368,12 +392,11 @@ class MonteCarloMagnitudeJob:
             )
         if not 1 <= self.window <= self.width:
             raise ValueError(f"window {self.window} out of range for width {self.width}")
-        if self.samples < 1:
-            raise ValueError(f"samples must be positive, got {self.samples}")
-        if self.distribution not in _DISTRIBUTIONS:
-            raise ValueError(
-                f"unknown distribution {self.distribution!r}; choose from {_DISTRIBUTIONS}"
-            )
+        if self.remainder not in ("lsb", "msb"):
+            raise ValueError(f"remainder must be 'lsb' or 'msb', got {self.remainder!r}")
+        _check_sampling(
+            self.width, self.samples, self.chunk_size, self.distribution, self.sigma
+        )
 
     def chunk_specs(self) -> Tuple[ChunkSpec, ...]:
         """The job's work units: full chunks plus one remainder chunk."""

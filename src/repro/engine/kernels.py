@@ -14,10 +14,18 @@ per window ``i``, ``P_i`` (every bit propagates), ``cin_i`` / ``cout_i``
   ``cout_i = G_i`` and is wrong exactly where ``P_i ∧ cout_i``; SCSA 2's
   alternate result S*1 speculates ``G_i ∨ P_i`` and is wrong exactly
   where ``P_i ∧ ¬cout_i``.
-* **G = cout ∧ ¬P.**  ``P_i`` excludes ``G_i``, and without ``P_i`` the
-  carry-out *is* the group generate.
-* **ERR0 and ERR1 as k-shifts.**  ERR0 = ``any(P_i ∧ G_{i-1})`` and
-  ERR1 = ``any(P_i ∧ ¬P_{i+1})`` pair each window with a neighbour.
+* **ERR0 is exact detection.**  Per sample, ERR0 =
+  ``any(G_{i-1} ∧ P_i)`` equals ``any(P_i ∧ cin_i)``, the SCSA 1 term
+  above, so one term answers SCSA 1, VLCSA 1 and the ERR0 half of the
+  VLCSA 2 stall.  Proof: if ``G_{i-1} ∧ P_i`` then ``cin_i =
+  cout_{i-1} = 1``, so ``P_i ∧ cin_i``.  Conversely, if ``P_i ∧ cin_i``
+  follow the carry down: ``cin_i = G_{i-1} ∨ (P_{i-1} ∧ cin_{i-1})``,
+  and window 0 has no carry-in, so the chain of all-propagate windows
+  must start at some ``G_j`` followed by ``P_{j+1}``.  ``P_i`` excludes
+  ``G_i``, so ``P_i ∧ cin_i`` is exactly ``cout_i ≠ G_i``; no step
+  depends on window sizes, so the lemma holds under both window plans.
+* **ERR1 as a k-shift.**  ERR1 = ``any(P_i ∧ ¬P_{i+1})`` pairs each
+  window with its upper neighbour.
 
 Every per-window bit lives at its window's *top* bit ``hi_i - 1``
 (a "marker"): ``P_i`` from an all-ones test of ``p``, ``cout_i`` as
@@ -33,13 +41,13 @@ adjacent windows, and the top window needs no bit above the adder.
 Two neighbouring markers are ``size_{i+1}`` bits apart.  Every window
 but the remainder window is exactly ``k`` bits wide, so shifting the
 marker words right by ``k`` lines each window up with its upper
-neighbour: ERR0 is ``G & (Pm >> k)`` and ERR1 is ``Pm & (~P >> k)``
-with ``~P`` the non-propagating markers.  Shifted-in bits from beyond
-the top marker are 0, which is exactly "no neighbour".  The LSB plan's
-remainder is window 0, which is never the upper partner of a pair, so
-the shifts are exact.  The MSB plan puts the remainder at the *top*, so
-its one irregular pair (window ``m - 2`` with the top window) is read
-off the two marker bits directly: the special case of the top window.
+neighbour: ERR1 is ``Pm & (~P >> k)`` with ``~P`` the non-propagating
+markers.  Shifted-in bits from beyond the top marker are 0, which is
+exactly "no neighbour".  The LSB plan's remainder is window 0, which is
+never the upper partner of a pair, so the shift is exact.  The MSB plan
+puts the remainder at the *top*, so its one irregular pair (window
+``m - 2`` with the top window) is read off the two marker bits
+directly: the special case of the top window.
 
 The kernel walks each chunk in fixed :data:`BLOCK_ROWS`-row sub-blocks,
 transposed limb-major (``(limbs, rows)`` contiguous), so every numpy
@@ -75,12 +83,13 @@ SWAR_MAX_WINDOW = 63
 BLOCK_ROWS = 8192
 
 #: Each counter's per-sample flag is the AND of these ``(plan, term)``
-#: flags; ``spec`` is SCSA 1 mis-speculation, ``s1`` S*1 wrong.
+#: flags; ``spec`` is SCSA 1 mis-speculation (and ERR0, by the lemma
+#: above), ``s1`` S*1 wrong, ``err1`` the ERR1 detector.
 COUNTER_TERMS: Dict[str, Tuple[Tuple[str, str], ...]] = {
     "scsa1": (("lsb", "spec"),),
-    "vlcsa1_nominal": (("lsb", "err0"),),
+    "vlcsa1_nominal": (("lsb", "spec"),),
     "vlcsa2": (("msb", "spec"), ("msb", "s1")),
-    "vlcsa2_stall": (("msb", "err0"), ("msb", "err1")),
+    "vlcsa2_stall": (("msb", "spec"), ("msb", "err1")),
 }
 
 #: Every counter the kernel computes, in report order.
@@ -185,7 +194,6 @@ def _bit(words: List[np.ndarray], position: int) -> np.ndarray:
 def _plan_terms(
     p: List[np.ndarray],
     c: List[np.ndarray],
-    cout: List[np.ndarray],
     masks: _PlanMasks,
     window_size: int,
     wanted: Collection[str],
@@ -199,22 +207,13 @@ def _plan_terms(
             out["spec"] = _any(hit)
         if "s1" in wanted:
             out["s1"] = _any([h ^ m for h, m in zip(hit, pm)])  # P ∧ ¬cout
-    if "err0" in wanted or "err1" in wanted:
+    if "err1" in wanted:
         stop = [m ^ t for m, t in zip(pm, masks.top)]  # ¬P markers
+        flags = _any([m & up for m, up in zip(pm, _shift_down(stop, window_size))])
         if masks.pair is not None:
             top_bit, below = masks.pair
-            p_top, p_below = _bit(pm, top_bit), _bit(pm, below)
-        if "err0" in wanted:
-            g = [co & n for co, n in zip(cout, stop)]  # G = cout ∧ ¬P
-            flags = _any([gj & up for gj, up in zip(g, _shift_down(pm, window_size))])
-            if masks.pair is not None:
-                flags |= (p_top & _bit(cout, below) & ~p_below) != 0
-            out["err0"] = flags
-        if "err1" in wanted:
-            flags = _any([m & up for m, up in zip(pm, _shift_down(stop, window_size))])
-            if masks.pair is not None:
-                flags |= (p_below & ~p_top) != 0
-            out["err1"] = flags
+            flags |= (_bit(pm, below) & ~_bit(pm, top_bit)) != 0
+        out["err1"] = flags
     return out
 
 
@@ -227,10 +226,8 @@ def _block_terms(
 ) -> Dict[Tuple[str, str], np.ndarray]:
     """Per-sample term flags of one limb-major ``(limbs, rows)`` block."""
     limbs = a.shape[0]
-    need_cout = any(term == "err0" for _, term in terms)
     p: List[np.ndarray] = []
     c: List[np.ndarray] = []
-    cout: List[np.ndarray] = []
     carry = None
     for j in range(limbs):
         aj, bj = a[j], b[j]
@@ -241,17 +238,15 @@ def _block_terms(
         cj = pj ^ s
         p.append(pj)
         c.append(cj)
-        if need_cout or j + 1 < limbs:
-            coj = (aj & bj) | (pj & cj)  # carry out of each bit
-            cout.append(coj)
-            carry = coj >> _SIGN
+        if j + 1 < limbs:
+            carry = ((aj & bj) | (pj & cj)) >> _SIGN  # carry out of bit 63
 
     # Both plans are one plan when k divides n: compute its terms once.
     by_key: Dict[str, set] = {}
     for plan, term in terms:
         by_key.setdefault(_plan_key(width, window_size, plan), set()).add(term)
     found = {
-        key: _plan_terms(p, c, cout, _plan_masks(width, window_size, key), window_size, wanted)
+        key: _plan_terms(p, c, _plan_masks(width, window_size, key), window_size, wanted)
         for key, wanted in by_key.items()
     }
     return {

@@ -20,6 +20,7 @@ All generators return packed ``(samples, limbs)`` uint64 arrays ready for
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -31,6 +32,30 @@ GAUSSIAN_SIGMA_THESIS = float(2 ** 32)
 
 _LIMB_BITS = 64
 _U64 = np.uint64
+
+#: Headroom rule for Gaussian operands: ``GAUSSIAN_HEADROOM * sigma``
+#: must fit the signed range ``2^(width-1)``.  A draw lands 8 sigma out
+#: with probability ~1.2e-15, so a 2^40-sample job trips the range check
+#: of :func:`twos_complement_encode` (or wraps an unsigned magnitude)
+#: with odds below 1 in 300.
+GAUSSIAN_HEADROOM = 8
+
+
+def check_gaussian_sigma(width: int, sigma: float) -> None:
+    """Raise ``ValueError`` unless ``sigma`` meets the headroom rule.
+
+    Jobs and commands call this before drawing, so a Gaussian run that
+    cannot fit its operands is refused up front instead of failing
+    mid-run (:data:`GAUSSIAN_HEADROOM`).
+    """
+    if not sigma > 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    if GAUSSIAN_HEADROOM * sigma > 2.0 ** (width - 1):
+        fits = 1 + math.ceil(math.log2(GAUSSIAN_HEADROOM * sigma))
+        raise ValueError(
+            f"Gaussian sigma {sigma:g} does not fit {width}-bit operands: "
+            f"need {GAUSSIAN_HEADROOM} * sigma <= 2^{width - 1} (width >= {fits})"
+        )
 
 
 def uniform_operands(

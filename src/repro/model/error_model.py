@@ -48,7 +48,7 @@ def _window_pgk_probabilities(size: int) -> tuple[float, float, float]:
     return p_prop, p_gen, 1.0 - p_prop - p_gen
 
 
-def scsa_error_rate_exact(width: int, window_size: int) -> float:
+def scsa_error_rate_exact(width: int, window_size: int, remainder: str = "lsb") -> float:
     """Exact SCSA mis-speculation probability for uniform inputs.
 
     Dynamic program over the windows (LSB to MSB).  State: the true carry
@@ -60,8 +60,13 @@ def scsa_error_rate_exact(width: int, window_size: int) -> float:
 
     Unlike Eq. 3.13, this accounts for overlapping error events and for the
     smaller remainder window, and it covers the speculated carry-out bit.
+    ``remainder`` places that window as :func:`plan_windows` does.
+
+    ERR0 is exact detection (:mod:`repro.engine.kernels`), so this is also
+    the exact rate of the ``vlcsa1_nominal`` counter (``"lsb"``) and of
+    ERR0 under the MSB plan, the ``spec`` term VLCSA 2 uses (``"msb"``).
     """
-    plan = plan_windows(width, window_size)
+    plan = plan_windows(width, window_size, remainder)
     ok_c0, ok_c1 = 1.0, 0.0
     for size in plan.sizes:
         p_prop, p_gen, p_kill = _window_pgk_probabilities(size)

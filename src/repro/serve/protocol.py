@@ -136,9 +136,15 @@ def parse_request(payload: Any) -> EvalRequest:
         params = _validate_sim_params(params)
     else:
         params = _validate_measure_params(params)
-    return EvalRequest(
+    request = EvalRequest(
         kind=kind, params=_canon_params(params), seed=seed, request_id=request_id
     )
+    if kind in ("errors", "longrun"):
+        try:
+            request_to_job(request)  # the job's own checks: window, sigma headroom
+        except ValueError as exc:
+            raise ProtocolError("bad-param", str(exc)) from None
+    return request
 
 
 def _validate_errors_params(

@@ -88,6 +88,33 @@ class TestErrorJob:
         with pytest.raises(ValueError):
             MonteCarloErrorJob(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"width": 128, "window": 70}, "windows of 1..63"),
+            ({"width": 32, "window": 8, "distribution": "gaussian"}, "does not fit"),
+            ({"width": 35, "window": 8, "distribution": "gaussian-unsigned"}, "width >= 36"),
+            ({"width": 64, "window": 8, "distribution": "gaussian", "sigma": 0.0}, "positive"),
+        ],
+    )
+    def test_jobs_that_cannot_run_are_refused_at_construction(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            MonteCarloErrorJob(samples=16, **kwargs)
+
+    def test_wide_window_without_counters_is_accepted(self):
+        """The 63-bit cap is the counters' limit; a chain-length-only job
+        never runs the kernel."""
+        job = MonteCarloErrorJob(width=128, window=70, samples=16, counters=(),
+                                 chain_lengths=True)
+        counts = job.run_chunk(job.chunk_specs()[0])
+        assert counts.samples == 16 and counts.chain_counts.sum() > 0
+
+    def test_gaussian_at_the_headroom_edge_runs(self):
+        """8 sigma = 2^(width-1) exactly: the thesis sigma fits 36 bits."""
+        job = MonteCarloErrorJob(width=36, window=8, samples=4096,
+                                 distribution="gaussian")
+        assert job.run_chunk(job.chunk_specs()[0]).samples == 4096
+
 
 class TestAggregates:
     def test_error_counts_merge_is_commutative(self):
@@ -129,6 +156,19 @@ class TestMagnitudeJob:
     def test_width_cap(self):
         with pytest.raises(ValueError):
             MonteCarloMagnitudeJob(width=64, window=8, samples=10)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"chunk_size": -5}, "chunk_size must be positive"),
+            ({"chunk_size": 0}, "chunk_size must be positive"),
+            ({"remainder": "middle"}, "remainder"),
+            ({"distribution": "gaussian"}, "does not fit 32-bit"),
+        ],
+    )
+    def test_validation(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            MonteCarloMagnitudeJob(width=32, window=8, samples=100, **kwargs)
 
 
 class TestSweepJob:

@@ -221,10 +221,9 @@ class TestKernelSurface:
 
     def test_job_with_oversized_window_is_rejected_like_the_reference(self):
         """window_profile cannot take windows above 63 bits either, so a job
-        asking for one fails when its chunk runs, on both paths."""
-        job = MonteCarloErrorJob(width=128, window=70, samples=16)
-        with pytest.raises(ValueError, match="SWAR kernel handles windows"):
-            job.run_chunk(ChunkSpec(0, 16))
+        asking for one is refused when it is constructed."""
+        with pytest.raises(ValueError, match="windows of 1..63"):
+            MonteCarloErrorJob(width=128, window=70, samples=16)
         a, b = _operands(128, 16, "uniform", seed=2)
         with pytest.raises(ValueError, match="field size"):
             reference_counter_flags(a, b, 128, 70)

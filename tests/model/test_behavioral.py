@@ -1,10 +1,18 @@
 """Tests for the numpy behavioural models (repro.model.behavioral)."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.inputs.generators import (
+    GAUSSIAN_HEADROOM,
+    check_gaussian_sigma,
+    gaussian_operands,
+    uniform_operands,
+)
 from repro.model.behavioral import (
     add_packed,
     carry_into_bits,
@@ -207,6 +215,41 @@ class TestFlagFunctions:
         a = pack_ints([(((1 << 12) - 1) << 59) | (1 << 58)], width)
         b = pack_ints([1 << 58], width)
         assert vlsa_error_flags(a, b, width, l)[0]
+
+
+_DISTRIBUTIONS = ("uniform", "gaussian", "gaussian-unsigned")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    width=st.integers(min_value=2, max_value=300),
+    data=st.data(),
+    distribution=st.sampled_from(_DISTRIBUTIONS),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_err0_is_exact_detection(width, data, distribution, seed):
+    """ERR0 fires exactly when SCSA 1 mis-speculates, sample by sample,
+    under both window plans.  Read off window_profile alone (no SWAR
+    kernel), so it independently checks why the kernel has no ERR0 term."""
+    window = data.draw(st.integers(min_value=1, max_value=min(63, width)), label="window")
+    rng = np.random.default_rng(seed)
+    if distribution == "uniform":
+        a, b = (uniform_operands(width, 512, rng) for _ in range(2))
+    else:
+        # Any sigma the headroom rule admits at this width, up to the 2^50
+        # that gaussian_ints draws without clipping.
+        top = min(width - 1 - math.log2(GAUSSIAN_HEADROOM), 50.0)
+        log_sigma = data.draw(st.floats(min_value=min(0.0, top), max_value=top), label="log2 sigma")
+        sigma = 2.0**log_sigma
+        check_gaussian_sigma(width, sigma)
+        signed = distribution == "gaussian"
+        a, b = (
+            gaussian_operands(width, 512, sigma=sigma, signed=signed, rng=rng)
+            for _ in range(2)
+        )
+    for remainder in ("lsb", "msb"):
+        profile = window_profile(a, b, width, window, remainder)
+        np.testing.assert_array_equal(err0_flags(profile), scsa1_error_flags(profile))
 
 
 @settings(max_examples=50, deadline=None)

@@ -76,29 +76,34 @@ class TestExactModel:
         assert scsa_error_rate_exact(16, 16) == 0.0
 
     def test_exact_brute_force_tiny(self):
-        """Exhaustive enumeration at n=6, k=2 against the Markov DP."""
-        n, k = 6, 2
+        """Exhaustive enumeration against the Markov DP on both window
+        plans (n=7, k=3 puts the 1-bit remainder at either end)."""
         from repro.core.window import plan_windows
 
-        plan = plan_windows(n, k)
-        errors = 0
-        for a in range(1 << n):
-            for b in range(1 << n):
-                wrong = False
-                true_carry = 0
-                for lo, hi in plan.bounds:
-                    size = hi - lo
-                    mask = (1 << size) - 1
-                    aw = (a >> lo) & mask
-                    bw = (b >> lo) & mask
-                    g = (aw + bw) >> size
-                    true_out = (aw + bw + true_carry) >> size
-                    if true_out != g:
-                        wrong = True
-                    true_carry = true_out
-                errors += wrong
-        brute = errors / (1 << (2 * n))
-        assert scsa_error_rate_exact(n, k) == pytest.approx(brute, abs=1e-12)
+        for n, k in ((6, 2), (7, 3)):
+            for remainder in ("lsb", "msb"):
+                plan = plan_windows(n, k, remainder)
+                errors = 0
+                for a in range(1 << n):
+                    for b in range(1 << n):
+                        wrong = False
+                        true_carry = 0
+                        for lo, hi in plan.bounds:
+                            size = hi - lo
+                            mask = (1 << size) - 1
+                            aw = (a >> lo) & mask
+                            bw = (b >> lo) & mask
+                            g = (aw + bw) >> size
+                            true_out = (aw + bw + true_carry) >> size
+                            if true_out != g:
+                                wrong = True
+                            true_carry = true_out
+                        errors += wrong
+                brute = errors / (1 << (2 * n))
+                assert scsa_error_rate_exact(n, k, remainder) == pytest.approx(
+                    brute, abs=1e-12
+                ), (n, k, remainder)
+        assert scsa_error_rate_exact(7, 3, "lsb") != scsa_error_rate_exact(7, 3, "msb")
 
 
 class TestVlsaModels:

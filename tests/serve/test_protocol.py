@@ -73,6 +73,29 @@ class TestParseRequest:
             parse_request(payload)
         assert excinfo.value.code == code
 
+    @pytest.mark.parametrize("kind", ["errors", "longrun"])
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"width": 128, "window": 70}, "windows of 1..63"),
+            ({"width": 32, "distribution": "gaussian"}, "does not fit 32-bit"),
+            ({"width": 32, "distribution": "gaussian-unsigned"}, "does not fit 32-bit"),
+        ],
+    )
+    def test_rejects_jobs_that_cannot_run(self, kind, params, message):
+        """Checked by the job's own construction, before any shard runs it."""
+        payload = {"kind": kind, "params": dict(params, samples=16)}
+        with pytest.raises(ProtocolError, match=message) as excinfo:
+            parse_request(payload)
+        assert excinfo.value.code == "bad-param"
+
+    def test_gaussian_with_headroom_is_accepted(self):
+        request = parse_request(
+            {"kind": "errors", "params": {"width": 36, "distribution": "gaussian",
+                                          "samples": 16}}
+        )
+        assert request_to_job(request).distribution == "gaussian"
+
     def test_not_an_object(self):
         with pytest.raises(ProtocolError):
             parse_request([1, 2, 3])

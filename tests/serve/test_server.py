@@ -155,6 +155,14 @@ def test_http_error_paths(tmp_path):
             assert excinfo.value.status == 400
             assert excinfo.value.code == "bad-param"
 
+            # Jobs that cannot run are refused at parse time, not as 500s.
+            for params in ({"width": 128, "window": 70, "samples": 16},
+                           {"width": 32, "distribution": "gaussian", "samples": 16}):
+                with pytest.raises(ServeError) as excinfo:
+                    client.evaluate("errors", params)
+                assert excinfo.value.status == 400
+                assert excinfo.value.code == "bad-param"
+
             status, payload = client._request("POST", "/v1/eval", b"not json")
             assert status == 400 and payload["error"]["code"] == "bad-json"
 

@@ -119,6 +119,28 @@ def test_chains_gaussian(capsys):
     assert "gaussian" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["errors", "32", "--inputs", "gaussian"], "does not fit 32-bit"),
+        (["engine", "errors", "32", "--inputs", "gaussian", "--no-design"],
+         "does not fit 32-bit"),
+        (["chains", "32", "--inputs", "gaussian"], "does not fit 32-bit"),
+        (["stats", "32", "--inputs", "gaussian", "--no-cache"], "does not fit 32-bit"),
+        (["errors", "128", "--window", "70"], "windows of 1..63"),
+        (["engine", "magnitude", "32", "--window", "8", "--chunk", "-5"],
+         "chunk_size must be positive"),
+    ],
+)
+def test_monte_carlo_jobs_that_cannot_run_exit_2(argv, message, capsys):
+    """Refused before any sample is drawn: ``error:`` and status 2."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + ["--samples", "100"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_seq_emits_core_and_shell(tmp_path):
     out = tmp_path / "seq.v"
     assert main(["seq", "vlcsa1", "16", "4", "-o", str(out)]) == 0
