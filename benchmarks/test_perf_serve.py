@@ -102,12 +102,7 @@ def test_perf_serve_warm_vs_cold_cli(benchmark, tmp_path):
         uds = str(tmp_path / "bench.sock")
         rows = []
         with ServerThread(
-            ServeConfig(
-                uds=uds,
-                shards=1,
-                coalesce_ms=0,
-                cache_dir=str(tmp_path / "cache"),
-            )
+            ServeConfig(uds=uds, shards=1, cache_dir=str(tmp_path / "cache"))
         ):
             with ServeClient(uds=uds) as client:
                 for point in points:

@@ -1734,7 +1734,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             where.append(f"unix:{config.uds}")
         print(
             f"repro serve {__version__} listening on {', '.join(where)} "
-            f"({config.shards} shard(s), coalesce {config.coalesce_ms} ms, "
+            f"({config.shards} shard(s), linger {config.coalesce_ms:g} ms, "
             f"max pending {config.max_pending})",
             file=sys.stderr,
         )
@@ -2255,8 +2255,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bounded batch queue per shard (default 8)")
     serve.add_argument("--max-batch", type=int, default=8,
                        help="entries per engine submission (default 8)")
-    serve.add_argument("--coalesce-ms", type=float, default=5.0,
-                       help="request-coalescing window in ms (default 5)")
+    serve.add_argument("--coalesce-ms", type=float, default=0.0, metavar="MS",
+                       help="opt-in linger: hold a request up to MS ms after "
+                            "admission for company, time queued behind a busy "
+                            "shard included (default 0: an idle shard takes "
+                            "it at once)")
     serve.add_argument("--max-pending", type=int, default=64,
                        help="global in-flight cap; past it requests are shed "
                             "with 429 (default 64)")

@@ -20,8 +20,9 @@ This package turns the batch engine into that long-lived service:
 * **server** (:mod:`repro.serve.server`) — a stdlib-``asyncio`` HTTP/1.1
   server (TCP and/or unix socket) with admission control, 429-style shed
   responses, graceful drain on SIGTERM, and a ``/metrics`` JSON endpoint
-  tracking SLOs (p50/p99 latency, coalescing factor, cache hit rate,
-  shed rate, per-shard saturation) through :mod:`repro.obs`;
+  tracking SLOs (p50/p99 latency and shard queue wait, coalescing
+  factor, cache hit rate, shed rate, per-shard saturation) through
+  :mod:`repro.obs`;
 * **client** (:mod:`repro.serve.client`) — sync and async clients;
 * **loadgen** (:mod:`repro.serve.loadgen`) — a seeded open-loop workload
   driver emitting a provenance-stamped SLO report.

@@ -13,6 +13,7 @@ from __future__ import annotations
 import asyncio
 import json
 import socket
+import sys
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.serve import protocol
@@ -34,6 +35,17 @@ class ServeError(RuntimeError):
                 status, str(error.get("code", "unknown")), str(error.get("message", ""))
             )
         return ServeError(status, "unknown", f"unexpected response body: {payload!r}")
+
+
+def _loads(body: bytes) -> Any:
+    """Decode a response body with interned object keys, so a caller that
+    keeps many results holds one copy of each field name rather than one
+    per response (about half of a kept ``errors`` result's memory)."""
+    return json.loads(body, object_pairs_hook=_interned_dict)
+
+
+def _interned_dict(pairs) -> Dict[str, Any]:
+    return {sys.intern(key): value for key, value in pairs}
 
 
 def _eval_body(
@@ -145,7 +157,7 @@ class ServeClient:
             name, _, value = raw.decode("latin-1").partition(":")
             if name.strip().lower() == "content-length":
                 length = int(value.strip())
-        payload = json.loads(self._rfile.read(length)) if length else None
+        payload = _loads(self._rfile.read(length)) if length else None
         return status, payload
 
     # -- API --------------------------------------------------------------
@@ -264,7 +276,7 @@ class AsyncServeClient:
             name, _, value = raw.decode("latin-1").partition(":")
             if name.strip().lower() == "content-length":
                 length = int(value.strip())
-        payload = json.loads(await self._reader.readexactly(length)) if length else None
+        payload = _loads(await self._reader.readexactly(length)) if length else None
         return status, payload
 
     async def hello(self) -> Dict[str, Any]:

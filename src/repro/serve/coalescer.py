@@ -1,7 +1,8 @@
 """Request coalescing: fold compatible pending requests into batch jobs.
 
-The scheduler collects requests for one *coalescing window* (a few
-milliseconds), then plans the accumulated set:
+The server's dispatcher hands over whatever is pending for a shard once
+that shard is idle (one request when traffic is light, the backlog that
+gathered behind the busy shard under a burst), and the plan is:
 
 1. **dedup** — requests with equal :func:`identity_key` are one
    computation; a single entry carries every waiter and the engine runs
@@ -15,7 +16,8 @@ milliseconds), then plans the accumulated set:
    loop for ``measure`` entries).
 
 Everything here is pure planning over immutable requests — no I/O, no
-clocks — which is what makes the solo-vs-coalesced bit-identity testable:
+clocks (an entry's admission time is a reading the server passes in) —
+which is what makes the solo-vs-coalesced bit-identity testable:
 the plan changes *scheduling* only, never a job's seed or chunk layout.
 """
 
@@ -33,12 +35,14 @@ class PendingEntry:
 
     ``waiters`` holds opaque per-request completion handles (asyncio
     futures in the server, plain lists in tests); the executor resolves
-    all of them with the same result object.
+    all of them with the same result object.  ``admitted`` is the
+    caller's clock reading when the first of them arrived.
     """
 
     request: EvalRequest
     key: str
     shard: int
+    admitted: float = 0.0
     waiters: List[Any] = field(default_factory=list)
 
     @property
@@ -95,18 +99,21 @@ def admit(
     request: EvalRequest,
     waiter: Any,
     shards: int,
+    admitted: float = 0.0,
 ) -> PendingEntry:
     """Attach one request to the pending set, deduplicating by identity.
 
     Returns the (possibly pre-existing) entry the request joined; the
     caller counts a *coalesced-by-dedup* hit when the entry already had
-    waiters.
+    waiters.  A new entry records ``admitted``; a joiner keeps the
+    entry's original admission time.
     """
     key = identity_key(request)
     entry = pending.get(key)
     if entry is None:
         entry = PendingEntry(
-            request=request, key=key, shard=shard_of(request, shards)
+            request=request, key=key, shard=shard_of(request, shards),
+            admitted=admitted,
         )
         pending[key] = entry
     entry.waiters.append(waiter)

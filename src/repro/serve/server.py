@@ -2,11 +2,15 @@
 
 One event loop accepts HTTP/1.1 connections (TCP and/or a unix socket),
 parses requests through :mod:`repro.serve.protocol`, and parks each
-evaluation on an asyncio future.  A dispatcher task wakes on the first
-pending request, sleeps one *coalescing window*, then plans the
-accumulated set into per-shard batches (:func:`plan_batches`) and hands
-them to the warm shard threads; the shard resolves every waiter's future
-from its thread via ``call_soon_threadsafe``.
+evaluation on an asyncio future.  A dispatcher task hands an idle shard
+its pending entries at once, planned into batches by
+:func:`plan_batches`.  Entries for a busy shard stay pending, gathering
+dedup joiners, until the shard's batches in flight answer; the shard then
+takes them as its next batch.  Load alone sets batch size: one request
+when traffic is light, full batches under a burst.  An opt-in linger
+(``coalesce_ms``) holds a request for company at most that long after
+admission, time parked behind a busy shard included.  The shard resolves
+every waiter's future from its thread via ``call_soon_threadsafe``.
 
 Admission control is two-layered and always answers — never hangs:
 
@@ -22,8 +26,9 @@ configured) — no orphaned processes, no dropped responses.
 
 SLOs are measured, not asserted: every response latency lands in a
 mergeable histogram, coalescing and cache efficiency are counters, queue
-depths are gauges, and ``GET /metrics`` reports p50/p99 latency, the
-coalescing factor, cache hit rate, and shed rate as one JSON object.
+depths are gauges, and ``GET /metrics`` reports p50/p99 latency and
+shard queue wait (admission to shard start), the coalescing factor,
+cache hit rate, and shed rate as one JSON object.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import json
 import os
 import signal
 import time
+import traceback
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -50,10 +56,17 @@ MAX_BODY_BYTES = 1 << 20
 #: sends a handful).  Each line is bounded by the stream reader's limit.
 MAX_HEADER_LINES = 100
 
+#: Longest a request may take from its first byte to its last body byte
+#: before it is answered 408 and its connection closed: a client stalled
+#: mid-request must not hold its connection and task forever.  Idle
+#: keep-alive time between requests is not bounded.
+REQUEST_READ_TIMEOUT_S = 10.0
+
 _HTTP_REASONS = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
+    408: "Request Timeout",
     413: "Payload Too Large",
     429: "Too Many Requests",
     431: "Request Header Fields Too Large",
@@ -116,7 +129,7 @@ class ServeConfig:
     shards: int = 2
     shard_depth: int = 8  # bounded per-shard batch queue
     max_batch: int = 8  # entries per engine submission
-    coalesce_ms: float = 5.0  # how long the dispatcher gathers requests
+    coalesce_ms: float = 0.0  # opt-in linger: max wait for company after admission
     max_pending: int = 64  # global in-flight request cap
     pool_workers: int = 0  # >= 2 enables the shared resident WorkerPool
     cache_dir: Optional[str] = None  # elaboration disk cache (None = memory)
@@ -127,8 +140,11 @@ class ServeConfig:
         """Reject contradictory or out-of-range settings early."""
         if self.port is None and self.uds is None:
             raise ValueError("serve needs a TCP port and/or a unix-socket path")
-        if self.max_pending < 1:
-            raise ValueError(f"max_pending must be positive, got {self.max_pending}")
+        for name in ("shards", "shard_depth", "max_batch", "max_pending"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.drain_timeout_s < 0:
+            raise ValueError(f"drain_timeout_s must be >= 0, got {self.drain_timeout_s}")
         if self.coalesce_ms < 0:
             raise ValueError(f"coalesce_ms must be >= 0, got {self.coalesce_ms}")
         if self.pool_workers == 1:
@@ -144,6 +160,7 @@ class Server:
         self.collector = Collector()
         self.shards: Optional[ShardSet] = None
         self._pending: Dict[str, PendingEntry] = {}
+        self._busy: List[int] = []  # batches in flight, per shard
         self._pending_event: Optional[asyncio.Event] = None
         self._stop_event: Optional[asyncio.Event] = None
         self._dispatcher: Optional[asyncio.Task] = None
@@ -173,6 +190,7 @@ class Server:
             pool=pool,
             cache_dir=self.config.cache_dir,
         )
+        self._busy = [0] * len(self.shards)
         if self.config.port is not None:
             server = await asyncio.start_server(
                 self._handle_connection, host=self.config.host, port=self.config.port
@@ -205,7 +223,7 @@ class Server:
             except Exception:  # pragma: no cover - listener already gone
                 pass
         self._servers.clear()
-        # Flush whatever the dispatcher was still coalescing, then wait for
+        # Flush whatever is pending, busy shards included, then wait for
         # every in-flight evaluation to answer (bounded by drain_timeout_s).
         if self._pending_event is not None:
             self._pending_event.set()
@@ -248,12 +266,48 @@ class Server:
         while True:
             await self._pending_event.wait()
             self._pending_event.clear()
-            if self._pending and self.config.coalesce_ms > 0 and not self._draining:
-                await asyncio.sleep(self.config.coalesce_ms / 1000.0)
-            entries = list(self._pending.values())
-            self._pending.clear()
-            if entries:
+            linger_s = self._dispatch_ready()
+            if linger_s is not None:
+                await self._linger(linger_s)
+
+    def _dispatch_ready(self) -> Optional[float]:
+        """Hand every idle shard its pending entries (every shard while
+        draining); a busy shard's entries stay pending as its next batch.
+
+        With a linger, an idle shard waits until its oldest entry is
+        ``coalesce_ms`` past admission.  Returns the seconds until the next
+        such shard is due, or None when no idle shard is lingering.
+        """
+        linger_s = 0.0 if self._draining else self.config.coalesce_ms / 1000.0
+        now = time.monotonic()
+        due: Dict[int, float] = {}
+        for entry in self._pending.values():  # admission order: oldest first
+            due.setdefault(entry.shard, entry.admitted + linger_s)
+        idle = [shard for shard in due if self._draining or not self._busy[shard]]
+        ready = {shard for shard in idle if due[shard] <= now}
+        entries = [entry for entry in self._pending.values() if entry.shard in ready]
+        for entry in entries:
+            del self._pending[entry.key]
+        if entries:
+            try:
                 self._dispatch(entries)
+            except Exception as exc:  # the dispatcher must outlive one bad plan
+                traceback.print_exc()
+                self.collector.add(
+                    "serve.work_failures", sum(entry.fanout for entry in entries)
+                )
+                self._fail(entries, WorkError(f"dispatch failed: {type(exc).__name__}: {exc}"))
+        waits = [due[shard] - now for shard in idle if shard not in ready]
+        return min(waits) if waits else None
+
+    async def _linger(self, seconds: float) -> None:
+        """Hold dispatch for ``seconds``, or less if an admission, a freed
+        shard or a stop wakes the dispatcher first."""
+        assert self._pending_event is not None
+        try:
+            await asyncio.wait_for(self._pending_event.wait(), seconds)
+        except asyncio.TimeoutError:
+            self._pending_event.set()
 
     def _dispatch(self, entries: List[PendingEntry]) -> None:
         assert self.shards is not None
@@ -262,15 +316,21 @@ class Server:
             self.collector.add("serve.batches")
             self.collector.add("serve.batch_requests", batch.requests)
             self.collector.add("serve.batch_entries", len(batch.entries))
-            if not self.shards.try_submit(batch.shard, self._make_work(batch)):
+            if self.shards.try_submit(batch.shard, self._make_work(batch)):
+                self._busy[batch.shard] += 1
+            else:
                 self._shed_batch(batch)
 
     def _shed_batch(self, batch: Batch) -> None:
         self.collector.add("serve.shed", batch.requests)
-        exc = OverloadedError(
-            f"shard {batch.shard} queue is full; retry with backoff"
+        self._fail(
+            batch.entries,
+            OverloadedError(f"shard {batch.shard} queue is full; retry with backoff"),
         )
-        for entry in batch.entries:
+
+    def _fail(self, entries, exc: Exception) -> None:
+        """Raise ``exc`` into every waiter of ``entries`` not yet answered."""
+        for entry in entries:
             for waiter in entry.waiters:
                 if not waiter.done():
                     waiter.set_exception(exc)
@@ -281,6 +341,7 @@ class Server:
         pool = self.shards.pool
 
         def work() -> None:  # runs on the shard thread
+            started = time.monotonic()
             try:
                 rows = execute_entries(
                     batch.kind,
@@ -292,13 +353,25 @@ class Server:
                 )
             except BaseException as exc:
                 message = f"{type(exc).__name__}: {exc}"
-                loop.call_soon_threadsafe(self._resolve_error, batch, message)
+                loop.call_soon_threadsafe(self._resolve_error, batch, started, message)
                 raise  # shard counts it under shardN.work_errors
-            loop.call_soon_threadsafe(self._resolve_ok, batch, rows)
+            loop.call_soon_threadsafe(self._resolve_ok, batch, started, rows)
 
         return work
 
-    def _resolve_ok(self, batch: Batch, rows: List[Dict[str, Any]]) -> None:
+    def _batch_done(self, batch: Batch, started: float) -> None:
+        """Free the batch's slot on its shard and wake the dispatcher for
+        whatever is parked there; record each entry's queue wait."""
+        self._busy[batch.shard] -= 1
+        for entry in batch.entries:
+            self.collector.record("serve.queue_wait_ms", (started - entry.admitted) * 1000.0)
+        if self._pending and self._pending_event is not None:
+            self._pending_event.set()
+
+    def _resolve_ok(
+        self, batch: Batch, started: float, rows: List[Dict[str, Any]]
+    ) -> None:
+        self._batch_done(batch, started)
         for entry, row in zip(batch.entries, rows):
             cache_hit = row.pop("cache_hit", None)
             value = {
@@ -311,13 +384,10 @@ class Server:
                 if not waiter.done():
                     waiter.set_result(value)
 
-    def _resolve_error(self, batch: Batch, message: str) -> None:
+    def _resolve_error(self, batch: Batch, started: float, message: str) -> None:
+        self._batch_done(batch, started)
         self.collector.add("serve.work_failures", batch.requests)
-        exc = WorkError(message)
-        for entry in batch.entries:
-            for waiter in entry.waiters:
-                if not waiter.done():
-                    waiter.set_exception(exc)
+        self._fail(batch.entries, WorkError(message))
 
     # -- HTTP -------------------------------------------------------------
 
@@ -358,8 +428,24 @@ class Server:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-        line = await _read_head_line(reader)
-        if not line or line in (b"\r\n", b"\n"):
+        first = await reader.read(1)  # idle keep-alive wait: unbounded
+        if not first:
+            return None
+        try:
+            return await asyncio.wait_for(
+                self._read_rest(reader, first), REQUEST_READ_TIMEOUT_S
+            )
+        except asyncio.TimeoutError:
+            raise _BadRequest(
+                408, "request-timeout",
+                f"request not complete {REQUEST_READ_TIMEOUT_S:g} s after its first byte",
+            ) from None
+
+    async def _read_rest(
+        self, reader: asyncio.StreamReader, first: bytes
+    ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
+        line = first if first == b"\n" else first + await _read_head_line(reader)
+        if line in (b"\r\n", b"\n"):
             return None
         parts = line.decode("latin-1").split()
         if len(parts) < 2:
@@ -452,7 +538,9 @@ class Server:
 
         assert self._loop is not None and self._pending_event is not None
         waiter: asyncio.Future = self._loop.create_future()
-        entry = admit(self._pending, request, waiter, len(self.shards or ()) or 1)
+        entry = admit(
+            self._pending, request, waiter, len(self.shards or ()) or 1, time.monotonic()
+        )
         if entry.fanout > 1:
             self.collector.add("serve.dedup_joins")
         self._inflight += 1
@@ -487,6 +575,19 @@ class Server:
 
     # -- reporting --------------------------------------------------------
 
+    def _summary(self, name: str) -> Optional[Dict[str, float]]:
+        """count/mean/p50/p99/max of histogram ``name`` (None when empty)."""
+        hist = self.collector.histograms.get(name)
+        if hist is None or not hist.count:
+            return None
+        return {
+            "count": hist.count,
+            "mean": hist.mean,
+            "p50": hist.percentile(0.50),
+            "p99": hist.percentile(0.99),
+            "max": hist.max,
+        }
+
     def hello(self) -> Dict[str, Any]:
         """The ``GET /`` body: service identity + protocol version."""
         block = protocol.server_block(__version__)
@@ -504,7 +605,6 @@ class Server:
         batch_requests = counters.get("serve.batch_requests", 0)
         hits = counters.get("cache_hits", 0)
         misses = counters.get("cache_misses", 0)
-        latency = self.collector.histograms.get("serve.latency_ms")
         slo: Dict[str, Any] = {
             "requests": requests,
             "ok": ok,
@@ -515,16 +615,10 @@ class Server:
             "shed_rate": (shed / requests) if requests else 0.0,
             "coalescing_factor": (batch_requests / batches) if batches else None,
             "cache_hit_rate": (hits / (hits + misses)) if (hits + misses) else None,
-            "latency_ms": None,
+            # admission to shard start, for every entry of every batch
+            "queue_wait_ms": self._summary("serve.queue_wait_ms"),
+            "latency_ms": self._summary("serve.latency_ms"),
         }
-        if latency is not None and latency.count:
-            slo["latency_ms"] = {
-                "count": latency.count,
-                "mean": latency.mean,
-                "p50": latency.percentile(0.50),
-                "p99": latency.percentile(0.99),
-                "max": latency.max,
-            }
         block = protocol.server_block(__version__)
         block["draining"] = self._draining
         block["shards"] = len(self.shards) if self.shards is not None else 0

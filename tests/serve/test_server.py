@@ -7,17 +7,24 @@ The asyncio tests run inside ``asyncio.run`` from sync test functions
 
 import asyncio
 import json
+import math
 import socket
+import threading
+import time
 
 import pytest
 
 from repro._version import package_version
+from repro.serve import server as server_module
 from repro.serve.client import AsyncServeClient, ServeClient, ServeError
 from repro.serve.harness import ServerThread
 from repro.serve.protocol import errors_result, parse_request, request_to_job
 from repro.serve.server import MAX_HEADER_LINES, ServeConfig, Server
 
 SAMPLES = 2048
+
+#: Requests with this seed hold their shard until the ``gate`` fixture opens.
+SLOW_SEED = 99
 
 
 def _uds(tmp_path) -> str:
@@ -36,11 +43,187 @@ def _direct_result(params, seed):
     return errors_result(run_job(request_to_job(request)).aggregate)
 
 
+@pytest.fixture
+def gate(monkeypatch):
+    """Hold every batch holding a ``SLOW_SEED`` request on its shard thread
+    until ``gate.set()``, so a test decides how long the shard stays busy."""
+    opened = threading.Event()
+    real = server_module.execute_entries
+
+    def gated(kind, entries, *args, **kwargs):
+        if any(entry.request.seed == SLOW_SEED for entry in entries):
+            assert opened.wait(30), "gate never opened"
+        return real(kind, entries, *args, **kwargs)
+
+    monkeypatch.setattr(server_module, "execute_entries", gated)
+    yield opened
+    opened.set()
+
+
+async def _evaluate(uds, seed, samples=SAMPLES):
+    client = AsyncServeClient(uds=uds)
+    try:
+        return await client.evaluate("errors", _errors_params(samples=samples), seed=seed)
+    finally:
+        await client.close()
+
+
+async def _until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        await asyncio.sleep(0.005)
+
+
 def test_config_requires_a_listener():
     with pytest.raises(ValueError):
         ServeConfig(port=None, uds=None).validate()
     with pytest.raises(ValueError):
         Server(ServeConfig(uds="/tmp/x.sock", pool_workers=1))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("shards", 0), ("shard_depth", 0), ("max_batch", 0), ("drain_timeout_s", -1.0)],
+)
+def test_config_rejects_out_of_range_sizes(field, value):
+    with pytest.raises(ValueError, match=field):
+        ServeConfig(uds="/tmp/x.sock", **{field: value}).validate()
+
+
+def test_requests_parked_behind_a_busy_shard_become_its_next_batch(tmp_path, gate):
+    """Under the default config nothing lingers: requests that arrive while
+    the only shard is busy wait and leave together as its next batch, and
+    answer exactly as the same requests sent solo."""
+    uds = _uds(tmp_path)
+    seeds = [11, 12, 13, 14, 15, 16]
+
+    async def scenario():
+        server = Server(ServeConfig(uds=uds, shards=1))
+        await server.start()
+        try:
+            slow = asyncio.ensure_future(_evaluate(uds, SLOW_SEED))
+            await _until(lambda: server._busy[0] == 1)
+            burst = [asyncio.ensure_future(_evaluate(uds, seed)) for seed in seeds]
+            await _until(lambda: len(server._pending) == len(seeds))
+            gate.set()
+            parked = await asyncio.gather(*burst)
+            await slow
+            snapshot = server.metrics_snapshot()
+            solo = [await _evaluate(uds, seed) for seed in seeds]
+            return parked, solo, snapshot
+        finally:
+            await server.stop()
+
+    parked, solo, snapshot = asyncio.run(scenario())
+    assert [r["result"] for r in parked] == [r["result"] for r in solo]
+    burst_batches = snapshot["obs"]["counters"]["serve.batches"] - 1  # minus the slow one
+    assert burst_batches <= math.ceil(len(seeds) / ServeConfig.max_batch)
+    assert snapshot["slo"]["coalescing_factor"] > 1.0
+    assert all(r["server"]["coalesced"] == len(seeds) for r in parked)
+    assert all(r["server"]["coalesced"] == 1 for r in solo)
+
+
+def _linger_spy(monkeypatch):
+    """Record every linger the dispatcher enters (and still linger)."""
+    lingered = []
+    real = Server._linger
+
+    async def spy(self, seconds):
+        lingered.append(seconds)
+        await real(self, seconds)
+
+    monkeypatch.setattr(Server, "_linger", spy)
+    return lingered
+
+
+def test_idle_shard_takes_a_request_without_lingering(tmp_path, monkeypatch):
+    lingered = _linger_spy(monkeypatch)
+    uds = _uds(tmp_path)
+    with ServerThread(ServeConfig(uds=uds, shards=1)) as handle:
+        with ServeClient(uds=uds) as client:
+            for seed in (1, 2, 3):
+                client.evaluate("errors", _errors_params(samples=64), seed=seed)
+        counters = handle.server.metrics_snapshot()["obs"]["counters"]
+    assert lingered == []
+    assert counters["serve.batches"] == 3
+
+    # The opt-in linger is the path the spy watches, bounded by coalesce_ms.
+    with ServerThread(ServeConfig(uds=uds, shards=1, coalesce_ms=5)):
+        with ServeClient(uds=uds) as client:
+            client.evaluate("errors", _errors_params(samples=64), seed=1)
+    assert lingered and all(0 < seconds <= 0.005 for seconds in lingered)
+
+
+def test_linger_counts_time_parked_behind_a_busy_shard(tmp_path, monkeypatch, gate):
+    """A request parked behind a busy shard for longer than coalesce_ms is
+    dispatched as soon as the shard frees, without a second linger."""
+    lingered = _linger_spy(monkeypatch)
+    uds = _uds(tmp_path)
+
+    async def scenario():
+        server = Server(ServeConfig(uds=uds, shards=1, coalesce_ms=100))
+        await server.start()
+        try:
+            slow = asyncio.ensure_future(_evaluate(uds, SLOW_SEED, samples=64))
+            await _until(lambda: server._busy[0] == 1)
+            parked = asyncio.ensure_future(_evaluate(uds, 5, samples=64))
+            await _until(lambda: len(server._pending) == 1)
+            await asyncio.sleep(0.15)  # parked past its 100 ms linger
+            before = len(lingered)
+            gate.set()
+            await asyncio.gather(slow, parked)
+            return before
+        finally:
+            await server.stop()
+
+    before = asyncio.run(scenario())
+    assert before >= 1  # the slow request lingered on the idle shard
+    assert len(lingered) == before
+
+
+def test_stop_flushes_entries_parked_behind_a_busy_shard(tmp_path, gate):
+    uds = _uds(tmp_path)
+
+    async def scenario():
+        server = Server(ServeConfig(uds=uds, shards=1))
+        await server.start()
+        slow = asyncio.ensure_future(_evaluate(uds, SLOW_SEED, samples=64))
+        await _until(lambda: server._busy[0] == 1)
+        parked = [asyncio.ensure_future(_evaluate(uds, seed, samples=64)) for seed in (1, 2, 3)]
+        await _until(lambda: len(server._pending) == 3)
+        stopping = asyncio.ensure_future(server.stop())
+        await _until(lambda: not server._pending)  # flushed while the shard is busy
+        gate.set()
+        responses = await asyncio.gather(slow, *parked)
+        await stopping
+        return responses
+
+    responses = asyncio.run(scenario())
+    assert [r["seed"] for r in responses] == [SLOW_SEED, 1, 2, 3]
+    assert all(r["ok"] for r in responses)
+
+
+def test_failed_dispatch_answers_500_and_the_dispatcher_survives(tmp_path, monkeypatch):
+    real = server_module.plan_batches
+    calls = []
+
+    def flaky(entries, max_batch):
+        calls.append(len(entries))
+        if len(calls) == 1:
+            raise ValueError("planted planning failure")
+        return real(entries, max_batch)
+
+    monkeypatch.setattr(server_module, "plan_batches", flaky)
+    uds = _uds(tmp_path)
+    with ServerThread(ServeConfig(uds=uds, shards=1)) as handle:
+        with ServeClient(uds=uds) as client:
+            with pytest.raises(ServeError) as excinfo:
+                client.evaluate("errors", _errors_params(samples=64), seed=1)
+            assert excinfo.value.status == 500
+            assert excinfo.value.code == "internal"
+            assert client.evaluate("errors", _errors_params(samples=64), seed=1)["ok"]
+        assert handle.server.metrics_snapshot()["slo"]["work_failures"] == 1
 
 
 def test_coalesced_equals_solo_equals_one_shot(tmp_path):
@@ -146,6 +329,18 @@ def test_http_surface_and_version(tmp_path):
             assert metrics["server"]["version"] == package_version()
 
 
+def test_client_keeps_one_copy_of_each_field_name(tmp_path):
+    uds = _uds(tmp_path)
+    with ServerThread(ServeConfig(uds=uds, shards=1)):
+        with ServeClient(uds=uds) as client:
+            first, second = (
+                client.evaluate("errors", _errors_params(samples=64), seed=seed)["result"]
+                for seed in (1, 2)
+            )
+    assert first.keys() == second.keys()
+    assert all(a is b for a, b in zip(first, second))
+
+
 def test_http_error_paths(tmp_path):
     uds = _uds(tmp_path)
     with ServerThread(ServeConfig(uds=uds, shards=1)):
@@ -244,6 +439,9 @@ def test_metrics_snapshot_counts_sheds(tmp_path):
         snapshot = handle.server.metrics_snapshot()
         assert snapshot["slo"]["requests"] == 1
         assert snapshot["slo"]["shed_rate"] == 0.0
+        queue_wait = snapshot["slo"]["queue_wait_ms"]
+        assert queue_wait["count"] == 1
+        assert 0 <= queue_wait["p50"] <= queue_wait["p99"]
         assert json.dumps(snapshot, default=float)  # JSON-serializable
 
 
@@ -337,3 +535,20 @@ def test_header_count_at_the_limit_is_served(tmp_path):
         got_status, payload, connection = _raw_exchange(uds, head)
         assert got_status == 200
         assert payload["ok"] is True
+
+
+def test_request_stalled_mid_read_gets_408(tmp_path, monkeypatch):
+    monkeypatch.setattr(server_module, "REQUEST_READ_TIMEOUT_S", 0.2)
+    uds = _uds(tmp_path)
+    with ServerThread(ServeConfig(uds=uds, shards=1)):
+        got_status, payload, connection = _raw_exchange(uds, b"POST /v1/ev")
+        assert got_status == 408
+        assert payload["ok"] is False
+        assert payload["error"]["code"] == "request-timeout"
+        assert connection == "close"
+        # The deadline starts at a request's first byte: an idle keep-alive
+        # connection outlives it.
+        with ServeClient(uds=uds) as client:
+            assert client.health()["ok"] is True
+            time.sleep(0.3)
+            assert client.metrics()["slo"]["bad_requests"] == 1

@@ -500,6 +500,14 @@ def test_serve_rejects_bad_config(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--shards", "--shard-depth", "--max-batch"])
+def test_serve_rejects_out_of_range_sizes(tmp_path, capsys, flag):
+    uds = tmp_path / "serve.sock"
+    assert main(["serve", "--uds", str(uds), "--no-disk-cache", flag, "0"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not uds.exists()  # refused before it listened
+
+
 def test_loadgen_rejects_bad_config(capsys):
     assert main(["loadgen", "--uds", "/tmp/x.sock", "--requests", "0"]) == 2
     assert "error:" in capsys.readouterr().err
