@@ -125,11 +125,11 @@ def test_perf_vectorized_backend(benchmark):
     acceptance point from the bench trajectory (the deepest-fused level
     structure of the grid).  The interpreter's big-int work grows with
     the batch while the limb backend's per-call cost is mostly fixed, so
-    the ratio climbs with the batch: ~85x at 1024 vectors and ~180x at
-    4096 with the C transpose fast path (:mod:`repro.netlist._accel`),
-    ~45x and ~160x pure-numpy, on a 2-vCPU x86 VM.  The floors sit far
-    below that band and no lower than the 10x (full scale) / 4x
-    (reduced) simulate_batch floor above.
+    the ratio climbs with the batch: ~115x at 1024 vectors and ~140x at
+    4096 with the C library (:mod:`repro.netlist._accel`: plan
+    evaluator and transposes), ~57x and ~120x pure-numpy, on a 2-vCPU
+    x86 VM.  The floors sit far below that band and no lower than the
+    10x (full scale) / 4x (reduced) simulate_batch floor above.
 
     The ratio is taken over CPU time (``time.process_time``): on shared
     single-CPU runners wall-clock noise lands disproportionately on the
@@ -190,4 +190,46 @@ def test_perf_vectorized_backend(benchmark):
     assert r[1024]["ratio"] >= 10.0, (
         f"vectorized backend regressed at 1024 vectors "
         f"({r[1024]['ratio']:.1f}x vs reference, floor 10x)"
+    )
+
+
+def test_perf_c_plan_runner():
+    """The C plan evaluator against the generated numpy group schedule
+    it replaces, on the same limb array: vlcsa2 n=256 at 1 vector, the
+    per-call overhead point, where the numpy runner pays dispatch for
+    each of its ~60 plan groups and the C runner one foreign call.
+
+    ~9-15x on a 2-vCPU x86 VM (CPU time, best of 200 calls each); the
+    floor is 3x.  Skipped when the C library does not load.
+    """
+    from repro.engine.elab import build_design
+    from repro.netlist import _accel
+    from repro.netlist.compile import _build_limb_runner, compile_circuit
+
+    if _accel.load() is None:
+        import pytest
+
+        pytest.skip("no C compiler / accel disabled")
+    sim = compile_circuit(build_design("vlcsa2", 256, 12))
+    assert sim.kernel.runner == "c"
+    numpy_runner = _build_limb_runner(sim.vector_plan())
+    V, ones, _ = sim.pack_inputs_limbs(_vectors(sim.circuit, 1, 53))
+    expect = numpy_runner(V.copy(), ones)
+
+    def best(runner):
+        times = []
+        for _ in range(200):
+            start = time.thread_time()
+            runner(V, ones)
+            times.append(time.thread_time() - start)
+        return min(times)
+
+    t_numpy, t_c = best(numpy_runner), best(sim.kernel.limb_runner)
+    assert (V == expect).all(), "C plan runner diverged from the numpy runner"
+    ratio = t_numpy / t_c
+    print(f"\neval vlcsa2 n=256 x1: numpy {t_numpy * 1e6:.0f} us, "
+          f"C {t_c * 1e6:.0f} us, {ratio:.1f}x")
+    assert ratio >= 3.0, (
+        f"C plan runner only {ratio:.1f}x faster than the numpy runner "
+        f"(floor 3x)"
     )

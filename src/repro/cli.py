@@ -1024,12 +1024,14 @@ def _cmd_sim(args: argparse.Namespace) -> int:
     ``--faults``, the fault reports) are compared bit for bit — any
     mismatch exits 1.  ``auto`` is reported as ``vectorized``, the
     backend it runs.  The JSON report is the checked-in
-    ``BENCH_netlist_sim.json`` format.
+    ``BENCH_netlist_sim.json`` format; its top-level ``accel`` records
+    whether the C library (:mod:`repro.netlist._accel`) loaded.
     """
     import random
     import time
 
     from repro.engine import EngineMetrics
+    from repro.netlist import _accel
     from repro.netlist.compile import compile_circuit
     from repro.netlist.faults import fault_coverage, fault_coverage_reference
     from repro.netlist.simulate import simulate_batch, simulate_batch_reference
@@ -1214,6 +1216,7 @@ def _cmd_sim(args: argparse.Namespace) -> int:
             "vectors": list(args.vectors),
             "optimize": args.optimize,
             "backend": args.backend,
+            "accel": _accel.load() is not None,
             "repeat": repeat,
             "seed": seed,
             "ok": not mismatches,

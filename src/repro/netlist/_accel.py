@@ -1,30 +1,37 @@
-"""Optional C fast path for the limb backend's bit-plane transposes.
+"""Optional C fast path for the limb backend: plan evaluation and transposes.
 
-The vectorized simulation backend (:mod:`repro.netlist.compile`) spends
-most of its small-batch time in the 64x64 bit-matrix transposes that
-move bus values between vector-major and net-major bit-plane layouts.
-The numpy SWAR implementation is a few dozen full-array ops per call,
-which is dispatch-bound at common batch sizes (~1 us per op for a 32 KiB
-array); the same transpose in C is a single call that runs entirely in
-registers and L1.
+The vectorized simulation backend (:mod:`repro.netlist.compile`) has two
+dispatch-bound stages at small batch sizes.  Evaluating a
+:class:`~repro.netlist.compile.VectorPlan` in numpy costs a few ops per
+``(level, kind)`` group, 27-69 groups on the 64-bit designs, whatever
+the batch; and the 64x64 bit-matrix transposes that move bus values
+between vector-major and net-major bit-plane layouts are a few dozen
+full-array ops per call.  In C each stage is one call that walks its
+data once.
 
 This module embeds that C source, compiles it once with the system C
 compiler into a content-addressed shared library under a per-user cache
 directory, and loads it through :mod:`ctypes`.  Everything is optional:
 if no compiler is present, the build fails, or ``REPRO_ACCEL=0`` is set
 in the environment, :func:`load` returns ``None`` and callers keep the
-pure-numpy path.  Both paths are bit-identical by construction (the C
-code is a line-for-line port of the numpy masked-swap rounds) and the
-test suite cross-checks them whenever the library is available.
+pure-numpy path.  Both paths are bit-identical by construction (the
+transposes are a line-for-line port of the numpy masked-swap rounds,
+the plan evaluator applies the same per-kind algebra as
+``compile._VEC_KERNELS``) and the test suite cross-checks them whenever
+the library is available.
 
-Exposed operations, all on C-contiguous uint64 buffers:
+Exposed operations.  Every array argument is checked on each call (type,
+dtype, dimensions, C-contiguity, and the shape the C code indexes) and a
+failed check raises instead of reading or writing out of bounds:
 
-* ``bit_transpose_blocks(x, rows, cols)`` — in-place 64x64 bit
-  transpose of every 64-row block of a ``(rows, cols)`` array;
-* ``pack_planes(arr, nv, rows, cols)`` — vector-major ``(nv,)`` values
-  to ``(64, cols)`` net-major bit planes (tail zero-filled);
-* ``unpack_planes(rows, cols, out, nv)`` — ``(64, cols)`` bit planes
-  back to the first ``nv`` vector-major values.
+* ``pack_planes(arr, nv, rows)`` — vector-major ``(nv,)`` values to
+  ``(64, cols)`` net-major bit planes (tail zero-filled);
+* ``unpack_planes(rows, out, nv)`` — ``(64, cols)`` bit planes back to
+  the first ``nv`` vector-major values;
+* ``plan_runner(ops, pins, num_nets)`` — a ``runner(V, ones)`` closure
+  that evaluates a flattened gate table (one :data:`PLAN_KINDS` code and
+  one ``(out, in0..in3)`` row per gate, in plan order) over a
+  ``(num_nets, limbs)`` limb array in place.
 """
 
 from __future__ import annotations
@@ -34,10 +41,10 @@ import hashlib
 import os
 import subprocess
 import tempfile
-from typing import Optional
+import threading
+from typing import Callable, Optional, Tuple
 
 import numpy as np
-from numpy.ctypeslib import ndpointer
 
 #: Environment variable gating the fast path: set to ``0`` (or anything
 #: other than empty/``1``) to force the pure-numpy implementation.
@@ -74,21 +81,6 @@ static void transpose64(uint64_t *m) {
     }
 }
 
-void repro_bit_transpose_blocks(uint64_t *x, ptrdiff_t rows,
-                                ptrdiff_t cols) {
-    uint64_t m[64];
-    for (ptrdiff_t g = 0; g + 64 <= rows; g += 64) {
-        uint64_t *base = x + (size_t)g * (size_t)cols;
-        for (ptrdiff_t l = 0; l < cols; l++) {
-            for (int i = 0; i < 64; i++)
-                m[i] = base[(size_t)i * (size_t)cols + (size_t)l];
-            transpose64(m);
-            for (int i = 0; i < 64; i++)
-                base[(size_t)i * (size_t)cols + (size_t)l] = m[i];
-        }
-    }
-}
-
 void repro_pack_planes(const uint64_t *arr, ptrdiff_t nv, uint64_t *rows,
                        ptrdiff_t cols) {
     uint64_t m[64];
@@ -116,49 +108,115 @@ void repro_unpack_planes(const uint64_t *rows, ptrdiff_t cols,
         for (int i = 0; i < n; i++) out[base + i] = m[i];
     }
 }
+
+/* Gate kind codes of repro_eval_plan, in PLAN_KINDS order. */
+enum {
+    K_AND2, K_OR2, K_XOR2, K_INV, K_NAND2, K_NOR2, K_XNOR2, K_MUX2,
+    K_BUF, K_AOI21, K_OAI21, K_AOI22, K_OAI22, K_CONST0, K_CONST1
+};
+
+#define EACH(expr)                                   \
+    for (ptrdiff_t l = 0; l < limbs; l++) o[l] = (expr); \
+    break
+
+/* Evaluate ngates gates in table order over the (num_nets, limbs) limb
+ * array V, in place.  Gate g has kind ops[g] and pins[5g .. 5g+4] =
+ * (out, in0, in1, in2, in3) rows of V; unused inputs are 0.  A gate's
+ * output row is never one of its input rows (its level exceeds theirs),
+ * hence restrict.  Inverting gates XOR against ones, the masked
+ * all-ones row, so tail bits past the batch stay zero. */
+void repro_eval_plan(uint64_t *V, ptrdiff_t limbs, const uint64_t *ones,
+                     const int32_t *ops, const int32_t *pins,
+                     ptrdiff_t ngates) {
+    for (ptrdiff_t g = 0; g < ngates; g++) {
+        const int32_t *p = pins + 5 * g;
+        uint64_t *restrict o = V + (size_t)p[0] * (size_t)limbs;
+        const uint64_t *a = V + (size_t)p[1] * (size_t)limbs;
+        const uint64_t *b = V + (size_t)p[2] * (size_t)limbs;
+        const uint64_t *c = V + (size_t)p[3] * (size_t)limbs;
+        const uint64_t *d = V + (size_t)p[4] * (size_t)limbs;
+        switch (ops[g]) {
+        case K_AND2: EACH(a[l] & b[l]);
+        case K_OR2: EACH(a[l] | b[l]);
+        case K_XOR2: EACH(a[l] ^ b[l]);
+        case K_INV: EACH(a[l] ^ ones[l]);
+        case K_NAND2: EACH((a[l] & b[l]) ^ ones[l]);
+        case K_NOR2: EACH((a[l] | b[l]) ^ ones[l]);
+        case K_XNOR2: EACH((a[l] ^ b[l]) ^ ones[l]);
+        case K_MUX2: EACH(((b[l] ^ c[l]) & a[l]) ^ b[l]);
+        case K_BUF: EACH(a[l]);
+        case K_AOI21: EACH(((a[l] & b[l]) | c[l]) ^ ones[l]);
+        case K_OAI21: EACH(((a[l] | b[l]) & c[l]) ^ ones[l]);
+        case K_AOI22: EACH(((a[l] & b[l]) | (c[l] & d[l])) ^ ones[l]);
+        case K_OAI22: EACH(((a[l] | b[l]) & (c[l] | d[l])) ^ ones[l]);
+        case K_CONST0: EACH(0);
+        case K_CONST1: EACH(ones[l]);
+        }
+    }
+}
 """
 
-_U64_2D = ndpointer(dtype=np.uint64, ndim=2, flags="C_CONTIGUOUS")
-_U64_1D = ndpointer(dtype=np.uint64, ndim=1, flags="C_CONTIGUOUS")
+#: Gate kinds of the plan evaluator; a kind's code in the ``ops`` table
+#: is its index here (the C ``enum`` lists them in the same order).
+PLAN_KINDS: Tuple[str, ...] = (
+    "AND2", "OR2", "XOR2", "INV", "NAND2", "NOR2", "XNOR2", "MUX2",
+    "BUF", "AOI21", "OAI21", "AOI22", "OAI22", "CONST0", "CONST1",
+)
+
+#: Zero-length ctypes array type: ``from_buffer`` on it is the cheapest
+#: way to an ndarray's data address (``ndarray.ctypes.data`` and an
+#: ``ndpointer`` argument type each cost several times more per call).
+_ANCHOR = ctypes.c_char * 0
+
+
+def _address(arr: np.ndarray, ndim: int, name: str, written: bool = False) -> int:
+    """Data address of ``arr`` after checking the layout the C code assumes.
+
+    ``arr`` must be an ndarray of native uint64 with ``ndim`` dimensions,
+    C-contiguous, and writeable when the C code writes it (``written``).
+    A wrong type or dtype raises :class:`TypeError`, any other mismatch
+    :class:`ValueError`; callers check the extents they index.
+    """
+    if not isinstance(arr, np.ndarray) or arr.dtype != np.uint64:
+        got = getattr(arr, "dtype", type(arr).__name__)
+        raise TypeError(f"{name}: expected a uint64 ndarray, got {got}")
+    if arr.ndim != ndim or not arr.flags.c_contiguous:
+        raise ValueError(
+            f"{name}: expected a C-contiguous {ndim}-D array, got shape "
+            f"{arr.shape} with strides {arr.strides}"
+        )
+    if arr.flags.writeable:
+        return ctypes.addressof(_ANCHOR.from_buffer(arr))
+    if written:
+        raise ValueError(f"{name}: the C code writes this array, but it is read-only")
+    return arr.ctypes.data
+
+
+def _bind(cdll: ctypes.CDLL, name: str, argtypes: list) -> Callable[..., None]:
+    fn = getattr(cdll, name)
+    fn.argtypes = argtypes
+    fn.restype = None
+    return fn
+
+
+_P = ctypes.c_void_p
+_N = ctypes.c_ssize_t
 
 
 class AccelLib:
-    """ctypes bindings of the compiled transpose library.
+    """ctypes bindings of the compiled library.
 
-    Thin typed wrappers over the three exported C functions; ctypes
-    releases the GIL for the duration of each call.  All array arguments
-    must be C-contiguous uint64 (enforced by the ``ndpointer``
-    signatures).
+    Thin wrappers over the three exported C functions; ctypes releases
+    the GIL for the duration of each call.  Arrays go in as raw
+    ``c_void_p`` addresses after explicit checks (:func:`_address` plus
+    each wrapper's extent checks), which is cheaper per argument than
+    ``ndpointer`` and checks more.
     """
 
     def __init__(self, cdll: ctypes.CDLL):
-        self._transpose = cdll.repro_bit_transpose_blocks
-        self._transpose.argtypes = [
-            _U64_2D,
-            ctypes.c_ssize_t,
-            ctypes.c_ssize_t,
-        ]
-        self._transpose.restype = None
-        self._pack = cdll.repro_pack_planes
-        self._pack.argtypes = [
-            _U64_1D,
-            ctypes.c_ssize_t,
-            _U64_2D,
-            ctypes.c_ssize_t,
-        ]
-        self._pack.restype = None
-        self._unpack = cdll.repro_unpack_planes
-        self._unpack.argtypes = [
-            _U64_2D,
-            ctypes.c_ssize_t,
-            _U64_1D,
-            ctypes.c_ssize_t,
-        ]
-        self._unpack.restype = None
-
-    def bit_transpose_blocks(self, x: np.ndarray) -> None:
-        """In-place 64x64 bit transpose of every 64-row block of ``x``."""
-        self._transpose(x, x.shape[0], x.shape[1])
+        self._pack = _bind(cdll, "repro_pack_planes", [_P, _N, _P, _N])
+        self._unpack = _bind(cdll, "repro_unpack_planes", [_P, _N, _P, _N])
+        self._eval = _bind(cdll, "repro_eval_plan", [_P, _N, _P, _P, _P, _N])
 
     def pack_planes(
         self, arr: np.ndarray, num_vectors: int, rows: np.ndarray
@@ -166,16 +224,78 @@ class AccelLib:
         """Fill ``(64, limbs)`` ``rows`` from vector-major ``arr``.
 
         Values past ``num_vectors`` (the pad tail of the last limb) read
-        as zero, preserving the zero-tail-bit invariant.
+        as zero, preserving the zero-tail-bit invariant.  ``arr`` holds
+        at least ``num_vectors`` values and ``rows`` room for them.
         """
-        self._pack(arr, num_vectors, rows, rows.shape[1])
+        src = _address(arr, 1, "arr")
+        dst = _address(rows, 2, "rows", written=True)
+        _check_planes(rows, num_vectors)
+        if arr.shape[0] < num_vectors:
+            raise ValueError(f"arr: {arr.shape[0]} values, {num_vectors} requested")
+        self._pack(src, num_vectors, dst, rows.shape[1])
 
     def unpack_planes(
         self, rows: np.ndarray, out: np.ndarray, num_vectors: int
     ) -> None:
         """Write the first ``num_vectors`` vector-major values of the
-        ``(64, limbs)`` bit planes ``rows`` into ``out``."""
-        self._unpack(rows, rows.shape[1], out, num_vectors)
+        ``(64, limbs)`` bit planes ``rows`` into ``out``, which has room
+        for at least ``num_vectors`` values."""
+        src = _address(rows, 2, "rows")
+        dst = _address(out, 1, "out", written=True)
+        _check_planes(rows, num_vectors)
+        if out.shape[0] < num_vectors:
+            raise ValueError(f"out: room for {out.shape[0]} values, {num_vectors} requested")
+        self._unpack(src, rows.shape[1], dst, num_vectors)
+
+    def plan_runner(
+        self, ops: np.ndarray, pins: np.ndarray, num_nets: int
+    ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """A ``runner(V, ones)`` evaluating a gate table over ``V`` in place.
+
+        ``ops`` is an int32 :data:`PLAN_KINDS` code per gate and ``pins``
+        an int32 ``(gates, 5)`` array of ``(out, in0..in3)`` rows, unused
+        inputs 0, in an order where every gate's inputs are written
+        before it runs.  Both are validated here once, including every
+        pin against ``num_nets``, and kept alive on the closure, which
+        reuses their addresses.  Each call checks ``V`` is a writeable
+        C-contiguous uint64 ``(num_nets, limbs)`` array and ``ones`` a
+        ``(limbs,)`` one, then makes one C call and returns ``V``.
+        """
+        if ops.dtype != np.int32 or pins.dtype != np.int32:
+            raise TypeError(f"gate table: expected int32, got {ops.dtype} and {pins.dtype}")
+        ops, pins = np.ascontiguousarray(ops), np.ascontiguousarray(pins)
+        gates = ops.shape[0] if ops.ndim == 1 else -1
+        if pins.shape != (gates, 5):
+            raise ValueError(f"gate table: shapes {ops.shape} and {pins.shape} do not match")
+        if gates and not (
+            0 <= ops.min() and ops.max() < len(PLAN_KINDS)
+            and 0 <= pins.min() and pins.max() < num_nets
+        ):
+            raise ValueError("gate table holds an unknown kind or an out-of-range net")
+        run_c = self._eval
+        ops_at, pins_at = ops.ctypes.data, pins.ctypes.data
+
+        def runner(V: np.ndarray, ones: np.ndarray) -> np.ndarray:
+            ones_at = _address(ones, 1, "ones")
+            limbs = ones.shape[0]
+            V_at = _address(V, 2, "V", written=True)
+            if V.shape != (num_nets, limbs):
+                raise ValueError(f"V: expected shape {(num_nets, limbs)}, got {V.shape}")
+            run_c(V_at, limbs, ones_at, ops_at, pins_at, gates)
+            return V
+
+        # The closure holds only the addresses; this keeps the arrays alive.
+        runner.table = (ops, pins)  # type: ignore[attr-defined]
+        return runner
+
+
+def _check_planes(rows: np.ndarray, num_vectors: int) -> None:
+    """``rows`` must be ``(64, limbs)`` planes with room for ``num_vectors``."""
+    if rows.shape[0] != 64 or not 0 <= num_vectors <= 64 * rows.shape[1]:
+        raise ValueError(
+            f"rows: expected (64, limbs) planes for {num_vectors} vectors, "
+            f"got shape {rows.shape}"
+        )
 
 
 def _cache_dir() -> str:
@@ -231,6 +351,7 @@ def _build(source: str, out_path: str) -> bool:
 
 _LIB: Optional[AccelLib] = None
 _TRIED = False
+_LOAD_LOCK = threading.Lock()
 
 
 def load() -> Optional[AccelLib]:
@@ -240,11 +361,23 @@ def load() -> Optional[AccelLib]:
     cached build of) the embedded C source; later calls are a read of
     the module global.  Returns ``None`` — permanently for this process
     — when ``REPRO_ACCEL=0``, no C compiler works, or loading fails.
+
+    Thread-safe: a caller that arrives while another thread builds the
+    library waits for it rather than reading ``None``, because a kernel
+    compiled in that window would keep the numpy runner for good.
     """
     global _LIB, _TRIED
     if _TRIED:
         return _LIB
-    _TRIED = True
+    with _LOAD_LOCK:
+        if not _TRIED:
+            _LIB = _open()
+            _TRIED = True
+    return _LIB
+
+
+def _open() -> Optional[AccelLib]:
+    """Build (unless cached) and load the library; ``None`` on any failure."""
     gate = os.environ.get(ACCEL_ENV, "1")
     if gate not in ("", "1"):
         return None
@@ -253,7 +386,6 @@ def load() -> Optional[AccelLib]:
     if not os.path.exists(so_path) and not _build(_SOURCE, so_path):
         return None
     try:
-        _LIB = AccelLib(ctypes.CDLL(so_path))
+        return AccelLib(ctypes.CDLL(so_path))
     except OSError:
-        _LIB = None
-    return _LIB
+        return None

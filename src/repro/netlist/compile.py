@@ -13,19 +13,21 @@ work to *compile time* and runs the batch on uint64 bit-planes:
   level and only recompute its fanout cone;
 * **level-vectorized execution** — gates are grouped by ``(logic level,
   kind)`` into a :class:`VectorPlan`; net values live in a ``(num_nets,
-  limbs)`` uint64 bit-plane array (64 vectors per limb) and each group
-  evaluates as one fancy-index gather, a couple of fused numpy bitwise
-  ops, and one scatter.  Within a level no gate reads a same-level
-  output (a level is ``1 + max(input levels)``), so the scatter is
-  always safe.  The group schedule itself is generated as one
-  straight-line function (:func:`_build_limb_runner`);
+  limbs)`` uint64 bit-plane array (64 vectors per limb).  Within a level
+  no gate reads a same-level output (a level is ``1 + max(input
+  levels)``), so plan order is a valid evaluation order.  When the
+  optional C library (:mod:`repro.netlist._accel`) loads, the plan is
+  flattened once into a per-gate table (:func:`_gate_table`) and one C
+  call evaluates the whole batch; otherwise each group evaluates as one
+  fancy-index gather, a couple of fused numpy bitwise ops, and one
+  scatter, in one generated straight-line function
+  (:func:`_build_limb_runner`), the only fallback;
 * **bit-plane transposes** — batches enter and leave as per-vector bus
   values; :func:`pack_values_limbs` and :func:`unpack_values_limbs` move
-  them to and from the limb rows with a byte-level
+  them to and from the limb rows in one C call per 64-plane chunk when
+  the library loads; without it, with a byte-level
   ``unpackbits``/``packbits`` transpose for one-limb batches (at most 64
-  vectors) and above that with the optional C library
-  (:mod:`repro.netlist._accel`) when it loads, else masked-swap 64x64
-  block transposes;
+  vectors) and masked-swap 64x64 block transposes above that;
 * **compile caching** — kernels are cached in an
   :class:`repro.engine.cache.ElaborationCache` (memory LRU) keyed by a
   content hash of the netlist (:func:`circuit_fingerprint`), plus an
@@ -132,22 +134,10 @@ def _transpose64_blocks(x: np.ndarray) -> np.ndarray:
     round allocation-free.  ``x`` must own its buffer (it is mutated and
     must not alias caller data).
 
-    When the optional C library (:mod:`repro.netlist._accel`) is
-    available the whole transpose is one foreign call instead of ~70
-    dispatch-bound numpy ops; both implementations are bit-identical.
-    """
-    lib = _accel.load()
-    if lib is not None and x.flags.c_contiguous:
-        lib.bit_transpose_blocks(x)
-        return x
-    return _transpose64_blocks_numpy(x)
-
-
-def _transpose64_blocks_numpy(x: np.ndarray) -> np.ndarray:
-    """Pure-numpy masked-swap rounds of :func:`_transpose64_blocks`.
-
-    Kept callable directly so tests can cross-check the C fast path
-    against it; same in-place contract.
+    The numpy fallback for batches above one limb; with the optional C
+    library (:mod:`repro.netlist._accel`) loaded, ``pack_planes`` and
+    ``unpack_planes`` run the same rounds in C, and the tests
+    cross-check them against this function.
     """
     half = x.shape[0] // 2
     a = np.empty((half, x.shape[1]), dtype=_U64)
@@ -489,14 +479,15 @@ _VEC_KERNELS = _build_vec_kernels()
 def _build_limb_runner(
     plan: VectorPlan,
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Codegen the straight-line group schedule of the limb backend.
+    """Codegen the straight-line numpy group schedule of the limb backend.
 
-    Emits one line per :class:`PlanGroup` — kernel call on gathered
-    operand rows, slice outputs written in place, scatter outputs
-    staged through one shared buffer — and ``exec``-compiles it.  This
-    removes the per-group interpreter overhead (loop, genexprs, dict
-    lookups) from :meth:`CompiledSim.eval_limbs`, which is measurable at
-    small batch sizes where numpy dispatch dominates.
+    The kernel's runner when the C library does not load (the C plan
+    evaluator replaces it otherwise).  Emits one line per
+    :class:`PlanGroup` — kernel call on gathered operand rows, slice
+    outputs written in place, scatter outputs staged through one shared
+    buffer — and ``exec``-compiles it.  This removes the per-group
+    interpreter overhead (loop, genexprs, dict lookups) from
+    :meth:`CompiledSim.eval_limbs`; numpy dispatch per group remains.
     """
     sels: List[Union[slice, np.ndarray]] = []
     kernels: List[Callable[..., None]] = []
@@ -533,15 +524,41 @@ def _build_limb_runner(
     return namespace["_run"]  # type: ignore[return-value]
 
 
+def _gate_table(plan: VectorPlan, num_gates: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The plan flattened to the C evaluator's per-gate table.
+
+    Returns ``(ops, pins)``: an int32 :data:`repro.netlist._accel.PLAN_KINDS`
+    code per gate and int32 ``(out, in0..in3)`` rows (unused inputs 0)
+    in the renumbered net space, both in plan order, so every gate's
+    inputs are written before it runs.  Built group by group from
+    ``out_idx``/``in_idx``.
+    """
+    ops = np.empty(num_gates, dtype=np.int32)
+    pins = np.zeros((num_gates, 5), dtype=np.int32)
+    start = 0
+    for group in plan.groups:
+        stop = start + group.out_idx.size
+        ops[start:stop] = _accel.PLAN_KINDS.index(group.kind)
+        pins[start:stop, 0] = group.out_idx
+        pins[start:stop, 1 : 1 + group.in_idx.shape[0]] = group.in_idx.T
+        start = stop
+    return ops, pins
+
+
 @dataclass
 class CompiledKernel:
     """Reusable compilation artifacts, keyed by circuit content hash.
 
     Holds everything derived purely from the gate-level structure: the
-    levelization, the fanout adjacency, the :class:`VectorPlan` and its
-    generated group schedule (``limb_runner``).  Bus binding (names to
-    nets) stays with the :class:`CompiledSim` wrapper so one kernel
-    serves any identically structured circuit.
+    levelization, the fanout adjacency, the :class:`VectorPlan` and the
+    runner that evaluates it (``limb_runner``, named by ``runner``).
+    The runner is the C plan evaluator of :mod:`repro.netlist._accel`
+    over the plan's gate table (:func:`_gate_table`, ``runner == "c"``)
+    whenever the library loads, else the generated numpy group schedule
+    (:func:`_build_limb_runner`, ``runner == "numpy"``); both are
+    bit-identical.  Bus binding (names to nets) stays with the
+    :class:`CompiledSim` wrapper so one kernel serves any identically
+    structured circuit.
     """
 
     key: str
@@ -552,6 +569,7 @@ class CompiledKernel:
     readers: Tuple[Tuple[int, ...], ...]
     plan: VectorPlan
     limb_runner: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    runner: str
 
 
 def _build_kernel(circuit: Circuit, key: str) -> CompiledKernel:
@@ -570,6 +588,12 @@ def _build_kernel_inner(circuit: Circuit, key: str) -> CompiledKernel:
             raise NetlistError(f"cannot simulate gate kind {gate.kind!r}")
     gate_level, net_level, readers = levelize(circuit)
     plan = build_vector_plan(circuit, gate_level)
+    lib = _accel.load()
+    if lib is None:
+        runner, name = _build_limb_runner(plan), "numpy"
+    else:
+        ops, pins = _gate_table(plan, circuit.num_gates)
+        runner, name = lib.plan_runner(ops, pins, circuit.num_nets), "c"
     return CompiledKernel(
         key=key,
         num_nets=circuit.num_nets,
@@ -578,7 +602,8 @@ def _build_kernel_inner(circuit: Circuit, key: str) -> CompiledKernel:
         net_level=net_level,
         readers=tuple(tuple(r) for r in readers),
         plan=plan,
-        limb_runner=_build_limb_runner(plan),
+        limb_runner=runner,
+        runner=name,
     )
 
 
@@ -681,23 +706,24 @@ def _pack_u64_limbs(
 ) -> np.ndarray:
     """Transpose a uint64 value array into its low ``width`` limb rows.
 
-    A one-limb batch takes the byte transpose (:func:`_pack_one_limb`),
-    which beats even the C call's fixed ctypes cost there.  Larger ones
-    go through the C library in one call or, without it, pad to whole
-    64-vector blocks (tail bits stay zero, per the :func:`limb_ones`
-    invariant) and bit-transpose every block with
-    :func:`_transpose64_blocks`.  The word-transpose copy into the owned
-    ``(64, limbs)`` buffer both feeds the rows-first swap layout and
-    guarantees the in-place rounds never touch ``arr``'s buffer.
+    With the C library loaded, one ``pack_planes`` call at every batch
+    size.  Without it a one-limb batch takes the byte transpose
+    (:func:`_pack_one_limb`), and larger ones pad to whole 64-vector
+    blocks (tail bits stay zero, per the :func:`limb_ones` invariant)
+    and bit-transpose every block with :func:`_transpose64_blocks`.  The
+    word-transpose copy into the owned ``(64, limbs)`` buffer both feeds
+    the rows-first swap layout and guarantees the in-place rounds never
+    touch ``arr``'s buffer.
     """
     limbs = limb_count(num_vectors)
+    lib = _accel.load()
+    if lib is not None:
+        blocks = np.empty((64, limbs), dtype=_U64)
+        lib.pack_planes(np.ascontiguousarray(arr), num_vectors, blocks)
+        return blocks[:width]
     if limbs == 1:
         return _pack_one_limb(arr, num_vectors)[:width]
     blocks = np.empty((64, limbs), dtype=_U64)
-    lib = _accel.load()
-    if lib is not None and arr.flags.c_contiguous:
-        lib.pack_planes(arr, num_vectors, blocks)
-        return blocks[:width]
     if limbs * 64 == num_vectors:
         blocks[:, :] = arr.reshape(limbs, 64).T
     else:
@@ -780,11 +806,11 @@ def _values_from_limbs(rows: np.ndarray, num_vectors: int) -> List[int]:
 def _chunk_words(sub: np.ndarray, num_vectors: int) -> np.ndarray:
     """The ``num_vectors`` words of a ``(planes <= 64, limbs)`` chunk.
 
-    One byte transpose for a one-limb batch (:func:`_unpack_one_limb`),
-    else one C ``unpack_planes`` call or one block bit-transpose
-    (:func:`_transpose64_blocks`); a single plane (the carry-out of an
-    ``n + 1`` sum bus, a 1-bit flag) is one ``unpackbits``, left as
-    0/1 bytes.
+    One C ``unpack_planes`` call when the library loads, else one byte
+    transpose for a one-limb batch (:func:`_unpack_one_limb`) or one
+    block bit-transpose (:func:`_transpose64_blocks`); a single plane
+    (the carry-out of an ``n + 1`` sum bus, a 1-bit flag) is one
+    ``unpackbits``, left as 0/1 bytes.
     """
     planes, limbs = sub.shape
     if planes == 1:
@@ -793,8 +819,6 @@ def _chunk_words(sub: np.ndarray, num_vectors: int) -> np.ndarray:
             count=num_vectors,
             bitorder="little",
         )
-    if limbs == 1:
-        return _unpack_one_limb(sub, num_vectors)
     lib = _accel.load()
     if lib is not None:
         if planes < 64 or not sub.flags.c_contiguous:
@@ -804,6 +828,8 @@ def _chunk_words(sub: np.ndarray, num_vectors: int) -> np.ndarray:
         words = np.empty(num_vectors, dtype=_U64)
         lib.unpack_planes(sub, words, num_vectors)
         return words
+    if limbs == 1:
+        return _unpack_one_limb(sub, num_vectors)
     blocks = np.zeros((64, limbs), dtype=_U64)
     blocks[:planes] = sub
     _transpose64_blocks(blocks)
@@ -895,16 +921,17 @@ class CompiledSim:
         return V, limb_ones(num_vectors), num_vectors
 
     def eval_limbs(self, V: np.ndarray, ones: np.ndarray) -> np.ndarray:
-        """One level-vectorized forward pass over the limb array, in place.
+        """One forward pass of the plan over the limb array, in place.
 
-        Each :class:`PlanGroup` runs its :data:`_VEC_KERNELS` kernel over
-        the gathered operand rows — views where operands are contiguous,
-        fancy-index copies otherwise — writing straight into the limb
-        array when the group's outputs are contiguous and through one
-        reused scatter buffer when not.  The schedule itself is codegen'd
-        straight-line (:func:`_build_limb_runner`, cached on the kernel).
-        ``ones`` must be the masked row of the batch so inverting gates
-        leave the tail bits of the last limb zero.
+        Runs the kernel's ``limb_runner``: with the C library loaded, one
+        foreign call walks the plan's gate table (:func:`_gate_table`)
+        gate by gate, after checking ``V`` is a C-contiguous uint64
+        ``(num_nets, limbs)`` array and ``ones`` a ``(limbs,)`` one
+        (a mismatch raises); without it, each :class:`PlanGroup` runs its
+        :data:`_VEC_KERNELS` kernel over the gathered operand rows in the
+        generated schedule of :func:`_build_limb_runner`.  Both are
+        bit-identical.  ``ones`` must be the masked row of the batch so
+        inverting gates leave the tail bits of the last limb zero.
         """
         return self.kernel.limb_runner(V, ones)
 
@@ -949,7 +976,9 @@ class CompiledSim:
                 return {name: [] for name in self._out_buses}
             with _obs.span("sim.pack"):
                 V, ones, _ = self.pack_inputs_limbs(inputs)
-            with _obs.span("sim.exec", gates=self.kernel.num_gates):
+            with _obs.span(
+                "sim.exec", gates=self.kernel.num_gates, runner=self.kernel.runner
+            ):
                 self.eval_limbs(V, ones)
             with _obs.span("sim.unpack"):
                 return self.unpack_outputs(V, num_vectors)

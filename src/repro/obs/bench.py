@@ -98,12 +98,13 @@ def compare_reports(
     if not 0.0 <= tolerance < 1.0:
         raise ValueError(f"tolerance must be in [0, 1), got {tolerance}")
     result = Comparison()
-    old_schema = old.get("schema_version")
-    new_schema = new.get("schema_version")
-    if old_schema != new_schema:
-        result.warnings.append(
-            f"schema_version differs: old={old_schema!r} new={new_schema!r}"
-        )
+    # A differing C library (``accel``) names a missing compiler on one
+    # side instead of leaving a slower vectorized row to be guessed at.
+    for name in ("schema_version", "accel"):
+        if old.get(name) != new.get(name):
+            result.warnings.append(
+                f"{name} differs: old={old.get(name)!r} new={new.get(name)!r}"
+            )
     old_rows: Dict[Tuple, dict] = {_row_key(r): r for r in old.get("rows", [])}
     new_rows: Dict[Tuple, dict] = {_row_key(r): r for r in new.get("rows", [])}
     for key in sorted(set(old_rows) - set(new_rows), key=repr):

@@ -86,9 +86,10 @@ def _bench_circuit(design):
 @pytest.mark.parametrize("num_vectors", [0, 1, 2, 15, 16, 17, 63, 64, 65])
 def test_batch_size_edges(num_vectors, monkeypatch):
     """Small batches around the 64-vector limb boundary, on every
-    benchmark design, with the C library loaded and without it (one-limb
-    batches take the byte transpose either way; 65 vectors switches
-    between the C and the numpy masked-swap transposes)."""
+    benchmark design, with the C transposes and without them (patching
+    ``load`` sends up to 64 vectors to the numpy byte transpose and 65
+    to the masked-swap rounds; the kernel keeps the runner it was built
+    with)."""
     for design in BENCH_DESIGNS:
         circuit = _bench_circuit(design)
         batch = _random_batch(circuit, num_vectors, random.Random(7))

@@ -9,9 +9,13 @@ Three cross-checked layers:
   2**15 ± 1 vectors, and empty batches, checked against big-int masks
   built bit by bit;
 * **C fast path** — the optional :mod:`repro.netlist._accel` library is
-  cross-checked against the pure-numpy SWAR rounds whenever it loads,
-  the one-limb byte transpose against the same rounds, and
-  ``REPRO_ACCEL=0`` must disable the library.
+  cross-checked against the pure-numpy paths whenever it loads: its
+  transposes against the SWAR rounds, its plan evaluator against the
+  generated numpy group schedule on a circuit with every gate kind, and
+  every binding must refuse a wrong dtype, a strided array or a short
+  buffer.  The one-limb byte transpose is checked against the same
+  rounds, and ``REPRO_ACCEL=0`` must disable the library and leave the
+  numpy runner in charge.
 """
 
 import os
@@ -26,10 +30,13 @@ from hypothesis import strategies as st
 
 from repro.engine.elab import build_design, grid_designs
 from repro.netlist import _accel
-from repro.netlist.circuit import NetlistError
+from repro.netlist.circuit import GATE_ARITY, Circuit, NetlistError
 from repro.netlist.compile import (
+    _VEC_KERNELS,
+    _build_limb_runner,
+    _gate_table,
     _pack_one_limb,
-    _transpose64_blocks_numpy,
+    _transpose64_blocks,
     _unpack_one_limb,
     compile_circuit,
     limb_count,
@@ -265,23 +272,36 @@ def test_scratch_buffer_reused_across_batches():
 # ---------------------------------------------------------------------------
 
 
-def test_accel_matches_numpy_transpose_when_available():
+def _accel_or_skip():
     lib = _accel.load()
     if lib is None:
         pytest.skip("no C compiler / accel disabled")
+    return lib
+
+
+def test_accel_matches_numpy_transpose_when_available():
+    """The C pack/unpack transposes equal the numpy masked-swap rounds
+    on the zero-padded, word-transposed blocks."""
+    lib = _accel_or_skip()
     rng = np.random.default_rng(9)
-    for rows, cols in [(64, 1), (64, 7), (128, 16), (192, 3)]:
-        x = rng.integers(0, 1 << 63, size=(rows, cols), dtype=np.uint64)
-        expect = _transpose64_blocks_numpy(x.copy())
-        got = x.copy()
-        lib.bit_transpose_blocks(got)
+    for nv in (1, 64, 100, 448, 1024):
+        limbs = limb_count(nv)
+        arr = rng.integers(0, 1 << 64, size=nv, dtype=np.uint64)
+        padded = np.zeros(limbs * 64, dtype=np.uint64)
+        padded[:nv] = arr
+        expect = _transpose64_blocks(np.ascontiguousarray(padded.reshape(limbs, 64).T))
+        got = np.empty((64, limbs), dtype=np.uint64)
+        lib.pack_planes(arr, nv, got)
         assert np.array_equal(got, expect)
+        planes = rng.integers(0, 1 << 64, size=(64, limbs), dtype=np.uint64)
+        words = _transpose64_blocks(planes.copy()).T.reshape(-1)[:nv]
+        out = np.empty(nv, dtype=np.uint64)
+        lib.unpack_planes(planes, out, nv)
+        assert np.array_equal(out, words)
 
 
 def test_accel_pack_unpack_roundtrip_when_available():
-    lib = _accel.load()
-    if lib is None:
-        pytest.skip("no C compiler / accel disabled")
+    lib = _accel_or_skip()
     rng = np.random.default_rng(10)
     for nv in (1, 63, 64, 65, 200):
         arr = rng.integers(0, 1 << 63, size=nv, dtype=np.uint64)
@@ -295,6 +315,140 @@ def test_accel_pack_unpack_roundtrip_when_available():
         assert np.array_equal(out, arr)
 
 
+def _every_kind_circuit(seed=11, gates=300):
+    """A random netlist that uses every gate kind the limb backend runs,
+    the constants included, over several logic levels."""
+    rng = random.Random(seed)
+    circuit = Circuit("every_kind")
+    nets = circuit.add_input_bus("a", 6) + circuit.add_input_bus("b", 5)
+    kinds = sorted(_VEC_KERNELS)
+    for index in range(gates):
+        kind = kinds[index % len(kinds)]
+        inputs = [rng.choice(nets) for _ in range(GATE_ARITY[kind])]
+        nets.append(circuit.add_gate(kind, inputs))
+    circuit.set_output_bus("y", nets[-16:])
+    return circuit
+
+
+def test_plan_kinds_cover_the_numpy_kernels():
+    assert sorted(_accel.PLAN_KINDS) == sorted(_VEC_KERNELS)
+    assert len(set(_accel.PLAN_KINDS)) == len(_accel.PLAN_KINDS)
+
+
+@pytest.mark.parametrize("num_vectors", [1, 2, 63, 64, 65, 1000])
+def test_c_plan_runner_matches_numpy_runner(num_vectors):
+    """The C evaluator writes the numpy schedule's limb array bit for
+    bit, and leaves every row's bits past the batch zero."""
+    _accel_or_skip()
+    circuit = _every_kind_circuit()
+    assert {g.kind for g in circuit.gates} == set(_VEC_KERNELS)
+    sim = compile_circuit(circuit)
+    assert sim.kernel.runner == "c"
+    inputs = _random_batch(circuit, num_vectors, random.Random(num_vectors))
+    V, ones, _ = sim.pack_inputs_limbs(inputs)
+    expect = _build_limb_runner(sim.vector_plan())(V.copy(), ones)
+    got = sim.eval_limbs(V, ones)
+    assert got is V
+    assert np.array_equal(got, expect)
+    assert not np.any(got & ~ones)
+    outputs = sim.unpack_outputs(V, num_vectors)
+    assert outputs == simulate_batch_reference(circuit, inputs)
+
+
+@pytest.mark.parametrize(
+    "design", [("vlcsa1", 64, 8), ("vlcsa2", 256, 12), ("designware", 64, None),
+               ("kogge_stone", 64, None)],
+)
+def test_c_plan_runner_on_benchmark_designs(design):
+    """The four benchmark designs at 1, 16 and 1024 vectors against the
+    reference interpreter, on whichever runner the kernel holds."""
+    built = build_design(*design)
+    circuit = getattr(built, "circuit", built)
+    runner = "c" if _accel.load() is not None else "numpy"
+    assert compile_circuit(circuit).kernel.runner == runner
+    rng = random.Random(design[1])
+    for num_vectors in (1, 16, 1024):
+        inputs = _random_batch(circuit, num_vectors, rng)
+        assert simulate_batch(circuit, inputs) == simulate_batch_reference(
+            circuit, inputs
+        ), (design, num_vectors)
+
+
+def test_c_plan_runner_refuses_bad_arrays():
+    """A wrong dtype, a strided, a short or a mis-shaped ``V`` or
+    ``ones`` raises before the C call can read or write out of bounds."""
+    lib = _accel_or_skip()
+    circuit = _every_kind_circuit(gates=40)
+    sim = compile_circuit(circuit)
+    V, ones, _ = sim.pack_inputs_limbs(_random_batch(circuit, 130, random.Random(1)))
+    run = sim.kernel.limb_runner
+    with pytest.raises(TypeError):
+        run(V.astype(np.int64), ones)
+    with pytest.raises(TypeError):
+        run(V, ones.astype(np.uint32))
+    with pytest.raises(ValueError):
+        run(V[:-1], ones)  # one net row short
+    with pytest.raises(ValueError):
+        run(V[:, :1], ones)  # strided, and one limb short
+    with pytest.raises(ValueError):
+        run(V, ones[:1])
+    with pytest.raises(ValueError):
+        run(V.reshape(-1), ones)
+    frozen = V.copy()
+    frozen.flags.writeable = False
+    with pytest.raises(ValueError):
+        run(frozen, ones)  # the C code would write through a read-only view
+    ops, pins = _gate_table(sim.vector_plan(), circuit.num_gates)
+    bad = pins.copy()
+    bad[0, 1] = circuit.num_nets
+    with pytest.raises(ValueError):
+        lib.plan_runner(ops, bad, circuit.num_nets)
+    with pytest.raises(TypeError):
+        lib.plan_runner(ops.astype(np.int64), pins, circuit.num_nets)
+
+
+def test_transpose_bindings_refuse_bad_arrays():
+    """Both transpose bindings raise on a wrong dtype, a strided array
+    and a short buffer instead of reading or writing past it."""
+    lib = _accel_or_skip()
+    arr = np.arange(100, dtype=np.uint64)
+    rows = np.zeros((64, 2), dtype=np.uint64)
+    out = np.zeros(100, dtype=np.uint64)
+    # pack_planes(arr, nv, rows)
+    with pytest.raises(TypeError):
+        lib.pack_planes(arr.astype(np.int64), 100, rows)
+    with pytest.raises(ValueError):
+        lib.pack_planes(np.arange(200, dtype=np.uint64)[::2], 100, rows)
+    with pytest.raises(ValueError):
+        lib.pack_planes(arr, 100, np.zeros((64, 4), dtype=np.uint64)[:, ::2])
+    with pytest.raises(ValueError):
+        lib.pack_planes(arr[:99], 100, rows)  # short input
+    with pytest.raises(ValueError):
+        lib.pack_planes(arr, 100, np.zeros((64, 1), dtype=np.uint64))  # short out
+    with pytest.raises(ValueError):
+        lib.pack_planes(arr, 100, np.zeros((63, 2), dtype=np.uint64))
+    # unpack_planes(rows, out, nv)
+    with pytest.raises(TypeError):
+        lib.unpack_planes(rows, out.astype(np.float64), 100)
+    with pytest.raises(ValueError):
+        lib.unpack_planes(np.zeros((64, 4), dtype=np.uint64)[:, ::2], out, 100)
+    with pytest.raises(ValueError):
+        lib.unpack_planes(rows, np.zeros(200, dtype=np.uint64)[::2], 100)
+    with pytest.raises(ValueError):
+        lib.unpack_planes(rows, out[:99], 100)  # short out
+    with pytest.raises(ValueError):
+        lib.unpack_planes(rows[:, :1].copy(), out, 100)  # short planes
+    frozen = out.copy()
+    frozen.flags.writeable = False
+    with pytest.raises(ValueError):
+        lib.unpack_planes(rows, frozen, 100)  # read-only output
+    # The well-formed calls still work, read-only input included.
+    arr.flags.writeable = False
+    lib.pack_planes(arr, 100, rows)
+    lib.unpack_planes(rows, out, 100)
+    assert np.array_equal(out, arr)
+
+
 @pytest.mark.parametrize("num_vectors", [1, 2, 15, 16, 17, 63, 64])
 def test_one_limb_byte_transpose_matches_swap_rounds(num_vectors):
     """The numpy fallback's one-limb pack/unpack equal the masked-swap
@@ -303,7 +457,7 @@ def test_one_limb_byte_transpose_matches_swap_rounds(num_vectors):
     arr = rng.integers(0, 1 << 64, size=num_vectors, dtype=np.uint64)
     block = np.zeros((64, 1), dtype=np.uint64)
     block[:num_vectors, 0] = arr
-    expect = _transpose64_blocks_numpy(block)
+    expect = _transpose64_blocks(block)
     planes = _pack_one_limb(arr, num_vectors)
     assert planes.shape == (64, 1)
     assert np.array_equal(planes, expect)
@@ -327,6 +481,44 @@ def test_accel_env_gate_disables_fast_path():
     assert proc.returncode == 0, proc.stderr.decode()
 
 
+def test_load_waits_for_a_build_in_progress(monkeypatch, tmp_path):
+    """Threads racing the first ``load()`` all get the library: none may
+    read ``None`` mid-build, or a kernel compiled then would keep the
+    numpy runner for the life of the process."""
+    import threading
+    import time
+
+    _accel_or_skip()
+    real_build = _accel._build
+
+    def slow_build(source, out_path):
+        time.sleep(0.2)
+        return real_build(source, out_path)
+
+    monkeypatch.setattr(_accel, "_build", slow_build)
+    monkeypatch.setattr(_accel, "_LIB", None)
+    monkeypatch.setattr(_accel, "_TRIED", False)
+    monkeypatch.setenv("REPRO_ACCEL_CACHE", str(tmp_path))
+    results = []
+    threads = [
+        threading.Thread(target=lambda: results.append(_accel.load()))
+        for _ in range(8)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 8
+    assert results[0] is not None
+    assert all(lib is results[0] for lib in results)
+
+
 def test_vectorized_identity_without_accel():
     """The pure-numpy fallback is bit-identical too (fresh process with
     the accel gated off runs a vectorized-vs-reference cross-check)."""
@@ -344,7 +536,11 @@ for count in (1, 16, 130):
     b = simulate_batch(c, inputs, backend="vectorized")
     assert a == b
 from repro.netlist import _accel
+from repro.netlist.compile import compile_circuit
 assert _accel.load() is None
+kernel = compile_circuit(c).kernel
+assert kernel.runner == "numpy"
+assert kernel.limb_runner.__name__ == "_run"  # the generated numpy schedule
 """
     env = dict(os.environ, REPRO_ACCEL="0")
     env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")

@@ -82,6 +82,16 @@ class TestCompareReports:
         assert any("schema_version differs" in w for w in result.warnings)
         assert result.ok
 
+    def test_accel_mismatch_warns(self):
+        """A report made without the C library is named, not guessed at."""
+        old = dict(copy.deepcopy(BASELINE), accel=True)
+        new = dict(copy.deepcopy(BASELINE), accel=False)
+        result = compare_reports(old, new, 0.1)
+        assert "accel differs: old=True new=False" in result.warnings
+        assert result.ok
+        same = compare_reports(old, copy.deepcopy(old), 0.1)
+        assert not any("accel" in w for w in same.warnings)
+
     def test_missing_metric_is_skipped_not_crashed(self):
         # designware row has no fault_speedup: must simply not compare it
         result = compare_reports(BASELINE, copy.deepcopy(BASELINE), 0.1)
@@ -136,6 +146,12 @@ class TestCli:
         assert main(
             ["bench", "compare", old, new, "--metrics", "fault_speedup"]
         ) == 0
+
+    def test_accel_mismatch_prints_warning(self, tmp_path, capsys):
+        old = self._write(tmp_path, "old.json", dict(BASELINE, accel=True))
+        new = self._write(tmp_path, "new.json", dict(BASELINE, accel=False))
+        assert main(["bench", "compare", old, new]) == 0
+        assert "warning: accel differs: old=True new=False" in capsys.readouterr().out
 
     def test_unreadable_report_exits_two(self, tmp_path, capsys):
         old = self._write(tmp_path, "old.json", BASELINE)

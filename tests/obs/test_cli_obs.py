@@ -87,6 +87,14 @@ class TestTraceFlag:
         # compile.codegen is absent when the process-wide kernel cache is
         # already warm from an earlier test; the sim spans always fire.
         assert {"sim.batch", "sim.exec"} <= names
+        # sim.exec names the plan runner that ran: the C evaluator when
+        # the library loads, else the numpy group schedule.
+        from repro.netlist import _accel
+
+        runner = "c" if _accel.load() is not None else "numpy"
+        assert {
+            e["args"]["runner"] for e in events if e["name"] == "sim.exec"
+        } == {runner}
         err = capsys.readouterr().err
         assert "trace event(s)" in err
         assert "repro.sim" in err  # the text flamegraph

@@ -284,6 +284,9 @@ def test_sim_both_backends_cross_check_json(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["command"] == "sim"
     assert doc["ok"] is True
+    from repro.netlist import _accel
+
+    assert doc["accel"] is (_accel.load() is not None)
     assert len(doc["rows"]) == 2
     for row in doc["rows"]:
         assert row["vectorized_speedup"] > 0
