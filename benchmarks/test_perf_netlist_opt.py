@@ -17,16 +17,21 @@ at n=64) on the per-gate big-int forward pass
 cost follows the gate count: fewer gates usually simulate faster, but
 structural sharing can lengthen the levelized schedule's dependency
 chains, and measured speedups hover around 1.0-1.5x.  The vectorized
-backend's cost follows the number of fused ``(level, kind)`` groups
-instead, which compound-cell mapping raises (35 -> 61 groups at n=64),
-so there the optimized netlist runs ~0.7-1.0x the raw one; that ratio
-is printed, not gated.
+backend's plan evaluation follows the gate count too: with the C library
+(:mod:`repro.netlist._accel`) it walks the plan gate by gate, so the
+fused ``(level, kind)`` groups that compound-cell mapping adds (35 -> 61
+at n=64) no longer cost dispatch.  The printed ``vectorized`` column is
+raw/optimized eval time alone (:meth:`CompiledSim.eval_limbs`, the p10
+thread CPU time of :data:`EVAL_CALLS` calls on one packed batch), not
+whole ``simulate_batch`` calls, whose pack and unpack of the same buses
+are alike on both netlists; it is printed, not gated.
 """
 
 import time
 
 from repro.analysis.report import format_table
 from repro.engine.elab import build_design
+from repro.netlist.compile import compile_circuit
 from repro.netlist.equiv import random_input_batch
 from repro.netlist.faults import values_with_fault
 from repro.netlist.optimize import AREA_PASSES, depth_levels, optimize
@@ -41,6 +46,9 @@ GATE_REDUCTION_FLOOR = 1.10
 
 #: Loose floor on per-gate forward-pass throughput after optimization.
 SIM_SPEEDUP_FLOOR = 0.85
+
+#: Timed ``eval_limbs`` calls per netlist for the printed eval ratio.
+EVAL_CALLS = 100
 
 
 def _input_masks(circuit, batch):
@@ -65,6 +73,19 @@ def _best_of(fn, repeat=3):
     return best, result
 
 
+def _eval_cpu_s(circuit, batch):
+    """p10 thread CPU seconds of one ``eval_limbs`` pass over ``batch``."""
+    sim = compile_circuit(circuit)
+    V, ones, _ = sim.pack_inputs_limbs(batch)
+    times = []
+    for _ in range(EVAL_CALLS):
+        start = time.thread_time()
+        sim.eval_limbs(V, ones)
+        times.append(time.thread_time() - start)
+    times.sort()
+    return times[len(times) // 10]
+
+
 def test_perf_netlist_opt_csla(benchmark):
     n_vectors = 4096 if full_scale() else 1024
 
@@ -86,8 +107,9 @@ def test_perf_netlist_opt_csla(benchmark):
             t_opt, _ = _best_of(
                 lambda: values_with_fault(opt, opt_masks, ones, None), repeat=7
             )
-            v_raw, out_raw = _best_of(lambda: simulate_batch(raw, batch))
-            v_opt, out_opt = _best_of(lambda: simulate_batch(opt, batch))
+            out_raw = simulate_batch(raw, batch)
+            out_opt = simulate_batch(opt, batch)
+            v_raw, v_opt = _eval_cpu_s(raw, batch), _eval_cpu_s(opt, batch)
             out_ref = simulate_batch(opt, batch, backend="reference")
             assert out_opt == out_ref, "backends diverged on optimized netlist"
             for bus in raw.output_buses:
@@ -125,7 +147,8 @@ def test_perf_netlist_opt_csla(benchmark):
                 for r in rows
             ],
             title=f"carry_select, AREA pipeline, CEC-proved, "
-            f"{n_vectors} vectors (best of 3)",
+            f"{n_vectors} vectors (sim: best of 7; vectorized: eval p10 "
+            f"of {EVAL_CALLS})",
         )
     )
     for r in rows:

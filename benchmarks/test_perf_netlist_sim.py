@@ -125,11 +125,12 @@ def test_perf_vectorized_backend(benchmark):
     acceptance point from the bench trajectory (the deepest-fused level
     structure of the grid).  The interpreter's big-int work grows with
     the batch while the limb backend's per-call cost is mostly fixed, so
-    the ratio climbs with the batch: ~115x at 1024 vectors and ~140x at
-    4096 with the C library (:mod:`repro.netlist._accel`: plan
-    evaluator and transposes), ~57x and ~120x pure-numpy, on a 2-vCPU
-    x86 VM.  The floors sit far below that band and no lower than the
-    10x (full scale) / 4x (reduced) simulate_batch floor above.
+    the ratio climbs with the batch: ~135-145x at 1024 vectors and
+    ~210-225x at 4096 with the C library (:mod:`repro.netlist._accel`:
+    plan evaluator and one transpose call per bus), ~45-55x and
+    ~120-135x pure-numpy, on a 2-vCPU x86 VM.  The floors sit far below
+    that band and no lower than the 10x (full scale) / 4x (reduced)
+    simulate_batch floor above.
 
     The ratio is taken over CPU time (``time.process_time``): on shared
     single-CPU runners wall-clock noise lands disproportionately on the

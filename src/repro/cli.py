@@ -2226,6 +2226,8 @@ def build_parser() -> argparse.ArgumentParser:
         "bench", help="benchmark-report tooling (regression telemetry)"
     )
     bsub = bench.add_subparsers(dest="bench_command", required=True)
+    from repro.obs.bench import DEFAULT_METRICS as BENCH_DEFAULT_METRICS
+
     b_cmp = bsub.add_parser(
         "compare",
         help="compare two bench reports; exit 1 on a throughput/speedup "
@@ -2237,9 +2239,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="allowed fractional drop, e.g. 0.1 = 10%% "
                             "(default 0.1)")
     b_cmp.add_argument("--metrics", nargs="+", default=None, metavar="NAME",
-                       help="restrict comparison to these row metrics "
-                            "(default: compiled_samples_per_s speedup "
-                            "fault_speedup)")
+                       help="restrict comparison to these metrics "
+                            f"(default: {' '.join(BENCH_DEFAULT_METRICS)})")
     b_cmp.set_defaults(fn=_cmd_bench_compare)
 
     serve = sub.add_parser(

@@ -6,8 +6,8 @@ dispatch-bound stages at small batch sizes.  Evaluating a
 ``(level, kind)`` group, 27-69 groups on the 64-bit designs, whatever
 the batch; and the 64x64 bit-matrix transposes that move bus values
 between vector-major and net-major bit-plane layouts are a few dozen
-full-array ops per call.  In C each stage is one call that walks its
-data once.
+full-array ops per 64-bit chunk of a bus.  In C the plan is one call
+and each bus one call, straight into or out of the limb array.
 
 This module embeds that C source, compiles it once with the system C
 compiler into a content-addressed shared library under a per-user cache
@@ -15,19 +15,22 @@ directory, and loads it through :mod:`ctypes`.  Everything is optional:
 if no compiler is present, the build fails, or ``REPRO_ACCEL=0`` is set
 in the environment, :func:`load` returns ``None`` and callers keep the
 pure-numpy path.  Both paths are bit-identical by construction (the
-transposes are a line-for-line port of the numpy masked-swap rounds,
-the plan evaluator applies the same per-kind algebra as
+transposes run the numpy masked-swap rounds' schedule, the plan
+evaluator applies the same per-kind algebra as
 ``compile._VEC_KERNELS``) and the test suite cross-checks them whenever
 the library is available.
 
 Exposed operations.  Every array argument is checked on each call (type,
 dtype, dimensions, C-contiguity, and the shape the C code indexes) and a
-failed check raises instead of reading or writing out of bounds:
+failed check raises instead of reading or writing out of bounds.  Index
+tables are checked once, when they are built:
 
-* ``pack_planes(arr, nv, rows)`` — vector-major ``(nv,)`` values to
-  ``(64, cols)`` net-major bit planes (tail zero-filled);
-* ``unpack_planes(rows, out, nv)`` — ``(64, cols)`` bit planes back to
-  the first ``nv`` vector-major values;
+* ``pack_bus(words, V, table)`` — one bus's ``(nv, chunks)`` value words
+  (word ``k`` holds bits ``64k .. 64k + 63``) transposed into the rows
+  of the ``(num_nets, limbs)`` limb array ``V`` that its
+  :class:`RowTable` names (tail bits zero-filled);
+* ``unpack_bus(V, table, out)`` — those rows of ``V`` back into
+  ``(nv, chunks)`` words;
 * ``plan_runner(ops, pins, num_nets)`` — a ``runner(V, ones)`` closure
   that evaluates a flattened gate table (one :data:`PLAN_KINDS` code and
   one ``(out, in0..in3)`` row per gate, in plan order) over a
@@ -54,58 +57,70 @@ _SOURCE = r"""
 #include <stdint.h>
 #include <stddef.h>
 
-/* Masked-swap masks for j = 32, 16, 8, 4, 2, 1: bit positions b with
- * (b & j) == 0.  Same schedule as the numpy rounds in compile.py. */
-static const uint64_t MASKS[6] = {
-    0x00000000FFFFFFFFULL,
-    0x0000FFFF0000FFFFULL,
-    0x00FF00FF00FF00FFULL,
-    0x0F0F0F0F0F0F0F0FULL,
-    0x3333333333333333ULL,
-    0x5555555555555555ULL,
-};
+/* One masked-swap round of a 64x64 bit-matrix transpose: rows i and
+ * i + J exchange their off-diagonal J x J sub-blocks; MASK keeps the bit
+ * positions b with (b & J) == 0.  J is a constant, so the loops have no
+ * branches and vectorize. */
+#define SWAP_ROUND(J, MASK)                                  \
+    for (int i0 = 0; i0 < 64; i0 += 2 * (J))                 \
+        for (int i = i0; i < i0 + (J); i++) {                \
+            const uint64_t a = m[i], b = m[i + (J)];         \
+            const uint64_t t = ((a >> (J)) ^ b) & (MASK);    \
+            m[i + (J)] = b ^ t;                              \
+            m[i] = a ^ (t << (J));                           \
+        }
 
+/* Transpose m in place: afterwards bit i of m[b] is bit b of the old
+ * m[i].  Same schedule as the numpy rounds in compile.py. */
 static void transpose64(uint64_t *m) {
-    static const int JS[6] = {32, 16, 8, 4, 2, 1};
-    for (int s = 0; s < 6; s++) {
-        const int j = JS[s];
-        const uint64_t mask = MASKS[s];
-        for (int i = 0; i < 64; i++) {
-            if (i & j) continue;
-            const uint64_t a = m[i];
-            const uint64_t b = m[i + j];
-            const uint64_t t = ((a >> j) ^ b) & mask;
-            m[i + j] = b ^ t;
-            m[i] = a ^ (t << j);
+    SWAP_ROUND(32, 0x00000000FFFFFFFFULL)
+    SWAP_ROUND(16, 0x0000FFFF0000FFFFULL)
+    SWAP_ROUND(8, 0x00FF00FF00FF00FFULL)
+    SWAP_ROUND(4, 0x0F0F0F0F0F0F0F0FULL)
+    SWAP_ROUND(2, 0x3333333333333333ULL)
+    SWAP_ROUND(1, 0x5555555555555555ULL)
+}
+
+/* Bus transposes.  A bus is width rows of the (num_nets, limbs) limb
+ * array V: rows[b] is the V row of bus bit b.  Its values are (nv, chunks)
+ * row-major words: word k of vector v holds bits 64k .. 64k + 63.  Each
+ * 64-bit chunk of the bus and 64-vector limb is one 64x64 transpose. */
+void repro_pack_bus(const uint64_t *words, ptrdiff_t nv, ptrdiff_t chunks,
+                    const int32_t *rows, ptrdiff_t width, uint64_t *V,
+                    ptrdiff_t limbs) {
+    uint64_t m[64];
+    for (ptrdiff_t k = 0; k < chunks; k++) {
+        const ptrdiff_t lo = 64 * k;
+        const int planes = width - lo < 64 ? (int)(width - lo) : 64;
+        for (ptrdiff_t l = 0; l < limbs; l++) {
+            for (int i = 0; i < 64; i++) {
+                const ptrdiff_t v = 64 * l + i;
+                m[i] = v < nv ? words[(size_t)v * (size_t)chunks + (size_t)k] : 0;
+            }
+            transpose64(m);
+            for (int b = 0; b < planes; b++)
+                V[(size_t)rows[lo + b] * (size_t)limbs + (size_t)l] = m[b];
         }
     }
 }
 
-void repro_pack_planes(const uint64_t *arr, ptrdiff_t nv, uint64_t *rows,
-                       ptrdiff_t cols) {
+void repro_unpack_bus(const uint64_t *V, ptrdiff_t limbs, const int32_t *rows,
+                      ptrdiff_t width, uint64_t *words, ptrdiff_t nv,
+                      ptrdiff_t chunks) {
     uint64_t m[64];
-    for (ptrdiff_t l = 0; l < cols; l++) {
-        const ptrdiff_t base = l * 64;
-        for (int i = 0; i < 64; i++) {
-            const ptrdiff_t v = base + i;
-            m[i] = v < nv ? arr[v] : 0;
+    for (ptrdiff_t k = 0; k < chunks; k++) {
+        const ptrdiff_t lo = 64 * k;
+        const int planes = width - lo < 64 ? (int)(width - lo) : 64;
+        for (ptrdiff_t l = 0; 64 * l < nv; l++) {
+            for (int b = 0; b < 64; b++)
+                m[b] = b < planes
+                    ? V[(size_t)rows[lo + b] * (size_t)limbs + (size_t)l] : 0;
+            transpose64(m);
+            const ptrdiff_t base = 64 * l;
+            const int n = nv - base < 64 ? (int)(nv - base) : 64;
+            for (int i = 0; i < n; i++)
+                words[(size_t)(base + i) * (size_t)chunks + (size_t)k] = m[i];
         }
-        transpose64(m);
-        for (int b = 0; b < 64; b++)
-            rows[(size_t)b * (size_t)cols + (size_t)l] = m[b];
-    }
-}
-
-void repro_unpack_planes(const uint64_t *rows, ptrdiff_t cols,
-                         uint64_t *out, ptrdiff_t nv) {
-    uint64_t m[64];
-    for (ptrdiff_t l = 0; l < cols; l++) {
-        for (int b = 0; b < 64; b++)
-            m[b] = rows[(size_t)b * (size_t)cols + (size_t)l];
-        transpose64(m);
-        const ptrdiff_t base = l * 64;
-        const int n = nv - base < 64 ? (int)(nv - base) : 64;
-        for (int i = 0; i < n; i++) out[base + i] = m[i];
     }
 }
 
@@ -203,6 +218,38 @@ _P = ctypes.c_void_p
 _N = ctypes.c_ssize_t
 
 
+class RowTable:
+    """The rows of one bus in a ``(num_nets, limbs)`` limb array.
+
+    ``rows[b]`` is the limb-array row of bus bit ``b``.  The table is
+    validated once, here: an int32 copy, every row checked against
+    ``num_nets``, read-only after.  So :meth:`AccelLib.pack_bus` and
+    :meth:`AccelLib.unpack_bus` need only check that their array has
+    ``num_nets`` rows.  ``chunks`` is the bus's 64-bit words per value.
+    A table works without the library; the numpy path gathers
+    ``V[table.rows]``.
+    """
+
+    __slots__ = ("rows", "num_nets", "width", "chunks", "at")
+
+    def __init__(self, rows: np.ndarray, num_nets: int):
+        if not isinstance(rows, np.ndarray) or rows.dtype != np.int32:
+            got = getattr(rows, "dtype", type(rows).__name__)
+            raise TypeError(f"row table: expected an int32 ndarray, got {got}")
+        if rows.ndim != 1:
+            raise ValueError(f"row table: expected 1-D rows, got shape {rows.shape}")
+        if rows.size and not (0 <= rows.min() and rows.max() < num_nets):
+            raise ValueError(
+                f"row table: rows {rows.min()}..{rows.max()} outside [0, {num_nets})"
+            )
+        self.rows = rows.copy()
+        self.rows.flags.writeable = False
+        self.num_nets = num_nets
+        self.width = rows.shape[0]
+        self.chunks = max(1, (self.width + 63) // 64)
+        self.at = self.rows.ctypes.data
+
+
 class AccelLib:
     """ctypes bindings of the compiled library.
 
@@ -214,38 +261,41 @@ class AccelLib:
     """
 
     def __init__(self, cdll: ctypes.CDLL):
-        self._pack = _bind(cdll, "repro_pack_planes", [_P, _N, _P, _N])
-        self._unpack = _bind(cdll, "repro_unpack_planes", [_P, _N, _P, _N])
+        self._pack_bus = _bind(cdll, "repro_pack_bus", [_P, _N, _N, _P, _N, _P, _N])
+        self._unpack_bus = _bind(cdll, "repro_unpack_bus", [_P, _N, _P, _N, _P, _N, _N])
         self._eval = _bind(cdll, "repro_eval_plan", [_P, _N, _P, _P, _P, _N])
 
-    def pack_planes(
-        self, arr: np.ndarray, num_vectors: int, rows: np.ndarray
-    ) -> None:
-        """Fill ``(64, limbs)`` ``rows`` from vector-major ``arr``.
+    def pack_bus(self, words: np.ndarray, V: np.ndarray, table: RowTable) -> None:
+        """Transpose one bus's values into its rows of ``V``.
 
-        Values past ``num_vectors`` (the pad tail of the last limb) read
-        as zero, preserving the zero-tail-bit invariant.  ``arr`` holds
-        at least ``num_vectors`` values and ``rows`` room for them.
+        ``words`` is ``(num_vectors, table.chunks)``: word ``k`` of a
+        vector holds its bits ``64k .. 64k + 63``.  ``V`` is a writeable
+        ``(table.num_nets, limbs)`` limb array with room for the
+        vectors.  Every limb of the bus's rows is written; bits past
+        ``num_vectors`` are zero, the tail invariant of ``limb_ones``.
         """
-        src = _address(arr, 1, "arr")
-        dst = _address(rows, 2, "rows", written=True)
-        _check_planes(rows, num_vectors)
-        if arr.shape[0] < num_vectors:
-            raise ValueError(f"arr: {arr.shape[0]} values, {num_vectors} requested")
-        self._pack(src, num_vectors, dst, rows.shape[1])
+        src = _address(words, 2, "words")
+        dst = _address(V, 2, "V", written=True)
+        _check_bus(V, table, words, "words")
+        self._pack_bus(
+            src, words.shape[0], table.chunks, table.at, table.width, dst, V.shape[1]
+        )
 
-    def unpack_planes(
-        self, rows: np.ndarray, out: np.ndarray, num_vectors: int
-    ) -> None:
-        """Write the first ``num_vectors`` vector-major values of the
-        ``(64, limbs)`` bit planes ``rows`` into ``out``, which has room
-        for at least ``num_vectors`` values."""
-        src = _address(rows, 2, "rows")
-        dst = _address(out, 1, "out", written=True)
-        _check_planes(rows, num_vectors)
-        if out.shape[0] < num_vectors:
-            raise ValueError(f"out: room for {out.shape[0]} values, {num_vectors} requested")
-        self._unpack(src, rows.shape[1], dst, num_vectors)
+    def unpack_bus(self, V: np.ndarray, table: RowTable, out: np.ndarray) -> np.ndarray:
+        """Read one bus's rows of ``V`` back into per-vector words.
+
+        Fills and returns ``out``, a writeable ``(num_vectors,
+        table.chunks)`` array laid out like :meth:`pack_bus`'s
+        ``words``; ``V`` is a ``(table.num_nets, limbs)`` limb array
+        holding at least ``num_vectors`` vectors.
+        """
+        src = _address(V, 2, "V")
+        dst = _address(out, 2, "out", written=True)
+        _check_bus(V, table, out, "out")
+        self._unpack_bus(
+            src, V.shape[1], table.at, table.width, dst, out.shape[0], table.chunks
+        )
+        return out
 
     def plan_runner(
         self, ops: np.ndarray, pins: np.ndarray, num_nets: int
@@ -272,7 +322,6 @@ class AccelLib:
             and 0 <= pins.min() and pins.max() < num_nets
         ):
             raise ValueError("gate table holds an unknown kind or an out-of-range net")
-        run_c = self._eval
         ops_at, pins_at = ops.ctypes.data, pins.ctypes.data
 
         def runner(V: np.ndarray, ones: np.ndarray) -> np.ndarray:
@@ -281,7 +330,7 @@ class AccelLib:
             V_at = _address(V, 2, "V", written=True)
             if V.shape != (num_nets, limbs):
                 raise ValueError(f"V: expected shape {(num_nets, limbs)}, got {V.shape}")
-            run_c(V_at, limbs, ones_at, ops_at, pins_at, gates)
+            self._eval(V_at, limbs, ones_at, ops_at, pins_at, gates)
             return V
 
         # The closure holds only the addresses; this keeps the arrays alive.
@@ -289,12 +338,20 @@ class AccelLib:
         return runner
 
 
-def _check_planes(rows: np.ndarray, num_vectors: int) -> None:
-    """``rows`` must be ``(64, limbs)`` planes with room for ``num_vectors``."""
-    if rows.shape[0] != 64 or not 0 <= num_vectors <= 64 * rows.shape[1]:
+def _check_bus(V: np.ndarray, table: RowTable, words: np.ndarray, name: str) -> None:
+    """``V`` must be ``table``'s limb array and ``words`` its bus's words."""
+    if not isinstance(table, RowTable):
+        raise TypeError(f"table: expected a RowTable, got {type(table).__name__}")
+    if V.shape[0] != table.num_nets:
+        raise ValueError(f"V: {V.shape[0]} rows, the row table is for {table.num_nets}")
+    if words.shape[1] != table.chunks:
         raise ValueError(
-            f"rows: expected (64, limbs) planes for {num_vectors} vectors, "
-            f"got shape {rows.shape}"
+            f"{name}: {words.shape[1]} words per vector, a {table.width}-bit "
+            f"bus has {table.chunks}"
+        )
+    if words.shape[0] > 64 * V.shape[1]:
+        raise ValueError(
+            f"V: room for {64 * V.shape[1]} vectors, {name} has {words.shape[0]}"
         )
 
 

@@ -23,11 +23,14 @@ work to *compile time* and runs the batch on uint64 bit-planes:
   scatter, in one generated straight-line function
   (:func:`_build_limb_runner`), the only fallback;
 * **bit-plane transposes** — batches enter and leave as per-vector bus
-  values; :func:`pack_values_limbs` and :func:`unpack_values_limbs` move
-  them to and from the limb rows in one C call per 64-plane chunk when
-  the library loads; without it, with a byte-level
-  ``unpackbits``/``packbits`` transpose for one-limb batches (at most 64
-  vectors) and masked-swap 64x64 block transposes above that;
+  values.  When the library loads, each bus is one C call between its
+  ``(vectors, chunks)`` value words and the limb array, through the
+  bus's row table (:meth:`CompiledSim.pack_inputs_limbs`,
+  :func:`unpack_values_limbs`); without it, :func:`pack_values_limbs`
+  and :func:`unpack_values_limbs` transpose each 64-plane chunk with a
+  byte-level ``unpackbits``/``packbits`` transpose for one-limb batches
+  (at most 64 vectors) and masked-swap 64x64 block transposes above
+  that;
 * **compile caching** — kernels are cached in an
   :class:`repro.engine.cache.ElaborationCache` (memory LRU) keyed by a
   content hash of the netlist (:func:`circuit_fingerprint`), plus an
@@ -135,9 +138,9 @@ def _transpose64_blocks(x: np.ndarray) -> np.ndarray:
     must not alias caller data).
 
     The numpy fallback for batches above one limb; with the optional C
-    library (:mod:`repro.netlist._accel`) loaded, ``pack_planes`` and
-    ``unpack_planes`` run the same rounds in C, and the tests
-    cross-check them against this function.
+    library (:mod:`repro.netlist._accel`) loaded, ``pack_bus`` and
+    ``unpack_bus`` run the same rounds in C, and the tests cross-check
+    them against this function.
     """
     half = x.shape[0] // 2
     a = np.empty((half, x.shape[1]), dtype=_U64)
@@ -633,7 +636,9 @@ def _fast_words(values: Sequence[int], chunks: int) -> Optional[np.ndarray]:
     try:
         if chunks == 1:
             return np.frombuffer(array.array("Q", values), dtype=_U64).reshape(-1, 1)
-        buf = b"".join(v.to_bytes(8 * chunks, "little") for v in values)
+        # A bytearray, not bytes: the words stay writeable, whose
+        # address the C transposes take without a copy.
+        buf = bytearray().join(v.to_bytes(8 * chunks, "little") for v in values)
     except (OverflowError, TypeError, AttributeError):
         return None
     return np.frombuffer(buf, dtype="<u8").astype(_U64, copy=False).reshape(-1, chunks)
@@ -684,7 +689,9 @@ def pack_values_limbs(
     ``b`` (64 vectors per limb, little-endian across limbs) is bit ``b``
     of ``values[v]``.  Tail bits beyond ``len(values)`` in the last limb
     are zero.  Validation and error messages match the reference
-    interpreter (:func:`_bus_words`).
+    interpreter (:func:`_bus_words`).  The numpy transposes: with the C
+    library loaded, :meth:`CompiledSim.pack_inputs_limbs` packs each bus
+    with one ``pack_bus`` call instead.
     """
     words = _bus_words(values, width, name)
     num_vectors = len(words)
@@ -706,21 +713,15 @@ def _pack_u64_limbs(
 ) -> np.ndarray:
     """Transpose a uint64 value array into its low ``width`` limb rows.
 
-    With the C library loaded, one ``pack_planes`` call at every batch
-    size.  Without it a one-limb batch takes the byte transpose
-    (:func:`_pack_one_limb`), and larger ones pad to whole 64-vector
-    blocks (tail bits stay zero, per the :func:`limb_ones` invariant)
-    and bit-transpose every block with :func:`_transpose64_blocks`.  The
-    word-transpose copy into the owned ``(64, limbs)`` buffer both feeds
-    the rows-first swap layout and guarantees the in-place rounds never
-    touch ``arr``'s buffer.
+    The numpy path of :func:`pack_values_limbs`.  A one-limb batch takes
+    the byte transpose (:func:`_pack_one_limb`), and larger ones pad to
+    whole 64-vector blocks (tail bits stay zero, per the
+    :func:`limb_ones` invariant) and bit-transpose every block with
+    :func:`_transpose64_blocks`.  The word-transpose copy into the owned
+    ``(64, limbs)`` buffer both feeds the rows-first swap layout and
+    guarantees the in-place rounds never touch ``arr``'s buffer.
     """
     limbs = limb_count(num_vectors)
-    lib = _accel.load()
-    if lib is not None:
-        blocks = np.empty((64, limbs), dtype=_U64)
-        lib.pack_planes(np.ascontiguousarray(arr), num_vectors, blocks)
-        return blocks[:width]
     if limbs == 1:
         return _pack_one_limb(arr, num_vectors)[:width]
     blocks = np.empty((64, limbs), dtype=_U64)
@@ -748,15 +749,31 @@ def _pack_one_limb(arr: np.ndarray, num_vectors: int) -> np.ndarray:
     return planes.astype(_U64, copy=False)
 
 
-def unpack_values_limbs(rows: np.ndarray, num_vectors: int) -> List[int]:
+def unpack_values_limbs(
+    rows: np.ndarray,
+    num_vectors: int,
+    table: Optional[_accel.RowTable] = None,
+) -> List[int]:
     """Transpose uint64 bit-plane limb rows back to per-vector values.
 
     Inverse of :func:`pack_values_limbs` for a ``(width, limbs)`` row
-    array; tail bits beyond ``num_vectors`` are ignored.
+    array; tail bits beyond ``num_vectors`` are ignored.  With
+    ``table``, ``rows`` is a whole limb array and the bus is the
+    table's rows of it: with the C library loaded, one ``unpack_bus``
+    call reads them into ``(num_vectors, chunks)`` words, which
+    :func:`_ints_from_words` turns into ints.  Otherwise the numpy
+    transposes of :func:`_values_from_limbs`.
     """
     if num_vectors == 0:
         return []
-    return _values_from_limbs(np.asarray(rows, dtype=_U64), num_vectors)
+    lib = None if table is None else _accel.load()
+    if lib is None:
+        rows = np.asarray(rows, dtype=_U64)
+        return _values_from_limbs(
+            rows if table is None else rows[table.rows], num_vectors
+        )
+    words = np.empty((num_vectors, table.chunks), dtype=_U64)
+    return _ints_from_words(lib.unpack_bus(rows, table, words), table.width)
 
 
 def _unpack_one_limb(sub: np.ndarray, num_vectors: int) -> np.ndarray:
@@ -773,12 +790,9 @@ def _unpack_one_limb(sub: np.ndarray, num_vectors: int) -> np.ndarray:
 def _values_from_limbs(rows: np.ndarray, num_vectors: int) -> List[int]:
     """Per-vector values from ``(width, limbs)`` uint64 bit-plane rows.
 
-    Inverse transpose core of :func:`unpack_values_limbs`: each 64-plane
-    chunk becomes one word per vector (:func:`_chunk_words`), and chunks
-    combine as Python ints, so widths like ``n + 1 = 65`` are exact.  A
-    two-chunk bus (the ``n + 1`` sum bus) pays a big-int op only where
-    its high word is nonzero; wider buses join each vector's words with
-    one ``int.from_bytes``.  Bits at or beyond ``num_vectors`` are
+    The numpy path of :func:`unpack_values_limbs`: each 64-plane chunk
+    becomes one word per vector (:func:`_chunk_words`), then
+    :func:`_ints_from_words`.  Bits at or beyond ``num_vectors`` are
     ignored.
     """
     chunks = [
@@ -787,16 +801,31 @@ def _values_from_limbs(rows: np.ndarray, num_vectors: int) -> List[int]:
     ]
     if len(chunks) == 1:
         return chunks[0].tolist()
-    if len(chunks) == 2:
-        values = chunks[0].astype(object)
-        high = chunks[1]
+    return _ints_from_words(np.stack(chunks, axis=1), rows.shape[0])
+
+
+def _ints_from_words(words: np.ndarray, width: int) -> List[int]:
+    """Python ints from a ``width``-bit bus's ``(num_vectors, chunks)`` words.
+
+    Chunks combine as Python ints, so widths like ``n + 1 = 65`` are
+    exact.  One word per value is one ``tolist``; a two-word bus (the
+    ``n + 1`` sum bus) pays a big-int op only where its high word is
+    nonzero; wider buses join each vector's words with one
+    ``int.from_bytes``.
+    """
+    chunks = words.shape[1]
+    if chunks == 1:
+        return words[:, 0].tolist()
+    if chunks == 2:
+        values = words[:, 0].astype(object)
+        high = words[:, 1]
         nz = high != 0
         # An object-dtype masked |= runs the big-int ors in one C loop;
-        # a one-plane high chunk (the carry-out) ORs one constant.
-        values[nz] |= 1 << 64 if rows.shape[0] == 65 else high[nz].astype(object) << 64
+        # a one-plane high word (the carry-out) ORs one constant.
+        values[nz] |= 1 << 64 if width == 65 else high[nz].astype(object) << 64
         return values.tolist()
-    buf = np.stack(chunks, axis=1).astype("<u8", copy=False).tobytes()
-    step = 8 * len(chunks)
+    buf = words.astype("<u8", copy=False).tobytes()
+    step = 8 * chunks
     return [
         int.from_bytes(buf[i : i + step], "little")
         for i in range(0, len(buf), step)
@@ -806,11 +835,11 @@ def _values_from_limbs(rows: np.ndarray, num_vectors: int) -> List[int]:
 def _chunk_words(sub: np.ndarray, num_vectors: int) -> np.ndarray:
     """The ``num_vectors`` words of a ``(planes <= 64, limbs)`` chunk.
 
-    One C ``unpack_planes`` call when the library loads, else one byte
-    transpose for a one-limb batch (:func:`_unpack_one_limb`) or one
-    block bit-transpose (:func:`_transpose64_blocks`); a single plane
-    (the carry-out of an ``n + 1`` sum bus, a 1-bit flag) is one
-    ``unpackbits``, left as 0/1 bytes.
+    The numpy path's per-chunk transpose: one byte transpose for a
+    one-limb batch (:func:`_unpack_one_limb`) or one block bit-transpose
+    (:func:`_transpose64_blocks`); a single plane (the carry-out of an
+    ``n + 1`` sum bus, a 1-bit flag) is one ``unpackbits``, left as 0/1
+    bytes.
     """
     planes, limbs = sub.shape
     if planes == 1:
@@ -819,15 +848,6 @@ def _chunk_words(sub: np.ndarray, num_vectors: int) -> np.ndarray:
             count=num_vectors,
             bitorder="little",
         )
-    lib = _accel.load()
-    if lib is not None:
-        if planes < 64 or not sub.flags.c_contiguous:
-            full = np.zeros((64, limbs), dtype=_U64)
-            full[:planes] = sub
-            sub = full
-        words = np.empty(num_vectors, dtype=_U64)
-        lib.unpack_planes(sub, words, num_vectors)
-        return words
     if limbs == 1:
         return _unpack_one_limb(sub, num_vectors)
     blocks = np.zeros((64, limbs), dtype=_U64)
@@ -846,6 +866,13 @@ class CompiledSim:
     bit-for-bit; ``pack_inputs_limbs``/``eval_limbs`` expose the uint64
     limb bit-plane layer for callers that consume per-net values
     directly (power estimation, fault simulation, fuzz coverage).
+
+    Every bus has a row table (:class:`repro.netlist._accel.RowTable`)
+    of its nets' rows in the limb array, built and range-checked here
+    once.  With the C library loaded, packing and unpacking are one
+    foreign call per bus through it, straight into and out of the limb
+    array; the numpy path moves each bus through its selector (a slice
+    where the rows are contiguous, else the index array) instead.
     """
 
     def __init__(self, circuit: Circuit, kernel: CompiledKernel):
@@ -853,16 +880,25 @@ class CompiledSim:
         self.kernel = kernel
         self._in_buses = circuit.input_buses
         self._out_buses = circuit.output_buses
-        # Bus nets mapped into the plan's renumbered limb rows, with
-        # contiguous runs collapsed to slices.
+        # Bus nets mapped into the plan's renumbered limb rows.
         perm = kernel.plan.perm
 
-        def rows_of(nets: Sequence[int]) -> Union[slice, np.ndarray]:
-            return _index_selector(perm[np.asarray(nets, dtype=np.int64)])
+        def rows_of(nets: Sequence[int]) -> np.ndarray:
+            return perm[np.asarray(nets, dtype=np.int64)]
 
-        self._in_sels = {name: rows_of(nets) for name, nets in self._in_buses.items()}
-        self._out_sels = {name: rows_of(nets) for name, nets in self._out_buses.items()}
+        def table(nets: Sequence[int]) -> _accel.RowTable:
+            return _accel.RowTable(rows_of(nets).astype(np.int32), kernel.num_nets)
+
+        self._in_tables = {name: table(nets) for name, nets in self._in_buses.items()}
+        self._out_tables = {name: table(nets) for name, nets in self._out_buses.items()}
+        self._in_sels = {
+            name: _index_selector(rows_of(nets)) for name, nets in self._in_buses.items()
+        }
+        self._out_sels = {
+            name: _index_selector(rows_of(nets)) for name, nets in self._out_buses.items()
+        }
         self._scratch_V: Optional[np.ndarray] = None
+        self._ones: Tuple[int, np.ndarray] = (0, limb_ones(0))
         self._signature = (
             circuit.num_gates,
             circuit.num_nets,
@@ -902,7 +938,15 @@ class CompiledSim:
         :meth:`eval_limbs` and the undriven prefix is re-zeroed here, so
         only page faults are saved, not correctness) — callers that need
         the previous batch's array after starting a new one must copy
-        it.  Like kernel execution itself, this is not thread-safe.
+        it.  ``ones`` is likewise kept for the next batch of the same
+        size; treat it as read-only.  Like kernel execution itself, this
+        is not thread-safe.
+
+        Every input value is validated here (:func:`_bus_words`), so a
+        caller need not run ``check_batch_inputs`` first.  With the C
+        library loaded each bus is one ``pack_bus`` call through its row
+        table; without it, :func:`pack_values_limbs` plus a store
+        through the bus's selector.
         """
         from repro.netlist.simulate import check_batch_inputs
 
@@ -916,9 +960,18 @@ class CompiledSim:
         # (constant 0); everything above is written by its gate's group
         # before any reader runs, so only the prefix needs clearing.
         V[: self.kernel.plan.num_undriven] = 0
-        for name, nets in self._in_buses.items():
-            V[self._in_sels[name]] = pack_values_limbs(inputs[name], len(nets), name)
-        return V, limb_ones(num_vectors), num_vectors
+        lib = _accel.load()
+        if lib is None:
+            for name, nets in self._in_buses.items():
+                V[self._in_sels[name]] = pack_values_limbs(inputs[name], len(nets), name)
+        else:
+            for name, table in self._in_tables.items():
+                lib.pack_bus(_bus_words(inputs[name], table.width, name), V, table)
+        kept, ones = self._ones
+        if kept != num_vectors:
+            ones = limb_ones(num_vectors)
+            self._ones = (num_vectors, ones)
+        return V, ones, num_vectors
 
     def eval_limbs(self, V: np.ndarray, ones: np.ndarray) -> np.ndarray:
         """One forward pass of the plan over the limb array, in place.
@@ -938,10 +991,19 @@ class CompiledSim:
     def unpack_outputs(
         self, V: np.ndarray, num_vectors: int
     ) -> Dict[str, List[int]]:
-        """Gather and transpose every output bus from the limb array."""
+        """Transpose every output bus out of the limb array.
+
+        With the C library loaded, each bus is read through its row
+        table; without it, gathered through its selector first.
+        """
+        if _accel.load() is None:
+            return {
+                name: unpack_values_limbs(V[sel], num_vectors)
+                for name, sel in self._out_sels.items()
+            }
         return {
-            name: unpack_values_limbs(V[sel], num_vectors)
-            for name, sel in self._out_sels.items()
+            name: unpack_values_limbs(V, num_vectors, table)
+            for name, table in self._out_tables.items()
         }
 
     def run_batch(
@@ -955,14 +1017,14 @@ class CompiledSim:
         (:func:`repro.netlist.simulate.resolve_backend`).
         """
         from repro.obs import spans as _obs
-        from repro.netlist.simulate import check_batch_inputs, resolve_backend
+        from repro.netlist.simulate import resolve_backend
 
-        num_vectors = check_batch_inputs(self.circuit, inputs)
         chosen = resolve_backend(backend)
         if not _obs.is_enabled():
+            # pack_inputs_limbs validates the batch, once.
+            V, ones, num_vectors = self.pack_inputs_limbs(inputs)
             if num_vectors == 0:
                 return {name: [] for name in self._out_buses}
-            V, ones, _ = self.pack_inputs_limbs(inputs)
             self.eval_limbs(V, ones)
             return self.unpack_outputs(V, num_vectors)
         # Traced path: per-stage spans plus the batch-size histogram.  Kept
@@ -970,12 +1032,12 @@ class CompiledSim:
         with _obs.span(
             "sim.batch", circuit=self.circuit.name, backend=chosen
         ) as batch_span:
+            with _obs.span("sim.pack"):
+                V, ones, num_vectors = self.pack_inputs_limbs(inputs)
             batch_span.set(vectors=num_vectors)
             _obs.record("sim.batch_vectors", num_vectors)
             if num_vectors == 0:
                 return {name: [] for name in self._out_buses}
-            with _obs.span("sim.pack"):
-                V, ones, _ = self.pack_inputs_limbs(inputs)
             with _obs.span(
                 "sim.exec", gates=self.kernel.num_gates, runner=self.kernel.runner
             ):

@@ -9,11 +9,14 @@ Three cross-checked layers:
   2**15 ± 1 vectors, and empty batches, checked against big-int masks
   built bit by bit;
 * **C fast path** — the optional :mod:`repro.netlist._accel` library is
-  cross-checked against the pure-numpy paths whenever it loads: its
-  transposes against the SWAR rounds, its plan evaluator against the
-  generated numpy group schedule on a circuit with every gate kind, and
-  every binding must refuse a wrong dtype, a strided array or a short
-  buffer.  The one-limb byte transpose is checked against the same
+  cross-checked against the pure-numpy paths whenever it loads: its bus
+  transposes against the SWAR rounds, against the numpy pack/unpack
+  through slice and index-array row tables and against the reference
+  interpreter, its plan evaluator against the generated numpy group
+  schedule on a circuit with every gate kind, and every binding must
+  refuse a wrong dtype, a strided array, a short buffer or a bad row
+  table.  One ``run_batch`` makes one foreign call per bus plus one for
+  the plan.  The one-limb byte transpose is checked against the same
   rounds, and ``REPRO_ACCEL=0`` must disable the library and leave the
   numpy runner in charge.
 """
@@ -34,6 +37,7 @@ from repro.netlist.circuit import GATE_ARITY, Circuit, NetlistError
 from repro.netlist.compile import (
     _VEC_KERNELS,
     _build_limb_runner,
+    _bus_words,
     _gate_table,
     _pack_one_limb,
     _transpose64_blocks,
@@ -279,11 +283,16 @@ def _accel_or_skip():
     return lib
 
 
+def _identity(width):
+    return _accel.RowTable(np.arange(width, dtype=np.int32), width)
+
+
 def test_accel_matches_numpy_transpose_when_available():
-    """The C pack/unpack transposes equal the numpy masked-swap rounds
-    on the zero-padded, word-transposed blocks."""
+    """The C bus transposes of a 64-bit bus equal the numpy masked-swap
+    rounds on the zero-padded, word-transposed blocks."""
     lib = _accel_or_skip()
     rng = np.random.default_rng(9)
+    table = _identity(64)
     for nv in (1, 64, 100, 448, 1024):
         limbs = limb_count(nv)
         arr = rng.integers(0, 1 << 64, size=nv, dtype=np.uint64)
@@ -291,28 +300,152 @@ def test_accel_matches_numpy_transpose_when_available():
         padded[:nv] = arr
         expect = _transpose64_blocks(np.ascontiguousarray(padded.reshape(limbs, 64).T))
         got = np.empty((64, limbs), dtype=np.uint64)
-        lib.pack_planes(arr, nv, got)
+        lib.pack_bus(arr.reshape(nv, 1), got, table)
         assert np.array_equal(got, expect)
         planes = rng.integers(0, 1 << 64, size=(64, limbs), dtype=np.uint64)
         words = _transpose64_blocks(planes.copy()).T.reshape(-1)[:nv]
-        out = np.empty(nv, dtype=np.uint64)
-        lib.unpack_planes(planes, out, nv)
-        assert np.array_equal(out, words)
+        out = np.empty((nv, 1), dtype=np.uint64)
+        assert lib.unpack_bus(planes, table, out) is out
+        assert np.array_equal(out[:, 0], words)
 
 
 def test_accel_pack_unpack_roundtrip_when_available():
     lib = _accel_or_skip()
     rng = np.random.default_rng(10)
+    table = _identity(64)
     for nv in (1, 63, 64, 65, 200):
-        arr = rng.integers(0, 1 << 63, size=nv, dtype=np.uint64)
+        arr = rng.integers(0, 1 << 63, size=(nv, 1), dtype=np.uint64)
         rows = np.empty((64, limb_count(nv)), dtype=np.uint64)
-        lib.pack_planes(arr, nv, rows)
+        lib.pack_bus(arr, rows, table)
         # tail planes of the last limb must be zero-filled
         tail = ~limb_ones(nv)
         assert not np.any(rows & tail)
-        out = np.zeros(nv, dtype=np.uint64)
-        lib.unpack_planes(rows, out, nv)
+        out = np.zeros((nv, 1), dtype=np.uint64)
+        lib.unpack_bus(rows, table, out)
         assert np.array_equal(out, arr)
+
+
+_BUS_WIDTHS = [1, 63, 64, 65, 127, 128, 129, 257]
+_BUS_VECTORS = [0, 1, 63, 64, 65, 1000]
+
+
+def _bus_rows(width, num_nets, contiguous, rng):
+    """The rows of a ``width``-bit bus in a ``num_nets``-row array: one
+    ascending run (a slice selector) or scattered in random order."""
+    if contiguous:
+        rows = np.arange(3, 3 + width)
+        return rows, slice(3, 3 + width)
+    rows = rng.permutation(num_nets)[:width]
+    return rows, rows
+
+
+@pytest.mark.parametrize("contiguous", [True, False], ids=["slice", "index"])
+@pytest.mark.parametrize("num_vectors", _BUS_VECTORS)
+@pytest.mark.parametrize("width", _BUS_WIDTHS)
+def test_bus_bindings_match_numpy_path(width, num_vectors, contiguous, monkeypatch):
+    """``pack_bus``/``unpack_bus`` through a row table write and read
+    exactly what the numpy path stores and gathers through the bus's
+    selector; every other row of ``V`` is left alone."""
+    lib = _accel_or_skip()
+    rng = np.random.default_rng(width * 7919 + num_vectors)
+    pyrng = random.Random(width * 7919 + num_vectors)
+    values = [pyrng.getrandbits(width) for _ in range(num_vectors)]
+    num_nets = width + 9
+    rows, sel = _bus_rows(width, num_nets, contiguous, rng)
+    table = _accel.RowTable(rows.astype(np.int32), num_nets)
+    limbs = limb_count(num_vectors)
+    garbage = rng.integers(0, 1 << 64, size=(num_nets, limbs), dtype=np.uint64)
+    V_c, V_np = garbage.copy(), garbage.copy()
+    lib.pack_bus(_bus_words(values, width, "bus"), V_c, table)
+    assert unpack_values_limbs(V_c, num_vectors, table) == values
+    monkeypatch.setattr(_accel, "load", lambda: None)
+    V_np[sel] = pack_values_limbs(values, width, "bus")
+    assert np.array_equal(V_c, V_np)
+    assert unpack_values_limbs(V_np[sel], num_vectors) == values
+    assert unpack_values_limbs(V_np, num_vectors, table) == values
+
+
+def _bus_circuit(width):
+    """One ``width``-bit input bus ``a``; output ``y`` buffers it bit for
+    bit (rows in order, a slice) and ``r`` inverts it in reverse bit
+    order (scattered rows, an index array)."""
+    circuit = Circuit(f"bus{width}")
+    a = circuit.add_input_bus("a", width)
+    y = [circuit.buf(net) for net in a]
+    r = [circuit.not_(net) for net in a]
+    circuit.set_output_bus("y", y)
+    circuit.set_output_bus("r", r[::-1])
+    return circuit
+
+
+@pytest.mark.parametrize("accel", [True, False], ids=["c", "numpy"])
+@pytest.mark.parametrize("num_vectors", _BUS_VECTORS)
+@pytest.mark.parametrize("width", _BUS_WIDTHS)
+def test_bus_bindings_match_reference(width, num_vectors, accel, monkeypatch):
+    """Whole batches through the bus transposes equal the reference
+    interpreter, on both kinds of row table, with and without the
+    library."""
+    if accel:
+        _accel_or_skip()
+    else:
+        monkeypatch.setattr(_accel, "load", lambda: None)
+    circuit = _bus_circuit(width)
+    sim = compile_circuit(circuit)
+    assert isinstance(sim._out_sels["y"], slice)
+    assert isinstance(sim._out_sels["r"], slice) == (width == 1)
+    inputs = _random_batch(circuit, num_vectors, random.Random(width + num_vectors))
+    assert sim.run_batch(inputs) == simulate_batch_reference(circuit, inputs)
+
+
+@pytest.mark.parametrize("width", [1, 64, 65, 257])
+@pytest.mark.parametrize("accel", [True, False], ids=["c", "numpy"])
+def test_bus_values_refused_like_reference(width, accel, monkeypatch):
+    """Out-of-range, negative and float values raise the reference's
+    ``NetlistError``, naming the first offending value in vector order,
+    with and without the library."""
+    if accel:
+        _accel_or_skip()
+    else:
+        monkeypatch.setattr(_accel, "load", lambda: None)
+    circuit = _bus_circuit(width)
+    top = (1 << width) - 1
+    for bad in ([top, 1 << width, -1], [0, -1, 1.5], [1, 1.5, 1 << width],
+                [top, top, 1 << (width + 64)], [2.0, 0]):
+        inputs = {"a": bad}
+        with pytest.raises(NetlistError) as want:
+            simulate_batch_reference(circuit, inputs)
+        with pytest.raises(NetlistError) as got:
+            simulate_batch(circuit, inputs)
+        assert str(got.value) == str(want.value)
+
+
+_BENCH_DESIGNS = [("vlcsa1", 64, 8), ("vlcsa2", 256, 12), ("designware", 64, None),
+                  ("kogge_stone", 64, None)]
+
+
+@pytest.mark.parametrize("num_vectors", [1, 16])
+@pytest.mark.parametrize("design", _BENCH_DESIGNS, ids=lambda d: d[0])
+def test_run_batch_makes_one_foreign_call_per_bus(design, num_vectors, monkeypatch):
+    """With the library, one ``run_batch`` is one ``pack_bus`` per input
+    bus, one plan evaluation and one ``unpack_bus`` per output bus."""
+    lib = _accel_or_skip()
+    built = build_design(*design)
+    circuit = getattr(built, "circuit", built)
+    sim = compile_circuit(circuit)
+    calls = []
+    for attr in ("_pack_bus", "_eval", "_unpack_bus"):
+        real = getattr(lib, attr)
+
+        def counted(*args, _real=real, _attr=attr):
+            calls.append(_attr)
+            return _real(*args)
+
+        monkeypatch.setattr(lib, attr, counted)
+    inputs = _random_batch(circuit, num_vectors, random.Random(num_vectors))
+    assert sim.run_batch(inputs) == simulate_batch_reference(circuit, inputs)
+    ins, outs = len(circuit.input_buses), len(circuit.output_buses)
+    assert len(calls) == ins + 1 + outs
+    assert calls == ["_pack_bus"] * ins + ["_eval"] + ["_unpack_bus"] * outs
 
 
 def _every_kind_circuit(seed=11, gates=300):
@@ -408,45 +541,79 @@ def test_c_plan_runner_refuses_bad_arrays():
 
 
 def test_transpose_bindings_refuse_bad_arrays():
-    """Both transpose bindings raise on a wrong dtype, a strided array
-    and a short buffer instead of reading or writing past it."""
+    """Both bus bindings raise on a wrong dtype, a strided array, a short
+    buffer or a bad row table instead of reading or writing past it."""
     lib = _accel_or_skip()
-    arr = np.arange(100, dtype=np.uint64)
-    rows = np.zeros((64, 2), dtype=np.uint64)
-    out = np.zeros(100, dtype=np.uint64)
-    # pack_planes(arr, nv, rows)
+    table = _accel.RowTable(np.arange(64, dtype=np.int32)[::-1].copy(), 64)
+    words = np.arange(100, dtype=np.uint64).reshape(100, 1)
+    V = np.zeros((64, 2), dtype=np.uint64)
+    out = np.zeros((100, 1), dtype=np.uint64)
+    # pack_bus(words, V, table)
     with pytest.raises(TypeError):
-        lib.pack_planes(arr.astype(np.int64), 100, rows)
+        lib.pack_bus(words.astype(np.int64), V, table)
     with pytest.raises(ValueError):
-        lib.pack_planes(np.arange(200, dtype=np.uint64)[::2], 100, rows)
+        lib.pack_bus(np.arange(200, dtype=np.uint64).reshape(100, 2)[:, :1], V, table)
     with pytest.raises(ValueError):
-        lib.pack_planes(arr, 100, np.zeros((64, 4), dtype=np.uint64)[:, ::2])
+        lib.pack_bus(words, np.zeros((64, 4), dtype=np.uint64)[:, ::2], table)
     with pytest.raises(ValueError):
-        lib.pack_planes(arr[:99], 100, rows)  # short input
+        lib.pack_bus(words.reshape(-1), V, table)  # 1-D words
     with pytest.raises(ValueError):
-        lib.pack_planes(arr, 100, np.zeros((64, 1), dtype=np.uint64))  # short out
+        lib.pack_bus(np.zeros((100, 2), dtype=np.uint64), V, table)  # words too wide
     with pytest.raises(ValueError):
-        lib.pack_planes(arr, 100, np.zeros((63, 2), dtype=np.uint64))
-    # unpack_planes(rows, out, nv)
+        lib.pack_bus(words, np.zeros((64, 1), dtype=np.uint64), table)  # short out
+    with pytest.raises(ValueError):
+        lib.pack_bus(words, np.zeros((63, 2), dtype=np.uint64), table)  # short V
+    frozen_V = V.copy()
+    frozen_V.flags.writeable = False
+    with pytest.raises(ValueError):
+        lib.pack_bus(words, frozen_V, table)  # read-only output
     with pytest.raises(TypeError):
-        lib.unpack_planes(rows, out.astype(np.float64), 100)
+        lib.pack_bus(words, V, np.arange(64, dtype=np.int32))  # not a RowTable
+    # unpack_bus(V, table, out)
+    with pytest.raises(TypeError):
+        lib.unpack_bus(V, table, out.astype(np.float64))
     with pytest.raises(ValueError):
-        lib.unpack_planes(np.zeros((64, 4), dtype=np.uint64)[:, ::2], out, 100)
+        lib.unpack_bus(np.zeros((64, 4), dtype=np.uint64)[:, ::2], table, out)
     with pytest.raises(ValueError):
-        lib.unpack_planes(rows, np.zeros(200, dtype=np.uint64)[::2], 100)
+        lib.unpack_bus(V, table, np.zeros((100, 2), dtype=np.uint64)[:, ::2])
     with pytest.raises(ValueError):
-        lib.unpack_planes(rows, out[:99], 100)  # short out
+        lib.unpack_bus(V, table, np.zeros((100, 2), dtype=np.uint64))  # out too wide
     with pytest.raises(ValueError):
-        lib.unpack_planes(rows[:, :1].copy(), out, 100)  # short planes
+        lib.unpack_bus(V[:, :1].copy(), table, out)  # short planes
+    with pytest.raises(ValueError):
+        lib.unpack_bus(V[:63].copy(), table, out)  # short V
     frozen = out.copy()
     frozen.flags.writeable = False
     with pytest.raises(ValueError):
-        lib.unpack_planes(rows, frozen, 100)  # read-only output
+        lib.unpack_bus(V, table, frozen)  # read-only output
+    # Row tables: out of range, negative, wrong dtype or shape, wrong length.
+    with pytest.raises(ValueError):
+        _accel.RowTable(np.array([0, 64], dtype=np.int32), 64)
+    with pytest.raises(ValueError):
+        _accel.RowTable(np.array([0, -1], dtype=np.int32), 64)
+    with pytest.raises(TypeError):
+        _accel.RowTable(np.arange(64), 64)
+    with pytest.raises(ValueError):
+        _accel.RowTable(np.zeros((8, 8), dtype=np.int32), 64)
+    wide = _accel.RowTable(np.arange(100, dtype=np.int32), 128)
+    with pytest.raises(ValueError):
+        lib.pack_bus(words, np.zeros((128, 2), dtype=np.uint64), wide)  # 1 word, needs 2
+    with pytest.raises(ValueError):
+        lib.unpack_bus(np.zeros((128, 2), dtype=np.uint64), wide, out)
+    with pytest.raises(ValueError):
+        lib.pack_bus(words, np.zeros((65, 2), dtype=np.uint64), table)  # other net count
+    # A table is a private copy, and read-only.
+    source = np.arange(64, dtype=np.int32)
+    kept = _accel.RowTable(source, 64)
+    source[0] = 10**6
+    assert kept.rows[0] == 0
+    with pytest.raises(ValueError):
+        kept.rows[0] = 10**6
     # The well-formed calls still work, read-only input included.
-    arr.flags.writeable = False
-    lib.pack_planes(arr, 100, rows)
-    lib.unpack_planes(rows, out, 100)
-    assert np.array_equal(out, arr)
+    words.flags.writeable = False
+    lib.pack_bus(words, V, table)
+    lib.unpack_bus(V, table, out)
+    assert np.array_equal(out, words)
 
 
 @pytest.mark.parametrize("num_vectors", [1, 2, 15, 16, 17, 63, 64])

@@ -15,7 +15,7 @@ BASELINE = {
             "architecture": "vlcsa1",
             "width": 64,
             "vectors": 1024,
-            "compiled_samples_per_s": 100_000.0,
+            "vectorized_samples_per_s": 100_000.0,
             "speedup": 30.0,
             "fault_speedup": 20.0,
         },
@@ -23,7 +23,7 @@ BASELINE = {
             "architecture": "designware",
             "width": 64,
             "vectors": 1024,
-            "compiled_samples_per_s": 150_000.0,
+            "vectorized_samples_per_s": 150_000.0,
             "speedup": 25.0,
         },
     ],
@@ -103,6 +103,40 @@ class TestCompareReports:
     def test_bad_tolerance_rejected(self):
         with pytest.raises(ValueError):
             compare_reports(BASELINE, BASELINE, tolerance=1.5)
+
+
+class TestDefaults:
+    def test_every_default_metric_is_in_a_checked_in_report(self):
+        """A default naming a metric no report carries compares nothing."""
+        from pathlib import Path
+
+        from repro.obs.bench import DEFAULT_METRICS
+
+        carried = set()
+        for path in Path(__file__).parents[2].glob("BENCH_*.json"):
+            report = load_report(str(path))
+            for row in report["rows"]:
+                carried.update(row)
+            carried.update(report.get("metrics") or {})
+        assert set(DEFAULT_METRICS) <= carried, set(DEFAULT_METRICS) - carried
+
+    def test_overall_throughput_keys_on_its_own_name(self):
+        only = compare_reports(
+            BASELINE, copy.deepcopy(BASELINE), 0.1, metrics=("throughput_samples_per_s",)
+        )
+        assert [d.row for d in only.deltas] == ["(overall)"]
+        without = compare_reports(
+            BASELINE, copy.deepcopy(BASELINE), 0.1, metrics=("speedup",)
+        )
+        assert all(d.row != "(overall)" for d in without.deltas)
+
+    def test_cli_help_names_the_defaults(self, capsys):
+        from repro.obs.bench import DEFAULT_METRICS
+
+        with pytest.raises(SystemExit):
+            main(["bench", "compare", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"(default: {' '.join(DEFAULT_METRICS)})" in help_text
 
 
 class TestLoadReport:
