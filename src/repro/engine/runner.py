@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine.metrics import EngineMetrics
+from repro.netlist import _accel
 from repro.obs import spans as _obs
 from repro.obs.collector import Collector
 
@@ -218,6 +219,7 @@ class WorkerPool:
         )
         self._results: "mp.Queue" = ctx.Queue()
         self._controls: List["mp.Queue"] = [ctx.Queue() for _ in range(workers)]
+        _accel.load()  # open the C library once here; the workers inherit it
         self._procs = [
             ctx.Process(
                 target=_worker_main,

@@ -55,6 +55,7 @@ from typing import Any, Callable, Dict, Optional, Sequence, Set
 from repro.engine.checkpoint import CheckpointStore, ManifestTail, _atomic_write
 from repro.engine.metrics import EngineMetrics
 from repro.engine.runner import EngineError, _sigterm_interrupts
+from repro.netlist import _accel
 from repro.obs.accumulator import StreamingMoments
 
 #: How long a lease from an unreachable owner (another host, or an
@@ -528,6 +529,7 @@ def _run_pooled(
             total, done, deadline, budget, lease_ttl,
         )
     ctx = mp.get_context("fork")
+    _accel.load()  # open the C library once here; the workers inherit it
     restore = type(aggregate).from_payload
     stop = ctx.Event()
     wake_r, wake_w = os.pipe()

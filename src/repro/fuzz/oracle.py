@@ -14,8 +14,9 @@ implementations and cross-checks them:
    verdicts; :func:`repro.model.error_magnitude.scsa1_speculative_values`
    pins the speculative sum *value* at widths <= 63; the Monte Carlo
    engine's SWAR kernel (:func:`repro.engine.kernels.counter_flags`)
-   must reproduce the profile's per-sample counter flags (check id
-   ``kernel-swar``);
+   must reproduce the profile's per-sample counter flags, and
+   :func:`repro.engine.kernels.counter_counts` (the C counter kernel
+   when the library loads tuned) their sums (check id ``kernel-swar``);
 4. **gate-level machine** — :class:`repro.model.machine.VariableLatencyMachine`
    executes a subsample through the VALID/STALL protocol and its latency
    cycles are checked against the behaviourally predicted stalls.
@@ -287,10 +288,10 @@ class Oracle:
         profiles: Dict[str, object],
         out: BatchOutcome,
     ) -> None:
-        """SWAR kernel counter flags vs the same counters read off the
-        profiles already built for this batch."""
+        """SWAR kernel counter flags and counts vs the same counters read
+        off the profiles already built for this batch."""
         from repro.engine.jobs import reference_counter_flags
-        from repro.engine.kernels import SWAR_MAX_WINDOW, counter_flags
+        from repro.engine.kernels import SWAR_MAX_WINDOW, counter_counts, counter_flags
 
         window = self.point.window
         if window is None or window > SWAR_MAX_WINDOW:
@@ -311,6 +312,30 @@ class Oracle:
                     f"counter {name!r}: kernel={bool(got[name][index])} "
                     f"profile={bool(want[name][index])}",
                 )
+        # The counts come from the C counter kernel when the library loads
+        # tuned; a windowed design without speculative counters asks for none.
+        width = self.point.width
+        want_counts = {name: int(want[name].sum()) for name in counters}
+        counts = counter_counts(packed_a, packed_b, width, window, counters)
+        if counts != want_counts:
+            # Name the first pair whose one-row count disagrees, if any does.
+            index = next(
+                (
+                    i
+                    for i in range(len(pairs))
+                    if counter_counts(
+                        packed_a[i : i + 1], packed_b[i : i + 1], width, window, counters
+                    )
+                    != {name: int(want[name][i]) for name in counters}
+                ),
+                0,
+            )
+            self._diverge(
+                out,
+                "kernel-swar",
+                pairs[index],
+                f"counter counts: kernel={counts} profile={want_counts}",
+            )
 
     def _check_semantics(
         self,

@@ -1,4 +1,4 @@
-"""Optional C fast path for the limb backend: plan evaluation and transposes.
+"""Optional C fast path: plan evaluation, transposes and error counting.
 
 The vectorized simulation backend (:mod:`repro.netlist.compile`) has two
 dispatch-bound stages at small batch sizes.  Evaluating a
@@ -9,6 +9,16 @@ between vector-major and net-major bit-plane layouts are a few dozen
 full-array ops per 64-bit chunk of a bus.  In C the plan is one call
 and each bus one call, straight into or out of the limb array.
 
+The Monte Carlo engine's SWAR counter kernel
+(:mod:`repro.engine.kernels`) is ~140 numpy passes per block of rows; in
+C it is one fused pass over the operands.  That one function is built
+for AVX2 and for the baseline ISA (GCC on x86-64 glibc only, picked at
+load time); the rest of the library, and every other toolchain, stays
+at ``-O2``.  The library exports which build the counter kernel got
+(``AccelLib.tuned_counters``): the engine serves counts from it only
+when tuned, since the ``-O2`` build was measured slower than numpy at
+n=64.
+
 This module embeds that C source, compiles it once with the system C
 compiler into a content-addressed shared library under a per-user cache
 directory, and loads it through :mod:`ctypes`.  Everything is optional:
@@ -17,8 +27,9 @@ in the environment, :func:`load` returns ``None`` and callers keep the
 pure-numpy path.  Both paths are bit-identical by construction (the
 transposes run the numpy masked-swap rounds' schedule, the plan
 evaluator applies the same per-kind algebra as
-``compile._VEC_KERNELS``) and the test suite cross-checks them whenever
-the library is available.
+``compile._VEC_KERNELS``, the counter kernel the same terms as the
+numpy SWAR kernel) and the test suite cross-checks them whenever the
+library is available.
 
 Exposed operations.  Every array argument is checked on each call (type,
 dtype, dimensions, C-contiguity, and the shape the C code indexes) and a
@@ -34,7 +45,14 @@ tables are checked once, when they are built:
 * ``plan_runner(ops, pins, num_nets)`` — a ``runner(V, ones)`` closure
   that evaluates a flattened gate table (one :data:`PLAN_KINDS` code and
   one ``(out, in0..in3)`` row per gate, in plan order) over a
-  ``(num_nets, limbs)`` limb array in place.
+  ``(num_nets, limbs)`` limb array in place;
+* ``counter_counts(a, b, tables, needs)`` — Monte Carlo error counts of
+  packed ``(rows, limbs)`` operands, read in place: per row the
+  ``spec``/``s1``/``err1`` terms (:data:`COUNTER_TERM_BITS`) of one or
+  two window plans, each described by a :class:`PlanTable`, and per
+  ``needs`` mask the number of rows holding all its terms;
+  ``tuned_counters`` says whether this build of it carries the AVX2
+  clone.
 """
 
 from __future__ import annotations
@@ -45,7 +63,7 @@ import os
 import subprocess
 import tempfile
 import threading
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -169,6 +187,132 @@ void repro_eval_plan(uint64_t *V, ptrdiff_t limbs, const uint64_t *ones,
         }
     }
 }
+
+/* The Monte Carlo counter kernel is the one hot loop that gains from
+ * 256-bit vectors: GCC on x86-64 glibc builds it twice (AVX2 and
+ * baseline) and picks one at load time.  Everything else, and every
+ * other compiler, builds it at the library's -O2, where it was not
+ * measured faster than numpy at small widths; repro_counters_tuned
+ * tells the binding which build it got.  GCC inlines no helper into a
+ * function built with other options unless told to. */
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) \
+    && defined(__linux__) && defined(__GLIBC__)
+#define REPRO_HOT __attribute__((target_clones("avx2", "default"), optimize("O3")))
+const int repro_counters_tuned = 1;
+#else
+#define REPRO_HOT
+const int repro_counters_tuned = 0;
+#endif
+#if defined(__GNUC__)
+#define REPRO_INLINE static inline __attribute__((always_inline))
+#else
+#define REPRO_INLINE static inline
+#endif
+
+/* Rows per block of repro_counter_counts: the block's per-row state
+ * (15 words a row with two plans) stays in L1. */
+#define CC_ROWS 128
+
+/* Per-row state of one window plan over a block (engine/kernels.py
+ * names the terms): the all-ones test carry into the next limb, the
+ * OR of P & cout (spec), of P & ~cout (s1) and of P_i & ~P_{i+1}
+ * (err1), the previous limb's markers, and the marker bit below the
+ * top window of a plan whose top window is irregular. */
+typedef struct {
+    uint64_t tc[CC_ROWS], spec[CC_ROWS], s1[CC_ROWS], err1[CC_ROWS];
+    uint64_t pm[CC_ROWS], below[CC_ROWS];
+} plan_rows;
+
+/* One limb of one plan for n rows: p and c are the rows' propagate and
+ * true-carry words of the limb, body/low/top the plan's masks. */
+REPRO_INLINE void plan_limb(plan_rows *s, const uint64_t *p, const uint64_t *c,
+                            int n, uint64_t body, uint64_t low, uint64_t top,
+                            int k) {
+    for (int r = 0; r < n; r++) {
+        const uint64_t x = p[r] & body;
+        const uint64_t y = x + low + s->tc[r];
+        const uint64_t pm = y & p[r] & top;  /* P_i at each marker */
+        const uint64_t hit = pm & c[r];
+        const uint64_t stop = pm ^ top;      /* ~P_i at each marker */
+        s->tc[r] = ((x & low) | ((x | low) & ~y)) >> 63;
+        s->spec[r] |= hit;
+        s->s1[r] |= hit ^ pm;
+        /* pm & (stop >> k) over the whole adder, one limb at a time: the
+         * part of this limb's stop that lands in the previous limb. */
+        s->err1[r] |= (pm & (stop >> k)) | (s->pm[r] & (stop << (64 - k)));
+        s->pm[r] = pm;
+    }
+}
+
+/* Count the rows whose term flags cover each needs[i].  a and b are
+ * (rows, limbs) row-major operands.  Plan q (q < nplans) has masks
+ * masks[q] = (body, low, top) x limbs, row-major, and an irregular top
+ * pair pair[2q] (top marker bit) / pair[2q+1] (marker below it), or
+ * -1 / -1.  Row flag bit 3q is plan q's spec term, 3q+1 its s1 term and
+ * 3q+2 its err1 term. */
+REPRO_HOT
+void repro_counter_counts(const uint64_t *a, const uint64_t *b, ptrdiff_t rows,
+                          ptrdiff_t limbs, int k, int nplans,
+                          const uint64_t *masks0, const uint64_t *masks1,
+                          const int64_t *pair, const uint32_t *needs,
+                          ptrdiff_t ncounters, int64_t *counts) {
+    const uint64_t *masks[2] = {masks0, masks1};
+    plan_rows plan[2];
+    uint64_t cy[CC_ROWS], P[CC_ROWS], C[CC_ROWS];
+    uint32_t F[CC_ROWS];
+    for (ptrdiff_t i = 0; i < ncounters; i++)
+        counts[i] = 0;
+    for (ptrdiff_t r0 = 0; r0 < rows; r0 += CC_ROWS) {
+        const int n = rows - r0 < CC_ROWS ? (int)(rows - r0) : CC_ROWS;
+        const uint64_t *ab = a + (size_t)r0 * (size_t)limbs;
+        const uint64_t *bb = b + (size_t)r0 * (size_t)limbs;
+        for (int r = 0; r < n; r++)
+            cy[r] = 0;
+        for (int q = 0; q < nplans; q++)
+            for (int r = 0; r < n; r++)
+                plan[q].tc[r] = plan[q].spec[r] = plan[q].s1[r] =
+                    plan[q].err1[r] = plan[q].pm[r] = plan[q].below[r] = 0;
+        for (ptrdiff_t j = 0; j < limbs; j++) {
+            for (int r = 0; r < n; r++) {
+                const uint64_t x = ab[(size_t)r * (size_t)limbs + (size_t)j];
+                const uint64_t y = bb[(size_t)r * (size_t)limbs + (size_t)j];
+                const uint64_t p = x ^ y;
+                const uint64_t c = p ^ (x + y + cy[r]);  /* true carry into each bit */
+                cy[r] = ((x & y) | (p & c)) >> 63;
+                P[r] = p;
+                C[r] = c;
+            }
+            for (int q = 0; q < nplans; q++) {
+                const uint64_t *m = masks[q];
+                plan_rows *s = &plan[q];
+                plan_limb(s, P, C, n, m[j], m[limbs + j], m[2 * limbs + j], k);
+                const int64_t top = pair[2 * q], below = pair[2 * q + 1];
+                if (top < 0)
+                    continue;
+                if (below / 64 == j)
+                    for (int r = 0; r < n; r++)
+                        s->below[r] = s->pm[r] >> (below % 64);
+                if (top / 64 == j)
+                    for (int r = 0; r < n; r++)
+                        s->err1[r] |= s->below[r] & ~(s->pm[r] >> (top % 64)) & 1;
+            }
+        }
+        for (int r = 0; r < n; r++)
+            F[r] = 0;
+        for (int q = 0; q < nplans; q++)
+            for (int r = 0; r < n; r++)
+                F[r] |= (uint32_t)(plan[q].spec[r] != 0) << (3 * q)
+                      | (uint32_t)(plan[q].s1[r] != 0) << (3 * q + 1)
+                      | (uint32_t)(plan[q].err1[r] != 0) << (3 * q + 2);
+        for (ptrdiff_t i = 0; i < ncounters; i++) {
+            const uint32_t need = needs[i];
+            int64_t hits = 0;
+            for (int r = 0; r < n; r++)
+                hits += (F[r] & need) == need;
+            counts[i] += hits;
+        }
+    }
+}
 """
 
 #: Gate kinds of the plan evaluator; a kind's code in the ``ops`` table
@@ -250,20 +394,125 @@ class RowTable:
         self.at = self.rows.ctypes.data
 
 
+#: Term bits of a counter's ``need`` mask in :meth:`AccelLib.counter_counts`:
+#: plan ``q``'s term ``t`` is bit ``3 * q + COUNTER_TERM_BITS.index(t)``.
+COUNTER_TERM_BITS: Tuple[str, ...] = ("spec", "s1", "err1")
+
+#: Largest window the counter kernel takes (its marker shifts stay
+#: within one limb step), as in :mod:`repro.engine.kernels`.
+_MAX_COUNTER_WINDOW = 63
+
+
+class PlanTable:
+    """The masks of one window plan of a ``width``-bit adder.
+
+    ``masks`` is a ``(3, limbs)`` uint64 array: per 64-bit limb the
+    plan's ``body`` (every window bit but its top), ``low`` (each
+    window's low bit) and ``top`` (each window's top bit) words.
+    ``pair`` is ``(top marker bit, marker bit below it)`` when the top
+    window is not ``window`` bits wide, else ``None``.  Validated once,
+    here: shape, dtype, no bit at or above ``width``, ``window`` within
+    1..63 and the pair inside the adder; read-only after.  So
+    :meth:`AccelLib.counter_counts` need only check that its operands
+    have ``limbs`` limbs and its tables agree with each other.
+    """
+
+    __slots__ = ("masks", "width", "window", "limbs", "pair", "at")
+
+    def __init__(
+        self, masks: np.ndarray, width: int, window: int, pair: Optional[Tuple[int, int]]
+    ):
+        if not isinstance(masks, np.ndarray) or masks.dtype != np.uint64:
+            got = getattr(masks, "dtype", type(masks).__name__)
+            raise TypeError(f"plan table: expected a uint64 ndarray, got {got}")
+        if width < 1 or masks.shape != (3, (width + 63) // 64):
+            raise ValueError(
+                f"plan table: shape {masks.shape} does not fit a {width}-bit adder"
+            )
+        if not 1 <= window <= _MAX_COUNTER_WINDOW:
+            raise ValueError(
+                f"plan table: window {window} outside 1..{_MAX_COUNTER_WINDOW}"
+            )
+        if width % 64 and (masks[:, -1] >> np.uint64(width % 64)).any():
+            raise ValueError(f"plan table: mask bits at or above bit {width}")
+        if pair is not None and not 0 <= pair[1] < pair[0] < width:
+            raise ValueError(f"plan table: pair {pair} outside a {width}-bit adder")
+        self.masks = np.array(masks, dtype=np.uint64, order="C")
+        self.masks.flags.writeable = False
+        self.width = width
+        self.window = window
+        self.limbs = masks.shape[1]
+        self.pair = (-1, -1) if pair is None else (int(pair[0]), int(pair[1]))
+        self.at = self.masks.ctypes.data
+
+
 class AccelLib:
     """ctypes bindings of the compiled library.
 
-    Thin wrappers over the three exported C functions; ctypes releases
+    Thin wrappers over the four exported C functions; ctypes releases
     the GIL for the duration of each call.  Arrays go in as raw
     ``c_void_p`` addresses after explicit checks (:func:`_address` plus
     each wrapper's extent checks), which is cheaper per argument than
-    ``ndpointer`` and checks more.
+    ``ndpointer`` and checks more.  ``tuned_counters`` is true when the
+    build gave :meth:`counter_counts` its AVX2/``-O3`` clones (GCC on
+    x86-64 glibc), the only build measured faster than the numpy kernel
+    at every thesis point.
     """
 
     def __init__(self, cdll: ctypes.CDLL):
+        self.tuned_counters = bool(ctypes.c_int.in_dll(cdll, "repro_counters_tuned").value)
         self._pack_bus = _bind(cdll, "repro_pack_bus", [_P, _N, _N, _P, _N, _P, _N])
         self._unpack_bus = _bind(cdll, "repro_unpack_bus", [_P, _N, _P, _N, _P, _N, _N])
         self._eval = _bind(cdll, "repro_eval_plan", [_P, _N, _P, _P, _P, _N])
+        self._counts = _bind(
+            cdll,
+            "repro_counter_counts",
+            [_P, _P, _N, _N, ctypes.c_int, ctypes.c_int, _P, _P, _P, _P, _N, _P],
+        )
+
+    def counter_counts(
+        self,
+        a: np.ndarray,
+        b: np.ndarray,
+        tables: Sequence[PlanTable],
+        needs: Sequence[int],
+    ) -> List[int]:
+        """Rows whose term flags include each ``needs[i]``, counted in one pass.
+
+        ``a`` and ``b`` are packed ``(rows, limbs)`` uint64 operands, read
+        in place.  ``tables`` holds one or two :class:`PlanTable` of the
+        same adder and window.  ``needs[i]`` is a mask of
+        :data:`COUNTER_TERM_BITS` terms (bit ``3q + t`` is term ``t`` of
+        ``tables[q]``); row ``r`` counts toward it when every term in the
+        mask holds for the row.
+        """
+        if not 1 <= len(tables) <= 2:
+            raise ValueError(f"tables: expected one or two plan tables, got {len(tables)}")
+        for table in tables:
+            if not isinstance(table, PlanTable):
+                raise TypeError(f"tables: expected PlanTable, got {type(table).__name__}")
+        first = tables[0]
+        if any((t.width, t.window) != (first.width, first.window) for t in tables):
+            raise ValueError("tables: plan tables of different adders or windows")
+        a_at = _address(a, 2, "a")
+        b_at = _address(b, 2, "b")
+        if a.shape != b.shape or a.shape[1] != first.limbs:
+            raise ValueError(
+                f"operands: expected two equal (rows, {first.limbs}) arrays, got "
+                f"{a.shape} and {b.shape}"
+            )
+        limit = 1 << (3 * len(tables))
+        if not all(isinstance(m, int) and 0 < m < limit for m in needs):
+            raise ValueError(f"needs: term masks must lie in 1..{limit - 1}, got {list(needs)}")
+        need = np.array(needs, dtype=np.uint32)
+        pair = np.array([t.pair for t in tables], dtype=np.int64)
+        counts = np.zeros(len(needs), dtype=np.int64)
+        self._counts(
+            a_at, b_at, a.shape[0], first.limbs, first.window, len(tables),
+            first.at, tables[-1].at, pair.ctypes.data, need.ctypes.data,
+            len(needs), counts.ctypes.data,
+        )
+        return counts.tolist()
 
     def pack_bus(self, words: np.ndarray, V: np.ndarray, table: RowTable) -> None:
         """Transpose one bus's values into its rows of ``V``.

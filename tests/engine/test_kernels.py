@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.engine import kernels
 from repro.engine.jobs import ChunkSpec, MonteCarloErrorJob, reference_counter_flags
 from repro.engine.kernels import (
     BLOCK_ROWS,
@@ -19,6 +20,7 @@ from repro.engine.kernels import (
 from repro.engine.runner import run_job
 from repro.inputs.generators import gaussian_operands, uniform_operands
 from repro.model.behavioral import pack_ints, scsa1_error_flags, window_profile
+from repro.netlist import _accel
 
 
 def _reference(a, b, width, k, remainder):
@@ -102,7 +104,7 @@ def _operands(width, rows, distribution, seed):
     if distribution == "uniform":
         return uniform_operands(width, rows, rng), uniform_operands(width, rows, rng)
     # Thesis sigma where it fits; narrow widths scale it down to stay in range.
-    sigma = 2.0 ** min(32, width // 4)
+    sigma = 2.0 ** min(32, width // 4) if width >= 8 else 0.5
     signed = distribution == "gaussian"
     return (
         gaussian_operands(width, rows, sigma=sigma, signed=signed, rng=rng),
@@ -234,6 +236,190 @@ class TestKernelSurface:
         assert scsa1_error_count(a, b, 256, 12) == scsa1
         msb = scsa1_error_flags_swar(a, b, 256, 12, "msb")
         assert np.array_equal(msb, _reference(a, b, 256, 12, "msb"))
+
+
+# -- the C counter kernel ----------------------------------------------------
+
+C_WIDTHS = [2, 63, 64, 65, 127, 128, 129, 255, 256, 257, 300, 512]
+SUBSETS_ALL = [
+    subset
+    for size in range(1, len(ERROR_COUNTERS) + 1)
+    for subset in itertools.combinations(ERROR_COUNTERS, size)
+]
+
+
+def _windows(width):
+    """1, 2, a k dividing n, a k not dividing n, 63 and k = n, where they fit."""
+    divides = max(k for k in range(1, min(SWAR_MAX_WINDOW, width) + 1) if width % k == 0)
+    rest = [k for k in range(3, min(SWAR_MAX_WINDOW, width) + 1) if width % k]
+    picks = {1, 2, divides, SWAR_MAX_WINDOW, width}
+    if rest:
+        picks.add(rest[len(rest) // 2])
+    return sorted(k for k in picks if k <= min(width, SWAR_MAX_WINDOW))
+
+
+_numpy_counts = kernels._numpy_counter_counts
+
+
+@pytest.fixture
+def lib(monkeypatch):
+    """The loaded library, its counter kernel serving ``counter_counts``
+    whichever build it got."""
+    loaded = _accel.load()
+    if loaded is None:
+        pytest.skip("C library unavailable")
+    monkeypatch.setattr(loaded, "tuned_counters", True)
+    return loaded
+
+
+@pytest.fixture(params=["c", "numpy"])
+def counter_path(request, monkeypatch):
+    """``counter_counts`` on the C kernel, then with the library forced off."""
+    if request.param == "c":
+        request.getfixturevalue("lib")
+    else:
+        monkeypatch.setattr(_accel, "load", lambda: None)
+    return request.param
+
+
+def _assert_counts_match(a, b, width, k, subsets=SUBSETS_ALL):
+    want = reference_counter_flags(a, b, width, k)
+    flags = counter_flags(a, b, width, k)
+    for name in ERROR_COUNTERS:
+        assert np.array_equal(flags[name], want[name]), (width, k, name)
+    for subset in subsets:
+        got = counter_counts(a, b, width, k, subset)
+        assert got == {name: int(want[name].sum()) for name in subset}, (width, k, subset)
+
+
+class TestCounterCountsPaths:
+    @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
+    @pytest.mark.parametrize("width", C_WIDTHS)
+    def test_counts_match_flag_sums_and_reference(self, counter_path, width, distribution):
+        """Every counter subset at windows 1, 2, k | n, k not dividing n,
+        63 and k = n; the counters span both window plans."""
+        a, b = _operands(width, 300, distribution, seed=width + 7)
+        for k in _windows(width):
+            _assert_counts_match(a, b, width, k)
+
+    @pytest.mark.parametrize("rows", [0, 1, 7, BLOCK_ROWS - 1, BLOCK_ROWS + 1, 1 << 16])
+    def test_row_counts(self, counter_path, rows):
+        for width, k, distribution in ((129, 12, "uniform"), (64, 7, "gaussian"),
+                                       (257, 63, "gaussian-unsigned")):
+            a, b = _operands(width, rows, distribution, seed=rows + width)
+            subsets = SUBSETS_ALL if rows < BLOCK_ROWS else [ERROR_COUNTERS, ("scsa1",)]
+            _assert_counts_match(a, b, width, k, subsets)
+
+    def test_c_kernel_equals_numpy_kernel_at_a_full_chunk(self, lib):
+        for width, k, distribution in ((256, 12, "uniform"), (64, 8, "gaussian")):
+            a, b = _operands(width, 1 << 16, distribution, seed=k)
+            for subset in SUBSETS_ALL:
+                assert counter_counts(a, b, width, k, subset) == _numpy_counts(
+                    a, b, width, k, subset
+                ), (width, k, subset)
+
+    def test_bad_window_and_counter_raise_the_numpy_errors(self, lib, monkeypatch):
+        a, b = _operands(256, 10, "uniform", seed=1)
+        cases = [(SWAR_MAX_WINDOW + 1, ERROR_COUNTERS), (0, ERROR_COUNTERS),
+                 (8, ("scsa3",)), (SWAR_MAX_WINDOW + 1, ())]
+        for window, counters in cases:
+            with pytest.raises(ValueError) as on:
+                counter_counts(a, b, 256, window, counters)
+            with monkeypatch.context() as patch:
+                patch.setattr(_accel, "load", lambda: None)
+                with pytest.raises(ValueError) as off:
+                    counter_counts(a, b, 256, window, counters)
+            assert str(on.value) == str(off.value)
+
+    def test_strided_operands_count_like_contiguous_ones(self, counter_path):
+        a, b = _operands(128, 600, "uniform", seed=4)
+        got = counter_counts(a[::2], b[::2], 128, 9)
+        assert got == _numpy_counts(a[::2].copy(), b[::2].copy(), 128, 9, ERROR_COUNTERS)
+
+    def test_empty_counter_set_counts_nothing(self, counter_path):
+        a, b = _operands(64, 50, "uniform", seed=2)
+        assert counter_counts(a, b, 64, 8, ()) == {}
+
+    def test_untuned_build_counts_on_numpy(self, lib, monkeypatch):
+        """Only the tuned build serves ``counter_counts``, in one call."""
+        a, b = _operands(64, 300, "uniform", seed=3)
+        want = _numpy_counts(a, b, 64, 8, ERROR_COUNTERS)
+        calls = []
+        real = lib.counter_counts
+        monkeypatch.setattr(lib, "counter_counts", lambda *args: calls.append(1) or real(*args))
+        assert counter_counts(a, b, 64, 8) == want and len(calls) == 1
+        monkeypatch.setattr(lib, "tuned_counters", False)
+        assert counter_counts(a, b, 64, 8) == want and len(calls) == 1
+
+
+def _table(width=128, window=12, key="msb"):
+    return kernels._plan_table(width, window, key)
+
+
+class TestCounterBindingRefusals:
+    def test_wrong_dtype_is_refused(self, lib):
+        a, b = _operands(128, 8, "uniform", seed=1)
+        with pytest.raises(TypeError, match="uint64"):
+            lib.counter_counts(a.astype(np.int64), b, [_table()], [1])
+        with pytest.raises(TypeError, match="uint64"):
+            lib.counter_counts(a, a.tolist(), [_table()], [1])
+
+    def test_strided_and_non_contiguous_operands_are_refused(self, lib):
+        a, b = _operands(128, 8, "uniform", seed=1)
+        for bad in (a[::2], np.asfortranarray(a), a.T, a[:, :1]):
+            with pytest.raises(ValueError, match="C-contiguous|operands"):
+                lib.counter_counts(bad, bad.copy(), [_table()], [1])
+
+    def test_mismatched_shapes_are_refused(self, lib):
+        a, b = _operands(128, 8, "uniform", seed=1)
+        with pytest.raises(ValueError, match="operands"):
+            lib.counter_counts(a, b[:7].copy(), [_table()], [1])
+        wide, _ = _operands(129, 8, "uniform", seed=1)
+        with pytest.raises(ValueError, match="operands"):
+            lib.counter_counts(wide, wide.copy(), [_table()], [1])
+        with pytest.raises(ValueError, match="2-D"):
+            lib.counter_counts(a.ravel(), b.ravel(), [_table()], [1])
+
+    def test_foreign_tables_are_refused(self, lib):
+        a, b = _operands(128, 8, "uniform", seed=1)
+        foreign = [
+            _accel.RowTable(np.arange(3, dtype=np.int32), 3),
+            np.asarray(_table().masks),
+        ]
+        for table in foreign:
+            with pytest.raises(TypeError, match="PlanTable"):
+                lib.counter_counts(a, b, [table], [1])
+        for tables in ([], [_table()] * 3):
+            with pytest.raises(ValueError, match="one or two"):
+                lib.counter_counts(a, b, tables, [1])
+        for other in (_table(window=13), _table(width=127)):
+            with pytest.raises(ValueError, match="different adders"):
+                lib.counter_counts(a, b, [_table(), other], [1])
+
+    def test_out_of_range_tables_and_masks_are_refused(self, lib):
+        good = _table()
+        masks = np.array(good.masks)
+        with pytest.raises(TypeError, match="uint64"):
+            _accel.PlanTable(masks.astype(np.int64), 128, 12, None)
+        with pytest.raises(ValueError, match="shape"):
+            _accel.PlanTable(masks[:2], 128, 12, None)
+        with pytest.raises(ValueError, match="shape"):
+            _accel.PlanTable(masks, 129, 12, None)
+        for window in (0, SWAR_MAX_WINDOW + 1):
+            with pytest.raises(ValueError, match="window"):
+                _accel.PlanTable(masks, 128, window, None)
+        for pair in ((128, 100), (100, 100), (127, -1)):
+            with pytest.raises(ValueError, match="pair"):
+                _accel.PlanTable(masks, 128, 12, pair)
+        narrow = np.array(_table(width=100).masks)
+        narrow[2, -1] |= np.uint64(1) << np.uint64(40)  # bit 104 of a 100-bit adder
+        with pytest.raises(ValueError, match="at or above"):
+            _accel.PlanTable(narrow, 100, 12, None)
+        assert not good.masks.flags.writeable
+        a, b = _operands(128, 8, "uniform", seed=1)
+        for needs in ([0], [1 << 3], [-1]):
+            with pytest.raises(ValueError, match="needs"):
+                lib.counter_counts(a, b, [good], needs)
 
 
 #: ``run_job`` aggregates (scsa1, vlcsa1_nominal, vlcsa2, vlcsa2_stall) of

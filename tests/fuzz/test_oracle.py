@@ -21,6 +21,7 @@ def _pairs(width, count=48, seed=11, strategy="uniform"):
         ("scsa2", 4),
         ("vlcsa1", 4),
         ("vlcsa2", 4),
+        ("vlsa", 5),  # windowed, but no speculative counters
     ],
 )
 def test_clean_designs_pass_every_check(design, window):
@@ -118,3 +119,28 @@ def test_kernel_leg_catches_a_wrong_counter_flag(design, monkeypatch):
     monkeypatch.setattr(kernels, "counter_flags", off_by_one)
     checks = [d for d in oracle.check_batch(pairs).divergences if d.check == "kernel-swar"]
     assert len(checks) == 1 and (checks[0].a, checks[0].b) == pairs[0]
+
+
+@pytest.mark.parametrize("design", ["vlcsa1", "vlcsa2"])
+def test_kernel_leg_catches_a_wrong_counter_count(design, monkeypatch):
+    """The leg also compares ``counter_counts`` (the C kernel when the
+    library loads tuned) with the flag sums, and names a pair whose one-row
+    count disagrees."""
+    from repro.engine import kernels
+
+    real = kernels.counter_counts
+    oracle = Oracle(DesignPoint(design, 16, 5))
+    pairs = _pairs(16, strategy="boundary")
+    bad_a, bad_b = pairs[2]
+
+    def miscount(a, b, width, window, counters):
+        counts = real(a, b, width, window, counters)
+        if ((a[:, 0] == bad_a) & (b[:, 0] == bad_b)).any():
+            counts[counters[0]] += 1
+        return counts
+
+    assert oracle.check_batch(pairs).divergences == []
+    monkeypatch.setattr(kernels, "counter_counts", miscount)
+    checks = [d for d in oracle.check_batch(pairs).divergences if d.check == "kernel-swar"]
+    assert len(checks) == 1 and (checks[0].a, checks[0].b) == (bad_a, bad_b)
+    assert "counter counts" in checks[0].detail

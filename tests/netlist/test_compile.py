@@ -223,3 +223,22 @@ def test_compiled_input_validation_matches_reference(size, container):
             with pytest.raises(NetlistError, match="does not fit") as got:
                 simulate_batch(circuit, batch, backend=backend)
             assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("width", [65, 100, 128])
+def test_two_word_values_join_exactly_across_the_loop_boundary(width):
+    """Two-word buses (``n + 1`` sums) join per vector up to
+    ``_TWO_WORD_LOOP_MAX`` vectors and by the object-dtype masked OR
+    above it; both give the exact ``lo | hi << 64`` ints."""
+    from repro.netlist.compile import _TWO_WORD_LOOP_MAX, _ints_from_words
+
+    rng = np.random.default_rng(width)
+    edge = _TWO_WORD_LOOP_MAX
+    for num_vectors in (1, edge - 1, edge, edge + 1, 2 * edge + 3):
+        words = rng.integers(0, 1 << 64, size=(num_vectors, 2), dtype=np.uint64)
+        words[:, 1] &= np.uint64((1 << (width - 64)) - 1)
+        words[::3, 1] = 0  # high word zero: the plain low word
+        want = [int(lo) + (int(hi) << 64) for lo, hi in words]
+        got = _ints_from_words(words, width)
+        assert got == want, num_vectors
+        assert all(type(value) is int for value in got)
