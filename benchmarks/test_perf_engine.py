@@ -9,11 +9,17 @@ of N, one default-size chunk, the default four counters) and reports:
 
 * ``swar_speedup`` — profile-path time over kernel time, the
   machine-independent ratio the CI gate compares;
+* ``draw_speedup`` — a materialized chunk (the operand recipe's arrays,
+  then ``counter_counts`` on them) over a whole ``run_chunk``, which
+  with the tuned library draws the operands inside the counter kernel:
+  the gain of never building the operand arrays, gated (floors
+  :data:`DRAW_SPEEDUP_FLOOR`) only when the tuned library draws;
 * per-stage seconds of one chunk — ``operands_s`` (drawing the operand
-  pairs), ``kernel_s``, ``merge_s`` (folding the chunk aggregate) —
-  plus ``chunk_s`` and ``samples_per_s`` of a whole ``run_chunk``, and
-  ``numpy_kernel_s``, the numpy kernel on the same operands.  These are
-  informational: they depend on the machine.
+  pairs as arrays), ``kernel_s``, ``merge_s`` (folding the chunk
+  aggregate) — plus ``materialized_s``, ``chunk_s`` and
+  ``samples_per_s`` of a whole ``run_chunk``, and ``numpy_kernel_s``,
+  the numpy kernel on the same operands.  These are informational: they
+  depend on the machine.
 
 ``kernel_s`` times whatever ``counter_counts`` runs: the C counter
 kernel when the library (:mod:`repro.netlist._accel`) loads with its
@@ -32,7 +38,7 @@ fresh directories, serially and on two steal-workers (best of N each):
   informational.
 
 Rows are keyed by ``(architecture, width)`` like the other ``BENCH_*``
-reports, so ``repro bench compare --metrics swar_speedup
+reports, so ``repro bench compare --metrics swar_speedup draw_speedup
 pooled_over_serial`` gates them.
 ``python -m benchmarks.test_perf_engine OUT.json`` writes the report
 format of the checked-in ``BENCH_engine.json``.
@@ -44,7 +50,6 @@ import sys
 import tempfile
 import time
 
-import numpy as np
 import pytest
 
 from repro.analysis.report import format_table
@@ -54,7 +59,9 @@ from repro.engine.jobs import (
     ChunkSpec,
     ErrorCounts,
     MonteCarloErrorJob,
-    chunk_seed_sequence,
+    _COUNTER_FIELDS,
+    _chunk_draw,
+    _operands,
     reference_counter_flags,
 )
 from repro.engine.kernels import ERROR_COUNTERS, counter_counts
@@ -82,6 +89,12 @@ POINTS = (
 SPEEDUP_FLOOR = 3.0
 ACCEL_SPEEDUP_FLOOR = 10.0
 
+#: With the tuned library, a chunk whose counter kernel draws its own
+#: operands must beat the same chunk drawn as arrays first by this much.
+#: A Gaussian chunk is 75-85% numpy's ``normal`` draws on both sides
+#: (measured 1.1-1.35x), so there the drawn chunk need only not be slower.
+DRAW_SPEEDUP_FLOOR = {"uniform": 1.2, "gaussian": 1.0}
+
 #: The checkpointed job: 48 chunks of 2^16 samples, timed best of this many.
 CHECKPOINT_CHUNKS = 48
 CHECKPOINT_REPEAT = 7
@@ -102,6 +115,21 @@ def _best(fn, repeat):
     return best
 
 
+def _best_interleaved(fns, repeat):
+    """Best time of each of ``fns``, timed in turn, so that host drift and
+    the heap state each call leaves behind hit them alike."""
+    for fn in fns:
+        fn()
+    best = [None] * len(fns)
+    for _ in range(repeat):
+        for i, fn in enumerate(fns):
+            start = time.perf_counter()
+            fn()
+            elapsed = time.perf_counter() - start
+            best[i] = elapsed if best[i] is None else min(best[i], elapsed)
+    return best
+
+
 def _profile_counts(a, b, width, window):
     flags = reference_counter_flags(a, b, width, window, ERROR_COUNTERS)
     return {name: int(value.sum()) for name, value in flags.items()}
@@ -118,8 +146,10 @@ def measure(repeat=REPEAT):
         spec = ChunkSpec(index=0, size=DEFAULT_CHUNK)
 
         def operands():
-            rng = np.random.default_rng(chunk_seed_sequence(SEED, 0))
-            return job._operands(rng, DEFAULT_CHUNK)
+            return _operands(_chunk_draw(job, spec))
+
+        def materialized():
+            return counter_counts(*operands(), width, window)
 
         a, b = operands()
         kernel = counter_counts(a, b, width, window)
@@ -127,13 +157,18 @@ def measure(repeat=REPEAT):
         numpy_kernel = kernels._numpy_counter_counts(a, b, width, window)
         assert kernel == profile == numpy_kernel, (name, kernel, profile, numpy_kernel)
         chunk = job.run_chunk(spec)
+        assert materialized() == {
+            counter: getattr(chunk, field) for counter, field in _COUNTER_FIELDS.items()
+        }, name
 
         kernel_s = _best(lambda: counter_counts(a, b, width, window), repeat)
         numpy_kernel_s = _best(
             lambda: kernels._numpy_counter_counts(a, b, width, window), repeat
         )
         profile_s = _best(lambda: _profile_counts(a, b, width, window), repeat)
-        chunk_s = _best(lambda: job.run_chunk(spec), repeat)
+        chunk_s, materialized_s = _best_interleaved(
+            [lambda: job.run_chunk(spec), materialized], repeat
+        )
         rows.append(
             {
                 "architecture": name,
@@ -142,11 +177,13 @@ def measure(repeat=REPEAT):
                 "distribution": distribution,
                 "samples": DEFAULT_CHUNK,
                 "swar_speedup": profile_s / kernel_s,
+                "draw_speedup": materialized_s / chunk_s,
                 "profile_s": profile_s,
                 "kernel_s": kernel_s,
                 "numpy_kernel_s": numpy_kernel_s,
                 "operands_s": _best(operands, repeat),
                 "merge_s": _best(lambda: ErrorCounts().merge(chunk), repeat),
+                "materialized_s": materialized_s,
                 "chunk_s": chunk_s,
                 "samples_per_s": DEFAULT_CHUNK / chunk_s,
             }
@@ -215,8 +252,8 @@ def test_perf_engine_swar_vs_profile(benchmark):
     print()
     print(
         format_table(
-            ["point", "profile", "kernel", "numpy kernel", "speedup", "operands", "chunk",
-             "samples/s"],
+            ["point", "profile", "kernel", "numpy kernel", "speedup", "operands",
+             "materialized", "chunk", "draw speedup", "samples/s"],
             [
                 (
                     f"{r['architecture']} n={r['width']} k={r['window']}",
@@ -225,7 +262,9 @@ def test_perf_engine_swar_vs_profile(benchmark):
                     f"{r['numpy_kernel_s'] * 1e3:.2f} ms",
                     f"{r['swar_speedup']:.1f}x",
                     f"{r['operands_s'] * 1e3:.2f} ms",
+                    f"{r['materialized_s'] * 1e3:.2f} ms",
                     f"{r['chunk_s'] * 1e3:.2f} ms",
+                    f"{r['draw_speedup']:.2f}x",
                     f"{r['samples_per_s'] / 1e6:.1f} M",
                 )
                 for r in rows
@@ -238,6 +277,11 @@ def test_perf_engine_swar_vs_profile(benchmark):
         assert r["swar_speedup"] >= floor, (
             f"{r['architecture']}: SWAR kernel only {r['swar_speedup']:.1f}x "
             f"faster than the profile path (floor {floor:.0f}x)"
+        )
+        draw_floor = DRAW_SPEEDUP_FLOOR[r["distribution"]]
+        assert not accel or r["draw_speedup"] >= draw_floor, (
+            f"{r['architecture']}: drawing in the kernel only {r['draw_speedup']:.2f}x "
+            f"faster than a materialized chunk (floor {draw_floor:.1f}x)"
         )
 
 

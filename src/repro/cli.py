@@ -801,9 +801,17 @@ def _cmd_engine_errors(args: argparse.Namespace) -> int:
             # what --check-model *gates* on.  At 1e9 samples the closed
             # form's ~0.4% relative error resolves to tens of sigma — a
             # model-approximation finding, not a simulator bug.
-            row["six_sigma_eq313"] = six_sigma_comparison(
-                agg.scsa1_errors, agg.samples, row["model_error_rate"]
-            )
+            # Small windows take Eq. 3.13 past 1, where no binomial
+            # comparison exists.
+            if 0.0 <= row["model_error_rate"] <= 1.0:
+                row["six_sigma_eq313"] = six_sigma_comparison(
+                    agg.scsa1_errors, agg.samples, row["model_error_rate"]
+                )
+            else:
+                row["six_sigma_eq313"] = None
+                row["six_sigma_eq313_reason"] = (
+                    f"Eq. 3.13 rate {row['model_error_rate']:.4g} lies outside [0, 1]"
+                )
             check = six_sigma_comparison(
                 agg.scsa1_errors, agg.samples, row["exact_model_rate"]
             )

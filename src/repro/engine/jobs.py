@@ -32,8 +32,10 @@ from repro.engine.cache import ElaborationCache, cache_key
 from repro.engine.kernels import (
     ERROR_COUNTERS,
     SWAR_MAX_WINDOW,
+    OperandDraw,
     counter_counts,
-    scsa1_error_count,
+    drawn_counter_counts,
+    scsa1_error_count,  # noqa: F401 - benchmarks' traced passes wrap it here
 )
 from repro.inputs.generators import (
     GAUSSIAN_SIGMA_THESIS,
@@ -73,6 +75,24 @@ def chunk_seed_sequence(seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed, spawn_key=(index,))
 
 
+def _operands(draw: OperandDraw) -> Tuple[np.ndarray, np.ndarray]:
+    """The operand recipe: ``draw``'s packed ``(rows, limbs)`` pairs.
+
+    ``a``, then ``b``, from the public generators.  The C counting path
+    of :func:`repro.engine.kernels.drawn_counter_counts` reproduces these
+    arrays bit for bit without building them; this is its fallback and
+    the oracle it is tested against.
+    """
+    width, rows, rng = draw.width, draw.rows, draw.rng
+    if draw.distribution == "uniform":
+        return uniform_operands(width, rows, rng), uniform_operands(width, rows, rng)
+    signed = draw.distribution == "gaussian"
+    return (
+        gaussian_operands(width, rows, sigma=draw.sigma, signed=signed, rng=rng),
+        gaussian_operands(width, rows, sigma=draw.sigma, signed=signed, rng=rng),
+    )
+
+
 @dataclass(frozen=True)
 class ChunkSpec:
     """One schedulable unit of a job: chunk ``index`` covering ``size``
@@ -97,6 +117,18 @@ def _check_sampling(
         )
     if distribution != "uniform":
         check_gaussian_sigma(width, GAUSSIAN_SIGMA_THESIS if sigma is None else sigma)
+
+
+def _chunk_draw(job: Any, spec: ChunkSpec) -> OperandDraw:
+    """Chunk ``spec`` of a Monte Carlo ``job``: its operands, drawn from
+    the chunk's own stream."""
+    return OperandDraw(
+        width=job.width,
+        rows=spec.size,
+        distribution=job.distribution,
+        sigma=GAUSSIAN_SIGMA_THESIS if job.sigma is None else job.sigma,
+        rng=np.random.default_rng(chunk_seed_sequence(job.seed, spec.index)),
+    )
 
 
 def _chunk_sizes(samples: int, chunk_size: int) -> Tuple[int, ...]:
@@ -289,36 +321,31 @@ class MonteCarloErrorJob:
             counts.chain_counts = np.zeros(self.width + 1, dtype=np.int64)
         return counts
 
-    def _operands(self, rng: np.random.Generator, size: int) -> Tuple[np.ndarray, np.ndarray]:
-        if self.distribution == "uniform":
-            return (
-                uniform_operands(self.width, size, rng),
-                uniform_operands(self.width, size, rng),
-            )
-        sigma = self.sigma if self.sigma is not None else GAUSSIAN_SIGMA_THESIS
-        signed = self.distribution == "gaussian"
-        a = gaussian_operands(self.width, size, sigma=sigma, signed=signed, rng=rng)
-        b = gaussian_operands(self.width, size, sigma=sigma, signed=signed, rng=rng)
-        return a, b
-
     def run_chunk(self, spec: ChunkSpec) -> ErrorCounts:
-        """Simulate one chunk; randomness comes only from (seed, index)."""
-        rng = np.random.default_rng(chunk_seed_sequence(self.seed, spec.index))
-        a, b = self._operands(rng, spec.size)
+        """Simulate one chunk; randomness comes only from (seed, index).
+
+        A counters-only chunk hands its draw to the counting kernel,
+        which draws the operands itself where it can; the chain
+        statistics need the operand arrays.
+        """
+        draw = _chunk_draw(self, spec)
         counts = self.new_aggregate()
         counts.samples = spec.size
-
-        if self.counters:
-            found = counter_counts(a, b, self.width, self.window, self.counters)
-            for name, value in found.items():
-                setattr(counts, _COUNTER_FIELDS[name], value)
-
-        if self.vlsa_chain is not None:
-            counts.vlsa_errors = int(
-                vlsa_error_flags(a, b, self.width, self.vlsa_chain).sum()
-            )
-        if self.chain_lengths:
-            counts.chain_counts = chain_length_counts(a, b, self.width)
+        found: Dict[str, int] = {}
+        if self.chain_lengths or self.vlsa_chain is not None:
+            a, b = _operands(draw)
+            if self.counters:
+                found = counter_counts(a, b, self.width, self.window, self.counters)
+            if self.vlsa_chain is not None:
+                counts.vlsa_errors = int(
+                    vlsa_error_flags(a, b, self.width, self.vlsa_chain).sum()
+                )
+            if self.chain_lengths:
+                counts.chain_counts = chain_length_counts(a, b, self.width)
+        elif self.counters:
+            found = drawn_counter_counts(draw, self.window, self.counters)
+        for name, value in found.items():
+            setattr(counts, _COUNTER_FIELDS[name], value)
         return counts
 
     def with_seed(self, seed: int) -> "MonteCarloErrorJob":
@@ -411,17 +438,7 @@ class MonteCarloMagnitudeJob:
 
     def run_chunk(self, spec: ChunkSpec) -> MagnitudeStats:
         """Measure one chunk's |true - speculative| statistics."""
-        job = MonteCarloErrorJob(  # reuse the operand recipe (same streams)
-            width=self.width,
-            window=self.window,
-            samples=self.samples,
-            distribution=self.distribution,
-            sigma=self.sigma,
-            seed=self.seed,
-            chunk_size=self.chunk_size,
-        )
-        rng = np.random.default_rng(chunk_seed_sequence(self.seed, spec.index))
-        a, b = job._operands(rng, spec.size)
+        a, b = _operands(_chunk_draw(self, spec))
         av = a[:, 0].astype(np.uint64)
         bv = b[:, 0].astype(np.uint64)
         true = av + bv  # width <= 63: full sum incl. carry-out fits in 64 bits
@@ -551,10 +568,13 @@ class SweepJob:
         ):
             row["model_error_rate"] = scsa_error_rate(point.width, point.window)
             if self.mc_samples:
-                rng = np.random.default_rng(chunk_seed_sequence(self.seed, spec.index))
-                a = uniform_operands(point.width, self.mc_samples, rng)
-                b = uniform_operands(point.width, self.mc_samples, rng)
-                errors = scsa1_error_count(a, b, point.width, point.window, "lsb")
+                draw = OperandDraw(
+                    width=point.width,
+                    rows=self.mc_samples,
+                    distribution="uniform",
+                    rng=np.random.default_rng(chunk_seed_sequence(self.seed, spec.index)),
+                )
+                errors = drawn_counter_counts(draw, point.window, ("scsa1",))["scsa1"]
                 row["mc_error_rate"] = errors / self.mc_samples
         return SweepRows(rows={spec.index: row}, counters=delta)
 

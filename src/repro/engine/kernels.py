@@ -60,28 +60,54 @@ Two implementations, one algebra.  When the optional C library
 (:mod:`repro.netlist._accel`) loads with its tuned counter kernel (the
 AVX2/``-O3`` clones GCC builds on x86-64 glibc), :func:`counter_counts`
 is one call of that kernel: it reads the packed ``(rows, limbs)``
-operands in place and, per block of rows, computes ``p``, the true
+operands in place and, per block of 128 rows, computes ``p``, the true
 carries, each plan's markers and the ``spec``/``s1``/``err1`` terms limb
 by limb, then the counts, from a checked read-only table of each plan's
-masks (:func:`_plan_table`).  It allocates nothing per block.  The numpy
-kernel below is the fallback (no compiler, ``REPRO_ACCEL=0``, or a
-portable ``-O2`` build of the library, which was measured slower than
-numpy at n=64/k=8: 0.66–0.97 against 0.54–0.71 ms), and it stays the
-only path of
-:func:`counter_flags`, :func:`scsa1_error_flags_swar` and
-:func:`scsa1_error_count`: the differential oracle the C kernel is
+masks (:func:`_plan_table`).
+The numpy kernel below is the fallback (no compiler, ``REPRO_ACCEL=0``,
+or a portable ``-O2`` build of the library, which was measured slower
+than numpy at n=64/k=8: 0.66–0.97 against 0.54–0.71 ms), and it stays
+the only path of :func:`counter_flags`, :func:`scsa1_error_flags_swar`
+and :func:`scsa1_error_count`: the differential oracle the C kernel is
 tested and fuzzed against, and an independent recount for benchmark
-checks.  Per 2¹⁶-sample chunk (2-vCPU x86 VM) the C kernel's AVX2
-build takes 0.9–1.4 ms at n=256/k=12 against 4.6–5.7 ms for numpy,
-and 0.2–0.3 ms at n=64/k=8 against 0.5–0.8 ms.  The numpy kernel's ~140
-passes per block also allocate ~140 block-sized temporaries, so its
-speed depends on the heap's history: with no large free before the
-call, glibc trims and regrows the heap for every block and the n=256
-call takes 11–16 ms.
+checks.  The numpy kernel's ~140 passes per block also allocate ~140
+block-sized temporaries, so its speed depends on the heap's history:
+with no large free before the call, glibc trims and regrows the heap
+for every block and the n=256 call takes 11–16 ms.
+
+Drawing inside the kernel.  :func:`drawn_counter_counts` takes an
+:class:`OperandDraw` (what to draw and the generator to draw it with)
+instead of operand arrays.  On the tuned library the kernel fills its
+block buffers itself, so no ``(rows, limbs)`` array exists:
+
+* uniform operands are numpy's PCG64 stream, stepped in C from the
+  generator's state.  ``Generator.integers(0, 2**64, dtype=uint64)``
+  takes exactly one raw 64-bit word per element, in row-major order,
+  so ``a`` is stream words ``0 .. rows * limbs - 1`` and ``b`` the next
+  ``rows * limbs``.  Four lanes fill a quarter of each block's rows side
+  by side, so four LCG chains overlap, and each moves on to its rows of
+  the next block by one precomputed affine jump;
+* Gaussian operands are numpy's ``normal`` draws, ``a``'s then ``b``'s,
+  and the kernel applies the rest of
+  :func:`repro.inputs.generators.gaussian_operands` per block: rint,
+  the ±2⁶² clip, the int64 cast, sign extension or the magnitude, and
+  the signed-range check, which raises the encoder's ``ValueError``.
+
+Both reproduce the recipe's arrays word for word below the width (bits
+above it are left as drawn; no mask reads them), so every seeded
+aggregate, checkpoint and fuzz corpus is unchanged.  Everything else
+draws arrays with the recipe :func:`repro.engine.jobs._operands`: the
+fallback of :func:`drawn_counter_counts` off the tuned library, chunks
+that also need chain statistics, and ``MonteCarloMagnitudeJob``.  Per 2¹⁶-sample chunk (2-vCPU x86 VM) a
+materialized chunk (recipe arrays, then the C kernel) takes 3.5–6.2 ms
+at n=256/k=12 and 0.8–1.7 ms at n=64/k=8; drawn in the kernel the
+whole chunk takes 1.5–3.0 and 0.4–0.9 ms.  A Gaussian chunk is 75–85%
+numpy's ``normal`` draws either way.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Collection, Dict, FrozenSet, Iterator, List, Optional, Tuple
@@ -89,6 +115,7 @@ from typing import Collection, Dict, FrozenSet, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.core.window import plan_windows
+from repro.inputs.generators import GAUSSIAN_SIGMA_THESIS, signed_range_error
 from repro.model.behavioral import num_limbs
 from repro.netlist import _accel
 
@@ -308,11 +335,15 @@ def _block_terms(
     }
 
 
-def _check_operands(a: np.ndarray, b: np.ndarray, width: int, window_size: int) -> None:
+def _check_window(window_size: int) -> None:
     if not 1 <= window_size <= SWAR_MAX_WINDOW:
         raise ValueError(
             f"SWAR kernel handles windows of 1..{SWAR_MAX_WINDOW} bits, got {window_size}"
         )
+
+
+def _check_operands(a: np.ndarray, b: np.ndarray, width: int, window_size: int) -> None:
+    _check_window(window_size)
     if a.shape != b.shape or a.ndim != 2 or a.shape[1] != num_limbs(width):
         raise ValueError(f"operands must be equal (rows, {num_limbs(width)}) arrays")
 
@@ -415,6 +446,85 @@ def counter_counts(
     tables, needs = _c_request(width, window_size, tuple(wanted))
     counts = lib.counter_counts(np.ascontiguousarray(a), np.ascontiguousarray(b), tables, needs)
     return dict(zip(wanted, counts))
+
+
+@dataclass(frozen=True)
+class OperandDraw:
+    """A chunk's operand pairs, described rather than drawn.
+
+    ``rows`` pairs of ``width``-bit operands from ``distribution`` (one
+    of :data:`repro.netlist._accel.DRAW_KINDS`; ``sigma`` is the Gaussian
+    standard deviation), drawn by ``rng``, a PCG64 generator where the C
+    kernel is to draw them: all of ``a``, then all of ``b``.  :func:`repro.engine.jobs._operands` is the recipe that draws
+    them as arrays; :func:`drawn_counter_counts` counts them without
+    building those arrays where it can.  Either consumes ``rng``.
+    """
+
+    width: int
+    rows: int
+    distribution: str
+    rng: np.random.Generator
+    sigma: float = GAUSSIAN_SIGMA_THESIS
+
+
+def drawn_counter_counts(
+    draw: OperandDraw,
+    window_size: int,
+    counters: Collection[str] = ERROR_COUNTERS,
+) -> Dict[str, int]:
+    """:func:`counter_counts` of the operands ``draw`` describes.
+
+    With the tuned C library and a PCG64 generator, one call of the
+    counter kernel that draws the operands itself, block by block:
+    uniform ones from the generator's own stream, Gaussian ones from
+    numpy's ``normal`` draws, encoded in the kernel.  The counts are
+    those of the recipe's arrays bit for bit.  Otherwise the recipe
+    draws the arrays and :func:`counter_counts` counts them.
+    """
+    lib = _counter_lib()
+    if lib is None or not isinstance(draw.rng.bit_generator, np.random.PCG64):
+        from repro.engine.jobs import _operands
+
+        return counter_counts(*_operands(draw), draw.width, window_size, counters)
+    wanted = _counter_terms(counters)
+    _check_window(window_size)
+    if not wanted:
+        return {}
+    tables, needs = _c_request(draw.width, window_size, tuple(wanted))
+    if draw.distribution == "uniform":
+        state = draw.rng.bit_generator.state["state"]
+        pcg = (state["state"], state["inc"])
+        counts = lib.counter_counts_drawn("uniform", draw.rows, tables, needs, pcg=pcg)
+    else:
+        counts = lib.counter_counts_drawn(
+            draw.distribution, draw.rows, tables, needs, normals=_normals(draw)
+        )
+        if counts is None:
+            raise signed_range_error(draw.width)
+    return dict(zip(wanted, counts))
+
+
+#: Per-thread buffer of :func:`_normals`.
+_SCRATCH = threading.local()
+
+
+def _normals(draw: OperandDraw) -> Tuple[np.ndarray, np.ndarray]:
+    """``draw``'s Gaussian draws, ``a``'s then ``b``'s, as ``rng.normal(0,
+    sigma, rows)`` gives them.
+
+    ``normal(0, sigma)`` is ``0 + sigma * z`` of one standard normal ``z``,
+    so ``standard_normal`` scaled by ``sigma`` is the same stream bit for
+    bit.  Drawn into a per-thread buffer that is reused from chunk to
+    chunk: two fresh arrays per chunk pay their page faults every time.
+    """
+    buf = getattr(_SCRATCH, "normals", None)
+    if buf is None or buf.shape[1] < draw.rows:
+        buf = _SCRATCH.normals = np.empty((2, draw.rows))
+    out = buf[0, : draw.rows], buf[1, : draw.rows]
+    for half in out:
+        draw.rng.standard_normal(out=half)
+        half *= draw.sigma
+    return out
 
 
 def _counter_lib() -> Optional[_accel.AccelLib]:

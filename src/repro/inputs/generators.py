@@ -109,7 +109,7 @@ def twos_complement_encode(values: np.ndarray, width: int) -> np.ndarray:
         lo = -(1 << (width - 1))
         hi = 1 << (width - 1)
         if np.any((values < lo) | (values >= hi)):
-            raise ValueError(f"some values do not fit in {width}-bit signed range")
+            raise signed_range_error(width)
     arr = np.zeros((samples, limbs), dtype=_U64)
     arr[:, 0] = values.view(np.uint64)  # int64 -> wrap-around uint64
     if limbs > 1:
@@ -117,6 +117,11 @@ def twos_complement_encode(values: np.ndarray, width: int) -> np.ndarray:
         for j in range(1, limbs):
             arr[:, j] = sign_fill
     return mask_top(arr, width)
+
+
+def signed_range_error(width: int) -> ValueError:
+    """The error of a value outside the ``width``-bit signed range."""
+    return ValueError(f"some values do not fit in {width}-bit signed range")
 
 
 def gaussian_operands(

@@ -11,13 +11,22 @@ and each bus one call, straight into or out of the limb array.
 
 The Monte Carlo engine's SWAR counter kernel
 (:mod:`repro.engine.kernels`) is ~140 numpy passes per block of rows; in
-C it is one fused pass over the operands.  That one function is built
-for AVX2 and for the baseline ISA (GCC on x86-64 glibc only, picked at
-load time); the rest of the library, and every other toolchain, stays
-at ``-O2``.  The library exports which build the counter kernel got
+C it is one fused pass per 128-row block, over two limb-major block
+buffers that stay in L1.  The kernel fills them from packed operand
+arrays, or draws the operands into them itself so that no operand array
+exists: uniform ones as numpy's PCG64 stream (a C PCG64 started from the
+generator's state, four lanes per block moved on by a precomputed LCG
+jump-ahead), Gaussian ones by encoding numpy's ``normal`` draws as
+:func:`repro.inputs.generators.gaussian_operands` does.  Both draws give
+the generators' words exactly, so counts do not depend on which path
+ran.  Its block counter and Gaussian encoder are built for AVX2 and for
+the baseline ISA (GCC on x86-64 glibc only, picked at load time); the
+rest of the library, and every other toolchain, stays at ``-O2``.  The
+library exports which build the counter kernel got
 (``AccelLib.tuned_counters``): the engine serves counts from it only
 when tuned, since the ``-O2`` build was measured slower than numpy at
-n=64.
+n=64.  The kernel needs the compiler's 128-bit integers
+(``AccelLib.counters``); every GCC or clang on a 64-bit target has them.
 
 This module embeds that C source, compiles it once with the system C
 compiler into a content-addressed shared library under a per-user cache
@@ -47,12 +56,17 @@ tables are checked once, when they are built:
   one ``(out, in0..in3)`` row per gate, in plan order) over a
   ``(num_nets, limbs)`` limb array in place;
 * ``counter_counts(a, b, tables, needs)`` — Monte Carlo error counts of
-  packed ``(rows, limbs)`` operands, read in place: per row the
+  packed ``(rows, limbs)`` operands: per row the
   ``spec``/``s1``/``err1`` terms (:data:`COUNTER_TERM_BITS`) of one or
   two window plans, each described by a :class:`PlanTable`, and per
   ``needs`` mask the number of rows holding all its terms;
   ``tuned_counters`` says whether this build of it carries the AVX2
-  clone.
+  clone;
+* ``counter_counts_drawn(kind, rows, tables, needs, pcg=, normals=)`` —
+  the same counts of operands the kernel draws (:data:`DRAW_KINDS`);
+* ``pcg64_advance(state, inc, delta)`` — the jump-ahead the drawing
+  kernel starts and moves its lanes with, exposed to test it against
+  numpy's ``PCG64.advance``.
 """
 
 from __future__ import annotations
@@ -188,13 +202,15 @@ void repro_eval_plan(uint64_t *V, ptrdiff_t limbs, const uint64_t *ones,
     }
 }
 
-/* The Monte Carlo counter kernel is the one hot loop that gains from
- * 256-bit vectors: GCC on x86-64 glibc builds it twice (AVX2 and
- * baseline) and picks one at load time.  Everything else, and every
- * other compiler, builds it at the library's -O2, where it was not
- * measured faster than numpy at small widths; repro_counters_tuned
- * tells the binding which build it got.  GCC inlines no helper into a
- * function built with other options unless told to. */
+/* The Monte Carlo counter kernel's block counter and Gaussian encoder
+ * are the hot loops that gain from 256-bit vectors: GCC on x86-64 glibc
+ * builds them twice (AVX2 and baseline) and picks one at load time.
+ * Everything else, and every other compiler, builds them at the
+ * library's -O2, where the counter was not measured faster than numpy
+ * at small widths; repro_counters_tuned tells the binding which build
+ * it got.  GCC inlines no helper into a function built with other
+ * options unless told to.  (Inlining the hot loops into the driver with
+ * its 128-bit LCG code instead made cc1 peak at 67 MiB, not 49.) */
 #if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) \
     && defined(__linux__) && defined(__GLIBC__)
 #define REPRO_HOT __attribute__((target_clones("avx2", "default"), optimize("O3")))
@@ -209,8 +225,9 @@ const int repro_counters_tuned = 0;
 #define REPRO_INLINE static inline
 #endif
 
-/* Rows per block of repro_counter_counts: the block's per-row state
- * (15 words a row with two plans) stays in L1. */
+/* Rows per block of the counter kernel: the block's per-row state
+ * (15 words a row with two plans) and, when the kernel draws its own
+ * operands, their limb-major block buffers stay in L1. */
 #define CC_ROWS 128
 
 /* Per-row state of one window plan over a block (engine/kernels.py
@@ -244,75 +261,263 @@ REPRO_INLINE void plan_limb(plan_rows *s, const uint64_t *p, const uint64_t *c,
     }
 }
 
-/* Count the rows whose term flags cover each needs[i].  a and b are
- * (rows, limbs) row-major operands.  Plan q (q < nplans) has masks
- * masks[q] = (body, low, top) x limbs, row-major, and an irregular top
- * pair pair[2q] (top marker bit) / pair[2q+1] (marker below it), or
- * -1 / -1.  Row flag bit 3q is plan q's spec term, 3q+1 its s1 term and
- * 3q+2 its err1 term. */
+/* The window plans and counters of one counting call.  Plan q (q <
+ * nplans) has masks[q] = (body, low, top) x limbs, row-major, and an
+ * irregular top pair pair[2q] (top marker bit) / pair[2q+1] (marker
+ * below it), or -1 / -1.  Row flag bit 3q is plan q's spec term, 3q+1
+ * its s1 term and 3q+2 its err1 term; counts[i] gains the rows whose
+ * flags cover needs[i]. */
+typedef struct {
+    ptrdiff_t limbs;
+    int k, nplans;
+    const uint64_t *masks[2];
+    const int64_t *pair;
+    const uint32_t *needs;
+    ptrdiff_t ncounters;
+    int64_t *counts;
+} count_spec;
+
+/* Count one block of n <= CC_ROWS rows.  Word j of row r of an operand
+ * is a[r * rs + j * ls]: rs = limbs, ls = 1 in packed (rows, limbs)
+ * arrays, rs = 1, ls = CC_ROWS in the drawn operands' block buffers. */
 REPRO_HOT
-void repro_counter_counts(const uint64_t *a, const uint64_t *b, ptrdiff_t rows,
-                          ptrdiff_t limbs, int k, int nplans,
-                          const uint64_t *masks0, const uint64_t *masks1,
-                          const int64_t *pair, const uint32_t *needs,
-                          ptrdiff_t ncounters, int64_t *counts) {
-    const uint64_t *masks[2] = {masks0, masks1};
+static void count_block(const count_spec *cs, const uint64_t *a,
+                        const uint64_t *b, ptrdiff_t rs, ptrdiff_t ls, int n) {
     plan_rows plan[2];
     uint64_t cy[CC_ROWS], P[CC_ROWS], C[CC_ROWS];
     uint32_t F[CC_ROWS];
-    for (ptrdiff_t i = 0; i < ncounters; i++)
-        counts[i] = 0;
-    for (ptrdiff_t r0 = 0; r0 < rows; r0 += CC_ROWS) {
-        const int n = rows - r0 < CC_ROWS ? (int)(rows - r0) : CC_ROWS;
-        const uint64_t *ab = a + (size_t)r0 * (size_t)limbs;
-        const uint64_t *bb = b + (size_t)r0 * (size_t)limbs;
+    const ptrdiff_t limbs = cs->limbs;
+    for (int r = 0; r < n; r++)
+        cy[r] = 0;
+    for (int q = 0; q < cs->nplans; q++)
         for (int r = 0; r < n; r++)
-            cy[r] = 0;
-        for (int q = 0; q < nplans; q++)
-            for (int r = 0; r < n; r++)
-                plan[q].tc[r] = plan[q].spec[r] = plan[q].s1[r] =
-                    plan[q].err1[r] = plan[q].pm[r] = plan[q].below[r] = 0;
-        for (ptrdiff_t j = 0; j < limbs; j++) {
-            for (int r = 0; r < n; r++) {
-                const uint64_t x = ab[(size_t)r * (size_t)limbs + (size_t)j];
-                const uint64_t y = bb[(size_t)r * (size_t)limbs + (size_t)j];
-                const uint64_t p = x ^ y;
-                const uint64_t c = p ^ (x + y + cy[r]);  /* true carry into each bit */
-                cy[r] = ((x & y) | (p & c)) >> 63;
-                P[r] = p;
-                C[r] = c;
-            }
-            for (int q = 0; q < nplans; q++) {
-                const uint64_t *m = masks[q];
-                plan_rows *s = &plan[q];
-                plan_limb(s, P, C, n, m[j], m[limbs + j], m[2 * limbs + j], k);
-                const int64_t top = pair[2 * q], below = pair[2 * q + 1];
-                if (top < 0)
-                    continue;
-                if (below / 64 == j)
-                    for (int r = 0; r < n; r++)
-                        s->below[r] = s->pm[r] >> (below % 64);
-                if (top / 64 == j)
-                    for (int r = 0; r < n; r++)
-                        s->err1[r] |= s->below[r] & ~(s->pm[r] >> (top % 64)) & 1;
-            }
+            plan[q].tc[r] = plan[q].spec[r] = plan[q].s1[r] =
+                plan[q].err1[r] = plan[q].pm[r] = plan[q].below[r] = 0;
+    for (ptrdiff_t j = 0; j < limbs; j++) {
+        for (int r = 0; r < n; r++) {
+            const uint64_t x = a[r * rs + j * ls];
+            const uint64_t y = b[r * rs + j * ls];
+            const uint64_t p = x ^ y;
+            const uint64_t c = p ^ (x + y + cy[r]);  /* true carry into each bit */
+            cy[r] = ((x & y) | (p & c)) >> 63;
+            P[r] = p;
+            C[r] = c;
         }
-        for (int r = 0; r < n; r++)
-            F[r] = 0;
-        for (int q = 0; q < nplans; q++)
-            for (int r = 0; r < n; r++)
-                F[r] |= (uint32_t)(plan[q].spec[r] != 0) << (3 * q)
-                      | (uint32_t)(plan[q].s1[r] != 0) << (3 * q + 1)
-                      | (uint32_t)(plan[q].err1[r] != 0) << (3 * q + 2);
-        for (ptrdiff_t i = 0; i < ncounters; i++) {
-            const uint32_t need = needs[i];
-            int64_t hits = 0;
-            for (int r = 0; r < n; r++)
-                hits += (F[r] & need) == need;
-            counts[i] += hits;
+        for (int q = 0; q < cs->nplans; q++) {
+            const uint64_t *m = cs->masks[q];
+            plan_rows *s = &plan[q];
+            plan_limb(s, P, C, n, m[j], m[limbs + j], m[2 * limbs + j], cs->k);
+            const int64_t top = cs->pair[2 * q], below = cs->pair[2 * q + 1];
+            if (top < 0)
+                continue;
+            if (below / 64 == j)
+                for (int r = 0; r < n; r++)
+                    s->below[r] = s->pm[r] >> (below % 64);
+            if (top / 64 == j)
+                for (int r = 0; r < n; r++)
+                    s->err1[r] |= s->below[r] & ~(s->pm[r] >> (top % 64)) & 1;
         }
     }
+    for (int r = 0; r < n; r++)
+        F[r] = 0;
+    for (int q = 0; q < cs->nplans; q++)
+        for (int r = 0; r < n; r++)
+            F[r] |= (uint32_t)(plan[q].spec[r] != 0) << (3 * q)
+                  | (uint32_t)(plan[q].s1[r] != 0) << (3 * q + 1)
+                  | (uint32_t)(plan[q].err1[r] != 0) << (3 * q + 2);
+    for (ptrdiff_t i = 0; i < cs->ncounters; i++) {
+        const uint32_t need = cs->needs[i];
+        int64_t hits = 0;
+        for (int r = 0; r < n; r++)
+            hits += (F[r] & need) == need;
+        cs->counts[i] += hits;
+    }
 }
+
+/* Operand sources of repro_counter_counts: the kernel draws the first
+ * three (DRAW_KINDS order), and reads D_PACKED from arrays. */
+enum { D_UNIFORM, D_GAUSSIAN, D_GAUSSIAN_UNSIGNED, D_PACKED };
+
+/* n Gaussian draws x as operands, the steps of inputs/generators.py:
+ * rint, clip to +-2^62, int64, then 2's complement (sign-extended,
+ * range-checked below 64 bits) or the magnitude.  Returns 1 when a
+ * signed value leaves the width's range. */
+REPRO_HOT
+static int fill_gaussian(uint64_t *A, const double *x, int n, int kind, int width,
+                         ptrdiff_t limbs) {
+    /* Below 2^51 in magnitude, adding 1.5 * 2^52 rounds to an integer,
+     * half to even, and leaves it in the low mantissa bits: rint and the
+     * cast in one vector add.  Larger draws take the scalar steps. */
+    int64_t *v = (int64_t *)A;
+    int large = 0;
+    for (int r = 0; r < n; r++) {
+        const double t = x[r] + 0x1.8p52;
+        int64_t bits;
+        __builtin_memcpy(&bits, &t, sizeof bits);
+        v[r] = bits - 0x4338000000000000LL;
+        large |= !(__builtin_fabs(x[r]) < 0x1p51);
+    }
+    for (int r = 0; large && r < n; r++)
+        if (!(__builtin_fabs(x[r]) < 0x1p51)) {
+            const double y = x[r];  /* integral from 2^52 on */
+            const double t = __builtin_copysign(0x1p52, y);
+            const double z = __builtin_fabs(y) < 0x1p52 ? (y + t) - t : y;
+            v[r] = (int64_t)(z > 0x1p62 ? 0x1p62 : z < -0x1p62 ? -0x1p62 : z);
+        }
+    /* Branch-free from here: the signs are coin flips. */
+    if (kind == D_GAUSSIAN_UNSIGNED) {
+        for (int r = 0; r < n; r++)
+            A[r] = (uint64_t)(v[r] < 0 ? -v[r] : v[r]);
+        for (ptrdiff_t j = 1; j < limbs; j++)
+            for (int r = 0; r < n; r++)
+                A[j * CC_ROWS + r] = 0;
+        return 0;
+    }
+    for (ptrdiff_t j = 1; j < limbs; j++)
+        for (int r = 0; r < n; r++)
+            A[j * CC_ROWS + r] = (uint64_t)-(int64_t)(v[r] < 0);
+    if (width >= 64)
+        return 0;
+    const uint64_t half = (uint64_t)1 << (width - 1);  /* v in [-half, half) */
+    int bad = 0;
+    for (int r = 0; r < n; r++)
+        bad |= A[r] + half >= 2 * half;
+    return bad;
+}
+
+#if defined(__SIZEOF_INT128__)
+typedef unsigned __int128 u128;
+
+/* numpy's PCG64: a 128-bit LCG whose step precedes each output, and the
+ * XSL-RR output function (xor the state's halves, rotate right by its
+ * top six bits). */
+#define PCG_MULT (((u128)0x2360ed051fc65da4ULL << 64) | 0x4385df649fccf645ULL)
+
+REPRO_INLINE uint64_t pcg_next(u128 *s, u128 inc) {
+    *s = *s * PCG_MULT + inc;
+    const uint64_t x = (uint64_t)(*s >> 64) ^ (uint64_t)*s;
+    const unsigned rot = (unsigned)(*s >> 122);
+    return (x >> rot) | (x << ((64 - rot) & 63));
+}
+
+/* The affine map state -> mult * state + plus that moves a state delta
+ * steps on (Brown's jump-ahead, as in numpy's PCG64.advance). */
+REPRO_INLINE void pcg_jump(u128 delta, u128 inc, u128 *mult, u128 *plus) {
+    u128 am = 1, ap = 0, cm = PCG_MULT, cp = inc;
+    for (; delta; delta >>= 1) {
+        if (delta & 1) {
+            am *= cm;
+            ap = ap * cm + cp;
+        }
+        cp = (cm + 1) * cp;
+        cm *= cm;
+    }
+    *mult = am;
+    *plus = ap;
+}
+
+#define U128(words) ((u128)(words)[1] << 64 | (words)[0])
+
+/* st = (state, inc) as (lo, hi) word pairs; moves state delta steps on. */
+void repro_pcg64_advance(uint64_t *st, const uint64_t *delta) {
+    u128 mult, plus;
+    pcg_jump(U128(delta), U128(st + 2), &mult, &plus);
+    const u128 s = mult * U128(st) + plus;
+    st[0] = (uint64_t)s;
+    st[1] = (uint64_t)(s >> 64);
+}
+
+/* Lanes of the uniform draw: lane l fills rows l * LANE_ROWS .. of a
+ * block, so four LCG chains run side by side. */
+#define LANES 4
+#define LANE_ROWS (CC_ROWS / LANES)
+
+/* A full block of one uniform operand into its buffer: lane l draws
+ * stream words (r0 + l * LANE_ROWS) * limbs onwards, row-major, then
+ * jumps by (mult, plus) to its rows of the next block. */
+REPRO_INLINE void fill_lanes(uint64_t *A, u128 *s, u128 inc, ptrdiff_t limbs,
+                             u128 mult, u128 plus) {
+    u128 s0 = s[0], s1 = s[1], s2 = s[2], s3 = s[3];
+    for (int r = 0; r < LANE_ROWS; r++)
+        for (ptrdiff_t j = 0; j < limbs; j++) {
+            uint64_t *w = A + j * CC_ROWS + r;
+            w[0] = pcg_next(&s0, inc);
+            w[LANE_ROWS] = pcg_next(&s1, inc);
+            w[2 * LANE_ROWS] = pcg_next(&s2, inc);
+            w[3 * LANE_ROWS] = pcg_next(&s3, inc);
+        }
+    s[0] = mult * s0 + plus;
+    s[1] = mult * s1 + plus;
+    s[2] = mult * s2 + plus;
+    s[3] = mult * s3 + plus;
+}
+
+/* The n < CC_ROWS rows of a last block, from lane 0 alone. */
+REPRO_INLINE void fill_serial(uint64_t *A, u128 *s, u128 inc, ptrdiff_t limbs,
+                              int n) {
+    for (int r = 0; r < n; r++)
+        for (ptrdiff_t j = 0; j < limbs; j++)
+            A[j * CC_ROWS + r] = pcg_next(s, inc);
+}
+
+/* Count the rows whose term flags cover each needs[i] (see count_spec)
+ * of rows operand pairs, block by block:
+ *   D_PACKED: a and b are (rows, limbs) row-major uint64 operands, read
+ *     in place;
+ *   D_UNIFORM: numpy's PCG64 stream from st = (state, inc): a is words
+ *     0 .. rows * limbs - 1 and b the next rows * limbs, row-major, as
+ *     Generator.integers(0, 2**64, dtype=uint64) takes them;
+ *   D_GAUSSIAN, D_GAUSSIAN_UNSIGNED: a and b are rows double draws each.
+ * The drawn kinds go block by block into buf (2 * CC_ROWS * limbs
+ * words), so no other copy of the operands need exist.  Bits at or
+ * above the width stay as drawn (the generators mask them): no plan
+ * mask holds such a bit, so no count reads them.  Returns 1, with
+ * counts partial, when a signed Gaussian value does not fit the width;
+ * else 0. */
+int repro_counter_counts(int kind, const void *a, const void *b,
+                         const uint64_t *st, ptrdiff_t rows, int width,
+                         uint64_t *buf, ptrdiff_t limbs, int k, int nplans,
+                         const uint64_t *masks0, const uint64_t *masks1,
+                         const int64_t *pair, const uint32_t *needs,
+                         ptrdiff_t ncounters, int64_t *counts) {
+    const count_spec cs = {limbs, k, nplans, {masks0, masks1}, pair, needs,
+                           ncounters, counts};
+    uint64_t *A = buf, *B = buf + CC_ROWS * limbs;
+    u128 sa[LANES], sb[LANES], inc = 0, mult = 0, plus = 0;
+    for (ptrdiff_t i = 0; i < ncounters; i++)
+        counts[i] = 0;
+    if (kind == D_UNIFORM) {
+        inc = U128(st + 2);
+        for (int l = 0; l < LANES; l++) {
+            pcg_jump((u128)l * LANE_ROWS * limbs, inc, &mult, &plus);
+            sa[l] = mult * U128(st) + plus;
+            pcg_jump((u128)rows * limbs + (u128)l * LANE_ROWS * limbs, inc, &mult, &plus);
+            sb[l] = mult * U128(st) + plus;
+        }
+        pcg_jump((u128)(CC_ROWS - LANE_ROWS) * limbs, inc, &mult, &plus);
+    }
+    for (ptrdiff_t r0 = 0; r0 < rows; r0 += CC_ROWS) {
+        const int n = rows - r0 < CC_ROWS ? (int)(rows - r0) : CC_ROWS;
+        if (kind == D_PACKED) {
+            count_block(&cs, (const uint64_t *)a + r0 * limbs,
+                        (const uint64_t *)b + r0 * limbs, limbs, 1, n);
+            continue;
+        }
+        if (kind == D_UNIFORM && n == CC_ROWS) {
+            fill_lanes(A, sa, inc, limbs, mult, plus);
+            fill_lanes(B, sb, inc, limbs, mult, plus);
+        } else if (kind == D_UNIFORM) {
+            fill_serial(A, sa, inc, limbs, n);
+            fill_serial(B, sb, inc, limbs, n);
+        } else if (fill_gaussian(A, (const double *)a + r0, n, kind, width, limbs)
+                   | fill_gaussian(B, (const double *)b + r0, n, kind, width, limbs)) {
+            return 1;
+        }
+        count_block(&cs, A, B, 1, CC_ROWS, n);
+    }
+    return 0;
+}
+#endif
 """
 
 #: Gate kinds of the plan evaluator; a kind's code in the ``ops`` table
@@ -328,17 +533,20 @@ PLAN_KINDS: Tuple[str, ...] = (
 _ANCHOR = ctypes.c_char * 0
 
 
-def _address(arr: np.ndarray, ndim: int, name: str, written: bool = False) -> int:
+def _address(
+    arr: np.ndarray, ndim: int, name: str, written: bool = False, dtype=np.uint64
+) -> int:
     """Data address of ``arr`` after checking the layout the C code assumes.
 
-    ``arr`` must be an ndarray of native uint64 with ``ndim`` dimensions,
-    C-contiguous, and writeable when the C code writes it (``written``).
-    A wrong type or dtype raises :class:`TypeError`, any other mismatch
-    :class:`ValueError`; callers check the extents they index.
+    ``arr`` must be an ndarray of native ``dtype`` (uint64 unless told
+    otherwise) with ``ndim`` dimensions, C-contiguous, and writeable when
+    the C code writes it (``written``).  A wrong type or dtype raises
+    :class:`TypeError`, any other mismatch :class:`ValueError`; callers
+    check the extents they index.
     """
-    if not isinstance(arr, np.ndarray) or arr.dtype != np.uint64:
+    if not isinstance(arr, np.ndarray) or arr.dtype != dtype:
         got = getattr(arr, "dtype", type(arr).__name__)
-        raise TypeError(f"{name}: expected a uint64 ndarray, got {got}")
+        raise TypeError(f"{name}: expected a {np.dtype(dtype)} ndarray, got {got}")
     if arr.ndim != ndim or not arr.flags.c_contiguous:
         raise ValueError(
             f"{name}: expected a C-contiguous {ndim}-D array, got shape "
@@ -398,6 +606,14 @@ class RowTable:
 #: plan ``q``'s term ``t`` is bit ``3 * q + COUNTER_TERM_BITS.index(t)``.
 COUNTER_TERM_BITS: Tuple[str, ...] = ("spec", "s1", "err1")
 
+#: Operand kinds of :meth:`AccelLib.counter_counts_drawn`, in the order
+#: of the C ``enum`` of draw kinds.
+DRAW_KINDS: Tuple[str, ...] = ("uniform", "gaussian", "gaussian-unsigned")
+
+#: Rows per block of the C counter kernel (``CC_ROWS``): the drawn kernel's
+#: buffer holds one block of each operand.
+_CC_ROWS = 128
+
 #: Largest window the counter kernel takes (its marker shifts stay
 #: within one limb step), as in :mod:`repro.engine.kernels`.
 _MAX_COUNTER_WINDOW = 63
@@ -449,26 +665,35 @@ class PlanTable:
 class AccelLib:
     """ctypes bindings of the compiled library.
 
-    Thin wrappers over the four exported C functions; ctypes releases
+    Thin wrappers over the five exported C functions; ctypes releases
     the GIL for the duration of each call.  Arrays go in as raw
     ``c_void_p`` addresses after explicit checks (:func:`_address` plus
     each wrapper's extent checks), which is cheaper per argument than
-    ``ndpointer`` and checks more.  ``tuned_counters`` is true when the
-    build gave :meth:`counter_counts` its AVX2/``-O3`` clones (GCC on
-    x86-64 glibc), the only build measured faster than the numpy kernel
-    at every thesis point.
+    ``ndpointer`` and checks more.  ``counters`` is true when the build
+    has the counter kernel (the compiler has 128-bit integers), and
+    ``tuned_counters`` when it also gave the kernel its AVX2/``-O3``
+    clones (GCC on x86-64 glibc), the only build measured faster than
+    the numpy kernel at every thesis point.
     """
 
     def __init__(self, cdll: ctypes.CDLL):
-        self.tuned_counters = bool(ctypes.c_int.in_dll(cdll, "repro_counters_tuned").value)
+        # The counter kernel needs the compiler's 128-bit integers.
+        self.counters = hasattr(cdll, "repro_counter_counts")
+        self.tuned_counters = self.counters and bool(
+            ctypes.c_int.in_dll(cdll, "repro_counters_tuned").value
+        )
         self._pack_bus = _bind(cdll, "repro_pack_bus", [_P, _N, _N, _P, _N, _P, _N])
         self._unpack_bus = _bind(cdll, "repro_unpack_bus", [_P, _N, _P, _N, _P, _N, _N])
         self._eval = _bind(cdll, "repro_eval_plan", [_P, _N, _P, _P, _P, _N])
-        self._counts = _bind(
-            cdll,
-            "repro_counter_counts",
-            [_P, _P, _N, _N, ctypes.c_int, ctypes.c_int, _P, _P, _P, _P, _N, _P],
-        )
+        if self.counters:
+            _I = ctypes.c_int
+            self._counts = _bind(
+                cdll,
+                "repro_counter_counts",
+                [_I, _P, _P, _P, _N, _I, _P, _N, _I, _I, _P, _P, _P, _P, _N, _P],
+            )
+            self._counts.restype = _I
+            self._advance = _bind(cdll, "repro_pcg64_advance", [_P, _P])
 
     def counter_counts(
         self,
@@ -486,14 +711,7 @@ class AccelLib:
         ``tables[q]``); row ``r`` counts toward it when every term in the
         mask holds for the row.
         """
-        if not 1 <= len(tables) <= 2:
-            raise ValueError(f"tables: expected one or two plan tables, got {len(tables)}")
-        for table in tables:
-            if not isinstance(table, PlanTable):
-                raise TypeError(f"tables: expected PlanTable, got {type(table).__name__}")
-        first = tables[0]
-        if any((t.width, t.window) != (first.width, first.window) for t in tables):
-            raise ValueError("tables: plan tables of different adders or windows")
+        first, plans, _arrays = _check_plans(tables, needs)
         a_at = _address(a, 2, "a")
         b_at = _address(b, 2, "b")
         if a.shape != b.shape or a.shape[1] != first.limbs:
@@ -501,18 +719,70 @@ class AccelLib:
                 f"operands: expected two equal (rows, {first.limbs}) arrays, got "
                 f"{a.shape} and {b.shape}"
             )
-        limit = 1 << (3 * len(tables))
-        if not all(isinstance(m, int) and 0 < m < limit for m in needs):
-            raise ValueError(f"needs: term masks must lie in 1..{limit - 1}, got {list(needs)}")
-        need = np.array(needs, dtype=np.uint32)
-        pair = np.array([t.pair for t in tables], dtype=np.int64)
-        counts = np.zeros(len(needs), dtype=np.int64)
-        self._counts(
-            a_at, b_at, a.shape[0], first.limbs, first.window, len(tables),
-            first.at, tables[-1].at, pair.ctypes.data, need.ctypes.data,
-            len(needs), counts.ctypes.data,
+        return self._run_counts(len(DRAW_KINDS), a_at, b_at, None, a.shape[0], first, plans)
+
+    def counter_counts_drawn(
+        self,
+        kind: str,
+        rows: int,
+        tables: Sequence[PlanTable],
+        needs: Sequence[int],
+        pcg: Optional[Tuple[int, int]] = None,
+        normals: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    ) -> Optional[List[int]]:
+        """:meth:`counter_counts` of ``rows`` operand pairs the kernel draws.
+
+        ``kind`` is one of :data:`DRAW_KINDS`.  ``"uniform"`` draws from
+        numpy's PCG64 at ``pcg = (state, inc)``: ``a`` is the stream's
+        first ``rows * limbs`` words and ``b`` the next, row-major.  The
+        Gaussian kinds take ``normals = (a draws, b draws)``, two
+        float64 ``(rows,)`` arrays, and encode them as
+        :func:`repro.inputs.generators.gaussian_operands` does.  Returns
+        ``None`` when a signed Gaussian value does not fit the width.
+        """
+        first, plans, _arrays = _check_plans(tables, needs)
+        if kind not in DRAW_KINDS:
+            raise ValueError(f"kind: expected one of {DRAW_KINDS}, got {kind!r}")
+        if not isinstance(rows, int) or rows < 0:
+            raise ValueError(f"rows: expected a non-negative int, got {rows!r}")
+        if kind == "uniform":
+            state, inc = pcg if pcg is not None else (-1, -1)
+            if not (0 <= state < 1 << 128 and 0 <= inc < 1 << 128):
+                raise ValueError("pcg: expected a (state, inc) pair of 128-bit ints")
+            st = np.array(_words128(state) + _words128(inc), dtype=np.uint64)
+            return self._run_counts(0, None, None, st.ctypes.data, rows, first, plans)
+        if first.width < 2:
+            raise ValueError("Gaussian operands need width >= 2")
+        ga, gb = normals if normals is not None else (None, None)
+        at = []
+        for name, x in (("normals[0]", ga), ("normals[1]", gb)):
+            at.append(_address(x, 1, name, dtype=np.float64))
+            if x.shape[0] != rows:
+                raise ValueError(f"{name}: expected {rows} draws, got {x.shape[0]}")
+        return self._run_counts(DRAW_KINDS.index(kind), *at, None, rows, first, plans)
+
+    def _run_counts(
+        self, kind: int, a_at, b_at, st_at, rows: int, first: PlanTable, plans: tuple
+    ) -> Optional[List[int]]:
+        """One ``repro_counter_counts`` call; ``None`` when it reports a
+        signed Gaussian value out of range."""
+        buf = np.empty(2 * _CC_ROWS * first.limbs, dtype=np.uint64)
+        counts = np.zeros(plans[-1], dtype=np.int64)
+        bad = self._counts(
+            kind, a_at, b_at, st_at, rows, first.width, buf.ctypes.data, *plans,
+            counts.ctypes.data,
         )
-        return counts.tolist()
+        return None if bad else counts.tolist()
+
+    def pcg64_advance(self, state: int, inc: int, delta: int) -> int:
+        """The PCG64 ``state`` moved ``delta`` steps on (mod 2**128), by the
+        jump-ahead the drawn counter kernel starts its lanes with."""
+        st = np.array(
+            _words128(state % (1 << 128)) + _words128(inc % (1 << 128)), dtype=np.uint64
+        )
+        step = np.array(_words128(delta % (1 << 128)), dtype=np.uint64)
+        self._advance(st.ctypes.data, step.ctypes.data)
+        return int(st[0]) | int(st[1]) << 64
 
     def pack_bus(self, words: np.ndarray, V: np.ndarray, table: RowTable) -> None:
         """Transpose one bus's values into its rows of ``V``.
@@ -585,6 +855,37 @@ class AccelLib:
         # The closure holds only the addresses; this keeps the arrays alive.
         runner.table = (ops, pins)  # type: ignore[attr-defined]
         return runner
+
+
+def _check_plans(
+    tables: Sequence[PlanTable], needs: Sequence[int]
+) -> Tuple[PlanTable, tuple, tuple]:
+    """The first table, the counter kernels' plan arguments, and the
+    arrays those arguments point into (the caller holds them for the
+    call), after checking one or two tables of one adder and window and
+    term masks in range."""
+    if not 1 <= len(tables) <= 2:
+        raise ValueError(f"tables: expected one or two plan tables, got {len(tables)}")
+    for table in tables:
+        if not isinstance(table, PlanTable):
+            raise TypeError(f"tables: expected PlanTable, got {type(table).__name__}")
+    first = tables[0]
+    if any((t.width, t.window) != (first.width, first.window) for t in tables):
+        raise ValueError("tables: plan tables of different adders or windows")
+    limit = 1 << (3 * len(tables))
+    if not all(isinstance(m, int) and 0 < m < limit for m in needs):
+        raise ValueError(f"needs: term masks must lie in 1..{limit - 1}, got {list(needs)}")
+    need = np.array(needs, dtype=np.uint32)
+    pair = np.array([t.pair for t in tables], dtype=np.int64)
+    plans = (
+        first.limbs, first.window, len(tables), first.at, tables[-1].at,
+        pair.ctypes.data, need.ctypes.data, len(needs),
+    )
+    return first, plans, (need, pair)
+
+
+def _words128(value: int) -> List[int]:
+    return [value & 0xFFFFFFFFFFFFFFFF, value >> 64]
 
 
 def _check_bus(V: np.ndarray, table: RowTable, words: np.ndarray, name: str) -> None:

@@ -198,11 +198,16 @@ class Server:
             self.bound_port = server.sockets[0].getsockname()[1]
             self._servers.append(server)
         if self.config.uds is not None:
-            if os.path.exists(self.config.uds):
-                os.unlink(self.config.uds)  # stale socket from a dead server
+            # Listen under a temporary name, then rename it into place
+            # (over any stale socket of a dead server): a client that
+            # connects as soon as the path exists finds it listening.
+            staging = f"{self.config.uds}.{os.getpid()}"
+            if os.path.exists(staging):
+                os.unlink(staging)
             server = await asyncio.start_unix_server(
-                self._handle_connection, path=self.config.uds
+                self._handle_connection, path=staging
             )
+            os.replace(staging, self.config.uds)
             self._servers.append(server)
         self._dispatcher = asyncio.ensure_future(self._dispatch_loop())
 

@@ -2,24 +2,34 @@
 for bit at every width/window/remainder combination."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.engine import kernels
-from repro.engine.jobs import ChunkSpec, MonteCarloErrorJob, reference_counter_flags
+from repro.engine.jobs import (
+    ChunkSpec,
+    MonteCarloErrorJob,
+    _chunk_draw,
+    chunk_seed_sequence,
+    reference_counter_flags,
+)
+from repro.engine.jobs import _operands as _recipe
 from repro.engine.kernels import (
     BLOCK_ROWS,
     ERROR_COUNTERS,
     SWAR_MAX_WINDOW,
+    OperandDraw,
     counter_counts,
     counter_flags,
+    drawn_counter_counts,
     scsa1_error_count,
     scsa1_error_flags_swar,
 )
 from repro.engine.runner import run_job
-from repro.inputs.generators import gaussian_operands, uniform_operands
-from repro.model.behavioral import pack_ints, scsa1_error_flags, window_profile
+from repro.inputs.generators import GAUSSIAN_HEADROOM, gaussian_operands, uniform_operands
+from repro.model.behavioral import mask_top, pack_ints, scsa1_error_flags, window_profile
 from repro.netlist import _accel
 
 
@@ -148,9 +158,9 @@ class TestAllCounterKernel:
     def test_chunk_counts_across_seams_match_oracle(self):
         job = MonteCarloErrorJob(width=65, window=6, samples=(1 << 16) + 1,
                                  distribution="gaussian", chunk_size=(1 << 16) + 1)
-        got = job.run_chunk(ChunkSpec(0, (1 << 16) + 1))
-        rng = np.random.default_rng(np.random.SeedSequence(job.seed, spawn_key=(0,)))
-        a, b = job._operands(rng, (1 << 16) + 1)
+        spec = ChunkSpec(0, (1 << 16) + 1)
+        got = job.run_chunk(spec)
+        a, b = _recipe(_chunk_draw(job, spec))
         want = reference_counter_flags(a, b, 65, 6)
         assert _counts(got) == tuple(int(want[name].sum()) for name in ERROR_COUNTERS)
 
@@ -266,8 +276,8 @@ def lib(monkeypatch):
     """The loaded library, its counter kernel serving ``counter_counts``
     whichever build it got."""
     loaded = _accel.load()
-    if loaded is None:
-        pytest.skip("C library unavailable")
+    if loaded is None or not loaded.counters:
+        pytest.skip("C library or its counter kernel unavailable")
     monkeypatch.setattr(loaded, "tuned_counters", True)
     return loaded
 
@@ -336,6 +346,21 @@ class TestCounterCountsPaths:
         got = counter_counts(a[::2], b[::2], 128, 9)
         assert got == _numpy_counts(a[::2].copy(), b[::2].copy(), 128, 9, ERROR_COUNTERS)
 
+    def test_bits_above_the_width_do_not_count(self, counter_path):
+        """The drawing kernel leaves them unmasked, relying on this."""
+        for width, distribution in ((65, "uniform"), (300, "gaussian"), (2, "uniform")):
+            a, b = _operands(width, 400, distribution, seed=width)
+            junk = np.random.default_rng(width).integers(
+                0, 1 << 64, size=(2, 400), dtype=np.uint64
+            ) << np.uint64(width % 64)
+            dirty_a, dirty_b = a.copy(), b.copy()
+            dirty_a[:, -1] |= junk[0]
+            dirty_b[:, -1] |= junk[1]
+            for k in _windows(width):
+                assert counter_counts(dirty_a, dirty_b, width, k) == _numpy_counts(
+                    a, b, width, k, ERROR_COUNTERS
+                ), (width, k)
+
     def test_empty_counter_set_counts_nothing(self, counter_path):
         a, b = _operands(64, 50, "uniform", seed=2)
         assert counter_counts(a, b, 64, 8, ()) == {}
@@ -350,6 +375,180 @@ class TestCounterCountsPaths:
         assert counter_counts(a, b, 64, 8) == want and len(calls) == 1
         monkeypatch.setattr(lib, "tuned_counters", False)
         assert counter_counts(a, b, 64, 8) == want and len(calls) == 1
+
+
+# -- the drawn C path ---------------------------------------------------------
+
+
+def _edge_sigma(width):
+    """The widest sigma the headroom rule admits at ``width``."""
+    return 2.0 ** (width - 1) / GAUSSIAN_HEADROOM
+
+
+def _draw(width, rows, distribution, seed, sigma=None):
+    return OperandDraw(
+        width=width,
+        rows=rows,
+        distribution=distribution,
+        rng=np.random.default_rng(chunk_seed_sequence(seed, 3)),
+        sigma=_edge_sigma(width) if sigma is None else sigma,
+    )
+
+
+class _Replay:
+    """A generator that replays fixed normal draws, for a sigma-1 draw."""
+
+    bit_generator = np.random.PCG64(0)
+
+    def __init__(self, draws):
+        self.left = [np.array(d, dtype=float) for d in draws]
+
+    def normal(self, loc, scale, size):
+        assert (loc, scale) == (0.0, 1.0)
+        return self.left.pop(0)[:size]
+
+    def standard_normal(self, out):
+        out[:] = self.left.pop(0)
+
+
+def _replay(width, distribution, draws):
+    return OperandDraw(width, len(draws[0]), distribution, _Replay(draws), sigma=1.0)
+
+
+def _assert_drawn_counts_match(width, k, rows, distribution, seed, subsets=SUBSETS_ALL):
+    """The drawn C path against the numpy kernel on the recipe's arrays."""
+    want = _numpy_counts(*_recipe(_draw(width, rows, distribution, seed)), width, k)
+    for subset in subsets:
+        got = drawn_counter_counts(_draw(width, rows, distribution, seed), k, subset)
+        assert got == {name: want[name] for name in subset}, (width, k, rows, subset)
+
+
+class TestDrawnCounterCounts:
+    @pytest.mark.parametrize("width", [2, 64, 65, 256, 300])
+    def test_uniform_operands_are_the_raw_pcg64_stream(self, width):
+        """``integers(0, 2**64, uint64)`` takes one raw word per element,
+        row-major: the property the kernel's own PCG64 relies on."""
+        rows = 37
+        seeds = chunk_seed_sequence(2012, 5)
+        got = uniform_operands(width, rows, np.random.Generator(np.random.PCG64(seeds)))
+        raw = np.random.PCG64(seeds).random_raw(rows * got.shape[1])
+        assert np.array_equal(got, mask_top(raw.reshape(rows, -1), width))
+
+    @pytest.mark.parametrize("delta", [0, 1, 127, 128 * 4, 128 * 5, (1 << 64) + 3])
+    def test_jump_ahead_is_numpy_advance(self, lib, delta):
+        bits = np.random.PCG64(chunk_seed_sequence(7, 1))
+        start = bits.state["state"]
+        bits.advance(delta)
+        got = lib.pcg64_advance(start["state"], start["inc"], delta)
+        assert got == bits.state["state"]["state"]
+
+    @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
+    @pytest.mark.parametrize("width", C_WIDTHS)
+    def test_counts_match_the_recipe(self, lib, width, distribution):
+        """Every counter subset at windows 1, 2, k | n, k not dividing n,
+        63 and k = n, Gaussian sigma at the edge of the headroom rule."""
+        for k in _windows(width):
+            _assert_drawn_counts_match(width, k, 300, distribution, seed=width + k)
+
+    @pytest.mark.parametrize("rows", [0, 1, 7, 127, 128, 129, 1 << 16])
+    def test_row_counts(self, lib, rows):
+        """Partial, single and many blocks, so every lane jump is crossed."""
+        subsets = SUBSETS_ALL if rows < 1 << 16 else [ERROR_COUNTERS, ("scsa1",)]
+        for width, k, distribution in ((129, 12, "uniform"), (256, 12, "uniform"),
+                                       (64, 7, "gaussian"), (257, 63, "gaussian-unsigned")):
+            _assert_drawn_counts_match(width, k, rows, distribution, rows + width, subsets)
+
+    def test_thesis_sigma_counts_match_the_recipe(self, lib):
+        for width, distribution in ((64, "gaussian"), (129, "gaussian-unsigned")):
+            want = _numpy_counts(
+                *_recipe(_draw(width, 5000, distribution, 1, sigma=2.0 ** 32)), width, 8
+            )
+            assert drawn_counter_counts(
+                _draw(width, 5000, distribution, 1, sigma=2.0 ** 32), 8
+            ) == want
+
+    @pytest.mark.parametrize("distribution", ["uniform", "gaussian"])
+    def test_one_drawing_call_and_no_operand_arrays(self, lib, monkeypatch,
+                                                    distribution):
+        calls = []
+        real = lib.counter_counts_drawn
+        monkeypatch.setattr(lib, "counter_counts_drawn",
+                            lambda *args, **kw: calls.append(1) or real(*args, **kw))
+        monkeypatch.setattr(kernels, "counter_counts", None)  # arrays would need it
+        drawn_counter_counts(_draw(64, 300, distribution, 1), 8)
+        assert len(calls) == 1
+
+    def test_untuned_build_draws_the_recipe_on_numpy(self, lib, monkeypatch):
+        want = _numpy_counts(*_recipe(_draw(256, 300, "uniform", 1)), 256, 12)
+        monkeypatch.setattr(lib, "tuned_counters", False)
+        monkeypatch.setattr(lib, "counter_counts_drawn", None)
+        assert drawn_counter_counts(_draw(256, 300, "uniform", 1), 12) == want
+
+    @pytest.mark.parametrize("distribution", ["gaussian", "gaussian-unsigned"])
+    @pytest.mark.parametrize("last", [None, 127.4, 127.5, 128.0, -128.0, -128.5, -129.0])
+    def test_out_of_range_gaussian_raises_like_the_recipe(self, lib, monkeypatch,
+                                                          distribution, last):
+        """Signed values outside [-128, 128) raise the encoder's error on
+        both paths at width 8; magnitudes are masked, as the recipe masks
+        them.  ``None`` draws at sigma 2^10, else zeros and one ``last``."""
+        def outcome():
+            if last is None:
+                draw = _draw(8, 300, distribution, 1, sigma=2.0 ** 10)
+            else:
+                a = np.zeros(300)
+                a[-1] = last
+                draw = _replay(8, distribution, [a, np.zeros(300)])
+            try:
+                return drawn_counter_counts(draw, 4)
+            except ValueError as error:
+                return str(error)
+
+        on = outcome()
+        with monkeypatch.context() as patch:
+            patch.setattr(_accel, "load", lambda: None)
+            off = outcome()
+        assert on == off
+        fits = last in (127.4, -128.0, -128.5)
+        assert (on == "some values do not fit in 8-bit signed range") == (
+            distribution == "gaussian" and not fits
+        )
+
+    @pytest.mark.parametrize("width, distribution", [
+        (64, "gaussian"), (65, "gaussian"), (129, "gaussian"),
+        (63, "gaussian-unsigned"), (64, "gaussian-unsigned"), (129, "gaussian-unsigned"),
+    ])
+    def test_rounding_ties_and_huge_draws_encode_like_the_recipe(self, lib, width,
+                                                                 distribution):
+        """Halves round to even, draws past 2^51 take the kernel's scalar
+        steps, past 2^62 they clip.  Against b = 1 at k = 1 a row errs
+        iff a ends in binary 11, so rounding a half the wrong way shows."""
+        special = [
+            0.5, 1.5, 2.5, 6.5, 10.5, -0.5, -1.5, -2.5, -4.5, 0.49999999999999994, -0.0,
+            2.0 ** 51 - 0.5, 2.0 ** 51 + 0.5, -(2.0 ** 51) - 1.5, 2.0 ** 52 - 0.5,
+            2.0 ** 52 + 3, 2.0 ** 62, 2.0 ** 62 + 2 ** 11, -(2.0 ** 63), 1e300, -1e300,
+        ]
+        rng = np.random.default_rng(width)
+        noise = rng.standard_normal((2, 300)) * 2.0 ** rng.integers(0, 70, (2, 300))
+        draws = [np.concatenate([special, noise[0]]),
+                 np.concatenate([np.ones(len(special)), noise[1]])]
+
+        for k in (1, 7):
+            want = _numpy_counts(*_recipe(_replay(width, distribution, draws)), width, k)
+            assert drawn_counter_counts(_replay(width, distribution, draws), k) == want, k
+
+    def test_uniform_chunk_draws_no_operand_arrays(self, lib):
+        """A counters-only n=256 chunk of 2^16 rows: its operand arrays
+        alone would take 4 MiB."""
+        job = MonteCarloErrorJob(width=256, window=12, samples=1 << 16)
+        spec = ChunkSpec(0, 1 << 16)
+        job.run_chunk(spec)  # warm the library and plan caches
+        tracemalloc.start()
+        try:
+            job.run_chunk(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
 
 def _table(width=128, window=12, key="msb"):

@@ -8,6 +8,7 @@ The asyncio tests run inside ``asyncio.run`` from sync test functions
 import asyncio
 import json
 import math
+import os
 import socket
 import threading
 import time
@@ -427,6 +428,48 @@ def test_stale_unix_socket_is_replaced(tmp_path):
     with ServerThread(ServeConfig(uds=uds, shards=1)):
         with ServeClient(uds=uds) as client:
             assert client.health()["ok"] is True
+
+
+def test_socket_path_appears_only_once_it_accepts(tmp_path, monkeypatch):
+    """A client that connects the moment the path exists is never refused,
+    even with the bind-to-listen gap widened to 50 ms."""
+    uds = _uds(tmp_path)
+    listen = socket.socket.listen
+
+    def slow_listen(sock, *args):
+        time.sleep(0.05)
+        return listen(sock, *args)
+
+    monkeypatch.setattr(socket.socket, "listen", slow_listen)
+    outcome = []
+
+    def connect_on_sight():
+        deadline = time.monotonic() + 30
+        while not os.path.exists(uds):
+            if time.monotonic() > deadline:
+                outcome.append("no socket")
+                return
+            time.sleep(0.0002)
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as client:
+            try:
+                client.connect(uds)
+                outcome.append("connected")
+            except ConnectionRefusedError:
+                outcome.append("refused")
+
+    watcher = threading.Thread(target=connect_on_sight)
+    watcher.start()
+
+    async def scenario():
+        server = Server(ServeConfig(uds=uds, shards=1))
+        try:
+            await server.start()
+            await asyncio.get_running_loop().run_in_executor(None, watcher.join)
+        finally:
+            await server.stop()
+
+    asyncio.run(scenario())
+    assert outcome == ["connected"]
 
 
 def test_metrics_snapshot_counts_sheds(tmp_path):

@@ -1,5 +1,7 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -139,6 +141,21 @@ def test_monte_carlo_jobs_that_cannot_run_exit_2(argv, message, capsys):
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("width, window", [(64, 2), (64, 1), (129, 3)])
+def test_engine_errors_with_eq313_past_one_reports_null(width, window, tmp_path, capsys):
+    """Small windows take Eq. 3.13 above 1: that comparison is null with a
+    reason, and the exact-model gate still runs."""
+    out = tmp_path / "errors.json"
+    argv = ["engine", "errors", str(width), "--window", str(window), "--samples", "1000",
+            "--no-design", "--json", str(out)]
+    assert main(argv) == 0
+    row = json.loads(out.read_text())["rows"][0]
+    assert row["model_error_rate"] > 1
+    assert row["six_sigma_eq313"] is None
+    assert "outside [0, 1]" in row["six_sigma_eq313_reason"]
+    assert row["six_sigma"]["expected_rate"] == row["exact_model_rate"]
 
 
 def test_seq_emits_core_and_shell(tmp_path):
