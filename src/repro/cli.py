@@ -725,7 +725,7 @@ def _cmd_engine_errors(args: argparse.Namespace) -> int:
     checkpoint_rows: Dict[int, dict] = {}
     partial = False
     if args.checkpoint:
-        from repro.engine import CheckpointStore, run_checkpointed
+        from repro.engine import CheckpointError, CheckpointStore, run_checkpointed
 
         root = Path(args.checkpoint)
         results = []
@@ -742,17 +742,21 @@ def _cmd_engine_errors(args: argparse.Namespace) -> int:
             if args.time_budget is not None:
                 remaining = max(0.0, args.time_budget - (time.monotonic() - started))
             reporter = _progress_reporter(f"w={job.window}") if args.progress else None
-            ckpt = run_checkpointed(
-                job,
-                subdir,
-                workers=args.workers,
-                metrics=metrics,
-                progress=reporter,
-                time_budget=remaining,
-                # Budget exhausted: restore-only pass, so the report still
-                # carries every window's chunks completed so far.
-                max_chunks=0 if remaining == 0.0 else None,
-            )
+            try:
+                ckpt = run_checkpointed(
+                    job,
+                    subdir,
+                    workers=args.workers,
+                    metrics=metrics,
+                    progress=reporter,
+                    time_budget=remaining,
+                    # Budget exhausted: restore-only pass, so the report still
+                    # carries every window's chunks completed so far.
+                    max_chunks=0 if remaining == 0.0 else None,
+                )
+            except CheckpointError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
             results.append(ckpt)
             partial = partial or ckpt.partial
             checkpoint_rows[job.window] = ckpt.to_dict()

@@ -26,14 +26,15 @@ they now execute through:
 * :mod:`repro.engine.metrics` — cache-hit counters, per-phase wall-clock
   timers, and chunk throughput, exposed via the ``repro engine`` CLI
   subcommand and a machine-readable JSON report;
-* :mod:`repro.engine.checkpoint` — a durable job directory (append-only
-  manifest + content-addressed chunk results) that tolerates torn writes,
-  garbage chunk files, and duplicate records, plus the incremental
-  :class:`ManifestTail` reader the streamed reduction runs on;
+* :mod:`repro.engine.checkpoint` — a durable job directory (an
+  append-only manifest whose lines are self-verifying chunk records)
+  that tolerates torn writes, damaged records, and duplicate records,
+  plus the incremental :class:`ManifestTail` reader the streamed
+  reduction runs on;
 * :mod:`repro.engine.steal` — :func:`run_checkpointed`: billion-sample
-  jobs executed by work-stealing workers coordinating through lease
-  files, resumable after SIGKILL to a bit-identical final aggregate with
-  O(1) parent memory in samples.
+  jobs executed by work-stealing workers (the parent is worker 0)
+  coordinating through lease files, resumable after SIGKILL to a
+  bit-identical final aggregate with O(1) parent memory in samples.
 """
 
 from repro.engine.cache import ElaborationCache, cache_key, default_cache_dir

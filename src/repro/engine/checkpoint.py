@@ -1,35 +1,35 @@
-"""Checkpoint store: append-only manifest + content-addressed chunk results.
+"""Checkpoint store: an append-only manifest of self-verifying chunk records.
 
 A *job directory* is the durable state of one huge Monte Carlo job:
 
 ```
 jobdir/
   job.json          # header: schema, job digest, chunk count, sample budget
-  manifest.jsonl    # append-only: one {"chunk": i, "digest": d} line per result
-  chunks/<d>.json   # content-addressed chunk payloads (d = sha256 of content)
+  manifest.jsonl    # append-only: one {"chunk", "digest", "payload"} line per result
   leases/<i>        # work-stealing claims (see repro.engine.steal)
   stats.json        # cumulative StreamingMoments telemetry across runs
 ```
 
-The manifest is the single source of truth: a chunk is *done* iff a valid
-manifest line points at a chunk file whose content hashes to the recorded
-digest.  Everything else is recoverable garbage:
+The manifest is the single source of truth: a chunk is *done* iff a
+newline-terminated manifest line carries its payload and the digest that
+payload hashes to (``chunk_digest(index, payload)``).  Everything else
+is recoverable garbage:
 
-* a **truncated manifest line** (torn write, full disk) is skipped — only
-  lines terminated by a newline and parsing as the expected shape count;
-* a **garbage chunk file** (bit rot, partial write) fails its digest
-  check, so its record is ignored and the chunk is simply recomputed;
+* a **torn manifest line** (a process died mid-append, or a short write
+  on a full disk) has no newline yet and is skipped; the next append
+  starts with a newline, so the fragment becomes its own garbage line;
+* a **damaged record** (bit rot, a tampered payload, a line that does
+  not parse or has the wrong shape) fails its digest check, so it is
+  ignored and the chunk is simply recomputed;
 * **duplicate chunk records** (two workers racing on a stolen chunk) are
   deduplicated first-wins — harmless anyway, because a chunk's payload is
   a pure function of ``(job, chunk index)``, so duplicates are identical.
 
-Appends are crash-consistent without fsync discipline: the chunk file is
-published atomically (`os.replace`) *before* its manifest line is
-appended in a single small `O_APPEND` write, so a reader never sees a
-manifest record whose chunk file is missing unless the record itself is
-being torn — and torn records are skipped.  A SIGKILL at any instant
-leaves a directory that resumes to a bit-identical final aggregate,
-because aggregates merge exact integers associatively and commutatively.
+Each record is one ``os.write`` on an ``O_APPEND`` descriptor, so a crash
+leaves at most one torn line and no other file to reconcile.  A SIGKILL
+at any instant leaves a directory that resumes to a bit-identical final
+aggregate, because aggregates merge exact integers associatively and
+commutatively.
 
 ``state_digest`` reuses the fuzz corpus's order-independent hashing
 idiom: a SHA-256 over the *sorted* chunk record digests, so two runs that
@@ -42,19 +42,19 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
+import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.obs.accumulator import StreamingMoments
 
-#: Bump when the job header / manifest / chunk payload layout changes.
-CHECKPOINT_SCHEMA = 1
+#: Bump when the job header / manifest record layout changes.  Schema 1
+#: kept payloads in content-addressed ``chunks/<digest>.json`` files.
+CHECKPOINT_SCHEMA = 2
 
 MANIFEST_NAME = "manifest.jsonl"
 JOB_NAME = "job.json"
-CHUNKS_DIR = "chunks"
 LEASES_DIR = "leases"
 STATS_NAME = "stats.json"
 
@@ -89,36 +89,61 @@ def job_digest(job: Any) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
+def state_digest(digests: Iterable[str]) -> str:
+    """Order-independent hash of a completed-chunk set's record digests."""
+    h = hashlib.sha256()
+    for digest in sorted(digests):
+        h.update(digest.encode())
+    return h.hexdigest()
+
+
+def _write_temp(path: Path, data: bytes) -> Path:
+    """Write ``data`` to a temporary file beside ``path``, named by this
+    process and thread so concurrent writers never share one."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+    except BaseException:
+        _unlink_quietly(tmp)
+        raise
+    finally:
+        os.close(fd)
+    return tmp
+
+
+def _unlink_quietly(path: Path) -> None:
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
+
+
 def _atomic_write(path: Path, data: bytes) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    tmp = _write_temp(path, data)
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
         os.replace(tmp, path)
     except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        _unlink_quietly(tmp)
         raise
 
 
 class CheckpointStore:
-    """One job directory: header, manifest, content-addressed chunk files."""
+    """One job directory: header, manifest of chunk records, leases."""
 
     def __init__(self, directory: os.PathLike):
         self.directory = Path(directory)
         self.manifest_path = self.directory / MANIFEST_NAME
-        self.chunks_dir = self.directory / CHUNKS_DIR
         self.leases_dir = self.directory / LEASES_DIR
         self.stats_path = self.directory / STATS_NAME
 
     # -- header -----------------------------------------------------------
 
     def header(self) -> Optional[dict]:
-        """The persisted job header, or None (missing/corrupt reads as
-        missing — the manifest, not the header, is the recovery state)."""
+        """The persisted job header, or None when missing or corrupt."""
         try:
             payload = json.loads((self.directory / JOB_NAME).read_text())
         except (OSError, ValueError):
@@ -128,13 +153,22 @@ class CheckpointStore:
     def initialize(self, job: Any) -> dict:
         """Create (or validate) the directory for ``job``; returns the header.
 
-        Raises :class:`CheckpointMismatch` when the directory already
-        belongs to a different job — resuming someone else's manifest
-        would silently merge unrelated random streams.
+        Raises :class:`CheckpointError` when the directory was written by
+        another checkpoint schema, or holds records but no readable
+        header, and :class:`CheckpointMismatch` when it belongs to a
+        different job — resuming someone else's manifest would silently
+        merge unrelated random streams.
         """
         digest = job_digest(job)
         existing = self.header()
         if existing is not None:
+            schema = existing.get("schema")
+            if schema != CHECKPOINT_SCHEMA:
+                raise CheckpointError(
+                    f"checkpoint directory {self.directory} was written with "
+                    f"checkpoint schema {schema!r}; this version reads schema "
+                    f"{CHECKPOINT_SCHEMA} only; use a fresh directory"
+                )
             if existing.get("job_digest") != digest:
                 raise CheckpointMismatch(
                     f"checkpoint directory {self.directory} belongs to a "
@@ -144,6 +178,16 @@ class CheckpointStore:
                     f"use a fresh directory"
                 )
             return existing
+        try:
+            recorded = self.manifest_path.stat().st_size > 0
+        except OSError:
+            recorded = False
+        if recorded:
+            raise CheckpointError(
+                f"checkpoint directory {self.directory} holds chunk records "
+                f"but its {JOB_NAME} is missing or unreadable, so they cannot "
+                f"be matched to this job; use a fresh directory"
+            )
         specs = job.chunk_specs()
         header = {
             "schema": CHECKPOINT_SCHEMA,
@@ -154,9 +198,7 @@ class CheckpointStore:
             "total_samples": sum(spec.size for spec in specs),
             "seed": getattr(job, "seed", None),
         }
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.chunks_dir.mkdir(exist_ok=True)
-        self.leases_dir.mkdir(exist_ok=True)
+        self.leases_dir.mkdir(parents=True, exist_ok=True)
         _atomic_write(
             self.directory / JOB_NAME,
             (json.dumps(header, indent=2, sort_keys=True) + "\n").encode("utf-8"),
@@ -168,112 +210,46 @@ class CheckpointStore:
     def append(self, index: int, payload: Dict[str, Any]) -> str:
         """Record one chunk result; returns its content digest.
 
-        Publish order is the crash-consistency invariant: the chunk file
-        lands atomically first, then its manifest line is appended in one
-        small ``O_APPEND`` write.  If a previous process died mid-append
-        and left a torn final line (no newline), a leading newline heals
-        it first — the fragment becomes its own garbage line (skipped by
-        every reader) instead of corrupting this record.
+        The record is one ``os.write`` on an ``O_APPEND`` descriptor.  If
+        the manifest ends in a torn line (a predecessor died mid-append),
+        a leading newline heals it first — the fragment becomes its own
+        garbage line (skipped by every reader) instead of corrupting this
+        record.  A short write raises ``OSError``: its fragment is a torn
+        line like any other.
         """
         digest = chunk_digest(index, payload)
-        body = canonical_json({"chunk": index, "digest": digest, "payload": payload})
-        _atomic_write(self.chunks_dir / f"{digest}.json", body.encode("utf-8"))
-        line = canonical_json({"chunk": index, "digest": digest}) + "\n"
-        if self._tail_is_torn():
-            line = "\n" + line
-        with open(self.manifest_path, "a", encoding="utf-8") as handle:
-            handle.write(line)
-            handle.flush()
-        return digest
-
-    def _tail_is_torn(self) -> bool:
-        """True when the manifest exists, is non-empty, and its final
-        byte is not a newline (a predecessor died mid-append)."""
+        line = canonical_json({"chunk": index, "digest": digest, "payload": payload})
+        data = (line + "\n").encode("utf-8")
+        fd = os.open(self.manifest_path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
         try:
-            with open(self.manifest_path, "rb") as handle:
-                handle.seek(-1, os.SEEK_END)
-                return handle.read(1) != b"\n"
-        except (OSError, ValueError):
-            return False  # missing or empty: nothing to heal
+            size = os.fstat(fd).st_size
+            if size and os.pread(fd, 1, size - 1) != b"\n":
+                data = b"\n" + data
+            written = os.write(fd, data)
+        finally:
+            os.close(fd)
+        if written != len(data):
+            raise OSError(
+                f"short write to {self.manifest_path}: {written} of {len(data)} bytes"
+            )
+        return digest
 
     # -- reading ----------------------------------------------------------
 
-    def load_chunk(self, index: int, digest: str) -> Optional[Dict[str, Any]]:
-        """The payload behind one manifest record, or None if the chunk
-        file is missing, unparsable, or fails its digest check."""
-        try:
-            text = (self.chunks_dir / f"{digest}.json").read_text()
-            record = json.loads(text)
-        except (OSError, ValueError):
-            return None
-        if not isinstance(record, dict) or record.get("chunk") != index:
-            return None
-        payload = record.get("payload")
-        if not isinstance(payload, dict):
-            return None
-        if chunk_digest(index, payload) != digest:
-            return None
-        return payload
-
-    def iter_manifest(self) -> Iterator[Tuple[int, str]]:
-        """Raw ``(index, digest)`` manifest records, *not* deduplicated.
-
-        Tolerates every manifest-level corruption mode: a final line
-        without its newline (torn append) and lines that fail to parse or
-        have the wrong shape are skipped.
-        """
-        try:
-            data = self.manifest_path.read_bytes()
-        except OSError:
-            return
-        for line in data.split(b"\n")[:-1]:  # last element: after final \n
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if not isinstance(record, dict):
-                continue
-            index, digest = record.get("chunk"), record.get("digest")
-            if isinstance(index, int) and not isinstance(index, bool) and index >= 0 \
-                    and isinstance(digest, str):
-                yield index, digest
-        # A trailing fragment with no newline is a torn write: skipped.
-
     def iter_records(self) -> Iterator[Tuple[int, Dict[str, Any]]]:
         """Valid, deduplicated ``(index, payload)`` records (first wins)."""
-        seen: Set[int] = set()
-        for index, digest in self.iter_manifest():
-            if index in seen:
-                continue
-            payload = self.load_chunk(index, digest)
-            if payload is None:
-                continue
-            seen.add(index)
-            yield index, payload
+        for record in ManifestTail(self).poll():
+            yield record.index, record.payload
 
     def done_indices(self) -> Set[int]:
         """Chunk indices with a verified result on disk."""
         return {index for index, _ in self.iter_records()}
 
     def state_digest(self) -> str:
-        """Order-independent hash of the completed-chunk set.
-
-        SHA-256 over the sorted record digests (the fuzz-corpus idiom):
-        equal chunk sets hash equally no matter the completion order.
-        """
-        digests: List[str] = []
-        seen: Set[int] = set()
-        for index, digest in self.iter_manifest():
-            if index in seen:
-                continue
-            if self.load_chunk(index, digest) is None:
-                continue
-            seen.add(index)
-            digests.append(digest)
-        h = hashlib.sha256()
-        for digest in sorted(digests):
-            h.update(digest.encode())
-        return h.hexdigest()
+        """Order-independent hash of the completed-chunk set on disk."""
+        tail = ManifestTail(self)
+        tail.poll()
+        return tail.state_digest()
 
     # -- cumulative run telemetry -----------------------------------------
 
@@ -307,6 +283,7 @@ class TailRecord:
     """One newly observed manifest record (already verified + deduped)."""
 
     index: int
+    digest: str
     payload: Dict[str, Any]
 
 
@@ -319,18 +296,31 @@ class ManifestTail:
     a record was written seconds ago (live run) or by a previous
     interrupted process (resume).  A partially appended final line is
     left in the file and re-examined on the next poll once its newline
-    arrives.
+    arrives.  Lines for chunks already seen are skipped before their
+    digest is checked.
     """
 
     def __init__(self, store: CheckpointStore):
         self.store = store
         self._offset = 0
-        self._seen: Set[int] = set()
+        self._digests: Dict[int, str] = {}
 
     @property
-    def seen(self) -> Set[int]:
-        """Indices of every verified record observed so far."""
-        return self._seen
+    def seen(self):
+        """Indices of every verified record observed so far (a live view)."""
+        return self._digests.keys()
+
+    def mark(self, index: int, digest: str) -> bool:
+        """Note a record this process appended itself; False when the
+        chunk was already seen (its earlier record wins)."""
+        if index in self._digests:
+            return False
+        self._digests[index] = digest
+        return True
+
+    def state_digest(self) -> str:
+        """:func:`state_digest` of every record observed so far."""
+        return state_digest(self._digests.values())
 
     def poll(self) -> List[TailRecord]:
         """Verified new records since the last poll (possibly empty)."""
@@ -344,25 +334,22 @@ class ManifestTail:
         end = data.rfind(b"\n")
         if end < 0:
             return []
-        consumed = data[: end + 1]
-        self._offset += len(consumed)
+        self._offset += end + 1
         fresh: List[TailRecord] = []
-        for line in consumed.split(b"\n")[:-1]:
+        for line in data[:end].split(b"\n"):
             try:
                 record = json.loads(line)
-            except ValueError:
+            except (ValueError, RecursionError):
                 continue
             if not isinstance(record, dict):
                 continue
-            index, digest = record.get("chunk"), record.get("digest")
+            index = record.get("chunk")
             if not (isinstance(index, int) and not isinstance(index, bool)
-                    and index >= 0 and isinstance(digest, str)):
+                    and index >= 0) or index in self._digests:
                 continue
-            if index in self._seen:
+            digest, payload = record.get("digest"), record.get("payload")
+            if not isinstance(payload, dict) or chunk_digest(index, payload) != digest:
                 continue
-            payload = self.store.load_chunk(index, digest)
-            if payload is None:
-                continue
-            self._seen.add(index)
-            fresh.append(TailRecord(index=index, payload=payload))
+            self._digests[index] = digest
+            fresh.append(TailRecord(index=index, digest=digest, payload=payload))
         return fresh

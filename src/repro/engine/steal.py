@@ -1,10 +1,10 @@
 """Work-stealing execution of checkpointed jobs.
 
 The scheduler state *is* the filesystem, so it composes across process
-boundaries for free: workers forked by one ``run_checkpointed`` call,
-workers of a second concurrent invocation pointed at the same directory,
-and a resumed run after a SIGKILL all coordinate through the same two
-structures —
+boundaries for free: the parent and the workers it forks in one
+``run_checkpointed`` call, workers of a second concurrent invocation
+pointed at the same directory, and a resumed run after a SIGKILL all
+coordinate through the same two structures —
 
 * the **manifest** (see :mod:`repro.engine.checkpoint`): a chunk with a
   verified manifest record is done, forever;
@@ -27,15 +27,19 @@ dedup, with bit-identical results guaranteed by the exact commutative
 aggregate algebra.
 
 ``run_checkpointed`` is the driver: it restores completed chunks from the
-manifest, forks steal-workers for the remainder, and stream-merges
-results through a :class:`~repro.engine.checkpoint.ManifestTail` as they
-land — the merged accumulator is the only per-sample state the parent
-holds, so memory stays O(1) in samples.  The parent and its own workers
-also signal each other directly: a worker writes a byte to a wake pipe
-per published chunk, and the parent sets a completion event that idle
-workers wait on, so nobody sleeps out a poll tick on the completion
-path.  An interrupted run (Ctrl-C, SIGTERM, SIGKILL, power loss) resumes
-to a final aggregate bit-identical to an uninterrupted one.
+manifest, then runs the one claim/compute/publish loop
+(:func:`_claim_loop`) itself as steal-worker 0.  With ``workers >= 2`` it
+first forks ``workers - 1`` more steal-workers running the same loop.
+The parent's scheduler reads the manifest through the same
+:class:`~repro.engine.checkpoint.ManifestTail` that restored it and folds
+every new record — its own and its workers' — into one merged
+accumulator, the only per-sample state it holds, so memory stays O(1) in
+samples.  The parent and its workers also signal each other directly: a
+worker writes a byte to a wake pipe per published chunk, which wakes a
+parent with nothing left to claim, and the parent sets a completion
+event that idle workers wait on, so nobody sleeps out a poll tick on the
+completion path.  An interrupted run (Ctrl-C, SIGTERM, SIGKILL, power
+loss) resumes to a final aggregate bit-identical to an uninterrupted one.
 """
 
 from __future__ import annotations
@@ -44,15 +48,21 @@ import json
 import multiprocessing as mp
 import os
 import sys
-import tempfile
 import time
 import traceback
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Sequence, Set
+from typing import Any, Callable, Dict, Optional, Sequence
 
-from repro.engine.checkpoint import CheckpointStore, ManifestTail, _atomic_write
+from repro.engine.checkpoint import (
+    CheckpointStore,
+    ManifestTail,
+    TailRecord,
+    _atomic_write,
+    _unlink_quietly,
+    _write_temp,
+)
 from repro.engine.metrics import EngineMetrics
 from repro.engine.runner import EngineError, _sigterm_interrupts
 from repro.netlist import _accel
@@ -62,14 +72,16 @@ from repro.obs.accumulator import StreamingMoments
 #: undecidable pid) stays respected before its chunk is stolen.
 DEFAULT_LEASE_TTL = 60.0
 
-#: Fallback timeout of the parent's wait.  Its own workers wake it through
-#: a pipe; only chunks completed by a foreign invocation sharing the
-#: directory surface on this tick.
+#: Fallback timeout of the parent's wait once every pending chunk is
+#: leased elsewhere.  Its own workers wake it through a pipe; only chunks
+#: completed by a foreign invocation sharing the directory surface on
+#: this tick.
 _POLL_S = 0.05
 
-#: Fallback timeout of an idle worker's wait while every pending chunk is
-#: leased elsewhere.  Job completion wakes it at once; only a sibling
-#: dying on its lease (stale-lease reclaim) is noticed on this tick.
+#: Fallback timeout of an idle wait while every pending chunk is leased
+#: elsewhere and no forked worker can signal.  Job completion wakes a
+#: forked worker at once; only a sibling dying on its lease (stale-lease
+#: reclaim) or a foreign claim holder is noticed on this tick.
 _IDLE_SLEEP_S = 0.05
 
 _JOIN_TIMEOUT_S = 5.0
@@ -89,7 +101,10 @@ class StealScheduler:
     """Filesystem-backed chunk claims with orphan reclaim.
 
     One instance per worker (process *or* thread); instances coordinate
-    only through the job directory, never through shared memory.
+    only through the job directory, never through shared memory.  The
+    done set is ``tail``'s seen set; ``on_record`` (if given) receives
+    every newly verified record exactly once, whether read off the
+    manifest or published through :meth:`complete`.
     """
 
     def __init__(
@@ -97,14 +112,16 @@ class StealScheduler:
         store: CheckpointStore,
         total: int,
         lease_ttl: float = DEFAULT_LEASE_TTL,
+        tail: Optional[ManifestTail] = None,
+        on_record: Optional[Callable[[TailRecord], None]] = None,
     ):
         if total < 0:
             raise ValueError(f"total chunks must be >= 0, got {total}")
         self.store = store
         self.total = total
         self.lease_ttl = lease_ttl
-        self._tail = ManifestTail(store)
-        self._done: Set[int] = set()
+        self._tail = tail if tail is not None else ManifestTail(store)
+        self._on_record = on_record
         self._host = os.uname().nodename
         store.leases_dir.mkdir(parents=True, exist_ok=True)
 
@@ -113,17 +130,13 @@ class StealScheduler:
     def refresh(self) -> None:
         """Fold newly manifested chunks into the local done set."""
         for record in self._tail.poll():
-            self._done.add(record.index)
-
-    @property
-    def done(self) -> Set[int]:
-        """Locally known completed chunks (call :meth:`refresh` first)."""
-        return self._done
+            if self._on_record is not None:
+                self._on_record(record)
 
     def pending(self) -> int:
         """Chunks not yet known complete (after a refresh)."""
         self.refresh()
-        return self.total - len(self._done)
+        return self.total - len(self._tail.seen)
 
     # -- leases -----------------------------------------------------------
 
@@ -186,22 +199,17 @@ class StealScheduler:
     def _publish_lease(self, path: Path) -> None:
         """Create ``path`` with a complete lease body in one step; raises
         ``FileExistsError`` when another worker holds the lease."""
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+        tmp = _write_temp(path, self._lease_body())
         try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(self._lease_body())
             os.link(tmp, path)
         finally:
             os.unlink(tmp)
 
     def release(self, index: int) -> None:
         """Drop a claim (also called after completion; errors ignored)."""
-        try:
-            os.unlink(self._lease_path(index))
-        except OSError:
-            pass
+        _unlink_quietly(self._lease_path(index))
 
-    # -- the claim loop ---------------------------------------------------
+    # -- claims -----------------------------------------------------------
 
     def claim(self) -> Optional[int]:
         """The next chunk this worker should run, or None when every
@@ -211,14 +219,15 @@ class StealScheduler:
         frontier; stale leases encountered on the way are stolen.
         """
         self.refresh()
+        done = self._tail.seen
         for index in range(self.total):
-            if index in self._done:
+            if index in done:
                 continue
             if self.try_claim(index):
                 # Late dedup: the chunk may have completed (and released)
                 # between our refresh and the claim.
                 self.refresh()
-                if index in self._done:
+                if index in done:
                     self.release(index)
                     continue
                 return index
@@ -226,19 +235,64 @@ class StealScheduler:
 
     def complete(self, index: int, payload: Dict[str, Any]) -> None:
         """Publish a chunk result and drop its lease."""
-        self.store.append(index, payload)
-        self._done.add(index)
+        digest = self.store.append(index, payload)
+        if self._tail.mark(index, digest) and self._on_record is not None:
+            self._on_record(TailRecord(index=index, digest=digest, payload=payload))
         self.release(index)
 
 
 # ---------------------------------------------------------------------------
-# Worker process
+# The claim loop, and the forked workers that run it
 # ---------------------------------------------------------------------------
+
+
+def _claim_loop(
+    job: Any,
+    specs: Sequence[Any],
+    scheduler: StealScheduler,
+    rank: int,
+    keep_going: Callable[[], bool],
+    idle: Callable[[], Any],
+    published: Callable[[], Any],
+    budget: Optional[int] = None,
+) -> None:
+    """Claim, compute, publish, repeat — every steal-worker's one loop.
+
+    Ends when every chunk is done, ``keep_going`` turns false, or
+    ``budget`` chunks were computed; ``idle`` waits while every pending
+    chunk is leased elsewhere, and ``published`` runs after each chunk.
+    A failing chunk releases its lease before the exception propagates.
+    Per-run timing moments are dropped in ``stats/`` for the parent to
+    fold into the cumulative ``stats.json``.
+    """
+    chunk_s = StreamingMoments()
+    checkpoint_s = StreamingMoments()
+    try:
+        while keep_going() and (budget is None or chunk_s.count < budget):
+            index = scheduler.claim()
+            if index is None:
+                if scheduler.pending() == 0:
+                    return
+                idle()
+                continue
+            try:
+                start = time.perf_counter()
+                payload = job.run_chunk(specs[index]).to_payload()
+                computed = time.perf_counter()
+                scheduler.complete(index, payload)
+            except BaseException:
+                scheduler.release(index)
+                raise
+            chunk_s.record(computed - start)
+            checkpoint_s.record(time.perf_counter() - computed)
+            published()
+    finally:
+        _write_worker_stats(scheduler.store, rank, chunk_s, checkpoint_s)
 
 
 def _steal_worker_main(
     job: Any,
-    directory: str,
+    tail: ManifestTail,
     rank: int,
     lease_ttl: float,
     deadline: Optional[float],
@@ -246,51 +300,32 @@ def _steal_worker_main(
     wake_fd: int,
     stop: Any,
 ) -> None:
-    """One steal-worker: claim, compute, publish, repeat.
+    """A forked steal-worker: :func:`_claim_loop` with a wake-up per chunk.
 
-    Every published chunk writes one byte to ``wake_fd`` so the parent
-    merges it at once.  Exits when the job is complete (or the parent
-    sets ``stop``), the time budget lapses, or the parent disappears (a
-    SIGKILLed parent must not leave computing orphans).  Per-run timing
-    moments are dropped in ``stats/`` for the parent to fold into the
-    cumulative ``stats.json``.
+    Every published chunk writes one byte to ``wake_fd`` so a waiting
+    parent merges it at once.  Exits when the job is complete (or the
+    parent sets ``stop``), the time budget lapses, or the parent
+    disappears (a SIGKILLed parent must not leave computing orphans).
     """
-    store = CheckpointStore(directory)
     specs = job.chunk_specs()
-    scheduler = StealScheduler(store, total=len(specs), lease_ttl=lease_ttl)
-    chunk_s = StreamingMoments()
-    checkpoint_s = StreamingMoments()
-    status = 0
+    scheduler = StealScheduler(tail.store, len(specs), lease_ttl, tail=tail)
+
+    def keep_going() -> bool:
+        return (
+            not stop.is_set()
+            and os.getppid() == parent_pid
+            and (deadline is None or time.monotonic() < deadline)
+        )
+
     try:
-        while not stop.is_set():
-            if os.getppid() != parent_pid:
-                break  # orphaned: the parent was killed out from under us
-            if deadline is not None and time.monotonic() >= deadline:
-                break
-            index = scheduler.claim()
-            if index is None:
-                if scheduler.pending() == 0:
-                    break
-                stop.wait(_IDLE_SLEEP_S)  # all pending chunks leased: wait
-                continue
-            try:
-                start = time.perf_counter()
-                aggregate = job.run_chunk(specs[index])
-                computed = time.perf_counter()
-                scheduler.complete(index, aggregate.to_payload())
-                published = time.perf_counter()
-            except BaseException:
-                scheduler.release(index)
-                traceback.print_exc(file=sys.stderr)
-                status = 1
-                break
-            _wake(wake_fd)
-            chunk_s.record(computed - start)
-            checkpoint_s.record(published - computed)
-    finally:
-        _write_worker_stats(store, rank, chunk_s, checkpoint_s)
-    if status:
-        sys.exit(status)
+        _claim_loop(
+            job, specs, scheduler, rank, keep_going,
+            idle=lambda: stop.wait(_IDLE_SLEEP_S),
+            published=lambda: _wake(wake_fd),
+        )
+    except BaseException:
+        traceback.print_exc(file=sys.stderr)
+        sys.exit(1)
 
 
 def _wake(fd: int) -> None:
@@ -389,13 +424,15 @@ def run_checkpointed(
     """Execute ``job`` with durable chunk results under ``directory``.
 
     Completed chunks found in the manifest are restored instead of
-    recomputed; the remainder runs serially (``workers`` 0/1) or on
-    ``workers`` forked steal-workers.  ``time_budget`` (seconds) and
-    ``max_chunks`` (newly computed chunks this run) both stop the run
-    early with ``partial=True`` — the directory stays resumable, and a
-    later call continues to a final aggregate bit-identical to an
-    uninterrupted run.  ``progress`` is invoked from the parent's merge
-    loop with ``(done, total, [merged_aggregate])``.
+    recomputed; the parent computes the remainder as steal-worker 0,
+    alongside ``workers - 1`` forked steal-workers when ``workers >= 2``.
+    ``time_budget`` (seconds) and ``max_chunks`` (newly computed chunks
+    this run; it keeps the run in-process, so the cap is exact) both stop
+    the run early with ``partial=True`` — the directory stays resumable,
+    and a later call continues to a final aggregate bit-identical to an
+    uninterrupted run.  A failure in the parent raises :class:`EngineError`
+    with the directory resumable.  ``progress`` is invoked from the parent
+    with ``(done, total, [merged_aggregate])``.
     """
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
@@ -410,40 +447,38 @@ def run_checkpointed(
     deadline = time.monotonic() + time_budget if time_budget is not None else None
 
     # Restore: stream every durable record into a fresh aggregate.  The
-    # exact same tail keeps streaming newly computed records below, so a
-    # resumed and an uninterrupted run share one merge path.
+    # same tail then feeds the scheduler, so a resumed and an
+    # uninterrupted run share one merge path.
     tail = ManifestTail(store)
     aggregate = job.new_aggregate()
     restore = type(aggregate).from_payload
-    resumed = 0
     with metrics.phase("restore"):
         for record in tail.poll():
             aggregate.merge(restore(record.payload))
-            resumed += 1
-    done = resumed
+    resumed = len(tail.seen)
     metrics.add("chunks_resumed", resumed)
-    metrics.add("workers", workers if workers >= 2 and done < total else 0)
-    if progress is not None:
-        progress(done, total, [aggregate])
+    metrics.add("workers", workers if workers >= 2 and resumed < total else 0)
 
-    budget = None if max_chunks is None else max_chunks
+    def merge(record: TailRecord) -> None:
+        aggregate.merge(restore(record.payload))
+        metrics.add("chunks")
+
+    def report() -> None:
+        if progress is not None:
+            progress(len(tail.seen), total, [aggregate])
+
+    report()
+    scheduler = StealScheduler(store, total, lease_ttl, tail=tail, on_record=merge)
     with metrics.phase("simulate"), _sigterm_interrupts():
-        if done < total and (budget is None or budget > 0):
-            if workers >= 2:
-                done = _run_pooled(
-                    job, store, tail, aggregate, metrics, progress,
-                    workers, total, done, deadline, budget, lease_ttl,
-                )
-            else:
-                done = _run_serial(
-                    job, specs, store, tail, aggregate, metrics, progress,
-                    total, done, deadline, budget, lease_ttl,
-                )
+        if resumed < total and (max_chunks is None or max_chunks > 0):
+            _run(job, specs, scheduler, workers, deadline, max_chunks, report)
+            report()
 
     stats = _fold_stats(store)
     samples = getattr(aggregate, "samples", None)
     if isinstance(samples, int) and samples:
         metrics.add("samples", samples)
+    done = len(tail.seen)
     return CheckpointResult(
         job=job,
         aggregate=aggregate,
@@ -451,156 +486,80 @@ def run_checkpointed(
         total_chunks=total,
         done_chunks=done,
         resumed_chunks=resumed,
-        state_digest=store.state_digest(),
+        state_digest=tail.state_digest(),
         partial=done < total,
         stats=stats,
     )
 
 
-def _drain_tail(tail, aggregate, restore, metrics, done: int) -> int:
-    for record in tail.poll():
-        aggregate.merge(restore(record.payload))
-        metrics.add("chunks")
-        done += 1
-    return done
+def _run(job, specs, scheduler, workers, deadline, budget, report) -> None:
+    """The parent as steal-worker 0, after forking ``workers - 1`` more.
 
+    A chunk cap is a debugging/test knob: it keeps the run in-process,
+    where the cap is exact (forked workers would race it).
+    """
+    procs: list = []
+    stop = wake_r = wake_w = None
+    if workers >= 2 and budget is None and "fork" in mp.get_all_start_methods():
+        ctx = mp.get_context("fork")
+        _accel.load()  # open the C library once here; the workers inherit it
+        stop = ctx.Event()
+        wake_r, wake_w = os.pipe()
+        os.set_blocking(wake_r, False)
+        os.set_blocking(wake_w, False)
+        # The workers inherit the parent's tail, so none re-reads the
+        # records restored before the fork.
+        procs = [
+            ctx.Process(
+                target=_steal_worker_main,
+                args=(job, scheduler._tail, rank, scheduler.lease_ttl, deadline,
+                      os.getpid(), wake_w, stop),
+                daemon=True,
+            )
+            for rank in range(1, workers)
+        ]
 
-def _run_serial(
-    job, specs, store, tail, aggregate, metrics, progress,
-    total, done, deadline, budget, lease_ttl,
-) -> int:
-    """In-process execution; claims through the scheduler, so concurrent
-    invocations on the same directory co-operate instead of duplicating."""
-    scheduler = StealScheduler(store, total=total, lease_ttl=lease_ttl)
-    restore = type(aggregate).from_payload
-    chunk_s = StreamingMoments()
-    checkpoint_s = StreamingMoments()
-    computed = 0
+    def idle() -> None:
+        # A worker's publish or exit wakes this wait at once; reaping the
+        # dead here (is_alive) also makes their leases stealable.
+        live = [proc.sentinel for proc in procs if proc.is_alive()]
+        if live:
+            wait([wake_r] + live, timeout=_POLL_S)
+            _drain_pipe(wake_r)
+        else:
+            time.sleep(_IDLE_SLEEP_S)  # another process holds the rest
+        scheduler.refresh()
+        report()
+
     try:
-        while done < total:
-            if deadline is not None and time.monotonic() >= deadline:
-                break
-            if budget is not None and computed >= budget:
-                break
-            index = scheduler.claim()
-            if index is None:
-                done = _drain_tail(tail, aggregate, restore, metrics, done)
-                if progress is not None:
-                    progress(done, total, [aggregate])
-                if done >= total:
-                    break
-                time.sleep(_IDLE_SLEEP_S)  # another process holds the rest
-                continue
-            start = time.perf_counter()
-            partial = job.run_chunk(specs[index])
-            mid = time.perf_counter()
+        if procs:
             try:
-                scheduler.complete(index, partial.to_payload())
-            except BaseException:
-                scheduler.release(index)
-                raise
-            chunk_s.record(mid - start)
-            checkpoint_s.record(time.perf_counter() - mid)
-            computed += 1
-            done = _drain_tail(tail, aggregate, restore, metrics, done)
-            if progress is not None:
-                progress(done, total, [aggregate])
-    finally:
-        _write_worker_stats(store, 0, chunk_s, checkpoint_s)
-    return done
-
-
-def _run_pooled(
-    job, store, tail, aggregate, metrics, progress,
-    workers, total, done, deadline, budget, lease_ttl,
-) -> int:
-    """Forked steal-workers; the parent only merges the manifest stream."""
-    methods = mp.get_all_start_methods()
-    if "fork" not in methods:  # pragma: no cover - non-POSIX fallback
-        return _run_serial(
-            job, job.chunk_specs(), store, tail, aggregate, metrics, progress,
-            total, done, deadline, budget, lease_ttl,
+                for proc in procs:
+                    proc.start()
+            finally:
+                os.close(wake_w)  # the workers hold the only write ends now
+        _claim_loop(
+            job, specs, scheduler, 0,
+            keep_going=lambda: deadline is None or time.monotonic() < deadline,
+            idle=idle, published=report, budget=budget,
         )
-    if budget is not None:
-        # A chunk cap is a debugging/test knob; enforce it exactly by
-        # running serially (workers race the cap non-deterministically).
-        return _run_serial(
-            job, job.chunk_specs(), store, tail, aggregate, metrics, progress,
-            total, done, deadline, budget, lease_ttl,
-        )
-    ctx = mp.get_context("fork")
-    _accel.load()  # open the C library once here; the workers inherit it
-    restore = type(aggregate).from_payload
-    stop = ctx.Event()
-    wake_r, wake_w = os.pipe()
-    os.set_blocking(wake_r, False)
-    os.set_blocking(wake_w, False)
-    procs = [
-        ctx.Process(
-            target=_steal_worker_main,
-            args=(job, str(store.directory), rank, lease_ttl, deadline, os.getpid(),
-                  wake_w, stop),
-            daemon=True,
-        )
-        for rank in range(workers)
-    ]
-    try:
-        try:
-            for proc in procs:
-                proc.start()
-        finally:
-            os.close(wake_w)  # the workers hold the only write ends now
-        done = _merge_until_done(
-            procs, wake_r, tail, aggregate, restore, metrics, progress,
-            total, done, deadline,
-        )
-    except BaseException:
-        stop.set()
-        for proc in procs:
+    except BaseException as exc:
+        for proc in procs:  # the parent is failing: stop the workers at once
+            stop.set()
             if proc.is_alive():
                 proc.terminate()
-        raise
+        if not isinstance(exc, Exception):
+            raise  # KeyboardInterrupt (or a translated SIGTERM) as it came
+        raise EngineError(
+            f"checkpointed run stopped on {type(exc).__name__}: {exc}; the job "
+            f"directory is resumable"
+        ) from exc
     finally:
-        stop.set()  # idle workers leave their wait now, not on its timeout
-        os.close(wake_r)
-        _reap(procs)
-    if progress is not None:
-        progress(done, total, [aggregate])
-    return done
-
-
-def _merge_until_done(
-    procs, wake_r, tail, aggregate, restore, metrics, progress,
-    total, done, deadline,
-) -> int:
-    """Fold worker results into ``aggregate`` as they land.
-
-    The parent sleeps in one ``wait`` on the wake pipe and the sentinels
-    of its live workers: a published chunk or a worker exit wakes it
-    immediately; the ``_POLL_S`` timeout only catches chunks completed
-    by foreign invocations sharing the directory.
-    """
-    while True:
-        done = _drain_tail(tail, aggregate, restore, metrics, done)
-        if progress is not None:
-            progress(done, total, [aggregate])
-        if done >= total:
-            return done
-        live = [proc for proc in procs if proc.is_alive()]
-        if not live:
-            done = _drain_tail(tail, aggregate, restore, metrics, done)
-            if done >= total:
-                return done
-            if deadline is not None and time.monotonic() >= deadline:
-                return done  # budget lapsed: a clean partial stop
-            failed = [proc.exitcode for proc in procs if proc.exitcode]
-            raise EngineError(
-                f"checkpoint workers exited with {total - done} chunk(s) "
-                f"unfinished (exit codes {failed or 'clean'}); the job "
-                f"directory is resumable"
-            )
-        wait([wake_r] + [proc.sentinel for proc in live], timeout=_POLL_S)
-        _drain_pipe(wake_r)
+        if procs:
+            stop.set()  # idle workers leave their wait now, not on its timeout
+            _reap(procs)
+            os.close(wake_r)
+        scheduler.refresh()  # what the workers published before they left
 
 
 def _drain_pipe(fd: int) -> None:

@@ -67,6 +67,7 @@ _HTTP_REASONS = {
     400: "Bad Request",
     404: "Not Found",
     408: "Request Timeout",
+    409: "Conflict",
     413: "Payload Too Large",
     429: "Too Many Requests",
     431: "Request Header Fields Too Large",
@@ -116,7 +117,18 @@ class OverloadedError(RuntimeError):
 
 
 class WorkError(RuntimeError):
-    """Raised into a waiter when its batch failed (maps to 500)."""
+    """Raised into a waiter when its batch failed: 409 when a longrun's job
+    directory cannot be used, 500 for anything else."""
+
+    def __init__(self, exc: BaseException):
+        from repro.engine.checkpoint import CheckpointError  # failure path only
+
+        if isinstance(exc, CheckpointError):
+            super().__init__(str(exc))
+            self.status, self.code = 409, "checkpoint-conflict"
+        else:
+            super().__init__(f"{type(exc).__name__}: {exc}")
+            self.status, self.code = 500, "internal"
 
 
 @dataclass
@@ -357,8 +369,8 @@ class Server:
                     job_root=self.config.job_root,
                 )
             except BaseException as exc:
-                message = f"{type(exc).__name__}: {exc}"
-                loop.call_soon_threadsafe(self._resolve_error, batch, started, message)
+                error = WorkError(exc)
+                loop.call_soon_threadsafe(self._resolve_error, batch, started, error)
                 raise  # shard counts it under shardN.work_errors
             loop.call_soon_threadsafe(self._resolve_ok, batch, started, rows)
 
@@ -389,10 +401,10 @@ class Server:
                 if not waiter.done():
                     waiter.set_result(value)
 
-    def _resolve_error(self, batch: Batch, started: float, message: str) -> None:
+    def _resolve_error(self, batch: Batch, started: float, error: WorkError) -> None:
         self._batch_done(batch, started)
         self.collector.add("serve.work_failures", batch.requests)
-        self._fail(batch.entries, WorkError(message))
+        self._fail(batch.entries, error)
 
     # -- HTTP -------------------------------------------------------------
 
@@ -559,8 +571,8 @@ class Server:
                 "overloaded", str(exc), request.request_id
             )
         except WorkError as exc:
-            return 500, protocol.error_response(
-                "internal", str(exc), request.request_id
+            return exc.status, protocol.error_response(
+                exc.code, str(exc), request.request_id
             )
         finally:
             self._inflight -= 1

@@ -2,9 +2,9 @@
 
 The store's contract is that *any* on-disk damage short of losing valid
 manifest records degrades to recomputation, never to wrong statistics:
-truncated manifest lines are skipped, garbage chunk files fail their
-digest check and are recomputed, and duplicate chunk records (racing
-steal-workers) deduplicate first-wins.
+truncated manifest lines are skipped, records whose payload no longer
+hashes to their digest are ignored and recomputed, and duplicate chunk
+records (racing steal-workers) deduplicate first-wins.
 """
 
 import json
@@ -12,6 +12,8 @@ import json
 import pytest
 
 from repro.engine.checkpoint import (
+    CHECKPOINT_SCHEMA,
+    CheckpointError,
     CheckpointMismatch,
     CheckpointStore,
     ManifestTail,
@@ -31,6 +33,13 @@ def _job(samples=2048, chunk=512, **kw):
 
 def _payload(i):
     return {"samples": 512, "scsa1_errors": i, "vlcsa1_nominal": 2 * i}
+
+
+def _record(index, payload, digest=None):
+    """One manifest line as ``append`` writes it."""
+    digest = chunk_digest(index, payload) if digest is None else digest
+    body = {"chunk": index, "digest": digest, "payload": payload}
+    return canonical_json(body) + "\n"
 
 
 # -- header ---------------------------------------------------------------
@@ -55,28 +64,72 @@ def test_initialize_refuses_foreign_directory(tmp_path):
         store.initialize(_job(seed=2))
 
 
+def test_initialize_refuses_records_without_a_header(tmp_path):
+    """A corrupt or missing job.json must not let another job adopt the
+    records: their random streams belong to whatever job wrote them."""
+    store = CheckpointStore(tmp_path / "ckpt")
+    store.initialize(_job(samples=2048))
+    store.append(0, _payload(0))
+    (store.directory / "job.json").write_text("garbage\n")
+    with pytest.raises(CheckpointError, match="missing or unreadable"):
+        store.initialize(_job(samples=4096))
+    (store.directory / "job.json").unlink()
+    with pytest.raises(CheckpointError, match="missing or unreadable"):
+        store.initialize(_job(samples=2048))
+
+
+def test_initialize_accepts_a_headerless_empty_directory(tmp_path):
+    """A run killed before its header landed left nothing to protect."""
+    store = CheckpointStore(tmp_path / "ckpt")
+    store.directory.mkdir()
+    store.manifest_path.write_bytes(b"")
+    assert store.initialize(_job())["schema"] == CHECKPOINT_SCHEMA
+
+
+def test_initialize_names_both_schemas_for_an_old_directory(tmp_path):
+    store = CheckpointStore(tmp_path / "ckpt")
+    store.initialize(_job())
+    header = json.loads((store.directory / "job.json").read_text())
+    header["schema"] = 1
+    (store.directory / "job.json").write_text(json.dumps(header))
+    (store.directory / "chunks").mkdir()
+    with pytest.raises(CheckpointError) as excinfo:
+        store.initialize(_job())
+    assert not isinstance(excinfo.value, CheckpointMismatch)
+    message = str(excinfo.value)
+    assert "schema 1" in message and f"schema {CHECKPOINT_SCHEMA}" in message
+
+
 def test_job_digest_separates_jobs():
     assert job_digest(_job(seed=1)) != job_digest(_job(seed=2))
     assert job_digest(_job()) == job_digest(_job())
 
 
-# -- append / load --------------------------------------------------------
+# -- append / read --------------------------------------------------------
 
 
 def test_append_round_trips(tmp_path):
     store = CheckpointStore(tmp_path)
     store.initialize(_job())
     digest = store.append(0, _payload(0))
-    assert store.load_chunk(0, digest) == _payload(0)
-    assert list(store.iter_manifest()) == [(0, digest)]
+    assert digest == chunk_digest(0, _payload(0))
+    # The manifest line is the whole record: no other file per chunk.
+    assert store.manifest_path.read_text() == _record(0, _payload(0))
+    assert list(store.iter_records()) == [(0, _payload(0))]
     assert store.done_indices() == {0}
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "job.json", "leases", "manifest.jsonl",
+    ]
 
 
-def test_load_chunk_rejects_wrong_index(tmp_path):
+def test_record_under_wrong_index_fails_digest(tmp_path):
+    """The digest covers the index: a record moved to another chunk slot
+    (a flipped index digit) must not be merged as that chunk."""
     store = CheckpointStore(tmp_path)
     store.initialize(_job())
     digest = store.append(3, _payload(3))
-    assert store.load_chunk(2, digest) is None
+    store.manifest_path.write_text(_record(2, _payload(3), digest))
+    assert store.done_indices() == set()
 
 
 # -- corruption tolerance -------------------------------------------------
@@ -117,13 +170,14 @@ def test_append_heals_a_torn_tail(tmp_path):
     assert {r.index for r in tail.poll()} == {0, 2}
 
 
-def test_garbage_chunk_file_fails_digest_and_is_recomputed(tmp_path):
+def test_bit_rot_record_fails_digest_and_is_recomputed(tmp_path):
     store = CheckpointStore(tmp_path)
     store.initialize(_job())
-    digest = store.append(0, _payload(0))
+    store.append(0, _payload(0))
     store.append(1, _payload(1))
-    (store.chunks_dir / f"{digest}.json").write_text("bit rot")
-    assert store.load_chunk(0, digest) is None
+    data = bytearray(store.manifest_path.read_bytes())
+    data[data.index(b'"scsa1_errors":0') + len(b'"scsa1_errors":')] ^= 0x01  # 0 -> 1
+    store.manifest_path.write_bytes(bytes(data))
     assert store.done_indices() == {1}  # chunk 0 reads as not-done
 
 
@@ -131,13 +185,9 @@ def test_tampered_chunk_payload_fails_digest(tmp_path):
     store = CheckpointStore(tmp_path)
     store.initialize(_job())
     digest = store.append(0, _payload(0))
-    # Valid JSON of the right shape, but the content no longer hashes to
-    # the manifest's digest — silently merging it would poison the stats.
-    body = canonical_json(
-        {"chunk": 0, "digest": digest, "payload": _payload(999)}
-    )
-    (store.chunks_dir / f"{digest}.json").write_text(body)
-    assert store.load_chunk(0, digest) is None
+    # Valid JSON of the right shape, but the payload no longer hashes to
+    # the record's digest — silently merging it would poison the stats.
+    store.manifest_path.write_text(_record(0, _payload(999), digest))
     assert store.done_indices() == set()
 
 
@@ -148,13 +198,8 @@ def test_duplicate_records_dedupe_first_wins(tmp_path):
     # A racing steal-worker publishes a *different* payload for the same
     # chunk (cannot happen for pure chunk functions, but the reader must
     # still pick exactly one — the first).
-    rogue = _payload(7)
-    rogue_digest = chunk_digest(0, rogue)
-    (store.chunks_dir / f"{rogue_digest}.json").write_text(
-        canonical_json({"chunk": 0, "digest": rogue_digest, "payload": rogue})
-    )
     with open(store.manifest_path, "a") as handle:
-        handle.write(canonical_json({"chunk": 0, "digest": rogue_digest}) + "\n")
+        handle.write(_record(0, _payload(7)))
     records = list(store.iter_records())
     assert records == [(0, _payload(0))]
     assert store.done_indices() == {0}
@@ -162,7 +207,7 @@ def test_duplicate_records_dedupe_first_wins(tmp_path):
 
 def test_missing_manifest_reads_as_empty(tmp_path):
     store = CheckpointStore(tmp_path / "never-initialized")
-    assert list(store.iter_manifest()) == []
+    assert list(store.iter_records()) == []
     assert store.done_indices() == set()
     assert store.header() is None
 
@@ -210,8 +255,8 @@ def test_tail_streams_incrementally(tmp_path):
 def test_tail_retries_torn_final_line(tmp_path):
     store = CheckpointStore(tmp_path)
     store.initialize(_job())
-    digest = store.append(0, _payload(0))
-    line = canonical_json({"chunk": 0, "digest": digest}) + "\n"
+    store.append(0, _payload(0))
+    line = _record(0, _payload(0))
     # Rewrite the manifest so the only record is torn mid-line.
     store.manifest_path.write_text(line[: len(line) // 2])
     tail = ManifestTail(store)

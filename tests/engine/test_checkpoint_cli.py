@@ -94,3 +94,44 @@ def test_json_report_carries_checkpoint_block(tmp_path, capsys):
     assert row["six_sigma"]["consistent"] is True
     assert row["six_sigma"]["expected_rate"] == row["exact_model_rate"]
     assert row["six_sigma_eq313"]["expected_rate"] == row["model_error_rate"]
+
+
+def _refused(argv, capsys):
+    """Exit 2 with one ``error:`` line and no traceback."""
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.strip().splitlines()
+    assert line.startswith("error: ")
+    return line
+
+
+def test_corrupt_header_is_refused_not_adopted(tmp_path, capsys):
+    """A different job must not merge chunks it cannot prove are its own."""
+    directory = tmp_path / "dir"
+    _run(tmp_path, "first", "--checkpoint", str(directory))
+    (directory / "w4" / "job.json").write_text("garbage\n")
+    bigger = [a if a != "4096" else "8192" for a in BASE]
+    for extra in (["--resume"], []):
+        line = _refused(bigger + ["--checkpoint", str(directory), *extra], capsys)
+        assert "job.json" in line
+
+
+def test_resuming_another_jobs_directory_is_refused(tmp_path, capsys):
+    directory = tmp_path / "dir"
+    _run(tmp_path, "first", "--checkpoint", str(directory))
+    other = BASE + ["--seed", "7", "--checkpoint", str(directory), "--resume"]
+    assert "different job" in _refused(other, capsys)
+
+
+def test_schema_one_directory_names_both_schemas(tmp_path, capsys):
+    directory = tmp_path / "dir"
+    _run(tmp_path, "first", "--checkpoint", str(directory))
+    header_path = directory / "w4" / "job.json"
+    header = json.loads(header_path.read_text())
+    header["schema"] = 1
+    header_path.write_text(json.dumps(header))
+    (directory / "w4" / "chunks").mkdir()
+    line = _refused(BASE + ["--checkpoint", str(directory), "--resume"], capsys)
+    assert "schema 1" in line and "schema 2" in line

@@ -9,13 +9,18 @@ pooled run completes on wake-ups, not on its fallback poll timeouts.
 
 import json
 import multiprocessing as mp
+import multiprocessing.context
 import os
+import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import steal
 from repro.engine.checkpoint import CheckpointStore
@@ -201,27 +206,101 @@ def test_resume_is_bit_identical(tmp_path):
 
 
 def test_resume_over_corrupted_directory(tmp_path):
-    """Satellite contract: truncated manifest lines, garbage chunk files
-    and duplicate records degrade to recomputation, never to wrong
-    merged statistics."""
+    """Satellite contract: truncated manifest lines, rotted records and
+    duplicate records degrade to recomputation, never to wrong merged
+    statistics."""
     job = _job()
     clean = run_checkpointed(job, tmp_path / "clean")
 
     store = CheckpointStore(tmp_path / "ckpt")
     partial = run_checkpointed(job, store.directory, max_chunks=4)
     assert partial.partial
-    records = list(store.iter_manifest())
-    # Garbage one chunk file (forces recompute of that chunk) ...
-    (store.chunks_dir / f"{records[0][1]}.json").write_text("bit rot")
-    with open(store.manifest_path, "a") as handle:
-        # ... duplicate a healthy record and tear a final append.
-        handle.write(json.dumps({"chunk": records[1][0], "digest": records[1][1]}) + "\n")
-        handle.write('{"chunk": 99, "dig')
+    lines = store.manifest_path.read_bytes().splitlines(keepends=True)
+    assert len(lines) == 4
+    # Rot one record's payload (forces recompute of that chunk) ...
+    rotted = bytearray(lines[0])
+    rotted[rotted.index(b'"samples":512') + len(b'"samples":')] ^= 0x01  # 5 -> 4
+    # ... duplicate a healthy record and tear a final append.
+    store.manifest_path.write_bytes(
+        bytes(rotted) + b"".join(lines[1:]) + lines[1] + b'{"chunk": 99, "dig'
+    )
 
     resumed = run_checkpointed(job, store.directory)
     assert not resumed.partial
     assert resumed.resumed_chunks == 3  # 4 recorded - 1 rotted
     assert resumed.aggregate.to_payload() == clean.aggregate.to_payload()
+    assert resumed.state_digest == clean.state_digest
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """A completed checkpoint directory and the one-shot answer for it."""
+    job = _job(samples=8 * 256, chunk=256)
+    directory = tmp_path_factory.mktemp("finished")
+    result = run_checkpointed(job, directory)
+    return job, directory, result, _reference(job)
+
+
+_DAMAGE = st.lists(
+    st.one_of(
+        st.tuples(st.just("flip"), st.integers(0, 1 << 20), st.integers(1, 255)),
+        st.tuples(st.just("truncate"), st.integers(0, 1 << 20)),
+        st.tuples(st.just("duplicate"), st.integers(0, 1 << 20)),
+    ),
+    max_size=6,
+)
+
+
+def _damage(data: bytes, ops) -> bytes:
+    buf = bytearray(data)
+    for op in ops:
+        if op[0] == "flip" and buf:
+            buf[op[1] % len(buf)] ^= op[2]
+        elif op[0] == "truncate":
+            del buf[op[1] % (len(buf) + 1):]
+        elif op[0] == "duplicate":
+            lines = bytes(buf).split(b"\n")
+            at = op[1] % len(lines)
+            lines.insert(at, lines[at])
+            buf = bytearray(b"\n".join(lines))
+    return bytes(buf)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=_DAMAGE)
+def test_damaged_manifest_restores_exactly_its_intact_records(finished_run, ops):
+    """Byte flips, truncations and duplicated lines anywhere in a manifest:
+    the store restores exactly the newline-terminated lines that still
+    carry an original record (first one per chunk wins), and a resume
+    lands on the one-shot answer bit for bit."""
+    job, directory, clean, reference = finished_run
+    original = (directory / "manifest.jsonl").read_bytes()
+    records = {line: json.loads(line) for line in original.split(b"\n")[:-1]}
+    originals = [(r["chunk"], r["digest"], r["payload"]) for r in records.values()]
+    damaged = _damage(original, ops)
+
+    expected = {}
+    for line in damaged.split(b"\n")[:-1]:  # the last piece has no newline
+        try:
+            record = json.loads(line)
+        except ValueError:
+            continue
+        if not isinstance(record, dict):
+            continue
+        key = (record.get("chunk"), record.get("digest"), record.get("payload"))
+        if key in originals:
+            expected.setdefault(key[0], key[2])
+
+    with tempfile.TemporaryDirectory() as scratch:
+        store = CheckpointStore(scratch)
+        shutil.copy(directory / "job.json", store.directory / "job.json")
+        store.manifest_path.write_bytes(damaged)
+        assert list(store.iter_records()) == list(expected.items())
+
+        resumed = run_checkpointed(job, store.directory)
+    assert resumed.resumed_chunks == len(expected)
+    assert not resumed.partial
+    assert resumed.aggregate.to_payload() == reference
     assert resumed.state_digest == clean.state_digest
 
 
@@ -336,15 +415,19 @@ def test_pooled_completion_does_not_ride_a_timeout(tmp_path, monkeypatch):
 
 @needs_fork
 def test_sibling_steals_the_lease_of_a_worker_that_died(tmp_path, monkeypatch):
-    """A worker dies mid-chunk, holding its lease; the survivor reclaims
-    the stale lease and the run lands on the one-shot answer."""
+    """A forked worker dies mid-chunk, holding its lease; the parent (the
+    other steal-worker) reclaims the stale lease and the run lands on the
+    one-shot answer.  The death is injected only outside this process,
+    which now computes chunks too."""
     job = _job()
     clean = run_checkpointed(job, tmp_path / "clean")
     marker = tmp_path / "died"
+    parent = os.getpid()
     run_chunk = MonteCarloErrorJob.run_chunk
 
     def dies_once(self, spec):
-        if spec.index == 3:
+        time.sleep(0.02)  # slow enough that the forked worker claims chunks
+        if os.getpid() != parent:
             try:
                 os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
             except FileExistsError:
@@ -359,6 +442,66 @@ def test_sibling_steals_the_lease_of_a_worker_that_died(tmp_path, monkeypatch):
     assert not result.partial
     assert result.aggregate.to_payload() == clean.aggregate.to_payload()
     assert result.state_digest == clean.state_digest
+
+
+@needs_fork
+def test_parent_is_steal_worker_zero(tmp_path, monkeypatch):
+    """``workers=2`` forks exactly one steal-worker; the parent is the other."""
+    starts = []
+    start = multiprocessing.context.ForkProcess.start
+
+    def counting_start(self):
+        starts.append(self)
+        return start(self)
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", counting_start)
+    job = _job(samples=8192)
+    result = run_checkpointed(job, tmp_path / "ckpt", workers=2)
+    assert len(starts) == 1
+    assert result.aggregate.to_payload() == _reference(job)
+
+
+@needs_fork
+def test_stats_count_every_computed_chunk(tmp_path):
+    """The parent's rank-0 drop joins the workers': ``chunk_s`` counts
+    each chunk computed, across runs of one directory."""
+    job = _job(samples=8192)
+    first = run_checkpointed(job, tmp_path / "ckpt", max_chunks=3)
+    assert first.stats["chunk_s"].count == 3
+    result = run_checkpointed(job, tmp_path / "ckpt", workers=2)
+    assert result.resumed_chunks == 3
+    assert result.stats["chunk_s"].count == result.total_chunks == 16
+    assert result.checkpoint_overhead is not None
+
+
+@needs_fork
+def test_rerun_after_an_interrupted_pooled_run_completes(tmp_path, monkeypatch):
+    """Ctrl-C in the parent's own chunk releases its lease: a rerun in the
+    same process (same pid) would otherwise take the lease for a live
+    claim of its own and never run that chunk."""
+    job = _job()
+    parent = os.getpid()
+    run_chunk = MonteCarloErrorJob.run_chunk
+    calls = []
+
+    def interrupted(self, spec):
+        if os.getpid() == parent:
+            calls.append(spec.index)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+        return run_chunk(self, spec)
+
+    monkeypatch.setattr(MonteCarloErrorJob, "run_chunk", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_checkpointed(job, tmp_path / "ckpt", workers=2)
+    monkeypatch.setattr(MonteCarloErrorJob, "run_chunk", run_chunk)
+    leases = CheckpointStore(tmp_path / "ckpt").leases_dir
+    owners = [json.loads(p.read_bytes())["pid"] for p in leases.glob("[0-9]*")]
+    assert parent not in owners
+
+    result = run_checkpointed(job, tmp_path / "ckpt", workers=2, time_budget=60.0)
+    assert not result.partial
+    assert result.aggregate.to_payload() == _reference(job)
 
 
 _CONCURRENT_SCRIPT = """

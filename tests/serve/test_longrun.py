@@ -149,3 +149,20 @@ def test_longrun_resumes_across_server_restart(tmp_path):
     assert ckpt["resumed_chunks"] == ckpt["total_chunks"]  # pure restore
     assert second["result"]["scsa1_errors"] == first["result"]["scsa1_errors"]
     assert ckpt["state_digest"] == first["result"]["checkpoint"]["state_digest"]
+
+
+def test_longrun_over_an_unusable_job_directory_is_a_well_formed_error(tmp_path):
+    """A job directory whose header was lost still holds another run's
+    records; the answer is a 409 naming the directory, not a 500."""
+    uds = _uds(tmp_path)
+    job_root = tmp_path / "jobs"
+    with ServerThread(ServeConfig(uds=uds, job_root=str(job_root))):
+        client = ServeClient(uds=uds)
+        client.evaluate("longrun", PARAMS, seed=7)
+        (header,) = job_root.glob("*/job.json")
+        header.write_text("garbage\n")
+        with pytest.raises(ServeError) as excinfo:
+            client.evaluate("longrun", PARAMS, seed=7)
+    assert excinfo.value.status == 409
+    assert excinfo.value.code == "checkpoint-conflict"
+    assert "job.json" in str(excinfo.value)
