@@ -127,7 +127,7 @@ def test_perf_vectorized_backend(benchmark):
     the batch while the limb backend's per-call cost is mostly fixed, so
     the ratio climbs with the batch: ~135-145x at 1024 vectors and
     ~210-225x at 4096 with the C library (:mod:`repro.netlist._accel`:
-    plan evaluator and one transpose call per bus), ~45-55x and
+    plan evaluator and one transpose call per side), ~45-55x and
     ~120-135x pure-numpy, on a 2-vCPU x86 VM.  The floors sit far below
     that band and no lower than the 10x (full scale) / 4x (reduced)
     simulate_batch floor above.

@@ -1037,9 +1037,13 @@ def _cmd_sim(args: argparse.Namespace) -> int:
     mismatch exits 1.  ``auto`` is reported as ``vectorized``, the
     backend it runs.  The JSON report is the checked-in
     ``BENCH_netlist_sim.json`` format; its top-level ``accel`` records
-    whether the C library (:mod:`repro.netlist._accel`) loaded.
+    whether the C library (:mod:`repro.netlist._accel`) loaded.  Times
+    are the calling thread's CPU time, best of ``--repeat`` rounds, and
+    ``vectorized_speedup`` is the median over the rounds of each round's
+    reference/vectorized ratio.
     """
     import random
+    import statistics
     import time
 
     from repro.engine import EngineMetrics
@@ -1090,7 +1094,7 @@ def _cmd_sim(args: argparse.Namespace) -> int:
                     for name, nets in circuit.input_buses.items()
                 }
                 outs = {}
-                times = {}
+                runs = {}
                 for backend in backends:
                     if backend == "reference":
                         def run(c=circuit, v=inputs):
@@ -1098,21 +1102,25 @@ def _cmd_sim(args: argparse.Namespace) -> int:
                     else:
                         def run(c=circuit, v=inputs, b=backend):
                             return simulate_batch(c, v, backend=b)
-                    # One untimed warmup call per backend so one-time
-                    # costs (kernel compile, vector-plan codegen, accel
-                    # library load, scratch allocation) never land in
-                    # the timed best-of loop.
-                    if backend != "reference":
+                        # One untimed warmup call so one-time costs
+                        # (kernel compile, vector-plan codegen, accel
+                        # library load, scratch allocation) never land
+                        # in the timed rounds.
                         run()
-                    best = None
-                    for _ in range(repeat):
-                        start = time.perf_counter()
+                    runs[backend] = run
+                # Interleaved rounds, one call of each backend per round,
+                # on this thread's CPU clock: a round's calls share the
+                # host's speed of the moment, so their ratio is a property
+                # of the code even where the host's speed drifts between
+                # rounds (time another thread or process took is left out).
+                times = {backend: [] for backend in backends}
+                for _ in range(repeat):
+                    for backend, run in runs.items():
+                        start = time.thread_time()
                         with metrics.phase("simulate"):
                             outs[backend] = run()
-                        elapsed = time.perf_counter() - start
-                        best = elapsed if best is None else min(best, elapsed)
+                        times[backend].append(time.thread_time() - start)
                         metrics.add("samples", vectors)
-                    times[backend] = best
                 row = {
                     "architecture": design,
                     "width": width,
@@ -1123,16 +1131,16 @@ def _cmd_sim(args: argparse.Namespace) -> int:
                     row["levels"] = profile["levels"]
                     row["plan_groups"] = profile["plan_groups"]
                 for backend in backends:
-                    row[f"{backend}_s"] = times[backend]
-                    row[f"{backend}_samples_per_s"] = (
-                        vectors / times[backend] if times[backend] > 0 else None
-                    )
+                    best = min(times[backend])
+                    row[f"{backend}_s"] = best
+                    row[f"{backend}_samples_per_s"] = vectors / best if best > 0 else None
                 if "reference" in times and "vectorized" in times:
-                    row["vectorized_speedup"] = (
-                        times["reference"] / times["vectorized"]
-                        if times["vectorized"] > 0
-                        else None
-                    )
+                    ratios = [
+                        ref / vec
+                        for ref, vec in zip(times["reference"], times["vectorized"])
+                        if vec > 0
+                    ]
+                    row["vectorized_speedup"] = statistics.median(ratios) if ratios else None
                 first = backends[0]
                 for backend in backends[1:]:
                     if outs[backend] != outs[first]:
@@ -1184,7 +1192,7 @@ def _cmd_sim(args: argparse.Namespace) -> int:
                 report_rows.append(row)
                 cols = [design, width, vectors, circuit.num_gates]
                 for backend in backends:
-                    cols.append(f"{times[backend] * 1e3:.2f}")
+                    cols.append(f"{row[f'{backend}_s'] * 1e3:.2f}")
                 if len(backends) > 1:
                     cols.append(
                         f"{row['vectorized_speedup']:.1f}x"
@@ -1213,7 +1221,8 @@ def _cmd_sim(args: argparse.Namespace) -> int:
         format_table(
             headers,
             table_rows,
-            title=f"gate-level simulation (best of {repeat})",
+            title=f"gate-level simulation (thread CPU, best of {repeat}; "
+                  f"ref/vec: median of {repeat} paired rounds)",
         )
     )
     _print_metrics(metrics)
@@ -2174,7 +2183,10 @@ def build_parser() -> argparse.ArgumentParser:
                           "with --backend both this checks optimize-then-"
                           "simulate bit-identity across backends")
     sim.add_argument("--repeat", type=int, default=3,
-                     help="timing repetitions per point, best kept (default 3)")
+                     help="timed rounds per point, one call of each backend "
+                          "per round: the best thread-CPU time of each is "
+                          "kept, and the speedup is the median of the "
+                          "rounds' ratios (default 3)")
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--json", default=None, metavar="PATH",
                      help="write a JSON report ('-' for stdout)")

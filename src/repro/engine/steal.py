@@ -306,9 +306,12 @@ def _steal_worker_main(
     parent merges it at once.  Exits when the job is complete (or the
     parent sets ``stop``), the time budget lapses, or the parent
     disappears (a SIGKILLed parent must not leave computing orphans).
+    A failing parent terminates its workers: the SIGTERM handler a worker
+    inherits (:func:`repro.engine.runner._sigterm_interrupts`) raises
+    :class:`KeyboardInterrupt`, and the worker exits quietly, its lease
+    already released by :func:`_claim_loop`.  Any other exception prints
+    its traceback.
     """
-    specs = job.chunk_specs()
-    scheduler = StealScheduler(tail.store, len(specs), lease_ttl, tail=tail)
 
     def keep_going() -> bool:
         return (
@@ -318,11 +321,15 @@ def _steal_worker_main(
         )
 
     try:
+        specs = job.chunk_specs()
+        scheduler = StealScheduler(tail.store, len(specs), lease_ttl, tail=tail)
         _claim_loop(
             job, specs, scheduler, rank, keep_going,
             idle=lambda: stop.wait(_IDLE_SLEEP_S),
             published=lambda: _wake(wake_fd),
         )
+    except KeyboardInterrupt:
+        sys.exit(1)
     except BaseException:
         traceback.print_exc(file=sys.stderr)
         sys.exit(1)

@@ -6,8 +6,9 @@ dispatch-bound stages at small batch sizes.  Evaluating a
 ``(level, kind)`` group, 27-69 groups on the 64-bit designs, whatever
 the batch; and the 64x64 bit-matrix transposes that move bus values
 between vector-major and net-major bit-plane layouts are a few dozen
-full-array ops per 64-bit chunk of a bus.  In C the plan is one call
-and each bus one call, straight into or out of the limb array.
+full-array ops per 64-bit chunk of a bus.  In C the plan is one call,
+and so is each side's transposes: every input bus in one call straight
+into the limb array, every output bus in one call out of it.
 
 The Monte Carlo engine's SWAR counter kernel
 (:mod:`repro.engine.kernels`) is ~140 numpy passes per block of rows; in
@@ -45,12 +46,13 @@ dtype, dimensions, C-contiguity, and the shape the C code indexes) and a
 failed check raises instead of reading or writing out of bounds.  Index
 tables are checked once, when they are built:
 
-* ``pack_bus(words, V, table)`` — one bus's ``(nv, chunks)`` value words
-  (word ``k`` holds bits ``64k .. 64k + 63``) transposed into the rows
-  of the ``(num_nets, limbs)`` limb array ``V`` that its
-  :class:`RowTable` names (tail bits zero-filled);
-* ``unpack_bus(V, table, out)`` — those rows of ``V`` back into
-  ``(nv, chunks)`` words;
+* ``pack_buses(words, V, table, nv)`` — the values of every bus a
+  :class:`RowTable` lists, one ``(nv, chunks)`` block of words per bus
+  (word ``k`` holds bits ``64k .. 64k + 63``) laid end to end in table
+  order, transposed into the rows of the ``(num_nets, limbs)`` limb
+  array ``V`` that the table names (tail bits zero-filled);
+* ``unpack_buses(V, table, out, nv)`` — those rows of ``V`` back into
+  the same block layout;
 * ``plan_runner(ops, pins, num_nets)`` — a ``runner(V, ones)`` closure
   that evaluates a flattened gate table (one :data:`PLAN_KINDS` code and
   one ``(out, in0..in3)`` row per gate, in plan order) over a
@@ -73,6 +75,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import itertools
 import os
 import subprocess
 import tempfile
@@ -113,46 +116,56 @@ static void transpose64(uint64_t *m) {
     SWAP_ROUND(1, 0x5555555555555555ULL)
 }
 
-/* Bus transposes.  A bus is width rows of the (num_nets, limbs) limb
- * array V: rows[b] is the V row of bus bit b.  Its values are (nv, chunks)
- * row-major words: word k of vector v holds bits 64k .. 64k + 63.  Each
- * 64-bit chunk of the bus and 64-vector limb is one 64x64 transpose. */
-void repro_pack_bus(const uint64_t *words, ptrdiff_t nv, ptrdiff_t chunks,
-                    const int32_t *rows, ptrdiff_t width, uint64_t *V,
-                    ptrdiff_t limbs) {
+/* Bus transposes.  A row table of nbus buses: bus j is widths[j] rows
+ * of the (num_nets, limbs) limb array V, the next widths[j] entries of
+ * rows (the V row of each bus bit), and its values are the next
+ * (nv, chunks) row-major block of words, chunks = max(1, ceil(widths[j]
+ * / 64)): word k of vector v holds bits 64k .. 64k + 63.  Each 64-bit
+ * chunk of a bus and 64-vector limb is one 64x64 transpose. */
+void repro_pack_buses(const uint64_t *words, ptrdiff_t nv, const int32_t *rows,
+                      const int32_t *widths, ptrdiff_t nbus, uint64_t *V,
+                      ptrdiff_t limbs) {
     uint64_t m[64];
-    for (ptrdiff_t k = 0; k < chunks; k++) {
-        const ptrdiff_t lo = 64 * k;
-        const int planes = width - lo < 64 ? (int)(width - lo) : 64;
-        for (ptrdiff_t l = 0; l < limbs; l++) {
-            for (int i = 0; i < 64; i++) {
-                const ptrdiff_t v = 64 * l + i;
-                m[i] = v < nv ? words[(size_t)v * (size_t)chunks + (size_t)k] : 0;
+    for (ptrdiff_t j = 0; j < nbus; rows += widths[j++]) {
+        const ptrdiff_t width = widths[j], chunks = width > 64 ? (width + 63) / 64 : 1;
+        for (ptrdiff_t k = 0; k < chunks; k++) {
+            const ptrdiff_t lo = 64 * k;
+            const int planes = width - lo < 64 ? (int)(width - lo) : 64;
+            for (ptrdiff_t l = 0; l < limbs; l++) {
+                for (int i = 0; i < 64; i++) {
+                    const ptrdiff_t v = 64 * l + i;
+                    m[i] = v < nv ? words[(size_t)v * (size_t)chunks + (size_t)k] : 0;
+                }
+                transpose64(m);
+                for (int b = 0; b < planes; b++)
+                    V[(size_t)rows[lo + b] * (size_t)limbs + (size_t)l] = m[b];
             }
-            transpose64(m);
-            for (int b = 0; b < planes; b++)
-                V[(size_t)rows[lo + b] * (size_t)limbs + (size_t)l] = m[b];
         }
+        words += nv * chunks;
     }
 }
 
-void repro_unpack_bus(const uint64_t *V, ptrdiff_t limbs, const int32_t *rows,
-                      ptrdiff_t width, uint64_t *words, ptrdiff_t nv,
-                      ptrdiff_t chunks) {
+void repro_unpack_buses(const uint64_t *V, ptrdiff_t limbs, const int32_t *rows,
+                        const int32_t *widths, ptrdiff_t nbus, uint64_t *words,
+                        ptrdiff_t nv) {
     uint64_t m[64];
-    for (ptrdiff_t k = 0; k < chunks; k++) {
-        const ptrdiff_t lo = 64 * k;
-        const int planes = width - lo < 64 ? (int)(width - lo) : 64;
-        for (ptrdiff_t l = 0; 64 * l < nv; l++) {
-            for (int b = 0; b < 64; b++)
-                m[b] = b < planes
-                    ? V[(size_t)rows[lo + b] * (size_t)limbs + (size_t)l] : 0;
-            transpose64(m);
-            const ptrdiff_t base = 64 * l;
-            const int n = nv - base < 64 ? (int)(nv - base) : 64;
-            for (int i = 0; i < n; i++)
-                words[(size_t)(base + i) * (size_t)chunks + (size_t)k] = m[i];
+    for (ptrdiff_t j = 0; j < nbus; rows += widths[j++]) {
+        const ptrdiff_t width = widths[j], chunks = width > 64 ? (width + 63) / 64 : 1;
+        for (ptrdiff_t k = 0; k < chunks; k++) {
+            const ptrdiff_t lo = 64 * k;
+            const int planes = width - lo < 64 ? (int)(width - lo) : 64;
+            for (ptrdiff_t l = 0; 64 * l < nv; l++) {
+                for (int b = 0; b < 64; b++)
+                    m[b] = b < planes
+                        ? V[(size_t)rows[lo + b] * (size_t)limbs + (size_t)l] : 0;
+                transpose64(m);
+                const ptrdiff_t base = 64 * l;
+                const int n = nv - base < 64 ? (int)(nv - base) : 64;
+                for (int i = 0; i < n; i++)
+                    words[(size_t)(base + i) * (size_t)chunks + (size_t)k] = m[i];
+            }
         }
+        words += nv * chunks;
     }
 }
 
@@ -571,35 +584,48 @@ _N = ctypes.c_ssize_t
 
 
 class RowTable:
-    """The rows of one bus in a ``(num_nets, limbs)`` limb array.
+    """The rows of one or more buses in a ``(num_nets, limbs)`` limb array.
 
-    ``rows[b]`` is the limb-array row of bus bit ``b``.  The table is
-    validated once, here: an int32 copy, every row checked against
-    ``num_nets``, read-only after.  So :meth:`AccelLib.pack_bus` and
-    :meth:`AccelLib.unpack_bus` need only check that their array has
-    ``num_nets`` rows.  ``chunks`` is the bus's 64-bit words per value.
-    A table works without the library; the numpy path gathers
-    ``V[table.rows]``.
+    ``buses[j][b]`` is the limb-array row of bit ``b`` of bus ``j``; each
+    is a 1-D int32 array.  The table is validated once, here: the rows
+    copied into one int32 array, every row checked against
+    ``num_nets``, read-only after.  So :meth:`AccelLib.pack_buses` and
+    :meth:`AccelLib.unpack_buses` need only check that their limb array
+    has ``num_nets`` rows and their words buffer the table's size.
+    ``widths[j]`` is bus ``j``'s bits, ``chunks[j]`` its 64-bit words
+    per value, and ``words`` their sum: the words of one vector over
+    every bus.  A table works without the library; the numpy path
+    gathers ``V[rows]`` of each bus of :meth:`buses`.
     """
 
-    __slots__ = ("rows", "num_nets", "width", "chunks", "at")
+    __slots__ = ("rows", "num_nets", "widths", "chunks", "words", "_widths", "at")
 
-    def __init__(self, rows: np.ndarray, num_nets: int):
-        if not isinstance(rows, np.ndarray) or rows.dtype != np.int32:
-            got = getattr(rows, "dtype", type(rows).__name__)
-            raise TypeError(f"row table: expected an int32 ndarray, got {got}")
-        if rows.ndim != 1:
-            raise ValueError(f"row table: expected 1-D rows, got shape {rows.shape}")
-        if rows.size and not (0 <= rows.min() and rows.max() < num_nets):
+    def __init__(self, buses: Sequence[np.ndarray], num_nets: int):
+        for rows in buses:
+            if not isinstance(rows, np.ndarray) or rows.dtype != np.int32:
+                got = getattr(rows, "dtype", type(rows).__name__)
+                raise TypeError(f"row table: expected int32 ndarrays, got {got}")
+            if rows.ndim != 1:
+                raise ValueError(f"row table: expected 1-D rows, got shape {rows.shape}")
+        flat = np.concatenate([np.empty(0, dtype=np.int32), *buses])
+        if flat.size and not (0 <= flat.min() and flat.max() < num_nets):
             raise ValueError(
-                f"row table: rows {rows.min()}..{rows.max()} outside [0, {num_nets})"
+                f"row table: rows {flat.min()}..{flat.max()} outside [0, {num_nets})"
             )
-        self.rows = rows.copy()
+        self.rows = flat
         self.rows.flags.writeable = False
         self.num_nets = num_nets
-        self.width = rows.shape[0]
-        self.chunks = max(1, (self.width + 63) // 64)
-        self.at = self.rows.ctypes.data
+        self.widths = tuple(rows.shape[0] for rows in buses)
+        self.chunks = tuple(max(1, (width + 63) // 64) for width in self.widths)
+        self.words = sum(self.chunks)
+        self._widths = np.array(self.widths, dtype=np.int32)
+        self._widths.flags.writeable = False
+        self.at = (self.rows.ctypes.data, self._widths.ctypes.data, len(self.widths))
+
+    def buses(self) -> List[np.ndarray]:
+        """Each bus's rows, in table order (read-only views of ``rows``)."""
+        starts = itertools.accumulate(self.widths, initial=0)
+        return [self.rows[start : start + width] for start, width in zip(starts, self.widths)]
 
 
 #: Term bits of a counter's ``need`` mask in :meth:`AccelLib.counter_counts`:
@@ -682,8 +708,10 @@ class AccelLib:
         self.tuned_counters = self.counters and bool(
             ctypes.c_int.in_dll(cdll, "repro_counters_tuned").value
         )
-        self._pack_bus = _bind(cdll, "repro_pack_bus", [_P, _N, _N, _P, _N, _P, _N])
-        self._unpack_bus = _bind(cdll, "repro_unpack_bus", [_P, _N, _P, _N, _P, _N, _N])
+        self._pack_buses = _bind(cdll, "repro_pack_buses", [_P, _N, _P, _P, _N, _P, _N])
+        self._unpack_buses = _bind(
+            cdll, "repro_unpack_buses", [_P, _N, _P, _P, _N, _P, _N]
+        )
         self._eval = _bind(cdll, "repro_eval_plan", [_P, _N, _P, _P, _P, _N])
         if self.counters:
             _I = ctypes.c_int
@@ -784,36 +812,37 @@ class AccelLib:
         self._advance(st.ctypes.data, step.ctypes.data)
         return int(st[0]) | int(st[1]) << 64
 
-    def pack_bus(self, words: np.ndarray, V: np.ndarray, table: RowTable) -> None:
-        """Transpose one bus's values into its rows of ``V``.
+    def pack_buses(
+        self, words: np.ndarray, V: np.ndarray, table: RowTable, num_vectors: int
+    ) -> None:
+        """Transpose every bus's values into its rows of ``V``, in one call.
 
-        ``words`` is ``(num_vectors, table.chunks)``: word ``k`` of a
-        vector holds its bits ``64k .. 64k + 63``.  ``V`` is a writeable
-        ``(table.num_nets, limbs)`` limb array with room for the
-        vectors.  Every limb of the bus's rows is written; bits past
-        ``num_vectors`` are zero, the tail invariant of ``limb_ones``.
+        ``words`` is 1-D, ``num_vectors * table.words`` long: bus ``j``'s
+        ``(num_vectors, table.chunks[j])`` row-major block follows those
+        of the buses before it, and word ``k`` of a vector holds its bits
+        ``64k .. 64k + 63``.  ``V`` is a writeable ``(table.num_nets,
+        limbs)`` limb array with room for the vectors.  Every limb of the
+        buses' rows is written; bits past ``num_vectors`` are zero, the
+        tail invariant of ``limb_ones``.
         """
-        src = _address(words, 2, "words")
+        src = _address(words, 1, "words")
         dst = _address(V, 2, "V", written=True)
-        _check_bus(V, table, words, "words")
-        self._pack_bus(
-            src, words.shape[0], table.chunks, table.at, table.width, dst, V.shape[1]
-        )
+        _check_buses(V, table, words, "words", num_vectors)
+        self._pack_buses(src, num_vectors, *table.at, dst, V.shape[1])
 
-    def unpack_bus(self, V: np.ndarray, table: RowTable, out: np.ndarray) -> np.ndarray:
-        """Read one bus's rows of ``V`` back into per-vector words.
+    def unpack_buses(
+        self, V: np.ndarray, table: RowTable, out: np.ndarray, num_vectors: int
+    ) -> np.ndarray:
+        """Read every bus's rows of ``V`` back into per-vector words.
 
-        Fills and returns ``out``, a writeable ``(num_vectors,
-        table.chunks)`` array laid out like :meth:`pack_bus`'s
-        ``words``; ``V`` is a ``(table.num_nets, limbs)`` limb array
-        holding at least ``num_vectors`` vectors.
+        Fills and returns ``out``, a writeable 1-D array laid out like
+        :meth:`pack_buses`'s ``words``; ``V`` is a ``(table.num_nets,
+        limbs)`` limb array holding at least ``num_vectors`` vectors.
         """
         src = _address(V, 2, "V")
-        dst = _address(out, 2, "out", written=True)
-        _check_bus(V, table, out, "out")
-        self._unpack_bus(
-            src, V.shape[1], table.at, table.width, dst, out.shape[0], table.chunks
-        )
+        dst = _address(out, 1, "out", written=True)
+        _check_buses(V, table, out, "out", num_vectors)
+        self._unpack_buses(src, V.shape[1], *table.at, dst, num_vectors)
         return out
 
     def plan_runner(
@@ -888,20 +917,23 @@ def _words128(value: int) -> List[int]:
     return [value & 0xFFFFFFFFFFFFFFFF, value >> 64]
 
 
-def _check_bus(V: np.ndarray, table: RowTable, words: np.ndarray, name: str) -> None:
-    """``V`` must be ``table``'s limb array and ``words`` its bus's words."""
+def _check_buses(
+    V: np.ndarray, table: RowTable, words: np.ndarray, name: str, num_vectors: int
+) -> None:
+    """``V`` must be ``table``'s limb array, with room for ``num_vectors``
+    vectors, and ``words`` their words over every bus of the table."""
     if not isinstance(table, RowTable):
         raise TypeError(f"table: expected a RowTable, got {type(table).__name__}")
     if V.shape[0] != table.num_nets:
         raise ValueError(f"V: {V.shape[0]} rows, the row table is for {table.num_nets}")
-    if words.shape[1] != table.chunks:
+    if not isinstance(num_vectors, int) or not 0 <= num_vectors <= 64 * V.shape[1]:
         raise ValueError(
-            f"{name}: {words.shape[1]} words per vector, a {table.width}-bit "
-            f"bus has {table.chunks}"
+            f"V: room for {64 * V.shape[1]} vectors, got num_vectors={num_vectors!r}"
         )
-    if words.shape[0] > 64 * V.shape[1]:
+    if words.shape[0] != num_vectors * table.words:
         raise ValueError(
-            f"V: room for {64 * V.shape[1]} vectors, {name} has {words.shape[0]}"
+            f"{name}: {words.shape[0]} words, {num_vectors} vectors of the row "
+            f"table's buses take {num_vectors * table.words}"
         )
 
 

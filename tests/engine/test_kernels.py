@@ -582,7 +582,7 @@ class TestCounterBindingRefusals:
     def test_foreign_tables_are_refused(self, lib):
         a, b = _operands(128, 8, "uniform", seed=1)
         foreign = [
-            _accel.RowTable(np.arange(3, dtype=np.int32), 3),
+            _accel.RowTable([np.arange(3, dtype=np.int32)], 3),
             np.asarray(_table().masks),
         ]
         for table in foreign:

@@ -380,6 +380,29 @@ def test_worker_failure_raises_resumable_error(tmp_path, monkeypatch):
         run_checkpointed(_job(), tmp_path / "ckpt", workers=2)
 
 
+@needs_fork
+def test_parent_chunk_failure_stops_workers_without_a_traceback(
+    tmp_path, monkeypatch, capfd
+):
+    """A chunk that fails in the parent ends the run with ``EngineError``;
+    the forked worker, terminated while it computes, leaves quietly
+    instead of printing its ``KeyboardInterrupt: SIGTERM`` traceback."""
+    parent = os.getpid()
+    run_chunk = MonteCarloErrorJob.run_chunk
+
+    def parent_fails(self, spec):
+        if os.getpid() == parent:
+            time.sleep(0.3)  # the worker is inside its claim loop by now
+            raise RuntimeError("injected parent chunk failure")
+        time.sleep(0.05)
+        return run_chunk(self, spec)
+
+    monkeypatch.setattr(MonteCarloErrorJob, "run_chunk", parent_fails)
+    with pytest.raises(EngineError, match="resumable"):
+        run_checkpointed(_job(), tmp_path / "ckpt", workers=2)
+    assert "Traceback" not in capfd.readouterr().err
+
+
 # -- the event-driven pooled path -----------------------------------------
 
 

@@ -5,7 +5,8 @@ Three cross-checked layers:
 * **bit identity** — reference == vectorized over the full architecture
   grid and over the limb-boundary batch sizes (0/1/63/64/65/300/4096);
 * **transpose-seam properties** — the pack/unpack limb transposes at
-  their seams: bus width 65 (the ``n+1`` sum bus), one-limb batches,
+  their seams: bus widths 65 (the ``n+1`` sum bus) and 128-257 (values
+  of three or more words, converted as byte records), one-limb batches,
   2**15 ± 1 vectors, and empty batches, checked against big-int masks
   built bit by bit;
 * **C fast path** — the optional :mod:`repro.netlist._accel` library is
@@ -15,8 +16,9 @@ Three cross-checked layers:
   interpreter, its plan evaluator against the generated numpy group
   schedule on a circuit with every gate kind, and every binding must
   refuse a wrong dtype, a strided array, a short buffer or a bad row
-  table.  One ``run_batch`` makes one foreign call per bus plus one for
-  the plan.  The one-limb byte transpose is checked against the same
+  table.  One ``run_batch`` makes three foreign calls: one pack call for
+  every input bus, one plan evaluation and one unpack call for every
+  output bus.  The one-limb byte transpose is checked against the same
   rounds, and ``REPRO_ACCEL=0`` must disable the library and leave the
   numpy runner in charge.
 """
@@ -141,17 +143,21 @@ def test_auto_routes_by_batch_size():
 # ---------------------------------------------------------------------------
 
 
+_SEAM_WIDTHS = [1, 63, 64, 65, 128, 129, 256, 257]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
-    width=st.sampled_from([1, 63, 64, 65]),
+    width=st.sampled_from(_SEAM_WIDTHS),
     num_vectors=st.sampled_from([0, 1, 15, 16, 63, 64, 65, 130]),
     seed=st.integers(0, 2**32),
 )
 def test_limb_pack_unpack_roundtrip(width, num_vectors, seed):
     """pack_values_limbs o unpack_values_limbs is the identity.
 
-    Width 65 exercises the multi-plane (n+1 sum bus) path; batches up to
-    64 vectors take the one-limb transposes.
+    Width 65 exercises the two-word (n+1 sum bus) path and widths from
+    128 on the record conversions; batches up to 64 vectors take the
+    one-limb transposes.
     """
     rng = random.Random(seed)
     values = [rng.getrandbits(width) for _ in range(num_vectors)]
@@ -162,7 +168,7 @@ def test_limb_pack_unpack_roundtrip(width, num_vectors, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    width=st.sampled_from([1, 63, 64, 65]),
+    width=st.sampled_from(_SEAM_WIDTHS),
     num_vectors=st.sampled_from([1, 15, 16, 65]),
     seed=st.integers(0, 2**32),
 )
@@ -182,11 +188,13 @@ def test_limb_and_int_paths_agree(width, num_vectors, seed):
     "num_vectors", [_BIG_BATCH - 1, _BIG_BATCH, _BIG_BATCH + 1]
 )
 def test_block_boundary_roundtrip(num_vectors):
-    """Hundreds of limbs, with and without a partial last limb."""
+    """Hundreds of limbs, with and without a partial last limb, on a
+    two-word bus and a five-word one."""
     rng = random.Random(num_vectors)
-    values = [rng.getrandbits(65) for _ in range(num_vectors)]
-    rows = pack_values_limbs(values, 65, "bus")
-    assert unpack_values_limbs(rows, num_vectors) == values
+    for width in (65, 257):
+        values = [rng.getrandbits(width) for _ in range(num_vectors)]
+        rows = pack_values_limbs(values, width, "bus")
+        assert unpack_values_limbs(rows, num_vectors) == values
 
 
 def test_empty_batch_both_paths():
@@ -284,7 +292,7 @@ def _accel_or_skip():
 
 
 def _identity(width):
-    return _accel.RowTable(np.arange(width, dtype=np.int32), width)
+    return _accel.RowTable([np.arange(width, dtype=np.int32)], width)
 
 
 def test_accel_matches_numpy_transpose_when_available():
@@ -300,13 +308,13 @@ def test_accel_matches_numpy_transpose_when_available():
         padded[:nv] = arr
         expect = _transpose64_blocks(np.ascontiguousarray(padded.reshape(limbs, 64).T))
         got = np.empty((64, limbs), dtype=np.uint64)
-        lib.pack_bus(arr.reshape(nv, 1), got, table)
+        lib.pack_buses(arr, got, table, nv)
         assert np.array_equal(got, expect)
         planes = rng.integers(0, 1 << 64, size=(64, limbs), dtype=np.uint64)
         words = _transpose64_blocks(planes.copy()).T.reshape(-1)[:nv]
-        out = np.empty((nv, 1), dtype=np.uint64)
-        assert lib.unpack_bus(planes, table, out) is out
-        assert np.array_equal(out[:, 0], words)
+        out = np.empty(nv, dtype=np.uint64)
+        assert lib.unpack_buses(planes, table, out, nv) is out
+        assert np.array_equal(out, words)
 
 
 def test_accel_pack_unpack_roundtrip_when_available():
@@ -314,14 +322,14 @@ def test_accel_pack_unpack_roundtrip_when_available():
     rng = np.random.default_rng(10)
     table = _identity(64)
     for nv in (1, 63, 64, 65, 200):
-        arr = rng.integers(0, 1 << 63, size=(nv, 1), dtype=np.uint64)
+        arr = rng.integers(0, 1 << 63, size=nv, dtype=np.uint64)
         rows = np.empty((64, limb_count(nv)), dtype=np.uint64)
-        lib.pack_bus(arr, rows, table)
+        lib.pack_buses(arr, rows, table, nv)
         # tail planes of the last limb must be zero-filled
         tail = ~limb_ones(nv)
         assert not np.any(rows & tail)
-        out = np.zeros((nv, 1), dtype=np.uint64)
-        lib.unpack_bus(rows, table, out)
+        out = np.zeros(nv, dtype=np.uint64)
+        lib.unpack_buses(rows, table, out, nv)
         assert np.array_equal(out, arr)
 
 
@@ -343,25 +351,58 @@ def _bus_rows(width, num_nets, contiguous, rng):
 @pytest.mark.parametrize("num_vectors", _BUS_VECTORS)
 @pytest.mark.parametrize("width", _BUS_WIDTHS)
 def test_bus_bindings_match_numpy_path(width, num_vectors, contiguous, monkeypatch):
-    """``pack_bus``/``unpack_bus`` through a row table write and read
-    exactly what the numpy path stores and gathers through the bus's
-    selector; every other row of ``V`` is left alone."""
+    """``pack_buses``/``unpack_buses`` through a one-bus row table write
+    and read exactly what the numpy path stores and gathers through the
+    bus's selector; every other row of ``V`` is left alone."""
     lib = _accel_or_skip()
     rng = np.random.default_rng(width * 7919 + num_vectors)
     pyrng = random.Random(width * 7919 + num_vectors)
     values = [pyrng.getrandbits(width) for _ in range(num_vectors)]
     num_nets = width + 9
     rows, sel = _bus_rows(width, num_nets, contiguous, rng)
-    table = _accel.RowTable(rows.astype(np.int32), num_nets)
+    table = _accel.RowTable([rows.astype(np.int32)], num_nets)
     limbs = limb_count(num_vectors)
     garbage = rng.integers(0, 1 << 64, size=(num_nets, limbs), dtype=np.uint64)
     V_c, V_np = garbage.copy(), garbage.copy()
-    lib.pack_bus(_bus_words(values, width, "bus"), V_c, table)
-    assert unpack_values_limbs(V_c, num_vectors, table) == values
+    lib.pack_buses(_bus_words(values, width, "bus").reshape(-1), V_c, table, num_vectors)
+    assert unpack_values_limbs(V_c, num_vectors, table) == [values]
     monkeypatch.setattr(_accel, "load", lambda: None)
     V_np[sel] = pack_values_limbs(values, width, "bus")
     assert np.array_equal(V_c, V_np)
     assert unpack_values_limbs(V_np[sel], num_vectors) == values
+    assert unpack_values_limbs(V_np, num_vectors, table) == [values]
+
+
+@pytest.mark.parametrize("num_vectors", [0, 1, 64, 65, 1000])
+def test_multi_bus_table_matches_numpy_path(num_vectors, monkeypatch):
+    """One ``pack_buses``/``unpack_buses`` call over buses of every word
+    count, their rows interleaved in one limb array, writes and reads
+    what the numpy path stores and gathers bus by bus."""
+    lib = _accel_or_skip()
+    widths = [257, 1, 65, 64, 129, 3]
+    rng = np.random.default_rng(num_vectors)
+    pyrng = random.Random(num_vectors)
+    num_nets = sum(widths) + 5
+    order = rng.permutation(num_nets)
+    buses, start = [], 0
+    for width in widths:
+        buses.append(order[start : start + width].astype(np.int32))
+        start += width
+    table = _accel.RowTable(buses, num_nets)
+    assert table.widths == tuple(widths) and table.words == 5 + 1 + 2 + 1 + 3 + 1
+    values = [[pyrng.getrandbits(w) for _ in range(num_vectors)] for w in widths]
+    limbs = limb_count(num_vectors)
+    garbage = rng.integers(0, 1 << 64, size=(num_nets, limbs), dtype=np.uint64)
+    V_c, V_np = garbage.copy(), garbage.copy()
+    words = np.concatenate(
+        [_bus_words(v, w, "bus") for v, w in zip(values, widths)], axis=None
+    )
+    lib.pack_buses(words, V_c, table, num_vectors)
+    assert unpack_values_limbs(V_c, num_vectors, table) == values
+    monkeypatch.setattr(_accel, "load", lambda: None)
+    for bus, v, w in zip(table.buses(), values, widths):
+        V_np[bus] = pack_values_limbs(v, w, "bus")
+    assert np.array_equal(V_c, V_np)
     assert unpack_values_limbs(V_np, num_vectors, table) == values
 
 
@@ -397,7 +438,7 @@ def test_bus_bindings_match_reference(width, num_vectors, accel, monkeypatch):
     assert sim.run_batch(inputs) == simulate_batch_reference(circuit, inputs)
 
 
-@pytest.mark.parametrize("width", [1, 64, 65, 257])
+@pytest.mark.parametrize("width", [1, 64, 65, 129, 257])
 @pytest.mark.parametrize("accel", [True, False], ids=["c", "numpy"])
 def test_bus_values_refused_like_reference(width, accel, monkeypatch):
     """Out-of-range, negative and float values raise the reference's
@@ -423,17 +464,33 @@ _BENCH_DESIGNS = [("vlcsa1", 64, 8), ("vlcsa2", 256, 12), ("designware", 64, Non
                   ("kogge_stone", 64, None)]
 
 
+@pytest.mark.parametrize("width", [129, 257])
+@pytest.mark.parametrize("accel", [True, False], ids=["c", "numpy"])
+def test_wide_bus_integer_kinds_match_reference(width, accel, monkeypatch):
+    """On a bus of three or more words, which ``int.to_bytes`` records
+    pack, a numpy integer and ``True`` simulate as the reference does."""
+    if accel:
+        _accel_or_skip()
+    else:
+        monkeypatch.setattr(_accel, "load", lambda: None)
+    circuit = _bus_circuit(width)
+    for good in ([(1 << width) - 1, np.int64(5)], [True, 7], [np.uint64(1 << 63)]):
+        inputs = {"a": good}
+        assert simulate_batch(circuit, inputs) == simulate_batch_reference(circuit, inputs)
+
+
 @pytest.mark.parametrize("num_vectors", [1, 16])
 @pytest.mark.parametrize("design", _BENCH_DESIGNS, ids=lambda d: d[0])
 def test_run_batch_makes_one_foreign_call_per_bus(design, num_vectors, monkeypatch):
-    """With the library, one ``run_batch`` is one ``pack_bus`` per input
-    bus, one plan evaluation and one ``unpack_bus`` per output bus."""
+    """With the library, one ``run_batch`` is three foreign calls: one
+    pack call for every input bus, one plan evaluation and one unpack
+    call for every output bus (the name predates the per-side calls)."""
     lib = _accel_or_skip()
     built = build_design(*design)
     circuit = getattr(built, "circuit", built)
     sim = compile_circuit(circuit)
     calls = []
-    for attr in ("_pack_bus", "_eval", "_unpack_bus"):
+    for attr in ("_pack_buses", "_eval", "_unpack_buses"):
         real = getattr(lib, attr)
 
         def counted(*args, _real=real, _attr=attr):
@@ -443,9 +500,7 @@ def test_run_batch_makes_one_foreign_call_per_bus(design, num_vectors, monkeypat
         monkeypatch.setattr(lib, attr, counted)
     inputs = _random_batch(circuit, num_vectors, random.Random(num_vectors))
     assert sim.run_batch(inputs) == simulate_batch_reference(circuit, inputs)
-    ins, outs = len(circuit.input_buses), len(circuit.output_buses)
-    assert len(calls) == ins + 1 + outs
-    assert calls == ["_pack_bus"] * ins + ["_eval"] + ["_unpack_bus"] * outs
+    assert calls == ["_pack_buses", "_eval", "_unpack_buses"]
 
 
 def _every_kind_circuit(seed=11, gates=300):
@@ -542,77 +597,84 @@ def test_c_plan_runner_refuses_bad_arrays():
 
 def test_transpose_bindings_refuse_bad_arrays():
     """Both bus bindings raise on a wrong dtype, a strided array, a short
-    buffer or a bad row table instead of reading or writing past it."""
+    buffer, a bad vector count or a bad row table instead of reading or
+    writing past it."""
     lib = _accel_or_skip()
-    table = _accel.RowTable(np.arange(64, dtype=np.int32)[::-1].copy(), 64)
-    words = np.arange(100, dtype=np.uint64).reshape(100, 1)
+    table = _accel.RowTable([np.arange(64, dtype=np.int32)[::-1].copy()], 64)
+    words = np.arange(100, dtype=np.uint64)
     V = np.zeros((64, 2), dtype=np.uint64)
-    out = np.zeros((100, 1), dtype=np.uint64)
-    # pack_bus(words, V, table)
+    out = np.zeros(100, dtype=np.uint64)
+    # pack_buses(words, V, table, num_vectors)
     with pytest.raises(TypeError):
-        lib.pack_bus(words.astype(np.int64), V, table)
+        lib.pack_buses(words.astype(np.int64), V, table, 100)
     with pytest.raises(ValueError):
-        lib.pack_bus(np.arange(200, dtype=np.uint64).reshape(100, 2)[:, :1], V, table)
+        lib.pack_buses(np.arange(200, dtype=np.uint64)[::2], V, table, 100)
     with pytest.raises(ValueError):
-        lib.pack_bus(words, np.zeros((64, 4), dtype=np.uint64)[:, ::2], table)
+        lib.pack_buses(words, np.zeros((64, 4), dtype=np.uint64)[:, ::2], table, 100)
     with pytest.raises(ValueError):
-        lib.pack_bus(words.reshape(-1), V, table)  # 1-D words
+        lib.pack_buses(words.reshape(100, 1), V, table, 100)  # 2-D words
     with pytest.raises(ValueError):
-        lib.pack_bus(np.zeros((100, 2), dtype=np.uint64), V, table)  # words too wide
+        lib.pack_buses(words, V, table, 99)  # more words than the vectors take
     with pytest.raises(ValueError):
-        lib.pack_bus(words, np.zeros((64, 1), dtype=np.uint64), table)  # short out
+        lib.pack_buses(words[:99], V, table, 100)  # short words
     with pytest.raises(ValueError):
-        lib.pack_bus(words, np.zeros((63, 2), dtype=np.uint64), table)  # short V
+        lib.pack_buses(words, np.zeros((64, 1), dtype=np.uint64), table, 100)  # short V
+    with pytest.raises(ValueError):
+        lib.pack_buses(words, np.zeros((63, 2), dtype=np.uint64), table, 100)  # few rows
+    with pytest.raises(ValueError):
+        lib.pack_buses(words, V, table, -1)
     frozen_V = V.copy()
     frozen_V.flags.writeable = False
     with pytest.raises(ValueError):
-        lib.pack_bus(words, frozen_V, table)  # read-only output
+        lib.pack_buses(words, frozen_V, table, 100)  # read-only output
     with pytest.raises(TypeError):
-        lib.pack_bus(words, V, np.arange(64, dtype=np.int32))  # not a RowTable
-    # unpack_bus(V, table, out)
+        lib.pack_buses(words, V, np.arange(64, dtype=np.int32), 100)  # not a RowTable
+    # unpack_buses(V, table, out, num_vectors)
     with pytest.raises(TypeError):
-        lib.unpack_bus(V, table, out.astype(np.float64))
+        lib.unpack_buses(V, table, out.astype(np.float64), 100)
     with pytest.raises(ValueError):
-        lib.unpack_bus(np.zeros((64, 4), dtype=np.uint64)[:, ::2], table, out)
+        lib.unpack_buses(np.zeros((64, 4), dtype=np.uint64)[:, ::2], table, out, 100)
     with pytest.raises(ValueError):
-        lib.unpack_bus(V, table, np.zeros((100, 2), dtype=np.uint64)[:, ::2])
+        lib.unpack_buses(V, table, np.zeros(200, dtype=np.uint64)[::2], 100)
     with pytest.raises(ValueError):
-        lib.unpack_bus(V, table, np.zeros((100, 2), dtype=np.uint64))  # out too wide
+        lib.unpack_buses(V, table, np.zeros(101, dtype=np.uint64), 100)  # out too long
     with pytest.raises(ValueError):
-        lib.unpack_bus(V[:, :1].copy(), table, out)  # short planes
+        lib.unpack_buses(V[:, :1].copy(), table, out, 100)  # short planes
     with pytest.raises(ValueError):
-        lib.unpack_bus(V[:63].copy(), table, out)  # short V
+        lib.unpack_buses(V[:63].copy(), table, out, 100)  # few rows
     frozen = out.copy()
     frozen.flags.writeable = False
     with pytest.raises(ValueError):
-        lib.unpack_bus(V, table, frozen)  # read-only output
-    # Row tables: out of range, negative, wrong dtype or shape, wrong length.
+        lib.unpack_buses(V, table, frozen, 100)  # read-only output
+    # Row tables: out of range, negative, wrong dtype or shape, not a list.
     with pytest.raises(ValueError):
-        _accel.RowTable(np.array([0, 64], dtype=np.int32), 64)
+        _accel.RowTable([np.array([0, 64], dtype=np.int32)], 64)
     with pytest.raises(ValueError):
-        _accel.RowTable(np.array([0, -1], dtype=np.int32), 64)
+        _accel.RowTable([np.arange(3, dtype=np.int32), np.array([-1], dtype=np.int32)], 64)
     with pytest.raises(TypeError):
-        _accel.RowTable(np.arange(64), 64)
+        _accel.RowTable([np.arange(64)], 64)
     with pytest.raises(ValueError):
-        _accel.RowTable(np.zeros((8, 8), dtype=np.int32), 64)
-    wide = _accel.RowTable(np.arange(100, dtype=np.int32), 128)
+        _accel.RowTable([np.zeros((8, 8), dtype=np.int32)], 64)
+    with pytest.raises(TypeError):
+        _accel.RowTable(np.arange(64, dtype=np.int32), 64)  # one bus, not in a list
+    wide = _accel.RowTable([np.arange(100, dtype=np.int32)], 128)
     with pytest.raises(ValueError):
-        lib.pack_bus(words, np.zeros((128, 2), dtype=np.uint64), wide)  # 1 word, needs 2
+        lib.pack_buses(words, np.zeros((128, 2), dtype=np.uint64), wide, 100)  # 1 word, needs 2
     with pytest.raises(ValueError):
-        lib.unpack_bus(np.zeros((128, 2), dtype=np.uint64), wide, out)
+        lib.unpack_buses(np.zeros((128, 2), dtype=np.uint64), wide, out, 100)
     with pytest.raises(ValueError):
-        lib.pack_bus(words, np.zeros((65, 2), dtype=np.uint64), table)  # other net count
+        lib.pack_buses(words, np.zeros((65, 2), dtype=np.uint64), table, 100)  # other net count
     # A table is a private copy, and read-only.
     source = np.arange(64, dtype=np.int32)
-    kept = _accel.RowTable(source, 64)
+    kept = _accel.RowTable([source], 64)
     source[0] = 10**6
-    assert kept.rows[0] == 0
+    assert kept.rows[0] == 0 and kept.buses()[0][0] == 0
     with pytest.raises(ValueError):
         kept.rows[0] = 10**6
     # The well-formed calls still work, read-only input included.
     words.flags.writeable = False
-    lib.pack_bus(words, V, table)
-    lib.unpack_bus(V, table, out)
+    lib.pack_buses(words, V, table, 100)
+    lib.unpack_buses(V, table, out, 100)
     assert np.array_equal(out, words)
 
 
