@@ -99,7 +99,6 @@ from repro.engine import (
     ElaborationCache,
     EngineMetrics,
     MonteCarloErrorJob,
-    MonteCarloMagnitudeJob,
     SweepJob,
     SweepPoint,
     measure_design,
@@ -187,7 +186,6 @@ __all__ = [
     "ElaborationCache",
     "EngineMetrics",
     "MonteCarloErrorJob",
-    "MonteCarloMagnitudeJob",
     "SweepJob",
     "SweepPoint",
     "measure_design",

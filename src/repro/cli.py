@@ -973,37 +973,36 @@ def _fmt_rate(value) -> str:
 
 
 def _cmd_engine_magnitude(args: argparse.Namespace) -> int:
-    """Error-magnitude run (thesis section 3.3) through the engine."""
-    from repro.engine import (
-        DEFAULT_CHUNK,
-        EngineMetrics,
-        MonteCarloMagnitudeJob,
-        run_job,
-    )
+    """Error-magnitude run (thesis section 3.3) through the engine: the
+    ``scsa1`` and ``magnitude`` counters of one Monte Carlo error job."""
+    from repro.engine import DEFAULT_CHUNK, EngineMetrics, MonteCarloErrorJob, run_job
 
     width = args.width
     k = args.window if args.window is not None else scsa_window_size_for(width, 1e-4)
     job = _checked(
-        MonteCarloMagnitudeJob,
+        MonteCarloErrorJob,
         width=width,
         window=k,
         samples=args.samples,
         distribution=args.inputs,
         seed=_resolve_seed(args),
         chunk_size=args.chunk or DEFAULT_CHUNK,
+        counters=("scsa1", "magnitude"),
     )
     metrics = EngineMetrics()
     stats = run_job(job, workers=args.workers, metrics=metrics).aggregate
-    scale = float(1 << width)
     print(
         format_table(
             ["metric", "value"],
             [
                 ("samples", stats.samples),
-                ("errors", stats.errors),
-                ("error rate", f"{stats.errors / stats.samples:.3e}"),
-                ("mean |error|", f"{stats.mean_abs_error:.4g}"),
-                ("mean |error| / 2^n", f"{stats.mean_abs_error / scale:.3e}"),
+                ("errors", stats.scsa1_errors),
+                ("error rate", f"{stats.scsa1_errors / stats.samples:.3e}"),
+                ("mean |error|", _fmt_quotient(stats.sum_abs_error, stats.samples)),
+                (
+                    "mean |error| / 2^n",
+                    f"{stats.sum_abs_error / (stats.samples << width):.3e}",
+                ),
                 ("max |error|", stats.max_abs_error),
             ],
             title=f"engine magnitude @ n={width}, k={k}, {args.inputs} inputs",
@@ -1017,7 +1016,7 @@ def _cmd_engine_magnitude(args: argparse.Namespace) -> int:
             "width": width,
             "window": k,
             "samples": stats.samples,
-            "errors": stats.errors,
+            "errors": stats.scsa1_errors,
             "sum_abs_error": stats.sum_abs_error,
             "max_abs_error": stats.max_abs_error,
             "metrics": metrics.to_dict(),
@@ -1025,6 +1024,17 @@ def _cmd_engine_magnitude(args: argparse.Namespace) -> int:
         seed=_resolve_seed(args),
     )
     return 0
+
+
+def _fmt_quotient(num: int, den: int) -> str:
+    """``num / den`` to four significant digits, also where the quotient
+    is past the float range (a mean error near 2^1024)."""
+    try:
+        return f"{num / den:.4g}"
+    except OverflowError:
+        from decimal import Decimal
+
+        return f"{Decimal(num) / den:.4g}"
 
 
 def _cmd_sim(args: argparse.Namespace) -> int:

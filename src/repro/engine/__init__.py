@@ -61,9 +61,7 @@ from repro.engine.jobs import (
     FuzzRows,
     LintJob,
     LintRows,
-    MagnitudeStats,
     MonteCarloErrorJob,
-    MonteCarloMagnitudeJob,
     SweepJob,
     SweepPoint,
     SweepRows,
@@ -109,10 +107,8 @@ __all__ = [
     "LINTABLE_DESIGNS",
     "LintJob",
     "LintRows",
-    "MagnitudeStats",
     "ManifestTail",
     "MonteCarloErrorJob",
-    "MonteCarloMagnitudeJob",
     "StealScheduler",
     "SweepJob",
     "SweepPoint",

@@ -37,15 +37,12 @@ from repro.engine.kernels import (
     drawn_counter_counts,
     scsa1_error_count,  # noqa: F401 - benchmarks' traced passes wrap it here
 )
-from repro.inputs.generators import (
-    GAUSSIAN_SIGMA_THESIS,
-    check_gaussian_sigma,
-    gaussian_operands,
-    uniform_operands,
-)
+from repro.inputs import generators
+from repro.inputs.generators import GAUSSIAN_SIGMA_THESIS, check_gaussian_sigma
 from repro.model.behavioral import (
     WindowProfile,
     err0_flags,
+    err0_terms,
     err1_flags,
     scsa1_error_flags,
     scsa2_s1_error_flags,
@@ -53,13 +50,14 @@ from repro.model.behavioral import (
     window_profile,
 )
 from repro.model.carry_chains import chain_length_counts
-from repro.model.error_magnitude import scsa1_speculative_values
 
 #: Default Monte Carlo chunk: large enough to amortize numpy dispatch,
 #: small enough that a 512-bit chunk stays comfortably in cache/RAM.
 DEFAULT_CHUNK = 1 << 16
 
 _ERROR_COUNTERS = ERROR_COUNTERS
+#: What ``MonteCarloErrorJob.counters`` accepts.
+_JOB_COUNTERS = ERROR_COUNTERS + ("magnitude",)
 _DISTRIBUTIONS = ("uniform", "gaussian", "gaussian-unsigned")
 
 
@@ -85,11 +83,14 @@ def _operands(draw: OperandDraw) -> Tuple[np.ndarray, np.ndarray]:
     """
     width, rows, rng = draw.width, draw.rows, draw.rng
     if draw.distribution == "uniform":
-        return uniform_operands(width, rows, rng), uniform_operands(width, rows, rng)
+        return (
+            generators.uniform_operands(width, rows, rng),
+            generators.uniform_operands(width, rows, rng),
+        )
     signed = draw.distribution == "gaussian"
     return (
-        gaussian_operands(width, rows, sigma=draw.sigma, signed=signed, rng=rng),
-        gaussian_operands(width, rows, sigma=draw.sigma, signed=signed, rng=rng),
+        generators.gaussian_operands(width, rows, sigma=draw.sigma, signed=signed, rng=rng),
+        generators.gaussian_operands(width, rows, sigma=draw.sigma, signed=signed, rng=rng),
     )
 
 
@@ -101,22 +102,6 @@ class ChunkSpec:
     index: int
     size: int
     payload: Any = None
-
-
-def _check_sampling(
-    width: int, samples: int, chunk_size: int, distribution: str, sigma: Optional[float]
-) -> None:
-    """The checks every Monte Carlo job runs at construction."""
-    if samples < 1:
-        raise ValueError(f"samples must be positive, got {samples}")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    if distribution not in _DISTRIBUTIONS:
-        raise ValueError(
-            f"unknown distribution {distribution!r}; choose from {_DISTRIBUTIONS}"
-        )
-    if distribution != "uniform":
-        check_gaussian_sigma(width, GAUSSIAN_SIGMA_THESIS if sigma is None else sigma)
 
 
 def _chunk_draw(job: Any, spec: ChunkSpec) -> OperandDraw:
@@ -131,19 +116,24 @@ def _chunk_draw(job: Any, spec: ChunkSpec) -> OperandDraw:
     )
 
 
-def _chunk_sizes(samples: int, chunk_size: int) -> Tuple[int, ...]:
-    full, rem = divmod(samples, chunk_size)
-    return (chunk_size,) * full + ((rem,) if rem else ())
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo error rates
 # ---------------------------------------------------------------------------
 
 
+#: ``ErrorCounts``' always-present counts, in payload order.
+_TALLIES = (
+    "samples", "scsa1_errors", "vlcsa1_nominal", "vlcsa2_errors", "vlcsa2_stalls", "vlsa_errors"
+)
+
+
 @dataclass
 class ErrorCounts:
-    """Streaming aggregate of a Monte Carlo error-rate job (exact ints)."""
+    """Streaming aggregate of a Monte Carlo error-rate job (exact ints).
+
+    The optional fields are set only by the jobs that ask for them, so
+    every other job's payload keeps its keys.
+    """
 
     samples: int = 0
     scsa1_errors: int = 0  # LSB-remainder profile: SCSA 1 / VLCSA 1 error
@@ -152,20 +142,21 @@ class ErrorCounts:
     vlcsa2_stalls: int = 0  # MSB profile: ERR0 & ERR1 (ERR0 = MSB-plan mis-speculation)
     vlsa_errors: int = 0  # l-bit per-output speculation wrong
     chain_counts: Optional[np.ndarray] = None  # int64, shape (width + 1,)
+    sum_abs_error: Optional[int] = None  # SCSA 1 |exact - speculative|, summed
+    max_abs_error: Optional[int] = None  # ... and its largest value
 
     def merge(self, other: "ErrorCounts") -> "ErrorCounts":
         """Fold another partial aggregate in (exact, order-independent)."""
-        self.samples += other.samples
-        self.scsa1_errors += other.scsa1_errors
-        self.vlcsa1_nominal += other.vlcsa1_nominal
-        self.vlcsa2_errors += other.vlcsa2_errors
-        self.vlcsa2_stalls += other.vlcsa2_stalls
-        self.vlsa_errors += other.vlsa_errors
+        for name in _TALLIES:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         if other.chain_counts is not None:
             if self.chain_counts is None:
                 self.chain_counts = other.chain_counts.copy()
             else:
                 self.chain_counts = self.chain_counts + other.chain_counts
+        if other.sum_abs_error is not None:
+            self.sum_abs_error = (self.sum_abs_error or 0) + other.sum_abs_error
+            self.max_abs_error = max(self.max_abs_error or 0, other.max_abs_error)
         return self
 
     def rate(self, counter: str) -> float:
@@ -176,31 +167,23 @@ class ErrorCounts:
 
     def to_payload(self) -> dict:
         """JSON-ready snapshot (exact ints; the checkpoint chunk format)."""
-        payload = {
-            "samples": self.samples,
-            "scsa1_errors": self.scsa1_errors,
-            "vlcsa1_nominal": self.vlcsa1_nominal,
-            "vlcsa2_errors": self.vlcsa2_errors,
-            "vlcsa2_stalls": self.vlcsa2_stalls,
-            "vlsa_errors": self.vlsa_errors,
-        }
+        payload = {name: getattr(self, name) for name in _TALLIES}
         if self.chain_counts is not None:
             payload["chain_counts"] = [int(v) for v in self.chain_counts]
+        if self.sum_abs_error is not None:
+            payload["sum_abs_error"] = self.sum_abs_error
+            payload["max_abs_error"] = self.max_abs_error
         return payload
 
     @staticmethod
     def from_payload(payload: dict) -> "ErrorCounts":
         """Inverse of :meth:`to_payload` (bit-exact round trip)."""
-        counts = ErrorCounts(
-            samples=int(payload["samples"]),
-            scsa1_errors=int(payload["scsa1_errors"]),
-            vlcsa1_nominal=int(payload["vlcsa1_nominal"]),
-            vlcsa2_errors=int(payload["vlcsa2_errors"]),
-            vlcsa2_stalls=int(payload["vlcsa2_stalls"]),
-            vlsa_errors=int(payload["vlsa_errors"]),
-        )
+        counts = ErrorCounts(**{name: int(payload[name]) for name in _TALLIES})
         if payload.get("chain_counts") is not None:
             counts.chain_counts = np.asarray(payload["chain_counts"], dtype=np.int64)
+        if payload.get("sum_abs_error") is not None:
+            counts.sum_abs_error = int(payload["sum_abs_error"])
+            counts.max_abs_error = int(payload["max_abs_error"])
         return counts
 
 
@@ -252,6 +235,27 @@ def reference_counter_flags(
     return flags
 
 
+def _abs_error_totals(profile: WindowProfile) -> Tuple[int, int]:
+    """Sum and maximum of SCSA 1's absolute error over a profile's samples.
+
+    By the lemma of :func:`repro.model.behavioral.err0_terms` each error
+    is the bitmask of its sample's set ERR0 columns, so the sum is each
+    column's count times the column's weight, and the maximum is built
+    from the top column down, keeping only the rows that have every
+    column the maximum has so far.
+    """
+    columns, weights = err0_terms(profile)
+    hits = np.count_nonzero(columns, axis=0)
+    total = sum(int(count) * weight for count, weight in zip(hits, weights))
+    largest = 0
+    for i in reversed(range(len(weights))):
+        rows = columns[:, i]
+        if rows.any():
+            columns = columns[rows]
+            largest += weights[i]
+    return total, largest
+
+
 @dataclass(frozen=True)
 class MonteCarloErrorJob:
     """Monte Carlo error/stall rates of the (n, k) speculative family.
@@ -266,7 +270,12 @@ class MonteCarloErrorJob:
       kernel computes the two from one term;
     * ``"vlcsa2"`` — both VLCSA 2 hypotheses wrong (MSB remainder);
     * ``"vlcsa2_stall"`` — ERR0 & ERR1 (MSB remainder), i.e. MSB-plan
-      mis-speculation & ERR1.
+      mis-speculation & ERR1;
+    * ``"magnitude"`` — SCSA 1's absolute error ``|exact - speculative|``
+      (thesis §3.3), summed and maximized exactly at any width
+      (:func:`_abs_error_totals`); its error count is ``"scsa1"``'s.  It
+      is not a kernel counter: its chunks draw operand arrays and build
+      the LSB window profile.
 
     Construction rejects what cannot run: a window above 63 bits when
     any counter is selected (the kernel and every window_profile-based
@@ -298,52 +307,68 @@ class MonteCarloErrorJob:
                 f"error counters handle windows of 1..{SWAR_MAX_WINDOW} bits, "
                 f"got {self.window}"
             )
-        _check_sampling(
-            self.width, self.samples, self.chunk_size, self.distribution, self.sigma
-        )
-        unknown = set(self.counters) - set(_ERROR_COUNTERS)
+        if self.samples < 1:
+            raise ValueError(f"samples must be positive, got {self.samples}")
+        if self.chunk_size < 1:
+            raise ValueError(f"chunk_size must be positive, got {self.chunk_size}")
+        if self.distribution not in _DISTRIBUTIONS:
+            raise ValueError(
+                f"unknown distribution {self.distribution!r}; choose from {_DISTRIBUTIONS}"
+            )
+        if self.distribution != "uniform":
+            sigma = GAUSSIAN_SIGMA_THESIS if self.sigma is None else self.sigma
+            check_gaussian_sigma(self.width, sigma)
+        unknown = set(self.counters) - set(_JOB_COUNTERS)
         if unknown:
-            raise ValueError(f"unknown counters {sorted(unknown)}; choose from {_ERROR_COUNTERS}")
+            raise ValueError(f"unknown counters {sorted(unknown)}; choose from {_JOB_COUNTERS}")
 
     # -- job protocol -----------------------------------------------------
 
     def chunk_specs(self) -> Tuple[ChunkSpec, ...]:
         """The job's work units: full chunks plus one remainder chunk."""
-        return tuple(
-            ChunkSpec(index=i, size=size)
-            for i, size in enumerate(_chunk_sizes(self.samples, self.chunk_size))
-        )
+        full, rem = divmod(self.samples, self.chunk_size)
+        sizes = (self.chunk_size,) * full + ((rem,) if rem else ())
+        return tuple(ChunkSpec(index=i, size=size) for i, size in enumerate(sizes))
 
     def new_aggregate(self) -> ErrorCounts:
-        """A zero aggregate (with a histogram row if chain_lengths)."""
+        """A zero aggregate (with a histogram row if chain_lengths and
+        zero magnitude totals if ``"magnitude"`` is counted)."""
         counts = ErrorCounts()
         if self.chain_lengths:
             counts.chain_counts = np.zeros(self.width + 1, dtype=np.int64)
+        if "magnitude" in self.counters:
+            counts.sum_abs_error = counts.max_abs_error = 0
         return counts
 
     def run_chunk(self, spec: ChunkSpec) -> ErrorCounts:
         """Simulate one chunk; randomness comes only from (seed, index).
 
-        A counters-only chunk hands its draw to the counting kernel,
-        which draws the operands itself where it can; the chain
-        statistics need the operand arrays.
+        A chunk of kernel counters only hands its draw to the counting
+        kernel, which draws the operands itself where it can; the chain
+        statistics and the magnitude need the operand arrays.
         """
         draw = _chunk_draw(self, spec)
         counts = self.new_aggregate()
         counts.samples = spec.size
+        kernel = tuple(name for name in self.counters if name != "magnitude")
+        magnitude = len(kernel) < len(self.counters)
         found: Dict[str, int] = {}
-        if self.chain_lengths or self.vlsa_chain is not None:
+        if magnitude or self.chain_lengths or self.vlsa_chain is not None:
             a, b = _operands(draw)
-            if self.counters:
-                found = counter_counts(a, b, self.width, self.window, self.counters)
+            if kernel:
+                found = counter_counts(a, b, self.width, self.window, kernel)
+            if magnitude:
+                counts.sum_abs_error, counts.max_abs_error = _abs_error_totals(
+                    window_profile(a, b, self.width, self.window)
+                )
             if self.vlsa_chain is not None:
                 counts.vlsa_errors = int(
                     vlsa_error_flags(a, b, self.width, self.vlsa_chain).sum()
                 )
             if self.chain_lengths:
                 counts.chain_counts = chain_length_counts(a, b, self.width)
-        elif self.counters:
-            found = drawn_counter_counts(draw, self.window, self.counters)
+        elif kernel:
+            found = drawn_counter_counts(draw, self.window, kernel)
         for name, value in found.items():
             setattr(counts, _COUNTER_FIELDS[name], value)
         return counts
@@ -351,105 +376,6 @@ class MonteCarloErrorJob:
     def with_seed(self, seed: int) -> "MonteCarloErrorJob":
         """The same job under a different root seed."""
         return replace(self, seed=seed)
-
-
-# ---------------------------------------------------------------------------
-# Monte Carlo error magnitudes
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class MagnitudeStats:
-    """Exact-integer error-magnitude aggregate (thesis section 3.3)."""
-
-    samples: int = 0
-    errors: int = 0
-    sum_abs_error: int = 0  # exact Python int — never overflows
-    max_abs_error: int = 0
-
-    def merge(self, other: "MagnitudeStats") -> "MagnitudeStats":
-        """Fold another partial aggregate in (exact sums, running max)."""
-        self.samples += other.samples
-        self.errors += other.errors
-        self.sum_abs_error += other.sum_abs_error
-        self.max_abs_error = max(self.max_abs_error, other.max_abs_error)
-        return self
-
-    @property
-    def mean_abs_error(self) -> float:
-        return self.sum_abs_error / self.samples if self.samples else 0.0
-
-    def to_payload(self) -> dict:
-        """JSON-ready snapshot (exact ints; the checkpoint chunk format)."""
-        return {
-            "samples": self.samples,
-            "errors": self.errors,
-            "sum_abs_error": self.sum_abs_error,
-            "max_abs_error": self.max_abs_error,
-        }
-
-    @staticmethod
-    def from_payload(payload: dict) -> "MagnitudeStats":
-        """Inverse of :meth:`to_payload` (bit-exact round trip)."""
-        return MagnitudeStats(
-            samples=int(payload["samples"]),
-            errors=int(payload["errors"]),
-            sum_abs_error=int(payload["sum_abs_error"]),
-            max_abs_error=int(payload["max_abs_error"]),
-        )
-
-
-@dataclass(frozen=True)
-class MonteCarloMagnitudeJob:
-    """Error magnitudes of SCSA 1 speculation (single-limb widths <= 63)."""
-
-    width: int
-    window: int
-    samples: int
-    distribution: str = "uniform"
-    sigma: Optional[float] = None
-    remainder: str = "lsb"
-    seed: int = 2012
-    chunk_size: int = DEFAULT_CHUNK
-
-    def __post_init__(self) -> None:
-        if not 2 <= self.width <= 63:
-            raise ValueError(
-                f"magnitude analysis supports widths 2..63, got {self.width}"
-            )
-        if not 1 <= self.window <= self.width:
-            raise ValueError(f"window {self.window} out of range for width {self.width}")
-        if self.remainder not in ("lsb", "msb"):
-            raise ValueError(f"remainder must be 'lsb' or 'msb', got {self.remainder!r}")
-        _check_sampling(
-            self.width, self.samples, self.chunk_size, self.distribution, self.sigma
-        )
-
-    def chunk_specs(self) -> Tuple[ChunkSpec, ...]:
-        """The job's work units: full chunks plus one remainder chunk."""
-        return tuple(
-            ChunkSpec(index=i, size=size)
-            for i, size in enumerate(_chunk_sizes(self.samples, self.chunk_size))
-        )
-
-    def new_aggregate(self) -> MagnitudeStats:
-        """A zero aggregate."""
-        return MagnitudeStats()
-
-    def run_chunk(self, spec: ChunkSpec) -> MagnitudeStats:
-        """Measure one chunk's |true - speculative| statistics."""
-        a, b = _operands(_chunk_draw(self, spec))
-        av = a[:, 0].astype(np.uint64)
-        bv = b[:, 0].astype(np.uint64)
-        true = av + bv  # width <= 63: full sum incl. carry-out fits in 64 bits
-        spec_vals = scsa1_speculative_values(a, b, self.width, self.window, self.remainder)
-        diff = true - spec_vals  # speculation only ever drops carries
-        nonzero = diff[diff != 0]
-        stats = MagnitudeStats(samples=spec.size, errors=int(nonzero.size))
-        if nonzero.size:
-            stats.sum_abs_error = int(sum(int(v) for v in nonzero))
-            stats.max_abs_error = int(nonzero.max())
-        return stats
 
 
 # ---------------------------------------------------------------------------

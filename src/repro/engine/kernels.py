@@ -97,8 +97,10 @@ Both reproduce the recipe's arrays word for word below the width (bits
 above it are left as drawn; no mask reads them), so every seeded
 aggregate, checkpoint and fuzz corpus is unchanged.  Everything else
 draws arrays with the recipe :func:`repro.engine.jobs._operands`: the
-fallback of :func:`drawn_counter_counts` off the tuned library, chunks
-that also need chain statistics, and ``MonteCarloMagnitudeJob``.  Per 2¹⁶-sample chunk (2-vCPU x86 VM) a
+fallback of :func:`drawn_counter_counts` off the tuned library, and
+chunks that also need chain statistics or the ``"magnitude"`` counter,
+which is read off the window profile, not this kernel.  Per 2¹⁶-sample
+chunk (2-vCPU x86 VM) a
 materialized chunk (recipe arrays, then the C kernel) takes 3.5–6.2 ms
 at n=256/k=12 and 0.8–1.7 ms at n=64/k=8; drawn in the kernel the
 whole chunk takes 1.5–3.0 and 0.4–0.9 ms.  A Gaussian chunk is 75–85%

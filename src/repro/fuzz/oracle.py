@@ -11,8 +11,8 @@ implementations and cross-checks them:
    by bus, bit for bit, against the limb outputs (check id ``backend``);
 3. **behavioural models** — :mod:`repro.model.behavioral` window profiles
    supply the expected ERR0/ERR1/stall flags and speculation-correctness
-   verdicts; :func:`repro.model.error_magnitude.scsa1_speculative_values`
-   pins the speculative sum *value* at widths <= 63; the Monte Carlo
+   verdicts; their ERR0 columns (:func:`repro.model.behavioral.err0_terms`)
+   pin SCSA 1's speculative sum *value* at every width; the Monte Carlo
    engine's SWAR kernel (:func:`repro.engine.kernels.counter_flags`)
    must reproduce the profile's per-sample counter flags, and
    :func:`repro.engine.kernels.counter_counts` (the C counter kernel
@@ -40,6 +40,7 @@ import numpy as np
 
 from repro.model.behavioral import (
     err0_flags,
+    err0_terms,
     err1_flags,
     pack_ints,
     scsa1_error_flags,
@@ -357,17 +358,13 @@ class Oracle:
         else:
             spec_wrong = None
 
-        spec_values = None
-        if design == "scsa1" and point.width <= 63:
-            from repro.model.error_magnitude import scsa1_speculative_values
-
-            spec_values = scsa1_speculative_values(
-                pack_ints([a for a, _ in pairs], point.width),
-                pack_ints([b for _, b in pairs], point.width),
-                point.width,
-                point.window,
-                "lsb",
-            )
+        if design == "scsa1":
+            # The speculative sum is the exact one minus the weights of the
+            # sample's set ERR0 columns (the lemma of err0_terms).
+            columns, weights = err0_terms(profiles["lsb"])
+            dropped = [0] * len(pairs)
+            for i, column in zip(*columns.nonzero()):
+                dropped[i] += weights[column]
 
         for i, pair in enumerate(pairs):
             a, b = pair
@@ -393,13 +390,13 @@ class Oracle:
                         f"sum={got:#x} exact={exact:#x} but behavioural "
                         f"mis-speculation flag is {bool(spec_wrong[i])}",
                     )
-                if spec_values is not None and got != int(spec_values[i]):
+                if got != a + b - dropped[i]:
                     self._diverge(
                         out,
                         "spec-sum",
                         pair,
                         f"sum={got:#x} but Eq. 4.3 speculation gives "
-                        f"{int(spec_values[i]):#x}",
+                        f"{a + b - dropped[i]:#x}",
                     )
                 continue
 

@@ -30,6 +30,7 @@ from repro.model.behavioral import (
     scsa1_error_flags,
     scsa2_s1_error_flags,
     err0_flags,
+    err0_terms,
     err1_flags,
     vlsa_error_flags,
     monte_carlo_scsa_error_rate,
@@ -41,6 +42,7 @@ from repro.model.carry_chains import (
 )
 from repro.model.error_magnitude import (
     MagnitudeStats,
+    scsa1_abs_error_moments,
     scsa1_speculative_values,
     vlsa_speculative_values,
     relative_error_stats,
@@ -77,6 +79,7 @@ __all__ = [
     "scsa1_error_flags",
     "scsa2_s1_error_flags",
     "err0_flags",
+    "err0_terms",
     "err1_flags",
     "vlsa_error_flags",
     "monte_carlo_scsa_error_rate",
@@ -88,6 +91,7 @@ __all__ = [
     "VariableLatencyAdderSim",
     "SimResult",
     "MagnitudeStats",
+    "scsa1_abs_error_moments",
     "scsa1_speculative_values",
     "vlsa_speculative_values",
     "relative_error_stats",

@@ -220,12 +220,39 @@ def scsa2_s1_error_flags(profile: WindowProfile) -> np.ndarray:
     return np.any(profile.carry_out != spec, axis=1)
 
 
-def err0_flags(profile: WindowProfile) -> np.ndarray:
-    """The ERR0 detector (thesis Eq. 5.1) evaluated behaviourally."""
+def err0_terms(profile: WindowProfile) -> Tuple[np.ndarray, Tuple[int, ...]]:
+    """ERR0's per-window terms ``T`` and the weight of each.
+
+    Column ``i - 1`` of the ``(samples, m - 1)`` boolean ``T`` is
+    ``G_{i-1} ∧ P_i`` (window ``i`` propagates a carry its lower neighbour
+    generated); its weight is ``2^hi_i``, window ``i``'s top boundary.
+
+    **Lemma.**  Per sample, exact sum − SCSA 1 speculative sum (carry-out
+    included, same window plan) = Σᵢ ``T[:, i-1]·2^hi_i``.  Proof: with
+    ``A_i``, ``B_i`` window ``i``'s operand fields, SCSA 1 adds
+    ``A_i + B_i + G_{i-1}`` (``G_{-1} = 0``), keeps the low ``s_i`` bits
+    and passes ``G_i``, not the add's overflow ``o_i``, upwards; the top
+    window's ``G_{m-1}`` is the carry-out bit.  So the speculative sum is
+    Σᵢ ``(A_i + B_i)·2^lo_i`` (the exact sum) + Σᵢ ``(G_i − o_i)·2^hi_i``,
+    since ``G_i`` lands at ``2^lo_{i+1} = 2^hi_i``.  The add overflows iff
+    the window generates or propagates its carry-in,
+    ``o_i = G_i ∨ (P_i ∧ G_{i-1})``, and ``P_i`` excludes ``G_i``, so
+    ``o_i − G_i = P_i ∧ G_{i-1}``.  Nothing depends on window sizes: the
+    lemma holds on both plans.  The weights are distinct powers of two,
+    so the error is the bitmask of the set columns (the terms never
+    carry) and the largest error is the lexicographic maximum of the
+    rows, read from the top column down.  Adjacent terms exclude each
+    other: both would need ``P_i ∧ G_i``.
+    """
     g, p = profile.group_g, profile.group_p
-    if g.shape[1] < 2:
-        return np.zeros(g.shape[0], dtype=bool)
-    return np.any(p[:, 1:] & g[:, :-1], axis=1)
+    return p[:, 1:] & g[:, :-1], tuple(1 << hi for _, hi in profile.plan.bounds[1:])
+
+
+def err0_flags(profile: WindowProfile) -> np.ndarray:
+    """The ERR0 detector (thesis Eq. 5.1) evaluated behaviourally: any
+    of :func:`err0_terms`' columns."""
+    columns, _ = err0_terms(profile)
+    return np.any(columns, axis=1)
 
 
 def err1_flags(profile: WindowProfile) -> np.ndarray:

@@ -10,12 +10,17 @@ most significant bit, giving relative errors up to ~50%.
 This module computes speculative *values* (not just error flags) for
 single-limb widths, so the error-magnitude distribution can be measured
 and the section 3.3 comparison quantified
-(``benchmarks/test_error_magnitude.py``).
+(``benchmarks/test_error_magnitude.py``), and the exact moments of
+SCSA 1's absolute error at any width
+(:func:`scsa1_abs_error_moments`), which the Monte Carlo engine's
+``"magnitude"`` counter is gated against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import Tuple
 
 import numpy as np
 
@@ -56,6 +61,32 @@ def scsa1_speculative_values(
         out |= (total & mask) << _U64(lo)
         spec_carry = (aw + bw) >> _U64(size)  # group generate (truncated)
     return out | (spec_carry << _U64(width))
+
+
+def scsa1_abs_error_moments(width: int, window_size: int) -> Tuple[Fraction, Fraction]:
+    """Exact mean and variance of SCSA 1's absolute error, uniform inputs.
+
+    By the lemma of :func:`repro.model.behavioral.err0_terms`, the error
+    is Σᵢ Tᵢ·2^hiᵢ with Tᵢ = G₍ᵢ₋₁₎ ∧ Pᵢ.  Uniform operands make the
+    windows independent; an s-bit window propagates with probability
+    2^−s and generates with ½(1 − 2^−s), so
+    pᵢ = P(Tᵢ) = ½(1 − 2^−s₍ᵢ₋₁₎)·2^−sᵢ and E|err| = Σᵢ pᵢ·2^hiᵢ.  Terms
+    two or more windows apart read disjoint windows, so they are
+    independent; adjacent ones exclude each other (covariance −pᵢpᵢ₊₁),
+    so Var = Σᵢ pᵢ(1 − pᵢ)·4^hiᵢ − 2Σᵢ pᵢpᵢ₊₁·2^(hiᵢ + hiᵢ₊₁).  Exact
+    ``Fraction``s: the weights leave the float range near n = 1023.
+    """
+    bounds = plan_windows(width, window_size).bounds
+    sizes = [hi - lo for lo, hi in bounds]
+    p = [
+        Fraction((1 << below) - 1, 1 << (below + 1 + size))
+        for below, size in zip(sizes, sizes[1:])
+    ]
+    w = [1 << hi for _, hi in bounds[1:]]
+    mean = sum((pi * wi for pi, wi in zip(p, w)), Fraction(0))
+    spread = sum((pi * (1 - pi) * wi * wi for pi, wi in zip(p, w)), Fraction(0))
+    overlap = sum((p[i] * p[i + 1] * w[i] * w[i + 1] for i in range(len(p) - 1)), Fraction(0))
+    return mean, spread - 2 * overlap
 
 
 def vlsa_speculative_values(

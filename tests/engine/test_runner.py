@@ -8,7 +8,6 @@ from repro.engine import (
     EngineError,
     EngineMetrics,
     MonteCarloErrorJob,
-    MonteCarloMagnitudeJob,
     run_job,
     run_jobs,
 )
@@ -58,17 +57,19 @@ class TestBitIdentical:
         assert _counts_tuple(serial) == _counts_tuple(parallel)
 
     def test_magnitude_job_parallel_matches_serial(self):
-        job = MonteCarloMagnitudeJob(
-            width=32, window=8, samples=150_000, seed=3, chunk_size=2**14
+        job = MonteCarloErrorJob(
+            width=32, window=8, samples=150_000, seed=3, chunk_size=2**14,
+            counters=("scsa1", "magnitude"),
         )
         serial = run_job(job, workers=0).aggregate
         parallel = run_job(job, workers=3).aggregate
-        assert (serial.samples, serial.errors, serial.sum_abs_error) == (
+        assert (serial.samples, serial.scsa1_errors, serial.sum_abs_error) == (
             parallel.samples,
-            parallel.errors,
+            parallel.scsa1_errors,
             parallel.sum_abs_error,
         )
         assert serial.max_abs_error == parallel.max_abs_error
+        assert serial.sum_abs_error > 0
 
     def test_group_results_keep_job_order(self):
         jobs = [

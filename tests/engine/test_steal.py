@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import steal
-from repro.engine.checkpoint import CheckpointStore
+from repro.engine.checkpoint import CheckpointMismatch, CheckpointStore
 from repro.engine.jobs import MonteCarloErrorJob
 from repro.engine.runner import EngineError, run_job
 from repro.engine.steal import StealScheduler, run_checkpointed
@@ -310,6 +310,56 @@ def test_completed_directory_restores_without_compute(tmp_path):
     again = run_checkpointed(job, tmp_path / "ckpt")
     assert again.resumed_chunks == again.total_chunks
     assert again.aggregate.to_payload() == first.aggregate.to_payload()
+
+
+def test_magnitude_job_resumes_bit_identically(tmp_path):
+    job = MonteCarloErrorJob(width=160, window=9, samples=4096, chunk_size=512,
+                             counters=("scsa1", "magnitude"))
+    first = run_checkpointed(job, tmp_path / "ckpt", max_chunks=3)
+    assert first.partial
+    resumed = run_checkpointed(job, tmp_path / "ckpt", workers=2)
+    assert resumed.resumed_chunks == 3
+    payload = resumed.aggregate.to_payload()
+    assert payload == _reference(job)
+    assert payload["sum_abs_error"] > 1 << 150
+
+
+#: A directory the removed ``MonteCarloMagnitudeJob`` (widths <= 63)
+#: checkpointed: its ``job.json`` and its two manifest lines, verbatim.
+_MAGNITUDE_JOB_JSON = {
+    "job_class": "MonteCarloMagnitudeJob",
+    "job_digest": "0801ed2bebbb62e7001f05d34808eb463dacfd244e6073bd674b8cd3cde3dec5",
+    "job_repr": "MonteCarloMagnitudeJob(width=32, window=8, samples=4000, "
+                "distribution='uniform', sigma=None, remainder='lsb', seed=3, "
+                "chunk_size=2000)",
+    "schema": 2,
+    "seed": 3,
+    "total_chunks": 2,
+    "total_samples": 4000,
+}
+_MAGNITUDE_MANIFEST = (
+    '{"chunk":0,"digest":"04712c9cb2eabc3d07c403c29eaceda6d2e3c5a4ce66ab188b981098bbb192a2",'
+    '"payload":{"errors":15,"max_abs_error":4294967296,"samples":2000,'
+    '"sum_abs_error":21525626880}}\n'
+    '{"chunk":1,"digest":"3b4de67c02b883ec8fb840fce97a4ac331abe43f645cace06e7e16c29373f007",'
+    '"payload":{"errors":9,"max_abs_error":4294967296,"samples":2000,'
+    '"sum_abs_error":21491810304}}\n'
+)
+
+
+@pytest.mark.parametrize("counters", [("scsa1", "magnitude"), ("scsa1",)])
+def test_directory_of_the_removed_magnitude_job_is_refused(tmp_path, counters):
+    """Its payloads lack the error job's keys: the header check refuses the
+    directory before any record is read."""
+    directory = tmp_path / "mag"
+    directory.mkdir()
+    (directory / "job.json").write_text(json.dumps(_MAGNITUDE_JOB_JSON))
+    (directory / "manifest.jsonl").write_text(_MAGNITUDE_MANIFEST)
+    job = MonteCarloErrorJob(width=32, window=8, samples=4000, seed=3, chunk_size=2000,
+                             counters=counters)
+    with pytest.raises(CheckpointMismatch, match="MonteCarloMagnitudeJob"):
+        run_checkpointed(job, directory)
+    assert len(CheckpointStore(directory).done_indices()) == 2  # left untouched
 
 
 # -- budgets and progress -------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the numpy behavioural models (repro.model.behavioral)."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from repro.model.behavioral import (
     add_packed,
     carry_into_bits,
     err0_flags,
+    err0_terms,
     err1_flags,
     extract_field,
     mask_top,
@@ -31,7 +33,10 @@ from repro.model.behavioral import (
     window_profile,
 )
 
+from repro.model.error_magnitude import scsa1_speculative_values
+
 from tests.conftest import random_pairs
+from tests.core.test_scsa import _reference_scsa
 
 
 class TestPacking:
@@ -250,6 +255,44 @@ def test_err0_is_exact_detection(width, data, distribution, seed):
     for remainder in ("lsb", "msb"):
         profile = window_profile(a, b, width, window, remainder)
         np.testing.assert_array_equal(err0_flags(profile), scsa1_error_flags(profile))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    width=st.integers(min_value=2, max_value=300),
+    data=st.data(),
+    remainder=st.sampled_from(("lsb", "msb")),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_err0_terms_are_the_scsa1_error_value(width, data, remainder, seed):
+    """The lemma of ``err0_terms``: exact - SCSA 1 = sum of the set columns'
+    weights, against ``_reference_scsa`` at every width and
+    ``scsa1_speculative_values`` within one limb, on both window plans.
+    Half the pairs are ``b = ~a`` with sparse bit flips, so long
+    all-propagate runs (and multi-term errors) occur at any window."""
+    window = data.draw(st.integers(min_value=1, max_value=min(63, width)), label="window")
+    gen = random.Random(seed)
+    top = (1 << width) - 1
+    xs = [gen.getrandbits(width) for _ in range(48)]
+    ys = [gen.getrandbits(width) for _ in range(24)]
+    for x in xs[24:]:
+        flips = 0
+        for _ in range(gen.randrange(4)):
+            flips |= 1 << gen.randrange(width)
+        ys.append((top ^ x) ^ flips)
+    profile = window_profile(pack_ints(xs, width), pack_ints(ys, width), width, window,
+                             remainder)
+    columns, weights = err0_terms(profile)
+    assert columns.shape == (48, len(weights))
+    spec = [
+        x + y - sum(w for w, hit in zip(weights, row) if hit)
+        for x, y, row in zip(xs, ys, columns)
+    ]
+    assert spec == [_reference_scsa(x, y, width, window, remainder) for x, y in zip(xs, ys)]
+    if width <= 63:
+        values = scsa1_speculative_values(pack_ints(xs, width), pack_ints(ys, width), width,
+                                          window, remainder)
+        assert spec == [int(v) for v in values]
 
 
 @settings(max_examples=50, deadline=None)

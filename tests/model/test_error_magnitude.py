@@ -1,12 +1,16 @@
 """Tests for error-magnitude analysis (repro.model.error_magnitude)."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from repro.engine import MonteCarloErrorJob, run_job
 from repro.inputs.generators import uniform_operands
 from repro.model.behavioral import pack_ints, unpack_ints
 from repro.model.error_magnitude import (
     relative_error_stats,
+    scsa1_abs_error_moments,
     scsa1_magnitude_stats,
     scsa1_speculative_values,
     vlsa_magnitude_stats,
@@ -141,3 +145,37 @@ class TestScsaVsVlsaComparison:
         assert scsa.errors > 0 and vlsa.errors > 0
         assert scsa.median_relative < 0.05
         assert vlsa.median_relative < 0.05
+
+
+class TestExactMoments:
+    @pytest.mark.parametrize("width, k", [(8, 3), (7, 2), (6, 6)])
+    def test_exhaustive_mean_and_variance(self, width, k):
+        """Over every operand pair the moments are the formula's exactly."""
+        values = np.arange(1 << width, dtype=np.uint64)
+        a = np.repeat(values, 1 << width)[:, None]
+        b = np.tile(values, 1 << width)[:, None]
+        errors = (a[:, 0] + b[:, 0] - scsa1_speculative_values(a, b, width, k)).astype(object)
+        pairs = 1 << (2 * width)
+        mean = Fraction(int(errors.sum()), pairs)
+        variance = Fraction(int((errors * errors).sum()), pairs) - mean * mean
+        assert scsa1_abs_error_moments(width, k) == (mean, variance)
+
+    def test_single_window_has_no_error(self):
+        assert scsa1_abs_error_moments(16, 16) == (0, 0)
+
+    def test_exact_past_the_float_range(self):
+        mean, variance = scsa1_abs_error_moments(1100, 8)
+        assert isinstance(mean, Fraction) and mean > 1 << 1000
+        assert variance > 0
+
+    @pytest.mark.parametrize("width, k", [(64, 8), (128, 10), (256, 12)])
+    def test_engine_mean_within_six_sigma(self, width, k):
+        """The engine's ``"magnitude"`` counter against the exact mean:
+        |z| <= 6, decided in exact arithmetic (z^2 <= 36)."""
+        samples = 1_000_000
+        job = MonteCarloErrorJob(width=width, window=k, samples=samples, seed=2012,
+                                 counters=("magnitude",))
+        total = run_job(job).aggregate.sum_abs_error
+        mean, variance = scsa1_abs_error_moments(width, k)
+        deviation = total - samples * mean
+        assert deviation * deviation <= 36 * samples * variance

@@ -366,6 +366,19 @@ def test_http_error_paths(tmp_path):
             assert status == 404 and payload["error"]["code"] == "not-found"
 
 
+def test_magnitude_is_not_a_served_counter(tmp_path):
+    """``"magnitude"`` is a library and CLI counter only: a served request
+    for it is a 400, like any unknown counter."""
+    uds = _uds(tmp_path)
+    with ServerThread(ServeConfig(uds=uds, shards=1)):
+        with ServeClient(uds=uds) as client:
+            for counters in (["magnitude"], ["scsa1", "magnitude"]):
+                with pytest.raises(ServeError) as excinfo:
+                    client.evaluate("errors", dict(_errors_params(), counters=counters))
+                assert excinfo.value.status == 400
+                assert excinfo.value.code == "bad-param"
+
+
 def test_tcp_listener(tmp_path):
     with ServerThread(ServeConfig(port=0, shards=1)) as handle:
         assert handle.bound_port

@@ -143,6 +143,41 @@ def test_monte_carlo_jobs_that_cannot_run_exit_2(argv, message, capsys):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        # ``--seed 7 engine magnitude ... --samples 40000 --json`` at the parent
+        # of the change that made magnitude a MonteCarloErrorJob counter.
+        (["32", "--window", "8"], (198, 275906101248, 4294967296)),
+        (["48", "--window", "5", "--inputs", "gaussian"],
+         (12510, 10103258153223168, 8804691345408)),
+    ],
+)
+def test_engine_magnitude_matches_the_single_limb_job(argv, expected, tmp_path, capsys):
+    out = tmp_path / "magnitude.json"
+    assert main(["--seed", "7", "engine", "magnitude", *argv, "--samples", "40000",
+                 "--json", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["samples"] == 40000
+    assert (report["errors"], report["sum_abs_error"], report["max_abs_error"]) == expected
+    assert "mean |error| / 2^n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv", [["1100", "--window", "8", "--samples", "1000"], ["128"]]
+)
+def test_engine_magnitude_past_one_limb(argv, tmp_path, capsys):
+    """Any width runs; past 2^1024 the mean is printed without a float."""
+    out = tmp_path / "magnitude.json"
+    assert main(["engine", "magnitude", *argv, "--json", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert 0 < report["errors"] < report["samples"]
+    assert 0 < report["max_abs_error"] < 1 << (report["width"] + 1)
+    assert report["max_abs_error"] <= report["sum_abs_error"]
+    table = capsys.readouterr().out
+    assert "mean |error|" in table and "inf" not in table
+
+
 @pytest.mark.parametrize("width, window", [(64, 2), (64, 1), (129, 3)])
 def test_engine_errors_with_eq313_past_one_reports_null(width, window, tmp_path, capsys):
     """Small windows take Eq. 3.13 above 1: that comparison is null with a
