@@ -64,9 +64,9 @@ def build_multi_operand_adder(
         return strip_dead(circuit)
 
     if window_size is None:
-        from repro.analysis.sizing import scsa_window_size_for
+        from repro.analysis.sizing import default_window
 
-        window_size = scsa_window_size_for(out_width, 1e-4)
+        window_size = default_window(out_width)
 
     if final_adder == "scsa":
         core = build_scsa_core(circuit, row_a, row_b, window_size)

@@ -83,9 +83,9 @@ def build_multiplier(
         return strip_dead(circuit)
 
     if window_size is None:
-        from repro.analysis.sizing import scsa_window_size_for
+        from repro.analysis.sizing import default_window
 
-        window_size = scsa_window_size_for(product_width, 1e-4)
+        window_size = default_window(product_width)
 
     if final_adder == "scsa":
         core = build_scsa_core(circuit, row_a, row_b, window_size)

@@ -73,9 +73,9 @@ def build_subtractor(
         sums = _prefix_sum_with_cin(circuit, a, not_b, circuit.const1(), adder)
     elif adder == "scsa":
         if window_size is None:
-            from repro.analysis.sizing import scsa_window_size_for
+            from repro.analysis.sizing import default_window
 
-            window_size = scsa_window_size_for(width, 1e-4)
+            window_size = default_window(width)
         # a - b = a + ~b + 1: inject the +1 as an extra operand bit by
         # pre-adding it to the low window via an incrementer on ~b.
         # Simpler and exact: fold the +1 into ~b with a ripple increment

@@ -65,6 +65,15 @@ def scsa_window_size_for(
     return width
 
 
+def default_window(width: int, window: Optional[int] = None) -> int:
+    """``window`` when given, else the window every command and service
+    defaults to: the Eq. 3.13 size for the thesis' 0.01% error rate (the
+    Table 7.4 column ``repro gen`` and ``repro engine errors`` reproduce)."""
+    if window is not None:
+        return window
+    return scsa_window_size_for(width, 1e-4)
+
+
 def vlsa_chain_length_for(
     width: int, target: float, slack: float = DEFAULT_SLACK
 ) -> int:

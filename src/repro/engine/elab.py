@@ -47,7 +47,15 @@ _FIXED: Dict[str, Callable[..., DesignMetrics]] = {
     "designware": measure_designware,
 }
 
-SWEEPABLE_DESIGNS = tuple(sorted(_WINDOWED) + sorted(_FIXED))
+#: Designs :func:`build_design` elaborates at a window size.
+WINDOWED_DESIGNS = ("scsa1", "scsa2", "vlcsa1", "vlcsa2", "vlsa")
+
+#: Designs :func:`measure_design` measures at a window size (the
+#: buildable ones plus the speculative-only ``vlsa_spec`` row).
+MEASURED_WINDOWED_DESIGNS = tuple(sorted(_WINDOWED))
+
+#: Every design :func:`measure_design` measures.
+SWEEPABLE_DESIGNS = MEASURED_WINDOWED_DESIGNS + tuple(sorted(_FIXED))
 
 
 def build_design(
@@ -64,7 +72,7 @@ def build_design(
     Eq. 3.13 sizing for a 1e-4 error rate, matching ``repro gen``.
     """
     from repro.adders import ADDER_GENERATORS, build_designware_adder
-    from repro.analysis.sizing import scsa_window_size_for
+    from repro.analysis.sizing import default_window
     from repro.core import (
         build_scsa_adder,
         build_scsa2_adder,
@@ -82,15 +90,13 @@ def build_design(
         "vlsa": build_vlsa,
     }
     if architecture in windowed:
-        k = window if window is not None else scsa_window_size_for(width, 1e-4)
-        return windowed[architecture](width, k, **opts)
+        return windowed[architecture](width, default_window(width, window), **opts)
     if architecture == "designware":
         return build_designware_adder(width, **opts)
     if architecture in ADDER_GENERATORS:
         return ADDER_GENERATORS[architecture](width, **opts)
     raise ValueError(
-        f"unknown design {architecture!r}; choose from "
-        f"{sorted(set(ADDER_GENERATORS) | set(windowed) | {'designware'})}"
+        f"unknown design {architecture!r}; choose from {list(grid_designs())}"
     )
 
 
@@ -121,9 +127,8 @@ def grid_designs() -> tuple:
     """
     from repro.adders import ADDER_GENERATORS
 
-    windowed = ("scsa1", "scsa2", "vlcsa1", "vlcsa2", "vlsa")
     return tuple(
-        sorted(set(ADDER_GENERATORS) | set(windowed) | {"designware"})
+        sorted(set(ADDER_GENERATORS) | set(WINDOWED_DESIGNS) | {"designware"})
     )
 
 

@@ -180,23 +180,23 @@ def _validate_errors_params(
 
 
 def _validate_measure_params(params: Mapping[str, Any]) -> Dict[str, Any]:
-    from repro.engine.elab import _FIXED, _WINDOWED
+    from repro.engine.elab import MEASURED_WINDOWED_DESIGNS, SWEEPABLE_DESIGNS
 
     architecture = params.get("architecture")
-    known = sorted(_WINDOWED) + sorted(_FIXED)
+    known = list(SWEEPABLE_DESIGNS)
     if architecture not in known:
         raise ProtocolError(
             "bad-param", f"unknown architecture {architecture!r}; choose from {known}"
         )
     width = _require_int(params, "width", 2, 4096)
     out: Dict[str, Any] = {"architecture": architecture, "width": width}
-    if architecture in _WINDOWED:
+    if architecture in MEASURED_WINDOWED_DESIGNS:
         if params.get("window") is not None:
             out["window"] = _require_int(params, "window", 1, width)
         else:
-            from repro.analysis.sizing import scsa_window_size_for
+            from repro.analysis.sizing import default_window
 
-            out["window"] = scsa_window_size_for(width, 1e-4)
+            out["window"] = default_window(width)
     elif params.get("window") is not None:
         raise ProtocolError(
             "bad-param", f"design {architecture!r} takes no window parameter"
@@ -208,7 +208,7 @@ def _validate_measure_params(params: Mapping[str, Any]) -> Dict[str, Any]:
 
 
 def _validate_sim_params(params: Mapping[str, Any]) -> Dict[str, Any]:
-    from repro.engine.elab import grid_designs
+    from repro.engine.elab import WINDOWED_DESIGNS, grid_designs
     from repro.netlist.simulate import BACKENDS
 
     architecture = params.get("architecture")
@@ -220,9 +220,8 @@ def _validate_sim_params(params: Mapping[str, Any]) -> Dict[str, Any]:
         )
     width = _require_int(params, "width", 2, 4096)
     out: Dict[str, Any] = {"architecture": architecture, "width": width}
-    windowed = ("scsa1", "scsa2", "vlcsa1", "vlcsa2", "vlsa")
     if params.get("window") is not None:
-        if architecture not in windowed:
+        if architecture not in WINDOWED_DESIGNS:
             raise ProtocolError(
                 "bad-param", f"design {architecture!r} takes no window parameter"
             )
@@ -302,15 +301,12 @@ def request_to_job(request: EvalRequest):
 
     if request.kind not in ("errors", "longrun"):
         raise ValueError(f"request kind {request.kind!r} has no engine job")
-    params = request.param_dict()
-    from repro.analysis.sizing import scsa_window_size_for
+    from repro.analysis.sizing import default_window
 
-    window = params.get("window")
-    if window is None:
-        window = scsa_window_size_for(params["width"], 1e-4)
+    params = request.param_dict()
     return MonteCarloErrorJob(
         width=params["width"],
-        window=window,
+        window=default_window(params["width"], params.get("window")),
         samples=params["samples"],
         distribution=params["distribution"],
         seed=request.seed,

@@ -1,10 +1,19 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import argparse
+import importlib
 import json
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+import repro
+import repro.cli
+from repro.cli import build_parser, main
 
 
 def test_gen_writes_verilog(tmp_path, capsys):
@@ -176,6 +185,7 @@ def test_engine_magnitude_past_one_limb(argv, tmp_path, capsys):
     assert report["max_abs_error"] <= report["sum_abs_error"]
     table = capsys.readouterr().out
     assert "mean |error|" in table and "inf" not in table
+    assert all(len(line) <= 100 for line in table.splitlines())
 
 
 @pytest.mark.parametrize("width, window", [(64, 2), (64, 1), (129, 3)])
@@ -624,3 +634,82 @@ def test_sta_reports_paths_and_sarif(tmp_path, capsys):
 def test_sta_tight_clock_fails_with_violation(capsys):
     assert main(["sta", "ripple", "32", "--clock", "0.1"]) == 1
     assert "TIMING VIOLATION" in capsys.readouterr().err
+
+
+# -- unwritable output paths -------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["gen", "vlcsa1", "16", "4"], "-o"),
+        (["tb", "ripple", "8", "--vectors", "2"], "-o"),
+        (["sta", "ripple", "16"], "--sarif"),
+        (["lint", "vlcsa1", "--widths", "16", "--no-cache"], "-o"),
+        (["engine", "errors", "16", "--window", "4", "--samples", "1000",
+          "--no-design", "--no-cache"], "--merged"),
+        (["seq", "vlcsa1", "16", "4"], "-o"),
+    ],
+)
+def test_unwritable_output_path_exits_1_without_traceback(argv, flag, tmp_path):
+    target = tmp_path / "missing" / "out.txt"
+    src = Path(repro.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", *argv, flag, str(target)],
+        env=env, cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "error: cannot write " in proc.stderr
+    assert f"to {str(target)!r}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+# -- the parser tree ---------------------------------------------------------
+
+
+def _leaves(parser, path=()):
+    subparsers = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    if not subparsers:
+        yield path, parser
+    for action in subparsers:
+        for name, child in action.choices.items():
+            yield from _leaves(child, path + (name,))
+
+
+def test_parser_tree_has_one_handler_per_command(capsys):
+    leaves = dict(_leaves(build_parser()))
+    handlers = {path: leaf.get_default("fn") for path, leaf in leaves.items()}
+    assert all(callable(fn) for fn in handlers.values())
+    # ``errors`` and ``sweep`` are second spellings of the engine commands;
+    # every other command has its own handler.
+    assert handlers[("errors",)] is handlers[("engine", "errors")]
+    assert handlers[("sweep",)] is handlers[("engine", "sweep")]
+    assert len(set(handlers.values())) == len(handlers) - 2
+    modules = [repro.cli] + [
+        importlib.import_module(f"repro.cli.{info.name}")
+        for info in pkgutil.iter_modules(repro.cli.__path__)
+    ]
+    defined = {
+        fn for module in modules
+        for name, fn in vars(module).items() if name.startswith("_cmd_")
+    }
+    assert defined == set(handlers.values())
+    for path in leaves:
+        with pytest.raises(SystemExit) as excinfo:
+            main([*path, "--help"])
+        assert excinfo.value.code == 0, path
+    capsys.readouterr()
+
+
+def test_errors_spelling_writes_the_engine_errors_rows(tmp_path):
+    rows = []
+    for spelling in (["errors"], ["engine", "errors"]):
+        out = tmp_path / f"{'-'.join(spelling)}.json"
+        assert main(["--seed", "5", *spelling, "32", "--window", "8",
+                     "--samples", "4096", "--no-design", "--json", str(out)]) == 0
+        rows.append(json.loads(out.read_text())["rows"])
+    assert rows[0] == rows[1]
