@@ -419,6 +419,10 @@ def _fmt_quotient(num: int, den: int) -> str:
 
 
 def _cmd_chains(args: argparse.Namespace) -> int:
+    for name, value, least in (("width", args.width, 1), ("samples", args.samples, 0)):
+        if value < least:
+            print(f"error: {name} must be >= {least}, got {value}", file=sys.stderr)
+            raise SystemExit(2)
     gen = np.random.default_rng(_resolve_seed(args))
     if args.inputs == "uniform":
         a = uniform_operands(args.width, args.samples, gen)

@@ -598,10 +598,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise SystemExit(str(exc))
     metrics = EngineMetrics()
-    try:
-        result = run_job(job, workers=args.workers, metrics=metrics)
-    except ValueError as exc:  # e.g. unknown design name inside a worker
-        raise SystemExit(str(exc))
+    result = run_job(job, workers=args.workers, metrics=metrics)
     rows = result.aggregate.ordered()
     reports = [report_from_dict(row) for row in rows]
 

@@ -16,10 +16,13 @@ they now execute through:
   integer counters, count histograms, or index-keyed row dicts, which
   merge associatively and commutatively so chunks may finish in any
   order;
-* :mod:`repro.engine.runner` — a multiprocessing worker pool with
-  per-chunk seed derivation (``numpy.random.SeedSequence.spawn``
-  semantics), backpressure-bounded queues, and a serial fallback that is
-  bit-identical to the parallel path;
+* :mod:`repro.engine.runner` — the one scheduler: every computing
+  process (the caller is worker 0) runs one claim loop over a completion
+  store, in memory for plain runs and a job directory's manifest for
+  checkpointed ones; :class:`WorkerPool` is the one process lifecycle,
+  resident or per call, with one pipe per child; per-chunk seeds
+  (``numpy.random.SeedSequence.spawn`` semantics) keep serial and pooled
+  runs bit-identical;
 * :mod:`repro.engine.kernels` — the SWAR (SIMD-within-a-register) Monte
   Carlo kernel: every error counter for all windows of a batch from one
   add and one all-ones test per window plan, instead of a per-window loop;
@@ -31,9 +34,9 @@ they now execute through:
   that tolerates torn writes, damaged records, and duplicate records,
   plus the incremental :class:`ManifestTail` reader the streamed
   reduction runs on;
-* :mod:`repro.engine.steal` — :func:`run_checkpointed`: billion-sample
-  jobs executed by work-stealing workers (the parent is worker 0)
-  coordinating through lease files, resumable after SIGKILL to a
+* :mod:`repro.engine.steal` — :func:`run_checkpointed` and the manifest
+  store: billion-sample jobs whose workers claim chunks through lease
+  files and steal a dead worker's lease, resumable after SIGKILL to a
   bit-identical final aggregate with O(1) parent memory in samples.
 """
 

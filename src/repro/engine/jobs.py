@@ -658,11 +658,20 @@ class LintJob:
     def __post_init__(self) -> None:
         if not self.points:
             raise ValueError("a lint job needs at least one point")
-        # Validate the rule selection eagerly so typos fail at submit time
-        # (in the parent process) rather than inside a worker.
+        # Validate the rule selection and the points eagerly so typos fail
+        # at submit time (in the parent process) rather than as a chunk
+        # failure inside a worker.
+        from repro.engine.elab import grid_designs
         from repro.netlist.lint import resolve_rules
 
         resolve_rules(self.select, self.ignore)
+        designs = grid_designs()
+        for point in self.points:
+            if point.architecture not in designs:
+                raise ValueError(f"unknown design {point.architecture!r}; "
+                                 f"choose from {list(designs)}")
+            if point.window is not None and point.window < 1:
+                raise ValueError(f"window size must be positive, got {point.window}")
 
     def chunk_specs(self) -> Tuple[ChunkSpec, ...]:
         """One chunk per design point (the point rides in the payload)."""

@@ -1,68 +1,69 @@
-"""Job execution: serial fallback and a resident multiprocessing pool.
+"""Job execution: one claim loop, run by every computing process.
 
-:class:`WorkerPool` owns a set of persistent worker processes with a job
-*submission* API: a pool outlives any one job group, so a long-lived
-caller (the ``repro serve`` scheduler, a figure's whole (n, k) grid, a
-DSE sweep) pays the process start-up cost once and every worker keeps its
-process-level caches — :func:`repro.engine.jobs.process_cache`, compiled
-kernels, the measure-function memos — warm across submissions.
+Every execution path — a serial run, a resident :class:`WorkerPool`, the
+ephemeral pool of one ``run_jobs`` call, a checkpointed run — is the same
+loop, :func:`_claim_loop`: claim a chunk, compute it, publish it, repeat.
+The caller's process is worker 0 and computes chunks like the rest, so
+``workers`` counts computing processes and ``WorkerPool(n)`` forks
+``n - 1`` children.
 
-Each submission streams :class:`ChunkSpec` work units through a
-**bounded** task queue (backpressure: the feeder blocks instead of
-materializing every chunk's task at once) and folds partial aggregates in
-completion order.  Because aggregates are exact integers and merging is
-associative and commutative (see :mod:`repro.engine.jobs`), the fold
-order cannot change the result: for a fixed job seed the parallel runner
-is bit-identical to the serial one, which the test suite asserts.
+Where claims and results live is the group's *completion store*:
 
-Chunks are seeded by index (``SeedSequence(seed, spawn_key=(i,))``), so
-worker assignment is pure scheduling — any worker may run any chunk.
+* the **memory store** (:class:`_MemoryStore`) hands out the group's
+  flattened ``(job_index, spec)`` list in order, one chunk per claim,
+  through a cursor shared by the pool's processes; each child sends each
+  chunk's aggregate to the parent;
+* the **manifest store** (``repro.engine.steal._ManifestStore``) claims
+  chunks through lease files and appends them to a durable manifest, so
+  a run resumes after any interruption.
 
-Interruption is first-class: ``KeyboardInterrupt`` (and ``SIGTERM``,
-translated while a group is in flight) drains the workers — each is
-offered its end-of-group sentinel so it can ship its obs collector back —
-then terminates and joins whatever remains, so an interrupted run leaves
-no orphaned processes and keeps the telemetry that already arrived.
+Chunks are seeded by index (``SeedSequence(seed, spawn_key=(i,))``) and
+aggregates merge exact integers associatively and commutatively (see
+:mod:`repro.engine.jobs`), so neither which process ran a chunk nor the
+order the parent folded it in can change a result: serial, pooled,
+resumed and served runs are bit-identical, which the test suite asserts.
 
-``run_jobs`` executes a *group* of jobs through one shared pool — either
-an ephemeral one torn down afterwards, or a caller-provided resident pool.
+A child talks to the parent over one duplex pipe.  The parent sends a
+group, then exactly one stop once its own loop is done; the child sends
+one message per finished chunk, then one end-of-group message with its
+timing moments, its span snapshot and its failure, if any.  The parent
+waits on those pipes and on the children's process sentinels.  One
+failure model covers every path:
+
+* a chunk exception stops claiming, drains the group and raises
+  :class:`EngineError`; the pool stays usable and a job directory stays
+  resumable;
+* Ctrl-C or SIGTERM terminates the children, breaks the pool and
+  re-raises;
+* a dead child is its store's business: the manifest store steals its
+  lease, the memory store breaks the pool and raises :class:`EngineError`.
 """
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing as mp
-import queue
+import os
 import signal
 import threading
 import time
 import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from multiprocessing.connection import wait
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set
 
 from repro.engine.metrics import EngineMetrics
 from repro.netlist import _accel
 from repro.obs import spans as _obs
+from repro.obs.accumulator import StreamingMoments
 from repro.obs.collector import Collector
 
-#: Task-queue bound per worker: enough to keep workers busy, small enough
-#: that a huge job never materializes its whole chunk list in the queue.
-_QUEUE_DEPTH_PER_WORKER = 2
-
-_RESULT_POLL_S = 0.2
-
-#: Target number of batched tasks per worker: chunks are grouped so each
-#: worker sees a handful of tasks, amortizing queue/pickle overhead while
-#: keeping enough granularity for load balancing.
-_TASKS_PER_WORKER = 4
-
-#: How long the parent waits for worker collector snapshots after the last
-#: chunk result arrived (workers send them on taking their group sentinel).
-_SNAPSHOT_DEADLINE_S = 10.0
-
-#: Grace period an interrupted group grants workers to finish the chunk in
-#: flight and flush their collectors before being terminated.
-_ABORT_DRAIN_S = 1.0
+#: Fallback timeout of an idle wait.  A process idles only while every
+#: pending chunk is leased elsewhere; a child's published chunk or the
+#: parent's stop ends the wait at once, so only a lease held by a foreign
+#: invocation sharing the job directory is noticed on this tick.
+_IDLE_S = 0.05
 
 _JOIN_TIMEOUT_S = 5.0
 
@@ -72,13 +73,17 @@ _JOIN_TIMEOUT_S = 5.0
 #: error counts alongside the chunk rate.
 ProgressFn = Callable[[int, int, Sequence[Any]], None]
 
+#: One process's timing moments for a group: seconds per chunk spent
+#: computing (``chunk_s``) and committing to the store (``checkpoint_s``).
+Stats = Dict[str, StreamingMoments]
+
 
 class EngineError(RuntimeError):
     """A chunk failed or the worker pool died; carries worker tracebacks."""
 
 
 class _PoolDead(RuntimeError):
-    """Internal: the worker processes exited mid-group (pool is broken)."""
+    """Internal: a child exited mid-group with chunks only it held."""
 
 
 @dataclass
@@ -121,117 +126,272 @@ def _sigterm_interrupts() -> Iterator[None]:
         signal.signal(signal.SIGTERM, previous)
 
 
-def _worker_main(
-    control: "mp.Queue",
-    tasks: "mp.Queue",
-    results: "mp.Queue",
-    rank: int = 0,
-    trace: bool = False,
+def _new_stats() -> Stats:
+    return {"chunk_s": StreamingMoments(), "checkpoint_s": StreamingMoments()}
+
+
+def _collector(stats: Stats) -> Collector:
+    """One worker's chunk count and busy time, as its per-rank report."""
+    local = Collector()
+    local.add("chunks", stats["chunk_s"].count)
+    local.timers["chunks"] = float(stats["chunk_s"].total)
+    return local
+
+
+def _claim_loop(
+    store: Any,
+    publish: Callable[[Any], None],
+    keep_going: Callable[[], bool],
+    idle: Callable[[], Any],
+    stats: Stats,
 ) -> None:
-    # Under fork the child inherits the parent's obs collector contents;
-    # reset so the snapshot shipped back holds only this worker's data.
-    _obs.reset()
-    if trace:
-        _obs.enable()
-    while True:
-        msg = control.get()
-        if msg is None:  # pool shutdown
-            return
-        gen, jobs = msg
-        local = Collector()
-        if trace:
-            _obs.reset()  # spans per group, so snapshots never re-ship
+    """Claim, compute, publish, repeat — every computing process's loop.
+
+    Ends when ``keep_going`` turns false or ``store`` has nothing left to
+    claim; ``idle`` waits while every pending chunk is claimed elsewhere.
+    ``publish`` receives what the store's ``commit`` returned for each
+    chunk, and each chunk's compute and commit seconds go to ``stats``.
+    A failing chunk releases its claim before the exception propagates.
+    """
+    while keep_going():
+        item = store.claim()
+        if item is None:
+            if store.finished():
+                return
+            idle()
+            continue
         try:
-            results.put(("joined", gen, rank))
-        except Exception:  # parent is tearing down
-            return
-        while True:
-            task = tasks.get()
-            if task[0] != gen:
-                continue  # leftover of an aborted group; skip
-            if task[1] is None:
-                # Group sentinel: ship this worker's collector (and its
-                # trace spans) back, then wait for the next group.
-                obs_snapshot = _obs.global_collector() if trace else None
-                try:
-                    results.put(("snapshot", gen, rank, local, obs_snapshot))
-                except Exception:
-                    pass  # parent is tearing down; metrics are best-effort
-                break
-            _, job_index, specs = task
-            try:
-                job = jobs[job_index]
-                aggregate = job.new_aggregate()
-                with _obs.span("worker.task", rank=rank, chunks=len(specs)):
-                    with local.timer("chunks"):
-                        for spec in specs:
-                            aggregate = aggregate.merge(job.run_chunk(spec))
-                local.add("chunks", len(specs))
-                local.add("tasks", 1)
-                results.put(("result", gen, job_index, "ok", aggregate, len(specs)))
-            except BaseException:
-                results.put(
-                    ("result", gen, job_index, "error", traceback.format_exc(), len(specs))
-                )
+            start = time.perf_counter()
+            result = store.compute(item)
+            computed = time.perf_counter()
+            message = store.commit(item, result)
+        except BaseException:
+            store.release(item)
+            raise
+        stats["chunk_s"].record(computed - start)
+        stats["checkpoint_s"].record(time.perf_counter() - computed)
+        publish(message)
 
 
-def _run_group_serial(
+class _MemoryStore:
+    """Completion store of an in-memory job group.
+
+    Claims come off ``cursor`` over the group's flattened ``(job_index,
+    spec)`` list, in order, one chunk per claim; a pool swaps in its
+    shared cursor, so no two of its processes claim one chunk.  A chunk
+    is published as ``(job_index, aggregate)``.  Pickles as its jobs.
+    """
+
+    durable = False
+
+    def __init__(self, jobs: Sequence[Any]):
+        self.jobs = tuple(jobs)
+        self.work = [(i, spec) for i, job in enumerate(self.jobs) for spec in job.chunk_specs()]
+        self.cursor: Iterator[int] = itertools.count()
+
+    def __reduce__(self):
+        return _MemoryStore, (self.jobs,)
+
+    def claim(self) -> Optional[int]:
+        index = next(self.cursor)
+        return index if index < len(self.work) else None
+
+    def finished(self) -> bool:
+        return True  # a claim fails only once every chunk is claimed
+
+    def compute(self, index: int) -> Any:
+        job_index, spec = self.work[index]
+        return self.jobs[job_index].run_chunk(spec)
+
+    def commit(self, index: int, aggregate: Any) -> Any:
+        return self.work[index][0], aggregate
+
+    def release(self, index: int) -> None:
+        pass  # a failed chunk fails the whole group
+
+
+class _SharedCursor:
+    """A claim cursor in shared memory, inherited by a pool's children."""
+
+    def __init__(self, ctx):
+        self._value = ctx.Value("q", 0)
+
+    def __next__(self) -> int:
+        with self._value.get_lock():
+            index = self._value.value
+            self._value.value = index + 1
+        return index
+
+    def reset(self) -> None:
+        self._value.value = 0
+
+
+def _memory_group(
     jobs: Sequence[Any],
     aggregates: List[Any],
     metrics: EngineMetrics,
-    progress: Optional[ProgressFn] = None,
-) -> None:
-    per_job = [job.chunk_specs() for job in jobs]
-    total = sum(len(specs) for specs in per_job)
-    done = 0
-    for job_index, (job, specs) in enumerate(zip(jobs, per_job)):
-        for spec in specs:
-            aggregates[job_index] = aggregates[job_index].merge(job.run_chunk(spec))
-            metrics.add("chunks", 1)
-            done += 1
-            if progress is not None:
-                progress(done, total, aggregates)
+    progress: Optional[ProgressFn],
+):
+    """The memory store of ``jobs`` and the parent's fold into ``aggregates``."""
+    store = _MemoryStore(jobs)
+    done = itertools.count(1)
+
+    def absorb(result) -> None:
+        job_index, aggregate = result
+        aggregates[job_index] = aggregates[job_index].merge(aggregate)
+        metrics.add("chunks")
+        count = next(done)
+        if progress is not None:
+            progress(count, len(store.work), aggregates)
+
+    return store, absorb
+
+
+def _worker_main(conn, inherited, cursor, rank: int) -> None:
+    """A pool child: one :func:`_claim_loop` per group until shutdown.
+
+    Interruption belongs to the parent: a child ignores Ctrl-C and dies
+    quietly on the SIGTERM of the parent's teardown.  A closed pipe ends
+    the child, and so does a new parent pid between chunks: a SIGKILLed
+    parent must not leave computing orphans.
+    """
+    for other in inherited:
+        other.close()  # the parent's ends: EOF must mean the parent is gone
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    parent = os.getppid()
+
+    def keep_going() -> bool:
+        return not conn.poll() and os.getppid() == parent
+
+    try:
+        for store, trace in iter(conn.recv, None):
+            store.cursor = cursor
+            if trace:
+                _obs.reset()  # spans per group, so snapshots never re-ship
+                _obs.enable()
+            else:
+                _obs.disable()
+            stats, error = _new_stats(), None
+            with _obs.span("worker.task", rank=rank):
+                try:
+                    _claim_loop(
+                        store, lambda message: conn.send(("chunk", message)),
+                        keep_going, lambda: conn.poll(_IDLE_S), stats,
+                    )
+                except Exception:
+                    error = traceback.format_exc()
+            conn.send(("end", (stats, _obs.global_collector() if trace else None, error)))
+            conn.recv()  # the parent's stop: every group ends with one
+    except (EOFError, OSError):
+        pass  # the parent is gone
+
+
+def _drive(
+    store: Any,
+    absorb: Callable[[Any], None],
+    metrics: EngineMetrics,
+    pool: Optional["WorkerPool"] = None,
+    deadline: Optional[float] = None,
+    budget: Optional[int] = None,
+) -> Stats:
+    """Run one group through ``store`` with the caller as worker 0.
+
+    ``pool``'s children run the group beside it; their chunk messages and
+    the caller's own chunks all go to ``absorb``.  The caller stops
+    claiming at ``deadline`` (``time.monotonic()``), after ``budget``
+    chunks of its own, or on a failure anywhere, then stops the children
+    and drains their ends.  Returns every process's moments, merged.
+    """
+    own = _new_stats()
+    live: Set[int] = pool._broadcast(store) if pool is not None else set()
+    ends: Dict[int, tuple] = {}
+    failures: List[str] = []
+
+    def keep_going() -> bool:
+        if live:
+            pool._collect(live, ends, absorb, store.durable, 0)
+        return (
+            not any(end[2] for end in ends.values())
+            and (deadline is None or time.monotonic() < deadline)
+            and (budget is None or own["chunk_s"].count < budget)
+        )
+
+    def idle() -> None:
+        if live:
+            pool._collect(live, ends, absorb, store.durable, _IDLE_S)
+        else:
+            time.sleep(_IDLE_S)  # another invocation holds the rest
+
+    with _sigterm_interrupts():
+        try:
+            _claim_loop(store, absorb, keep_going, idle, own)
+        except _PoolDead:
+            raise
+        except Exception:
+            failures.append(traceback.format_exc())
+        if pool is not None:
+            pool._stop(live | set(ends))
+            while live:
+                pool._collect(live, ends, absorb, store.durable, None)
+
+    merged = _new_stats()
+    for rank, (stats, spans, error) in sorted({**ends, 0: (own, None, None)}.items()):
+        if pool is not None:
+            metrics.absorb_worker(rank, _collector(stats))
+        if spans is not None:
+            _obs.global_collector().merge(spans)
+        if error is not None:
+            failures.append(error)
+        for key, moments in stats.items():
+            merged[key].merge(moments)
+    if failures:
+        resumable = "; the job directory is resumable" if store.durable else ""
+        raise EngineError(
+            f"chunks failed in {len(failures)} worker(s){resumable}; "
+            f"first traceback:\n{failures[0]}"
+        )
+    return merged
 
 
 class WorkerPool:
-    """A resident multiprocessing worker pool with a submission API.
+    """Resident worker processes beside the caller, who is worker 0.
 
-    Workers are started once and stay alive across :meth:`run_group` /
-    :meth:`submit` calls; each submission broadcasts its job list, streams
-    chunk tasks through the shared bounded queue, and collects per-worker
-    obs snapshots at the group boundary.  Submissions are serialized by an
+    ``WorkerPool(n)`` forks ``n - 1`` children once; they stay alive
+    across :meth:`run_group` / :meth:`submit` calls, so a long-lived
+    caller (the ``repro serve`` scheduler, a figure's whole (n, k) grid, a
+    DSE sweep) pays the fork once and every child keeps its process-level
+    caches — :func:`repro.engine.jobs.process_cache`, compiled kernels,
+    the measure-function memos — warm.  Groups are serialized by an
     internal lock, so the pool is safe to share between threads.
 
-    A pool breaks (and terminates its processes) when a group is
-    interrupted or a worker dies; a broken pool refuses further work.
+    A pool breaks (and terminates its children) when a group is
+    interrupted or a child dies; a broken pool refuses further work.
     Chunk *failures* (exceptions inside ``run_chunk``) raise
     :class:`EngineError` but leave the pool healthy and reusable.
     """
 
-    def __init__(self, workers: int, trace: Optional[bool] = None):
+    def __init__(self, workers: int):
         if workers < 2:
             raise ValueError(f"a worker pool needs >= 2 workers, got {workers}")
         self.workers = workers
-        self._trace = _obs.is_enabled() if trace is None else bool(trace)
         ctx = _mp_context()
-        self._tasks: "mp.Queue" = ctx.Queue(
-            maxsize=max(2, _QUEUE_DEPTH_PER_WORKER * workers)
-        )
-        self._results: "mp.Queue" = ctx.Queue()
-        self._controls: List["mp.Queue"] = [ctx.Queue() for _ in range(workers)]
-        _accel.load()  # open the C library once here; the workers inherit it
-        self._procs = [
-            ctx.Process(
+        self._cursor = _SharedCursor(ctx)
+        self._conns: List[Any] = []
+        self._procs: List[Any] = []
+        _accel.load()  # open the C library once here; the children inherit it
+        for rank in range(1, workers):
+            mine, theirs = ctx.Pipe()
+            proc = ctx.Process(
                 target=_worker_main,
-                args=(self._controls[rank], self._tasks, self._results, rank, self._trace),
+                args=(theirs, self._conns + [mine], self._cursor, rank),
                 daemon=True,
             )
-            for rank in range(workers)
-        ]
-        for proc in self._procs:
             proc.start()
+            theirs.close()
+            self._conns.append(mine)
+            self._procs.append(proc)
         self._lock = threading.Lock()
-        self._generation = 0
         self._closed = False
         self._broken = False
 
@@ -248,61 +408,38 @@ class WorkerPool:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def close(self, timeout: float = _JOIN_TIMEOUT_S) -> None:
-        """Graceful shutdown: workers exit at their next group boundary.
-
-        Idle workers (the steady state between groups) exit immediately;
-        anything still alive after ``timeout`` is terminated, so close
-        never leaks processes.
-        """
+    def close(self, timeout: Optional[float] = None) -> None:
+        """Graceful shutdown: idle children exit at once, and anything
+        still alive after ``timeout`` is terminated, so close never leaks
+        processes."""
         with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            if not self._broken:
-                for control in self._controls:
-                    try:
-                        control.put(None)
-                    except Exception:  # pragma: no cover - queue torn down
-                        pass
-            for proc in self._procs:
-                proc.join(timeout=timeout)
-            stragglers = [proc for proc in self._procs if proc.is_alive()]
-            if stragglers:
-                # A worker that never drained its control queue leaves the
-                # parent's feeder thread with unflushed data — same exit
-                # hang as the terminate path.
-                self._cancel_queue_joins()
-                for proc in stragglers:
-                    proc.terminate()
-            for proc in self._procs:
-                proc.join(timeout=timeout)
+            self._shutdown(timeout)
 
     def terminate(self) -> None:
-        """Hard shutdown: kill the workers now (pool becomes unusable)."""
+        """Hard shutdown: kill the children now (pool becomes unusable)."""
         with self._lock:
             self._broken = True
-            self._terminate_locked()
-            self._closed = True
+            self._shutdown()
 
-    def _terminate_locked(self) -> None:
-        # The parent has written into the task/control queues; with the
-        # readers dead, their feeder threads would block interpreter exit
-        # in Queue.join_thread() waiting to flush a full pipe.  Tell them
-        # not to (the queued data is garbage now anyway).
-        self._cancel_queue_joins()
-        for proc in self._procs:
+    def _shutdown(self, timeout: Optional[float] = None) -> None:
+        if self._closed:
+            return
+        self._closed = True
+        timeout = _JOIN_TIMEOUT_S if timeout is None else timeout
+        for conn, proc in zip(self._conns, self._procs):
+            try:
+                if not self._broken:
+                    conn.send(None)
+                elif proc.is_alive():
+                    proc.terminate()
+            except OSError:
+                pass  # already gone
+        for conn, proc in zip(self._conns, self._procs):
+            proc.join(timeout=timeout)
             if proc.is_alive():
                 proc.terminate()
-        for proc in self._procs:
-            proc.join(timeout=_JOIN_TIMEOUT_S)
-
-    def _cancel_queue_joins(self) -> None:
-        for q in (self._tasks, *self._controls):
-            try:
-                q.cancel_join_thread()
-            except Exception:  # pragma: no cover - queue torn down
-                pass
+                proc.join(timeout=timeout)
+            conn.close()
 
     # -- submission -------------------------------------------------------
 
@@ -320,183 +457,85 @@ class WorkerPool:
         progress: Optional[ProgressFn] = None,
     ) -> None:
         """Run one job group, folding chunk aggregates into ``aggregates``."""
+        self._run(*_memory_group(jobs, aggregates, metrics, progress), metrics)
+
+    def _run(self, store, absorb, metrics, deadline=None) -> Stats:
+        """Run one group through :func:`_drive` on this pool; an interrupt
+        or a memory-store child's death breaks the pool."""
         with self._lock:
-            if self._closed:
-                raise EngineError("worker pool is closed")
             if self._broken:
                 raise EngineError("worker pool is broken (a prior group died)")
-            self._generation += 1
-            gen = self._generation
-            with _sigterm_interrupts():
-                try:
-                    self._run_group_locked(gen, tuple(jobs), aggregates, metrics, progress)
-                except EngineError:
-                    raise  # chunk failure: workers are already idle again
-                except _PoolDead as exc:
-                    self._broken = True
-                    self._terminate_locked()
-                    raise EngineError(str(exc)) from None
-                except BaseException:
-                    # KeyboardInterrupt (possibly a translated SIGTERM) or
-                    # any unexpected parent-side error: drain + kill.
-                    self._abort_locked(gen, metrics)
-                    raise
-
-    def _run_group_locked(
-        self,
-        gen: int,
-        jobs: Tuple[Any, ...],
-        aggregates: List[Any],
-        metrics: EngineMetrics,
-        progress: Optional[ProgressFn] = None,
-    ) -> None:
-        per_job = [job.chunk_specs() for job in jobs]
-        total = sum(len(specs) for specs in per_job)
-        done_chunks = 0
-        batch = max(1, total // (self.workers * _TASKS_PER_WORKER))
-        work = [
-            (gen, job_index, tuple(specs[i : i + batch]))
-            for job_index, specs in enumerate(per_job)
-            for i in range(0, len(specs), batch)
-        ]
-
-        for control in self._controls:
-            control.put((gen, jobs))
-
-        failures: List[str] = []
-        outstanding = len(work)
-        joined: set = set()
-        snapshots: Dict[int, Tuple[Collector, Optional[Collector]]] = {}
-
-        def absorb(item) -> None:
-            nonlocal outstanding, done_chunks
-            if item[1] != gen:
-                return  # stale message from a prior (timed-out) group
-            kind = item[0]
-            if kind == "joined":
-                joined.add(item[2])
-            elif kind == "snapshot":
-                _, _, rank, local, obs_snapshot = item
-                snapshots[rank] = (local, obs_snapshot)
-            else:  # "result"
-                _, _, job_index, status, payload, n_chunks = item
-                outstanding -= 1
-                if status == "ok":
-                    aggregates[job_index] = aggregates[job_index].merge(payload)
-                    metrics.add("chunks", n_chunks)
-                    done_chunks += n_chunks
-                    if progress is not None:
-                        progress(done_chunks, total, aggregates)
-                else:
-                    failures.append(payload)
-
-        # Barrier: every worker must have left the previous group and
-        # entered this one before tasks flow, so a straggler from a prior
-        # group can never swallow (and discard) this group's tasks.
-        while len(joined) < self.workers:
+            if self._closed:
+                raise EngineError("worker pool is closed")
             try:
-                absorb(self._results.get(timeout=_RESULT_POLL_S))
-            except queue.Empty:
-                if not any(proc.is_alive() for proc in self._procs):
-                    raise _PoolDead("worker pool died before starting the group")
+                return _drive(store, absorb, metrics, self, deadline)
+            except EngineError:
+                raise  # chunk failure: the children are idle again
+            except _PoolDead as exc:
+                self._broken = True
+                self._shutdown()
+                raise EngineError(str(exc)) from None
+            except BaseException:
+                # KeyboardInterrupt (possibly a translated SIGTERM) or an
+                # unexpected parent-side error: kill the children.
+                self._broken = True
+                self._shutdown()
+                raise
 
-        stop = threading.Event()
+    # -- the parent's side of the pipes -----------------------------------
 
-        def feed() -> None:
-            for item in list(work) + [(gen, None)] * self.workers:
-                while not stop.is_set():
-                    try:
-                        self._tasks.put(item, timeout=0.1)
-                        break
-                    except queue.Full:
-                        continue
-                else:
-                    return
+    def _broadcast(self, store) -> Set[int]:
+        """Hand ``store``'s group to every child; returns their ranks."""
+        self._cursor.reset()
+        store.cursor = self._cursor
+        message = (store, _obs.is_enabled())
+        for rank, conn in enumerate(self._conns, start=1):
+            try:
+                conn.send(message)
+            except OSError:
+                raise _PoolDead(f"worker {rank} died before the group started") from None
+        return set(range(1, self.workers))
 
-        feeder = threading.Thread(target=feed, daemon=True)
-        feeder.start()
+    def _collect(self, live, ends, absorb, durable, timeout) -> None:
+        """Absorb what the children in ``live`` sent, waiting up to ``timeout``.
 
-        try:
-            while outstanding:
-                try:
-                    absorb(self._results.get(timeout=_RESULT_POLL_S))
-                except queue.Empty:
-                    if not any(proc.is_alive() for proc in self._procs):
-                        # Drain anything that raced with worker exit.
-                        try:
-                            while outstanding:
-                                absorb(self._results.get_nowait())
-                        except queue.Empty:
-                            pass
-                        if outstanding:
-                            raise _PoolDead(
-                                f"worker pool exited with {outstanding} "
-                                f"chunk(s) unfinished"
-                            )
-            # All chunks are in; workers are now consuming group sentinels
-            # and shipping their collectors.  Wait briefly — best-effort: a
-            # worker killed mid-shutdown just means its detail is absent.
-            deadline = time.monotonic() + _SNAPSHOT_DEADLINE_S
-            while len(snapshots) < self.workers and time.monotonic() < deadline:
-                try:
-                    absorb(self._results.get(timeout=_RESULT_POLL_S))
-                except queue.Empty:
-                    if not any(proc.is_alive() for proc in self._procs):
-                        try:
-                            while True:
-                                absorb(self._results.get_nowait())
-                        except queue.Empty:
-                            pass
-                        break
-        finally:
-            stop.set()
-            feeder.join(timeout=_JOIN_TIMEOUT_S)
-
-        # Merge in sorted rank order so the report layout is deterministic.
-        for rank in sorted(snapshots):
-            local, obs_snapshot = snapshots[rank]
-            metrics.absorb_worker(rank, local)
-            if obs_snapshot is not None:
-                _obs.global_collector().merge(obs_snapshot)
-
-        if failures:
-            raise EngineError(
-                f"{len(failures)} chunk(s) failed; first traceback:\n{failures[0]}"
-            )
-
-    def _abort_locked(self, gen: int, metrics: EngineMetrics) -> None:
-        """Interrupted group: drain workers, flush collectors, then kill.
-
-        Each worker is offered its end-of-group sentinel so one finishing
-        its chunk in flight ships its collector back inside the grace
-        period; whatever is still running afterwards is terminated.  The
-        pool is broken either way — an aborted group's task queue state is
-        unrecoverable.
+        A chunk goes to ``absorb``; an end-of-group message moves its
+        child from ``live`` to ``ends``.  A dead child leaves ``live`` and
+        breaks the pool; unless the store is ``durable`` (its leases get
+        stolen), the chunks it held raise :class:`_PoolDead`.
         """
-        self._broken = True
-        for _ in range(self.workers):
+        handles = {}
+        for rank in live:
+            handles[self._conns[rank - 1]] = handles[self._procs[rank - 1].sentinel] = rank
+        ready = wait(list(handles), timeout)
+        for rank in {handles[handle] for handle in ready}:
+            conn, proc = self._conns[rank - 1], self._procs[rank - 1]
+            message = None
+            if conn in ready:  # one message per wait; the next call reads on
+                try:
+                    message = conn.recv()
+                except (EOFError, OSError):
+                    proc.join(timeout=_JOIN_TIMEOUT_S)  # the pipe closes as it exits
+            if message is not None:
+                kind, body = message
+                if kind == "chunk":
+                    absorb(body)
+                else:
+                    ends[rank] = body
+                    live.discard(rank)
+            elif not proc.is_alive():
+                live.discard(rank)
+                self._broken = True
+                if not durable:
+                    raise _PoolDead(f"worker {rank} died with chunks of the group unfinished")
+
+    def _stop(self, ranks) -> None:
+        """Send the group's one stop to each child in ``ranks``."""
+        for rank in ranks:
             try:
-                self._tasks.put_nowait((gen, None))
-            except Exception:
-                break  # bounded queue still full: stragglers get killed
-        deadline = time.monotonic() + _ABORT_DRAIN_S
-        flushed = 0
-        while flushed < self.workers and time.monotonic() < deadline:
-            try:
-                item = self._results.get(timeout=0.05)
-            except queue.Empty:
-                if not any(proc.is_alive() for proc in self._procs):
-                    break
-                continue
-            except Exception:  # pragma: no cover - queue torn down
-                break
-            if item[0] == "snapshot" and item[1] == gen:
-                flushed += 1
-                _, _, rank, local, obs_snapshot = item
-                metrics.absorb_worker(rank, local)
-                if obs_snapshot is not None:
-                    _obs.global_collector().merge(obs_snapshot)
-        self._terminate_locked()
+                self._conns[rank - 1].send("stop")
+            except OSError:
+                pass  # died since; _collect notices
 
 
 def run_jobs(
@@ -508,14 +547,15 @@ def run_jobs(
 ) -> List[EngineResult]:
     """Execute a group of jobs through one (shared) runner.
 
-    ``workers=0`` (or 1) uses the in-process serial runner; ``workers>=2``
-    spins up one ephemeral :class:`WorkerPool` for the whole group.  A
-    caller holding a resident pool passes it via ``pool`` (``workers`` is
-    then ignored) and keeps its workers' caches warm across calls.
-    Per-job results are bit-identical across all three paths for fixed
-    job seeds.  All returned :class:`EngineResult`\\ s share the same
-    metrics instance.  ``progress`` is invoked from the parent as chunk
-    results fold in, with ``(done_chunks, total_chunks, aggregates)``.
+    ``workers=0`` (or 1) runs the claim loop in this process alone;
+    ``workers>=2`` computes beside ``workers - 1`` children of one
+    ephemeral :class:`WorkerPool`.  A caller holding a resident pool
+    passes it via ``pool`` (``workers`` is then ignored) and keeps its
+    children's caches warm across calls.  Per-job results are
+    bit-identical across all three paths for fixed job seeds.  All
+    returned :class:`EngineResult`\\ s share the same metrics instance.
+    ``progress`` is invoked from the parent as chunk results fold in,
+    with ``(done_chunks, total_chunks, aggregates)``.
     """
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
@@ -532,7 +572,7 @@ def run_jobs(
             with WorkerPool(workers) as ephemeral:
                 ephemeral.run_group(jobs, aggregates, metrics, progress)
         else:
-            _run_group_serial(jobs, aggregates, metrics, progress)
+            _drive(*_memory_group(jobs, aggregates, metrics, progress), metrics)
     for aggregate in aggregates:
         samples = getattr(aggregate, "samples", None)
         if isinstance(samples, int) and samples:

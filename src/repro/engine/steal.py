@@ -26,34 +26,30 @@ classic hard problem (exactly-once execution) into at-least-once plus
 dedup, with bit-identical results guaranteed by the exact commutative
 aggregate algebra.
 
-``run_checkpointed`` is the driver: it restores completed chunks from the
-manifest, then runs the one claim/compute/publish loop
-(:func:`_claim_loop`) itself as steal-worker 0.  With ``workers >= 2`` it
-first forks ``workers - 1`` more steal-workers running the same loop.
-The parent's scheduler reads the manifest through the same
+``run_checkpointed`` is the manifest store's driver: it restores
+completed chunks from the manifest, then runs the engine's one claim loop
+(:func:`repro.engine.runner._claim_loop`) over :class:`_ManifestStore`,
+itself as worker 0 and, with ``workers >= 2``, beside ``workers - 1``
+children of an ephemeral :class:`~repro.engine.runner.WorkerPool`.  The
+parent reads the manifest through the same
 :class:`~repro.engine.checkpoint.ManifestTail` that restored it and folds
-every new record — its own and its workers' — into one merged
+every new record — its own and its children's — into one merged
 accumulator, the only per-sample state it holds, so memory stays O(1) in
-samples.  The parent and its workers also signal each other directly: a
-worker writes a byte to a wake pipe per published chunk, which wakes a
-parent with nothing left to claim, and the parent sets a completion
-event that idle workers wait on, so nobody sleeps out a poll tick on the
-completion path.  An interrupted run (Ctrl-C, SIGTERM, SIGKILL, power
-loss) resumes to a final aggregate bit-identical to an uninterrupted one.
+samples.  A child's pipe message per published chunk wakes a parent with
+nothing left to claim, and the parent's stop wakes an idle child, so
+nobody sleeps out a poll tick on the completion path.  An interrupted run
+(Ctrl-C, SIGTERM, SIGKILL, power loss) resumes to a final aggregate
+bit-identical to an uninterrupted one.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing as mp
 import os
-import sys
 import time
-import traceback
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, Optional
 
 from repro.engine.checkpoint import (
     CheckpointStore,
@@ -64,30 +60,12 @@ from repro.engine.checkpoint import (
     _write_temp,
 )
 from repro.engine.metrics import EngineMetrics
-from repro.engine.runner import EngineError, _sigterm_interrupts
-from repro.netlist import _accel
+from repro.engine.runner import ProgressFn, WorkerPool, _drive, _new_stats
 from repro.obs.accumulator import StreamingMoments
 
 #: How long a lease from an unreachable owner (another host, or an
 #: undecidable pid) stays respected before its chunk is stolen.
 DEFAULT_LEASE_TTL = 60.0
-
-#: Fallback timeout of the parent's wait once every pending chunk is
-#: leased elsewhere.  Its own workers wake it through a pipe; only chunks
-#: completed by a foreign invocation sharing the directory surface on
-#: this tick.
-_POLL_S = 0.05
-
-#: Fallback timeout of an idle wait while every pending chunk is leased
-#: elsewhere and no forked worker can signal.  Job completion wakes a
-#: forked worker at once; only a sibling dying on its lease (stale-lease
-#: reclaim) or a foreign claim holder is noticed on this tick.
-_IDLE_SLEEP_S = 0.05
-
-_JOIN_TIMEOUT_S = 5.0
-
-#: Callback signature: (done_chunks, total_chunks, merged_aggregates).
-ProgressFn = Callable[[int, int, Sequence[Any]], None]
 
 
 def _wall_time() -> float:
@@ -241,126 +219,42 @@ class StealScheduler:
         self.release(index)
 
 
-# ---------------------------------------------------------------------------
-# The claim loop, and the forked workers that run it
-# ---------------------------------------------------------------------------
+class _ManifestStore:
+    """Completion store of a checkpointed job: leases and a manifest.
 
-
-def _claim_loop(
-    job: Any,
-    specs: Sequence[Any],
-    scheduler: StealScheduler,
-    rank: int,
-    keep_going: Callable[[], bool],
-    idle: Callable[[], Any],
-    published: Callable[[], Any],
-    budget: Optional[int] = None,
-) -> None:
-    """Claim, compute, publish, repeat — every steal-worker's one loop.
-
-    Ends when every chunk is done, ``keep_going`` turns false, or
-    ``budget`` chunks were computed; ``idle`` waits while every pending
-    chunk is leased elsewhere, and ``published`` runs after each chunk.
-    A failing chunk releases its lease before the exception propagates.
-    Per-run timing moments are dropped in ``stats/`` for the parent to
-    fold into the cumulative ``stats.json``.
-    """
-    chunk_s = StreamingMoments()
-    checkpoint_s = StreamingMoments()
-    try:
-        while keep_going() and (budget is None or chunk_s.count < budget):
-            index = scheduler.claim()
-            if index is None:
-                if scheduler.pending() == 0:
-                    return
-                idle()
-                continue
-            try:
-                start = time.perf_counter()
-                payload = job.run_chunk(specs[index]).to_payload()
-                computed = time.perf_counter()
-                scheduler.complete(index, payload)
-            except BaseException:
-                scheduler.release(index)
-                raise
-            chunk_s.record(computed - start)
-            checkpoint_s.record(time.perf_counter() - computed)
-            published()
-    finally:
-        _write_worker_stats(scheduler.store, rank, chunk_s, checkpoint_s)
-
-
-def _steal_worker_main(
-    job: Any,
-    tail: ManifestTail,
-    rank: int,
-    lease_ttl: float,
-    deadline: Optional[float],
-    parent_pid: int,
-    wake_fd: int,
-    stop: Any,
-) -> None:
-    """A forked steal-worker: :func:`_claim_loop` with a wake-up per chunk.
-
-    Every published chunk writes one byte to ``wake_fd`` so a waiting
-    parent merges it at once.  Exits when the job is complete (or the
-    parent sets ``stop``), the time budget lapses, or the parent
-    disappears (a SIGKILLed parent must not leave computing orphans).
-    A failing parent terminates its workers: the SIGTERM handler a worker
-    inherits (:func:`repro.engine.runner._sigterm_interrupts`) raises
-    :class:`KeyboardInterrupt`, and the worker exits quietly, its lease
-    already released by :func:`_claim_loop`.  Any other exception prints
-    its traceback.
+    Claims are :class:`StealScheduler` leases; a finished chunk is
+    appended to the manifest and published as its index.  Pickles as the
+    job and its manifest tail, so a pool child starts from the records
+    the parent restored instead of re-reading them.
     """
 
-    def keep_going() -> bool:
-        return (
-            not stop.is_set()
-            and os.getppid() == parent_pid
-            and (deadline is None or time.monotonic() < deadline)
-        )
+    durable = True
 
-    try:
-        specs = job.chunk_specs()
-        scheduler = StealScheduler(tail.store, len(specs), lease_ttl, tail=tail)
-        _claim_loop(
-            job, specs, scheduler, rank, keep_going,
-            idle=lambda: stop.wait(_IDLE_SLEEP_S),
-            published=lambda: _wake(wake_fd),
-        )
-    except KeyboardInterrupt:
-        sys.exit(1)
-    except BaseException:
-        traceback.print_exc(file=sys.stderr)
-        sys.exit(1)
+    def __init__(self, job: Any, tail: ManifestTail,
+                 on_record: Optional[Callable[[TailRecord], None]] = None):
+        self.job, self.tail = job, tail
+        self.specs = job.chunk_specs()
+        self.scheduler = StealScheduler(tail.store, len(self.specs), tail=tail,
+                                        on_record=on_record)
 
+    def __reduce__(self):
+        return _ManifestStore, (self.job, self.tail)
 
-def _wake(fd: int) -> None:
-    """Nudge the parent's wait.  The pipe is non-blocking: when it is
-    full the parent has unread wake-ups already, and when the parent is
-    gone nobody is listening."""
-    try:
-        os.write(fd, b"\x01")
-    except OSError:
-        pass
+    def claim(self) -> Optional[int]:
+        return self.scheduler.claim()
 
+    def finished(self) -> bool:
+        return self.scheduler.pending() == 0
 
-def _write_worker_stats(
-    store: CheckpointStore,
-    rank: int,
-    chunk_s: StreamingMoments,
-    checkpoint_s: StreamingMoments,
-) -> None:
-    if chunk_s.count == 0 and checkpoint_s.count == 0:
-        return
-    payload = {"chunk_s": chunk_s.to_dict(), "checkpoint_s": checkpoint_s.to_dict()}
-    try:
-        _atomic_write(
-            store.directory / "stats" / f"w{rank}-{os.getpid()}.json",
-            json.dumps(payload, sort_keys=True).encode("utf-8"),
-        )
-    except OSError:
-        pass  # telemetry is best-effort
+    def compute(self, index: int) -> Dict[str, Any]:
+        return self.job.run_chunk(self.specs[index]).to_payload()
+
+    def commit(self, index: int, payload: Dict[str, Any]) -> int:
+        self.scheduler.complete(index, payload)
+        return index
+
+    def release(self, index: int) -> None:
+        self.scheduler.release(index)
 
 
 # ---------------------------------------------------------------------------
@@ -426,20 +320,21 @@ def run_checkpointed(
     progress: Optional[ProgressFn] = None,
     time_budget: Optional[float] = None,
     max_chunks: Optional[int] = None,
-    lease_ttl: float = DEFAULT_LEASE_TTL,
 ) -> CheckpointResult:
     """Execute ``job`` with durable chunk results under ``directory``.
 
     Completed chunks found in the manifest are restored instead of
-    recomputed; the parent computes the remainder as steal-worker 0,
-    alongside ``workers - 1`` forked steal-workers when ``workers >= 2``.
-    ``time_budget`` (seconds) and ``max_chunks`` (newly computed chunks
-    this run; it keeps the run in-process, so the cap is exact) both stop
-    the run early with ``partial=True`` — the directory stays resumable,
-    and a later call continues to a final aggregate bit-identical to an
-    uninterrupted run.  A failure in the parent raises :class:`EngineError`
-    with the directory resumable.  ``progress`` is invoked from the parent
-    with ``(done, total, [merged_aggregate])``.
+    recomputed; the parent computes the remainder as worker 0, beside
+    the ``workers - 1`` children of an ephemeral :class:`WorkerPool` when
+    ``workers >= 2`` (forked after the restore, and only when chunks are
+    pending).  ``time_budget`` (seconds) and ``max_chunks`` (newly
+    computed chunks this run; it keeps the run in-process, so the cap is
+    exact) both stop the run early with ``partial=True`` — the directory
+    stays resumable, and a later call continues to a final aggregate
+    bit-identical to an uninterrupted run.  A failing chunk raises
+    :class:`~repro.engine.runner.EngineError` with the directory
+    resumable.  ``progress`` is invoked from the parent with ``(done,
+    total, [merged_aggregate])``.
     """
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
@@ -449,39 +344,49 @@ def run_checkpointed(
     metrics = metrics if metrics is not None else EngineMetrics()
     store = CheckpointStore(directory)
     store.initialize(job)
-    specs = job.chunk_specs()
-    total = len(specs)
     deadline = time.monotonic() + time_budget if time_budget is not None else None
 
     # Restore: stream every durable record into a fresh aggregate.  The
-    # same tail then feeds the scheduler, so a resumed and an
-    # uninterrupted run share one merge path.
+    # same tail then feeds the store, so a resumed and an uninterrupted
+    # run share one merge path.
     tail = ManifestTail(store)
     aggregate = job.new_aggregate()
     restore = type(aggregate).from_payload
     with metrics.phase("restore"):
         for record in tail.poll():
             aggregate.merge(restore(record.payload))
-    resumed = len(tail.seen)
-    metrics.add("chunks_resumed", resumed)
-    metrics.add("workers", workers if workers >= 2 and resumed < total else 0)
 
     def merge(record: TailRecord) -> None:
         aggregate.merge(restore(record.payload))
         metrics.add("chunks")
 
-    def report() -> None:
+    def report(_published: Optional[int] = None) -> None:
+        # Also every published chunk's absorb: the record is merged already
+        # (the parent's own) or by the next claim's manifest refresh.
         if progress is not None:
             progress(len(tail.seen), total, [aggregate])
 
+    manifest = _ManifestStore(job, tail, on_record=merge)
+    total, resumed = len(manifest.specs), len(tail.seen)
+    metrics.add("chunks_resumed", resumed)
+    pending = resumed < total and (max_chunks is None or max_chunks > 0)
+    pooled = pending and workers >= 2 and max_chunks is None
+    metrics.add("workers", workers if pooled else 0)
     report()
-    scheduler = StealScheduler(store, total, lease_ttl, tail=tail, on_record=merge)
-    with metrics.phase("simulate"), _sigterm_interrupts():
-        if resumed < total and (max_chunks is None or max_chunks > 0):
-            _run(job, specs, scheduler, workers, deadline, max_chunks, report)
+    moments = _new_stats()
+    with metrics.phase("simulate"):
+        if pooled:
+            with WorkerPool(workers) as pool:
+                moments = pool._run(manifest, report, metrics, deadline)
+        elif pending:
+            moments = _drive(manifest, report, metrics, deadline=deadline, budget=max_chunks)
+        if pending:
             report()
 
-    stats = _fold_stats(store)
+    stats = store.read_stats()
+    for key, value in moments.items():  # the cumulative stats across runs
+        stats.setdefault(key, StreamingMoments()).merge(value)
+    store.write_stats(stats)
     samples = getattr(aggregate, "samples", None)
     if isinstance(samples, int) and samples:
         metrics.add("samples", samples)
@@ -497,127 +402,3 @@ def run_checkpointed(
         partial=done < total,
         stats=stats,
     )
-
-
-def _run(job, specs, scheduler, workers, deadline, budget, report) -> None:
-    """The parent as steal-worker 0, after forking ``workers - 1`` more.
-
-    A chunk cap is a debugging/test knob: it keeps the run in-process,
-    where the cap is exact (forked workers would race it).
-    """
-    procs: list = []
-    stop = wake_r = wake_w = None
-    if workers >= 2 and budget is None and "fork" in mp.get_all_start_methods():
-        ctx = mp.get_context("fork")
-        _accel.load()  # open the C library once here; the workers inherit it
-        stop = ctx.Event()
-        wake_r, wake_w = os.pipe()
-        os.set_blocking(wake_r, False)
-        os.set_blocking(wake_w, False)
-        # The workers inherit the parent's tail, so none re-reads the
-        # records restored before the fork.
-        procs = [
-            ctx.Process(
-                target=_steal_worker_main,
-                args=(job, scheduler._tail, rank, scheduler.lease_ttl, deadline,
-                      os.getpid(), wake_w, stop),
-                daemon=True,
-            )
-            for rank in range(1, workers)
-        ]
-
-    def idle() -> None:
-        # A worker's publish or exit wakes this wait at once; reaping the
-        # dead here (is_alive) also makes their leases stealable.
-        live = [proc.sentinel for proc in procs if proc.is_alive()]
-        if live:
-            wait([wake_r] + live, timeout=_POLL_S)
-            _drain_pipe(wake_r)
-        else:
-            time.sleep(_IDLE_SLEEP_S)  # another process holds the rest
-        scheduler.refresh()
-        report()
-
-    try:
-        if procs:
-            try:
-                for proc in procs:
-                    proc.start()
-            finally:
-                os.close(wake_w)  # the workers hold the only write ends now
-        _claim_loop(
-            job, specs, scheduler, 0,
-            keep_going=lambda: deadline is None or time.monotonic() < deadline,
-            idle=idle, published=report, budget=budget,
-        )
-    except BaseException as exc:
-        for proc in procs:  # the parent is failing: stop the workers at once
-            stop.set()
-            if proc.is_alive():
-                proc.terminate()
-        if not isinstance(exc, Exception):
-            raise  # KeyboardInterrupt (or a translated SIGTERM) as it came
-        raise EngineError(
-            f"checkpointed run stopped on {type(exc).__name__}: {exc}; the job "
-            f"directory is resumable"
-        ) from exc
-    finally:
-        if procs:
-            stop.set()  # idle workers leave their wait now, not on its timeout
-            _reap(procs)
-            os.close(wake_r)
-        scheduler.refresh()  # what the workers published before they left
-
-
-def _drain_pipe(fd: int) -> None:
-    """Consume every pending wake-up byte (the manifest says what landed)."""
-    try:
-        while os.read(fd, 4096):
-            pass
-    except BlockingIOError:
-        pass
-
-
-def _reap(procs) -> None:
-    """Join every worker (terminating stragglers) and free its sentinel."""
-    for proc in procs:
-        if proc.pid is None:
-            continue  # never started
-        proc.join(timeout=_JOIN_TIMEOUT_S)
-        if proc.is_alive():  # pragma: no cover - defensive
-            proc.terminate()
-            proc.join(timeout=_JOIN_TIMEOUT_S)
-        if not proc.is_alive():
-            proc.close()
-
-
-def _fold_stats(store: CheckpointStore) -> Dict[str, StreamingMoments]:
-    """Merge per-run worker stat drops into the cumulative ``stats.json``."""
-    stats = store.read_stats()
-    stats.setdefault("chunk_s", StreamingMoments())
-    stats.setdefault("checkpoint_s", StreamingMoments())
-    drops = store.directory / "stats"
-    try:
-        names = sorted(os.listdir(drops))
-    except OSError:
-        names = []
-    for name in names:
-        path = drops / name
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
-            payload = None
-        if isinstance(payload, dict):
-            for key in ("chunk_s", "checkpoint_s"):
-                value = payload.get(key)
-                if isinstance(value, dict):
-                    try:
-                        stats[key].merge(StreamingMoments.from_dict(value))
-                    except (KeyError, TypeError, ValueError):
-                        pass
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-    store.write_stats(stats)
-    return stats

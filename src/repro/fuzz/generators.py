@@ -86,7 +86,7 @@ def boundary_pairs(
         (alt_a, alt_a),
         (half, half),
         (half - 1, 1),
-        (half - 1, half + 1),
+        (half - 1, (half + 1) & ones),  # 2 past a 1-bit bus
         (ones - 1, 1),
         (1, 1),
     ]
@@ -161,7 +161,8 @@ def window_straddle_pairs(
             boundaries.extend(lo for lo, _ in plan.bounds[1:])
     if not boundaries:
         boundaries = [width // 2, width // 4, (3 * width) // 4]
-    boundaries = sorted(set(b for b in boundaries if 0 < b < width))
+    # A 1-bit adder has no inner boundary: straddle the carry-out instead.
+    boundaries = sorted(set(b for b in boundaries if 0 < b < width)) or [width]
     out: List[Pair] = []
     for i in range(count):
         boundary = boundaries[i % len(boundaries)]
@@ -188,8 +189,8 @@ def sign_extension_pairs(
     out: List[Pair] = []
     small_bits = max(2, min(width - 1, 16))
     for _ in range(count):
-        x = _rand_bits(rng, small_bits)
-        y = _rand_bits(rng, small_bits)
+        x = _rand_bits(rng, small_bits) & ones  # 2 bits overflow a 1-bit bus
+        y = _rand_bits(rng, small_bits) & ones
         mode = int(rng.integers(0, 3))
         if mode == 0:  # negative + positive
             out.append(((-x) & ones, y))

@@ -5,11 +5,12 @@ counters, per-phase wall timers, histograms, and (when tracing is
 enabled) finished :class:`SpanRecord`\\ s.  Every field merges
 associatively (counters and timers sum, histograms fold bucket-wise,
 spans concatenate and are sorted at export time), so the multiprocessing
-runner can ship each worker's collector back with its results and fold
-them in rank order for a deterministic report.
+runner can ship each worker's span collector back at the end of a group
+and fold them in rank order for a deterministic report.
 
-Collectors are plain picklable data: the worker side of
-:mod:`repro.engine.runner` puts them straight on the result queue.
+Collectors are plain picklable data: a pool child of
+:mod:`repro.engine.runner` sends its span collector straight down its
+pipe in its end-of-group message.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ reusable, and interruption (the SIGTERM regression) kills every worker
 process — no orphans.
 """
 
+import multiprocessing as mp
 import os
 import signal
 import subprocess
@@ -23,6 +24,7 @@ from repro.engine import (
     WorkerPool,
     run_job,
     run_jobs,
+    runner,
 )
 from repro.engine.jobs import ChunkSpec
 
@@ -59,6 +61,27 @@ class _BoomAgg:
 
     def merge(self, other):
         return self
+
+
+@dataclass(frozen=True)
+class _ParentInterruptJob:
+    """Picklable job whose chunks raise KeyboardInterrupt in ``parent``
+    (the pool's worker 0) and take a while everywhere else."""
+
+    parent: int
+    chunks: int = 4
+
+    def chunk_specs(self):
+        return [ChunkSpec(index=i, size=1) for i in range(self.chunks)]
+
+    def new_aggregate(self):
+        return _BoomAgg()
+
+    def run_chunk(self, spec):
+        if os.getpid() == self.parent:
+            raise KeyboardInterrupt
+        time.sleep(0.1)
+        return _BoomAgg()
 
 
 class TestResidentPool:
@@ -118,6 +141,26 @@ class TestResidentPool:
         assert metrics.worker_details  # per-rank snapshots arrived
 
 
+def _draw_claims(cursor, count, out):
+    out.put([next(cursor) for _ in range(count)])
+
+
+def test_shared_cursor_hands_out_each_index_once():
+    """More processes than cores draw from one claim cursor in a tight loop:
+    a lost update would hand an index out twice and skip another."""
+    ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
+    cursor = runner._SharedCursor(ctx)
+    out = ctx.Queue()
+    procs = [ctx.Process(target=_draw_claims, args=(cursor, 5000, out)) for _ in range(4)]
+    for proc in procs:
+        proc.start()
+    drawn = [out.get(timeout=60) for _ in procs]  # drain before joining
+    for proc in procs:
+        proc.join(timeout=60)
+    assert not any(proc.is_alive() for proc in procs)
+    assert sorted(i for claims in drawn for i in claims) == list(range(20000))
+
+
 _SIGTERM_SCRIPT = textwrap.dedent(
     """
     import sys
@@ -167,7 +210,7 @@ class TestSigtermShutdown:
             header = proc.stdout.readline()
             assert header.startswith("PIDS "), header
             worker_pids = [int(p) for p in header.split()[1:]]
-            assert len(worker_pids) == 2
+            assert len(worker_pids) == 1  # WorkerPool(2): the parent + one child
             time.sleep(0.5)  # let the group get in flight
             proc.send_signal(signal.SIGTERM)
             out, _ = proc.communicate(timeout=30)
@@ -186,31 +229,12 @@ class TestSigtermShutdown:
         assert not orphans, f"worker processes survived SIGTERM: {orphans}"
 
     def test_keyboard_interrupt_terminates_pool_in_process(self):
-        """An interrupt mid-group breaks the pool and kills its workers."""
-
-        class _InterruptJob:
-            def chunk_specs(self):
-                return [ChunkSpec(index=i, size=1) for i in range(4)]
-
-            def new_aggregate(self):
-                return _BoomAgg()
-
-            def run_chunk(self, spec):  # pragma: no cover - worker side
-                return _BoomAgg()
-
+        """An interrupt in the parent's own chunk breaks the pool and kills
+        its children."""
         pool = WorkerPool(2)
         procs = list(pool._procs)
-        original = pool._run_group_locked
-
-        def interrupt(*args, **kwargs):
-            raise KeyboardInterrupt
-
-        pool._run_group_locked = interrupt
-        try:
-            with pytest.raises(KeyboardInterrupt):
-                pool.run_group([_job(1)], [None], EngineMetrics())
-        finally:
-            pool._run_group_locked = original
+        with pytest.raises(KeyboardInterrupt):
+            pool.submit([_ParentInterruptJob(parent=os.getpid())])
         assert not pool.usable
         deadline = time.monotonic() + 10
         while time.monotonic() < deadline and any(p.is_alive() for p in procs):

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import steal
+from repro.engine import EngineMetrics, runner
 from repro.engine.checkpoint import CheckpointMismatch, CheckpointStore
 from repro.engine.jobs import MonteCarloErrorJob
 from repro.engine.runner import EngineError, run_job
@@ -458,13 +458,12 @@ def test_parent_chunk_failure_stops_workers_without_a_traceback(
 
 @needs_fork
 def test_pooled_completion_does_not_ride_a_timeout(tmp_path, monkeypatch):
-    """Published chunks wake the parent through the pipe and completion
-    wakes idle workers through the event, so fallback timeouts far longer
-    than the run (inherited by the forked workers) never elapse.  The
-    join timeout is raised too, or it would cut a stuck worker short."""
-    monkeypatch.setattr(steal, "_POLL_S", 30.0)
-    monkeypatch.setattr(steal, "_IDLE_SLEEP_S", 30.0)
-    monkeypatch.setattr(steal, "_JOIN_TIMEOUT_S", 30.0)
+    """A child's published chunk wakes the parent and the parent's stop
+    wakes an idle child, both over the child's pipe, so an idle timeout far
+    longer than the run (inherited by the forked child) never elapses.
+    The join timeout is raised too, or it would cut a stuck child short."""
+    monkeypatch.setattr(runner, "_IDLE_S", 30.0)
+    monkeypatch.setattr(runner, "_JOIN_TIMEOUT_S", 30.0)
     run_chunk = MonteCarloErrorJob.run_chunk
 
     def slow_chunk(self, spec):
@@ -536,8 +535,8 @@ def test_parent_is_steal_worker_zero(tmp_path, monkeypatch):
 
 @needs_fork
 def test_stats_count_every_computed_chunk(tmp_path):
-    """The parent's rank-0 drop joins the workers': ``chunk_s`` counts
-    each chunk computed, across runs of one directory."""
+    """The parent's moments join its child's end-of-group moments:
+    ``chunk_s`` counts each chunk computed, across runs of one directory."""
     job = _job(samples=8192)
     first = run_checkpointed(job, tmp_path / "ckpt", max_chunks=3)
     assert first.stats["chunk_s"].count == 3
@@ -545,6 +544,19 @@ def test_stats_count_every_computed_chunk(tmp_path):
     assert result.resumed_chunks == 3
     assert result.stats["chunk_s"].count == result.total_chunks == 16
     assert result.checkpoint_overhead is not None
+
+
+@needs_fork
+def test_pooled_run_ships_worker_details(tmp_path):
+    """The forked child sends its chunk count and busy time back with its
+    end of group, beside the parent's own as rank 0."""
+    metrics = EngineMetrics()
+    result = run_checkpointed(_job(samples=8192), tmp_path / "ckpt", workers=2,
+                              metrics=metrics)
+    assert set(metrics.worker_details) == {0, 1}
+    chunks = [d["counters"]["chunks"] for d in metrics.worker_details.values()]
+    assert sum(chunks) == result.total_chunks
+    assert metrics.timers["chunks"] > 0
 
 
 @needs_fork

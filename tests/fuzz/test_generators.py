@@ -26,6 +26,17 @@ def test_strategies_respect_width(strategy):
             assert 0 <= b < (1 << width)
 
 
+@pytest.mark.parametrize("strategy", STRATEGY_ORDER)
+@pytest.mark.parametrize("width", (1, 2))
+def test_strategies_fit_the_narrowest_buses(strategy, width):
+    """Every strategy, the corpus mutator included, at widths 1 and 2 with
+    and without a window: each operand fits its ``width``-bit bus."""
+    base = [((1 << width) - 1, 1)]
+    for window in (None, 1, width):
+        for a, b in generate_pairs(strategy, _rng(), width, window, 60, base):
+            assert 0 <= a < (1 << width) and 0 <= b < (1 << width), (a, b)
+
+
 @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
 def test_strategies_deterministic(strategy):
     one = generate_pairs(strategy, _rng(3), 32, 8, 25)

@@ -227,6 +227,21 @@ def test_failed_dispatch_answers_500_and_the_dispatcher_survives(tmp_path, monke
         assert handle.server.metrics_snapshot()["slo"]["work_failures"] == 1
 
 
+def test_served_errors_on_a_resident_pool_match_one_shot(tmp_path):
+    """``pool_workers=2``: each shard computes beside the pool's one forked
+    child.  A served ``errors`` request spanning several chunks answers
+    exactly as ``run_job`` does, and no pool process outlives the server."""
+    uds = _uds(tmp_path)
+    params = _errors_params(samples=4 << 16)  # four default-size chunks
+    with ServerThread(ServeConfig(uds=uds, shards=1, pool_workers=2)) as handle:
+        procs = list(handle.server.shards.pool._procs)
+        assert len(procs) == 1 and procs[0].is_alive()
+        with ServeClient(uds=uds) as client:
+            served = [client.evaluate("errors", params, seed=seed) for seed in (3, 4)]
+    assert [r["result"] for r in served] == [_direct_result(params, seed) for seed in (3, 4)]
+    assert not any(proc.is_alive() for proc in procs)
+
+
 def test_coalesced_equals_solo_equals_one_shot(tmp_path):
     """The tentpole determinism claim: N concurrent requests coalesced
     into one batch answer bit-identically to a solo request and to a

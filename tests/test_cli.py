@@ -141,6 +141,8 @@ def test_chains_gaussian(capsys):
         (["errors", "128", "--window", "70"], "windows of 1..63"),
         (["engine", "magnitude", "32", "--window", "8", "--chunk", "-5"],
          "chunk_size must be positive"),
+        (["chains", "0"], "width must be >= 1, got 0"),
+        (["chains", "0", "--inputs", "gaussian"], "width must be >= 1, got 0"),
     ],
 )
 def test_monte_carlo_jobs_that_cannot_run_exit_2(argv, message, capsys):
@@ -503,6 +505,16 @@ def test_fuzz_divergence_exits_one_with_reproducer(tmp_path, capsys):
 def test_fuzz_replay_missing_corpus_fails(tmp_path):
     with pytest.raises(SystemExit, match="empty or unreadable"):
         main(["fuzz", "--replay", str(tmp_path / "nothing")])
+
+
+@pytest.mark.parametrize("workers", ["0", "2"])
+@pytest.mark.parametrize("argv, message", [
+    (["nosuch", "--widths", "16"], "unknown design 'nosuch'"),
+    (["vlcsa1", "--widths", "8", "--window", "0"], "window size must be positive"),
+])
+def test_lint_refuses_bad_points_before_any_chunk(argv, message, workers):
+    with pytest.raises(SystemExit, match=message):
+        main(["lint", *argv, "--workers", workers])
 
 
 def test_fuzz_unknown_design_fails(capsys):
