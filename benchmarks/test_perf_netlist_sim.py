@@ -3,7 +3,7 @@
 The vectorized backend (:mod:`repro.netlist.compile`) levelizes the
 netlist once and evaluates ``(level, kind)`` gate groups over uint64
 bit-plane limbs; concurrent fault simulation packs 64 stuck-at faults
-per forward pass and recomputes only each fault group's fan-out cone.
+per forward pass of the same plan runner, forcing the faulted rows.
 This benchmark times both against the reference interpreter on the same
 inputs, asserts they agree bit for bit, and enforces the speedup floors
 (>=10x batch simulation, >=20x fault coverage at n=64).

@@ -670,6 +670,8 @@ class LintJob:
             if point.architecture not in designs:
                 raise ValueError(f"unknown design {point.architecture!r}; "
                                  f"choose from {list(designs)}")
+            if point.width < 1:
+                raise ValueError(f"width must be positive, got {point.width}")
             if point.window is not None and point.window < 1:
                 raise ValueError(f"window size must be positive, got {point.window}")
 

@@ -53,10 +53,11 @@ tables are checked once, when they are built:
   array ``V`` that the table names (tail bits zero-filled);
 * ``unpack_buses(V, table, out, nv)`` — those rows of ``V`` back into
   the same block layout;
-* ``plan_runner(ops, pins, num_nets)`` — a ``runner(V, ones)`` closure
-  that evaluates a flattened gate table (one :data:`PLAN_KINDS` code and
-  one ``(out, in0..in3)`` row per gate, in plan order) over a
-  ``(num_nets, limbs)`` limb array in place;
+* ``plan_runner(ops, pins, num_nets)`` — a ``runner(V, ones, force=None)``
+  closure that evaluates a flattened gate table (one :data:`PLAN_KINDS`
+  code and one ``(out, in0..in3)`` row per gate, in plan order) over a
+  ``(num_nets, limbs)`` limb array in place, optionally forcing rows to
+  stuck values as they are written (:func:`force_table`);
 * ``counter_counts(a, b, tables, needs)`` — Monte Carlo error counts of
   packed ``(rows, limbs)`` operands: per row the
   ``spec``/``s1``/``err1`` terms (:data:`COUNTER_TERM_BITS`) of one or
@@ -179,16 +180,16 @@ enum {
     for (ptrdiff_t l = 0; l < limbs; l++) o[l] = (expr); \
     break
 
-/* Evaluate ngates gates in table order over the (num_nets, limbs) limb
- * array V, in place.  Gate g has kind ops[g] and pins[5g .. 5g+4] =
- * (out, in0, in1, in2, in3) rows of V; unused inputs are 0.  A gate's
- * output row is never one of its input rows (its level exceeds theirs),
- * hence restrict.  Inverting gates XOR against ones, the masked
- * all-ones row, so tail bits past the batch stay zero. */
-void repro_eval_plan(uint64_t *V, ptrdiff_t limbs, const uint64_t *ones,
-                     const int32_t *ops, const int32_t *pins,
-                     ptrdiff_t ngates) {
-    for (ptrdiff_t g = 0; g < ngates; g++) {
+/* Evaluate gates [g0, g1) of the table in order over the (num_nets,
+ * limbs) limb array V, in place.  Gate g has kind ops[g] and
+ * pins[5g .. 5g+4] = (out, in0, in1, in2, in3) rows of V; unused inputs
+ * are 0.  A gate's output row is never one of its input rows (its level
+ * exceeds theirs), hence restrict.  Inverting gates XOR against ones,
+ * the masked all-ones row, so tail bits past the batch stay zero. */
+static void eval_gates(uint64_t *V, ptrdiff_t limbs, const uint64_t *ones,
+                       const int32_t *ops, const int32_t *pins,
+                       ptrdiff_t g0, ptrdiff_t g1) {
+    for (ptrdiff_t g = g0; g < g1; g++) {
         const int32_t *p = pins + 5 * g;
         uint64_t *restrict o = V + (size_t)p[0] * (size_t)limbs;
         const uint64_t *a = V + (size_t)p[1] * (size_t)limbs;
@@ -213,6 +214,24 @@ void repro_eval_plan(uint64_t *V, ptrdiff_t limbs, const uint64_t *ones,
         case K_CONST1: EACH(ones[l]);
         }
     }
+}
+
+/* Evaluate all ngates gates.  Right after gate at[f] (ascending), its
+ * output row is forced, row = (row & keep[f]) | set[f] in every limb,
+ * before any reader runs: the stuck-at faults of the fault simulator.
+ * nforce = 0 is the plain forward pass, one range. */
+void repro_eval_plan(uint64_t *V, ptrdiff_t limbs, const uint64_t *ones,
+                     const int32_t *ops, const int32_t *pins, ptrdiff_t ngates,
+                     const int32_t *at, const uint64_t *keep,
+                     const uint64_t *set, ptrdiff_t nforce) {
+    ptrdiff_t g = 0;
+    for (ptrdiff_t f = 0; f < nforce; f++) {
+        eval_gates(V, limbs, ones, ops, pins, g, at[f] + 1);
+        g = at[f] + 1;
+        uint64_t *o = V + (size_t)pins[5 * at[f]] * (size_t)limbs;
+        for (ptrdiff_t l = 0; l < limbs; l++) o[l] = (o[l] & keep[f]) | set[f];
+    }
+    eval_gates(V, limbs, ones, ops, pins, g, ngates);
 }
 
 /* The Monte Carlo counter kernel's block counter and Gaussian encoder
@@ -712,7 +731,9 @@ class AccelLib:
         self._unpack_buses = _bind(
             cdll, "repro_unpack_buses", [_P, _N, _P, _P, _N, _P, _N]
         )
-        self._eval = _bind(cdll, "repro_eval_plan", [_P, _N, _P, _P, _P, _N])
+        self._eval = _bind(
+            cdll, "repro_eval_plan", [_P, _N, _P, _P, _P, _N, _P, _P, _P, _N]
+        )
         if self.counters:
             _I = ctypes.c_int
             self._counts = _bind(
@@ -847,8 +868,9 @@ class AccelLib:
 
     def plan_runner(
         self, ops: np.ndarray, pins: np.ndarray, num_nets: int
-    ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-        """A ``runner(V, ones)`` evaluating a gate table over ``V`` in place.
+    ) -> Callable[..., np.ndarray]:
+        """A ``runner(V, ones, force=None)`` evaluating a gate table over
+        ``V`` in place.
 
         ``ops`` is an int32 :data:`PLAN_KINDS` code per gate and ``pins``
         an int32 ``(gates, 5)`` array of ``(out, in0..in3)`` rows, unused
@@ -858,6 +880,10 @@ class AccelLib:
         reuses their addresses.  Each call checks ``V`` is a writeable
         C-contiguous uint64 ``(num_nets, limbs)`` array and ``ones`` a
         ``(limbs,)`` one, then makes one C call and returns ``V``.
+
+        ``force`` forces rows (:func:`force_table`, ``first = num_nets -
+        gates``); a forced row must be written by the gate at table
+        position ``row - first``, as in a plan's gate table.
         """
         if ops.dtype != np.int32 or pins.dtype != np.int32:
             raise TypeError(f"gate table: expected int32, got {ops.dtype} and {pins.dtype}")
@@ -871,19 +897,58 @@ class AccelLib:
         ):
             raise ValueError("gate table holds an unknown kind or an out-of-range net")
         ops_at, pins_at = ops.ctypes.data, pins.ctypes.data
+        first = num_nets - gates
 
-        def runner(V: np.ndarray, ones: np.ndarray) -> np.ndarray:
+        def runner(
+            V: np.ndarray, ones: np.ndarray, force: Optional[tuple] = None
+        ) -> np.ndarray:
             ones_at = _address(ones, 1, "ones")
             limbs = ones.shape[0]
             V_at = _address(V, 2, "V", written=True)
             if V.shape != (num_nets, limbs):
                 raise ValueError(f"V: expected shape {(num_nets, limbs)}, got {V.shape}")
-            self._eval(V_at, limbs, ones_at, ops_at, pins_at, gates)
+            if force is None:
+                self._eval(V_at, limbs, ones_at, ops_at, pins_at, gates, None, None, None, 0)
+                return V
+            at, keep, set_ = force_table(force, first, num_nets)
+            if not np.array_equal(pins[at, 0], at + first):
+                raise ValueError("force: a forced row is not written by its table position")
+            self._eval(
+                V_at, limbs, ones_at, ops_at, pins_at, gates,
+                _address(at, 1, "at", dtype=np.int32), _address(keep, 1, "keep"),
+                _address(set_, 1, "set"), at.shape[0],
+            )
             return V
 
         # The closure holds only the addresses; this keeps the arrays alive.
         runner.table = (ops, pins)  # type: ignore[attr-defined]
         return runner
+
+
+def force_table(
+    force: Tuple[np.ndarray, np.ndarray, np.ndarray], first: int, num_nets: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check a runner's ``force = (rows, keep, set)``; return ``(at, keep,
+    set)``, ``at`` the int32 table positions ``rows - first``.
+
+    Right after the gate writing a forced row runs, the row becomes
+    ``(row & keep) | set`` in every limb.  ``rows`` must ascend strictly
+    within the driven rows ``[first, num_nets)``, and ``keep``/``set``
+    be uint64 arrays of one word per row; anything else raises.
+    """
+    rows, keep, set_ = force
+    rows = np.asarray(rows)
+    if rows.ndim != 1 or rows.dtype.kind not in "iu":
+        raise TypeError(f"force: rows must be a 1-D integer array, got {rows.dtype}")
+    rows = rows.astype(np.int64)
+    if rows.size and not (first <= rows[0] and rows[-1] < num_nets) or (np.diff(rows) <= 0).any():
+        raise ValueError(f"force: rows must ascend strictly within [{first}, {num_nets})")
+    for masks in (keep, set_):
+        if not isinstance(masks, np.ndarray) or masks.dtype != np.uint64:
+            raise TypeError("force: keep and set must be uint64 ndarrays")
+        if masks.shape != rows.shape:
+            raise ValueError(f"force: {masks.shape} masks for {rows.shape} rows")
+    return (rows - first).astype(np.int32), keep, set_
 
 
 def _check_plans(

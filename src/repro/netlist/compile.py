@@ -7,10 +7,7 @@ arithmetic that grows with the batch.  This module moves the invariant
 work to *compile time* and runs the batch on uint64 bit-planes:
 
 * **levelization** (:func:`levelize`) — one pass over the topologically
-  ordered gate list assigns every gate its logic level and records the
-  reader (fanout) adjacency, the structure the concurrent fault simulator
-  (:mod:`repro.netlist.faults`) uses to restart evaluation at a fault's
-  level and only recompute its fanout cone;
+  ordered gate list assigns every gate its logic level;
 * **level-vectorized execution** — gates are grouped by ``(logic level,
   kind)`` into a :class:`VectorPlan`; net values live in a ``(num_nets,
   limbs)`` uint64 bit-plane array (64 vectors per limb).  Within a level
@@ -19,9 +16,12 @@ work to *compile time* and runs the batch on uint64 bit-planes:
   optional C library (:mod:`repro.netlist._accel`) loads, the plan is
   flattened once into a per-gate table (:func:`_gate_table`) and one C
   call evaluates the whole batch; otherwise each group evaluates as one
-  fancy-index gather, a couple of fused numpy bitwise ops, and one
-  scatter, in one generated straight-line function
-  (:func:`_build_limb_runner`), the only fallback;
+  fancy-index gather and a couple of fused numpy bitwise ops written in
+  place, in one generated straight-line function
+  (:func:`_build_limb_runner`), the only fallback.  Either runner can
+  force rows to stuck values as their gates write them, which is how
+  the concurrent fault simulator (:mod:`repro.netlist.faults`) injects
+  64 faults per pass;
 * **bit-plane transposes** — batches enter and leave as per-vector bus
   values, converted to and from ``(vectors, chunks)`` 64-bit words
   (:func:`_bus_words`, :func:`_ints_from_words`).  When the library
@@ -73,7 +73,7 @@ if TYPE_CHECKING:  # deferred at runtime: netlist sits below engine
     from repro.engine.cache import ElaborationCache
 
 #: Bump when the kernel layout changes; cached kernels then miss.
-_CODEGEN_VERSION = 4
+_CODEGEN_VERSION = 5
 
 _U64 = np.uint64
 _ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
@@ -191,25 +191,21 @@ def popcount_rows(rows: np.ndarray) -> np.ndarray:
     return _POPCOUNT8[as_bytes].sum(axis=1, dtype=np.int64)
 
 
-def levelize(circuit: Circuit) -> Tuple[List[int], List[int], List[List[int]]]:
-    """Logic levels and fanout adjacency of a circuit, in one pass.
+def levelize(circuit: Circuit) -> Tuple[List[int], List[int]]:
+    """Logic levels of a circuit, in one pass.
 
-    Returns ``(gate_level, net_level, readers)``: per-gate level (1 + the
-    maximum level of its input nets; primary inputs and constants sit at
-    level 0 and 1 respectively), per-net level, and per-net list of the
-    gate indices reading that net.  Construction order is topological, so
-    a single forward pass suffices.
+    Returns ``(gate_level, net_level)``: per-gate level (1 + the maximum
+    level of its input nets; primary inputs and constants sit at level 0
+    and 1 respectively) and per-net level.  Construction order is
+    topological, so a single forward pass suffices.
     """
     net_level = [0] * circuit.num_nets
     gate_level: List[int] = []
-    readers: List[List[int]] = [[] for _ in range(circuit.num_nets)]
-    for index, gate in enumerate(circuit.gates):
+    for gate in circuit.gates:
         level = 1 + max((net_level[n] for n in gate.inputs), default=0)
         gate_level.append(level)
         net_level[gate.output] = level
-        for net in gate.inputs:
-            readers[net].append(index)
-    return gate_level, net_level, readers
+    return gate_level, net_level
 
 
 def circuit_fingerprint(circuit: Circuit) -> str:
@@ -253,10 +249,12 @@ class PlanGroup:
     kind's bitwise expression, and one scatter ``V[out_idx] = result``.
     ``gates`` lists the member gate indices in ascending order.
 
-    ``in_sels``/``out_sel`` are the same indices with contiguous
-    ascending runs precomputed as basic slices, which the runtime
-    (:meth:`CompiledSim.eval_limbs`) uses to turn gathers into views and
-    scatters into in-place writes wherever net numbering allows.
+    ``in_sels`` are the same input indices with contiguous ascending
+    runs precomputed as basic slices, which the numpy runner
+    (:func:`_build_limb_runner`) uses to turn gathers into views wherever
+    net numbering allows; ``out_sel`` is the group's output rows, always
+    one slice (:class:`VectorPlan` numbers them consecutively), so
+    results are written in place.
     """
 
     level: int
@@ -265,7 +263,7 @@ class PlanGroup:
     in_idx: np.ndarray
     out_idx: np.ndarray
     in_sels: Tuple[Union[slice, np.ndarray], ...]
-    out_sel: Union[slice, np.ndarray]
+    out_sel: slice
 
 
 @dataclass(frozen=True)
@@ -275,9 +273,7 @@ class VectorPlan:
     Groups are ordered by ``(level, kind)``; executing them in order is a
     valid schedule because a gate's level strictly exceeds its inputs'
     levels, so no group reads a net written by itself or any same-level
-    group.  ``group_of_gate``/``pos_in_group`` invert the grouping — the
-    fault simulator uses them to evaluate an arbitrary fanout-cone subset
-    through the same per-group index arrays.
+    group.
 
     The plan works in a renumbered net space: ``perm`` maps an original
     net id to its row in the limb array, ordered undriven nets (primary
@@ -289,12 +285,12 @@ class VectorPlan:
     are in the renumbered space; map circuit net ids through ``perm``
     before indexing the limb array.  Rows ``[0, num_undriven)`` are the
     undriven nets (primary inputs, dangling nets); every row at or above
-    ``num_undriven`` is written by exactly one group's kernel.
+    ``num_undriven`` is written by exactly one group's kernel, and in
+    the flattened gate table (:func:`_gate_table`) row ``num_undriven +
+    p`` is written by the gate at position ``p``.
     """
 
     groups: Tuple[PlanGroup, ...]
-    group_of_gate: np.ndarray
-    pos_in_group: np.ndarray
     num_levels: int
     perm: np.ndarray
     num_undriven: int
@@ -342,10 +338,8 @@ def build_vector_plan(circuit: Circuit, gate_level: Sequence[int]) -> VectorPlan
             next_row += 1
     num_undriven = next_row
     groups: List[PlanGroup] = []
-    group_of_gate = np.zeros(circuit.num_gates, dtype=np.int64)
-    pos_in_group = np.zeros(circuit.num_gates, dtype=np.int64)
     raw: List[Tuple[int, str, List[int], np.ndarray, np.ndarray]] = []
-    for gid, (level, kind) in enumerate(schedule):
+    for level, kind in schedule:
         indices = buckets[(level, kind)]
         arity = GATE_ARITY[kind]
         in_idx = np.empty((arity, len(indices)), dtype=np.int64)
@@ -355,14 +349,14 @@ def build_vector_plan(circuit: Circuit, gate_level: Sequence[int]) -> VectorPlan
             for pin in range(arity):
                 in_idx[pin, pos] = gate.inputs[pin]
             out_idx[pos] = gate.output
-            group_of_gate[index] = gid
-            pos_in_group[index] = pos
         perm[out_idx] = np.arange(next_row, next_row + len(indices))
         next_row += len(indices)
         raw.append((level, kind, indices, in_idx, out_idx))
+    start = num_undriven
     for level, kind, indices, in_idx, out_idx in raw:
         in_idx = perm[in_idx]
         out_idx = perm[out_idx]
+        stop = start + len(indices)
         groups.append(
             PlanGroup(
                 level=level,
@@ -374,14 +368,13 @@ def build_vector_plan(circuit: Circuit, gate_level: Sequence[int]) -> VectorPlan
                     _index_selector(in_idx[pin])
                     for pin in range(in_idx.shape[0])
                 ),
-                out_sel=_index_selector(out_idx),
+                out_sel=slice(start, stop),
             )
         )
+        start = stop
     num_levels = max(gate_level, default=0)
     return VectorPlan(
         groups=tuple(groups),
-        group_of_gate=group_of_gate,
-        pos_in_group=pos_in_group,
         num_levels=num_levels,
         perm=perm,
         num_undriven=num_undriven,
@@ -482,50 +475,55 @@ def _build_vec_kernels() -> Dict[str, Callable[..., None]]:
 _VEC_KERNELS = _build_vec_kernels()
 
 
-def _build_limb_runner(
-    plan: VectorPlan,
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+def _build_limb_runner(plan: VectorPlan) -> Callable[..., np.ndarray]:
     """Codegen the straight-line numpy group schedule of the limb backend.
 
     The kernel's runner when the C library does not load (the C plan
-    evaluator replaces it otherwise).  Emits one line per
-    :class:`PlanGroup` — kernel call on gathered operand rows, slice
-    outputs written in place, scatter outputs staged through one shared
-    buffer — and ``exec``-compiles it.  This removes the per-group
-    interpreter overhead (loop, genexprs, dict lookups) from
+    evaluator replaces it otherwise), with the C runner's signature
+    ``runner(V, ones, force=None)``.  Emits one line per
+    :class:`PlanGroup` — kernel call on gathered operand rows, output
+    slice written in place — and ``exec``-compiles it.  This removes the
+    per-group interpreter overhead (loop, genexprs, dict lookups) from
     :meth:`CompiledSim.eval_limbs`; numpy dispatch per group remains.
+    A call with ``force`` (:func:`repro.netlist._accel.force_table`)
+    loops over the same groups instead, forcing each forced row right
+    after its group writes it.
     """
+    steps = [(_VEC_KERNELS[g.kind], g.in_sels, g.out_sel) for g in plan.groups]
     sels: List[Union[slice, np.ndarray]] = []
-    kernels: List[Callable[..., None]] = []
-    lines: List[str] = ["def _run(V, ones):"]
-    max_scatter = 0
-    for gi, group in enumerate(plan.groups):
-        kernels.append(_VEC_KERNELS[group.kind])
+    lines: List[str] = [
+        "def _run(V, ones, force=None):",
+        "    if force is not None:",
+        "        return _forced(V, ones, force)",
+    ]
+    for gi, (_, in_sels, out_sel) in enumerate(steps):
         base = len(sels)
-        sels.extend(group.in_sels)
+        sels.extend(in_sels)
         oi = len(sels)
-        sels.append(group.out_sel)
-        arity = len(group.in_sels)
-        ins = ", ".join(f"V[S{base + pin}]" for pin in range(arity))
-        if arity == 1:
+        sels.append(out_sel)
+        ins = ", ".join(f"V[S{base + pin}]" for pin in range(len(in_sels)))
+        if len(in_sels) == 1:
             ins += ","
-        if isinstance(group.out_sel, slice):
-            lines.append(f"    K{gi}(({ins}), V[S{oi}], ones)")
-        else:
-            size = int(group.out_sel.size)
-            max_scatter = max(max_scatter, size)
-            lines.append(f"    b = buf[:{size}]")
-            lines.append(f"    K{gi}(({ins}), b, ones)")
-            lines.append(f"    V[S{oi}] = b")
-    if max_scatter:
-        lines.insert(
-            1,
-            f"    buf = _empty(({max_scatter}, V.shape[1]), dtype=_u64)",
-        )
+        lines.append(f"    K{gi}(({ins}), V[S{oi}], ones)")
     lines.append("    return V")
-    namespace: Dict[str, object] = {"_empty": np.empty, "_u64": _U64}
+    first, num_nets = plan.num_undriven, plan.perm.size
+
+    def forced(V: np.ndarray, ones: np.ndarray, force: tuple) -> np.ndarray:
+        at, keep, set_ = _accel.force_table(force, first, num_nets)
+        rows = (at + first).tolist()
+        f = 0
+        for kernel, in_sels, out_sel in steps:
+            kernel(tuple(V[sel] for sel in in_sels), V[out_sel], ones)
+            while f < len(rows) and rows[f] < out_sel.stop:
+                row = V[rows[f]]
+                np.bitwise_and(row, keep[f], out=row)
+                np.bitwise_or(row, set_[f], out=row)
+                f += 1
+        return V
+
+    namespace: Dict[str, object] = {"_forced": forced}
     namespace.update({f"S{i}": sel for i, sel in enumerate(sels)})
-    namespace.update({f"K{i}": fn for i, fn in enumerate(kernels)})
+    namespace.update({f"K{i}": step[0] for i, step in enumerate(steps)})
     exec(compile("\n".join(lines), "<limb plan>", "exec"), namespace)
     return namespace["_run"]  # type: ignore[return-value]
 
@@ -556,8 +554,8 @@ class CompiledKernel:
     """Reusable compilation artifacts, keyed by circuit content hash.
 
     Holds everything derived purely from the gate-level structure: the
-    levelization, the fanout adjacency, the :class:`VectorPlan` and the
-    runner that evaluates it (``limb_runner``, named by ``runner``).
+    gate levels, the :class:`VectorPlan` and the runner that evaluates it
+    (``limb_runner``, named by ``runner``).
     The runner is the C plan evaluator of :mod:`repro.netlist._accel`
     over the plan's gate table (:func:`_gate_table`, ``runner == "c"``)
     whenever the library loads, else the generated numpy group schedule
@@ -571,10 +569,8 @@ class CompiledKernel:
     num_nets: int
     num_gates: int
     gate_level: List[int]
-    net_level: List[int]
-    readers: Tuple[Tuple[int, ...], ...]
     plan: VectorPlan
-    limb_runner: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    limb_runner: Callable[..., np.ndarray]
     runner: str
 
 
@@ -592,7 +588,7 @@ def _build_kernel_inner(circuit: Circuit, key: str) -> CompiledKernel:
     for gate in circuit.gates:
         if gate.kind not in _VEC_KERNELS:
             raise NetlistError(f"cannot simulate gate kind {gate.kind!r}")
-    gate_level, net_level, readers = levelize(circuit)
+    gate_level, _ = levelize(circuit)
     plan = build_vector_plan(circuit, gate_level)
     lib = _accel.load()
     if lib is None:
@@ -605,8 +601,6 @@ def _build_kernel_inner(circuit: Circuit, key: str) -> CompiledKernel:
         num_nets=circuit.num_nets,
         num_gates=circuit.num_gates,
         gate_level=gate_level,
-        net_level=net_level,
-        readers=tuple(tuple(r) for r in readers),
         plan=plan,
         limb_runner=runner,
         runner=name,
@@ -1023,7 +1017,9 @@ class CompiledSim:
             self._ones = (num_vectors, ones)
         return V, ones, num_vectors
 
-    def eval_limbs(self, V: np.ndarray, ones: np.ndarray) -> np.ndarray:
+    def eval_limbs(
+        self, V: np.ndarray, ones: np.ndarray, force: Optional[tuple] = None
+    ) -> np.ndarray:
         """One forward pass of the plan over the limb array, in place.
 
         Runs the kernel's ``limb_runner``: with the C library loaded, one
@@ -1035,8 +1031,12 @@ class CompiledSim:
         generated schedule of :func:`_build_limb_runner`.  Both are
         bit-identical.  ``ones`` must be the masked row of the batch so
         inverting gates leave the tail bits of the last limb zero.
+
+        ``force = (rows, keep, set)`` forces plan rows as their gates
+        write them (:func:`repro.netlist._accel.force_table`): the
+        stuck-at injection of :func:`repro.netlist.faults.fault_coverage`.
         """
-        return self.kernel.limb_runner(V, ones)
+        return self.kernel.limb_runner(V, ones, force)
 
     def unpack_outputs(
         self, V: np.ndarray, num_vectors: int

@@ -10,15 +10,17 @@ a vector set, and report coverage.  Two uses in this repository:
   *speculative datapath* does VLCSA's own error detector flag for free?
   (``benchmarks/test_ext_fault_coverage.py``.)
 
-:func:`fault_coverage` runs **concurrent** fault simulation on top of the
-vectorized backend (:mod:`repro.netlist.compile`): the fault-free circuit
-is evaluated once on the limb bit-plane array (bit-parallel over all
-vectors), then faults are packed 64 per pass — one fault per bit-plane of
-a uint64 — over arrays indexed by vector.  Each pass restarts evaluation
-at the faulted nets and recomputes only the union of their fanout cones;
-because every gate function is bitwise, the 64 fault planes evaluate
-independently in one numpy pass.  A fault is detected when any observed
-bit-plane differs from the broadcast fault-free value under any vector.
+:func:`fault_coverage` runs **concurrent** fault simulation on the
+vectorized backend's own plan runner (:mod:`repro.netlist.compile`, the
+C plan evaluator or its numpy fallback): the fault-free circuit is
+evaluated once on the limb bit-plane array (bit-parallel over all
+vectors), then faults are packed 64 per pass — one fault per bit lane of
+a uint64 — over a fault-plane array with one row per net and one word
+per vector.  Each pass is one runner call that forces the faulted rows
+as their gates write them; because every gate function is bitwise, the
+64 fault lanes evaluate independently.  A fault is detected when any
+observed row differs from the broadcast fault-free value under any
+vector.
 
 :func:`fault_coverage_reference` retains the original one-pass-per-fault
 interpreter as the executable specification (differential tests assert
@@ -28,7 +30,7 @@ both agree fault-for-fault).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -174,136 +176,38 @@ def _observed_nets(
     return nets
 
 
-def _expand_plane_row(row: np.ndarray, num_vectors: int) -> np.ndarray:
-    """Broadcast a limb bit-plane row into fault-plane form.
+def _fault_planes(rows: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Limb rows in fault-plane form over the vectors ``[lo, hi)``.
 
-    Element ``v`` of the result is all-ones when the net is 1 under
-    vector ``v`` and zero otherwise — i.e. the fault-free value
-    replicated across all 64 fault planes.
+    Element ``[r, v]`` of the result is all-ones when row ``r`` is 1
+    under vector ``lo + v`` and zero otherwise: the fault-free value
+    replicated across all 64 fault lanes.
     """
     bits = np.unpackbits(
-        row.view(np.uint8), count=num_vectors, bitorder="little"
-    )
+        rows.view(np.uint8), axis=1, count=hi, bitorder="little"
+    )[:, lo:]
     return bits.astype(_U64) * _ALL_ONES
 
 
-def _detect_group(
-    circuit: Circuit,
-    readers: Sequence[Sequence[int]],
-    plane_of: "Callable[[int], np.ndarray]",
-    group: Sequence[Fault],
-    observed: Sequence[int],
-    num_vectors: int,
-    lo: int = 0,
-    hi: Optional[int] = None,
-    group_of_gate: Optional[np.ndarray] = None,
-) -> int:
-    """One concurrent pass over up to 64 faults; returns a detection mask.
-
-    Bit ``i`` of the result is set when ``group[i]`` was detected at some
-    observed net under some vector of the ``[lo, hi)`` slice.  ``plane_of``
-    returns (and caches across groups and slices) the full-length expanded
-    fault-free array of a net; the slice views taken from it are free.
-
-    ``group_of_gate`` (the :class:`repro.netlist.compile.VectorPlan`
-    inverse map) schedules the cone restart through the plan's
-    ``(level, kind)`` groups: cone gates landing in the same group are
-    evaluated as one stacked numpy pass instead of one call per gate.
-    Bitwise ops are elementwise, so the batched evaluation is
-    bit-identical to the per-gate loop it replaces (and to the order of
-    ``None``, which falls back to per-gate).
-    """
-    if hi is None:
-        hi = num_vectors
-    inject: Dict[int, Tuple[int, int]] = {}
+def _force_table(
+    group: Sequence[Fault], perm: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The plan runner's ``force`` for up to 64 faults, fault ``i`` in lane
+    ``i``: per faulted plan row (ascending), a ``keep`` word clearing the
+    lanes stuck at 0 and a ``set`` word setting those stuck at 1."""
+    masks: Dict[int, List[int]] = {}
     for bit, fault in enumerate(group):
-        or_mask, and_mask = inject.get(fault.net, (0, _ALL_ONES_INT))
+        keep_set = masks.setdefault(int(perm[fault.net]), [_ALL_ONES_INT, 0])
         if fault.stuck_at:
-            or_mask |= 1 << bit
+            keep_set[1] |= 1 << bit
         else:
-            and_mask &= _ALL_ONES_INT ^ (1 << bit)
-        inject[fault.net] = (or_mask, and_mask)
-
-    # Fanout cone: every gate transitively reading a faulted net.
-    cone = set()
-    frontier = list(inject)
-    seen_nets = set(frontier)
-    while frontier:
-        net = frontier.pop()
-        for index in readers[net]:
-            if index in cone:
-                continue
-            cone.add(index)
-            out = circuit.gates[index].output
-            if out not in seen_nets:
-                seen_nets.add(out)
-                frontier.append(out)
-
-    def plane(net: int) -> np.ndarray:
-        return plane_of(net)[lo:hi]
-
-    faulty: Dict[int, np.ndarray] = {}
-    for net, (or_mask, and_mask) in inject.items():
-        faulty[net] = (plane(net) & _U64(and_mask)) | _U64(or_mask)
-
-    # Schedule the cone restart.  Plan-group order is topological (group
-    # index is ordered by level), so batching same-group gates into one
-    # stacked kernel call preserves evaluation semantics exactly; with no
-    # plan the gate-index order (also topological) evaluates one by one.
-    if group_of_gate is None:
-        order = sorted(cone)
-    else:
-        order = sorted(cone, key=lambda g: (int(group_of_gate[g]), g))
-    pos = 0
-    count = len(order)
-    while pos < count:
-        index = order[pos]
-        end = pos + 1
-        if group_of_gate is not None:
-            gid = group_of_gate[index]
-            while end < count and group_of_gate[order[end]] == gid:
-                end += 1
-        run = order[pos:end]
-        pos = end
-        if len(run) == 1:
-            gate = circuit.gates[index]
-            operands = [
-                faulty[n] if n in faulty else plane(n) for n in gate.inputs
-            ]
-            value = GATE_EVAL[gate.kind](operands, _ALL_ONES)
-            injected = inject.get(gate.output)
-            if injected is not None:
-                value = (value & _U64(injected[1])) | _U64(injected[0])
-            faulty[gate.output] = value
-            continue
-        gates = [circuit.gates[g] for g in run]
-        stacked = [
-            np.stack(
-                [
-                    faulty[g.inputs[p]]
-                    if g.inputs[p] in faulty
-                    else plane(g.inputs[p])
-                    for g in gates
-                ]
-            )
-            for p in range(len(gates[0].inputs))
-        ]
-        results = GATE_EVAL[gates[0].kind](stacked, _ALL_ONES)
-        for row, gate in enumerate(gates):
-            value = results[row]
-            injected = inject.get(gate.output)
-            if injected is not None:
-                value = (value & _U64(injected[1])) | _U64(injected[0])
-            faulty[gate.output] = value
-
-    detected = 0
-    for net in observed:
-        value = faulty.get(net)
-        if value is None:
-            continue
-        diff = value ^ plane(net)
-        detected |= int(np.bitwise_or.reduce(diff))
-    return detected
+            keep_set[0] &= _ALL_ONES_INT ^ (1 << bit)
+    rows = sorted(masks)
+    return (
+        np.array(rows, dtype=np.int64),
+        np.array([masks[r][0] for r in rows], dtype=_U64),
+        np.array([masks[r][1] for r in rows], dtype=_U64),
+    )
 
 
 def fault_coverage(
@@ -319,8 +223,8 @@ def fault_coverage(
     observed bit differs from the fault-free value under any vector.
 
     Concurrent implementation: one fault-free pass on the vectorized limb
-    array, then 64 faults per numpy pass over each fault group's union
-    fanout cone.  The verdicts are byte-identical to
+    array, then one forced plan-runner pass per group of 64 faults and
+    vector chunk.  The verdicts are byte-identical to
     :func:`fault_coverage_reference` (asserted by the differential test
     suite).
     """
@@ -343,22 +247,20 @@ def _fault_coverage_inner(
     observed = _observed_nets(circuit, observe)
 
     # Golden pass on the limb bit-plane array; rows are permuted by the
-    # vector plan, so fault-net lookups map through ``perm``.
+    # vector plan, so net lookups map through ``perm``.
     sim = compile_circuit(circuit)
     V, ones_row, _ = sim.pack_inputs_limbs(vectors)
     rows = sim.eval_limbs(V, ones_row)
-    perm = sim.vector_plan().perm
+    plan = sim.vector_plan()
+    perm = plan.perm
+    undriven = rows[: plan.num_undriven]
+    observed_rows = perm[np.asarray(observed, dtype=np.int64)]
 
     def _stuck_everywhere(net: int, stuck_at: int) -> bool:
         row = rows[perm[net]]
         if stuck_at:
             return bool(np.array_equal(row, ones_row))
         return not row.any()
-
-    net_level = sim.kernel.net_level
-    readers = sim.kernel.readers
-    # Plan-group schedule for the cone restarts (cached on the kernel).
-    group_of_gate = sim.vector_plan().group_of_gate
 
     fault_list = list(faults) if faults is not None else enumerate_faults(circuit)
     detected_status = [False] * len(fault_list)
@@ -374,15 +276,6 @@ def _fault_coverage_inner(
             continue
         active.append(i)
 
-    # Group faults by level so cones inside one pass overlap maximally.
-    active.sort(key=lambda i: (net_level[fault_list[i].net], fault_list[i].net))
-    planes: Dict[int, np.ndarray] = {}
-
-    def plane_of(net: int) -> np.ndarray:
-        cached = planes.get(net)
-        if cached is None:
-            planes[net] = cached = _expand_plane_row(rows[perm[net]], num_vectors)
-        return cached
     # Vector chunks with fault dropping: most faults fall to the first few
     # vectors, so after the first chunk only the hard residue (usually one
     # group instead of dozens) is resimulated on the remaining vectors.
@@ -391,14 +284,18 @@ def _fault_coverage_inner(
     while lo < num_vectors and remaining:
         hi = min(lo + chunk, num_vectors)
         _obs.record("faults.chunk_vectors", hi - lo)
+        # One fault-plane array serves every group of the chunk: the
+        # runner rewrites every driven row, and undriven rows never change.
+        F = np.empty((sim.kernel.num_nets, hi - lo), dtype=_U64)
+        F[: plan.num_undriven] = _fault_planes(undriven, lo, hi)
+        golden = _fault_planes(rows[observed_rows], lo, hi)
+        ones = np.full(hi - lo, _ALL_ONES, dtype=_U64)
         survivors: List[int] = []
         for start in range(0, len(remaining), _PLANES):
             indices = remaining[start : start + _PLANES]
-            group = [fault_list[i] for i in indices]
-            mask = _detect_group(
-                circuit, readers, plane_of, group, observed,
-                num_vectors, lo, hi, group_of_gate,
-            )
+            force = _force_table([fault_list[i] for i in indices], perm)
+            sim.eval_limbs(F, ones, force)
+            mask = int(np.bitwise_or.reduce(F[observed_rows] ^ golden, axis=None))
             for bit, i in enumerate(indices):
                 if (mask >> bit) & 1:
                     detected_status[i] = True

@@ -40,7 +40,7 @@ import signal
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro._version import __version__
 from repro.obs.collector import Collector
@@ -180,6 +180,9 @@ class Server:
         self._servers: List[asyncio.AbstractServer] = []
         self._inflight = 0
         self._draining = False
+        #: Connection handlers, and the writers of those idle between requests.
+        self._handlers: Set[asyncio.Task] = set()
+        self._idle: Set[asyncio.StreamWriter] = set()
         #: Filled by :meth:`start` — the bound TCP port (useful with port=0).
         self.bound_port: Optional[int] = None
 
@@ -230,16 +233,14 @@ class Server:
 
     async def stop(self) -> None:
         """Graceful drain: stop accepting, flush pending, answer in-flight,
-        then stop the shard threads (and resident pool)."""
+        close the connections, then stop the shard threads (and resident
+        pool)."""
         self._draining = True
+        # A just-accepted connection attaches to its listener a loop turn
+        # later; CPython 3.11 leaks its socket if the listener is closed.
+        await asyncio.sleep(0)
         for server in self._servers:
             server.close()
-        for server in self._servers:
-            try:
-                await server.wait_closed()
-            except Exception:  # pragma: no cover - listener already gone
-                pass
-        self._servers.clear()
         # Flush whatever is pending, busy shards included, then wait for
         # every in-flight evaluation to answer (bounded by drain_timeout_s).
         if self._pending_event is not None:
@@ -249,6 +250,21 @@ class Server:
             if self._pending_event is not None:
                 self._pending_event.set()
             await asyncio.sleep(0.02)
+        # Let accepted connections reach their handlers (accept task,
+        # connection_made, handler start), then close the idle ones: their
+        # handlers see EOF.  Busy ones go idle after their answer.
+        for _ in range(3):
+            await asyncio.sleep(0)
+        while self._handlers and time.monotonic() < deadline:
+            for writer in list(self._idle):
+                writer.close()
+            await asyncio.wait(set(self._handlers), timeout=0.02)
+        for server in self._servers:
+            try:
+                await server.wait_closed()
+            except Exception:  # pragma: no cover - listener already gone
+                pass
+        self._servers.clear()
         if self._dispatcher is not None:
             self._dispatcher.cancel()
             try:
@@ -411,10 +427,12 @@ class Server:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._handlers.add(task)
         try:
             while True:
                 try:
-                    request = await self._read_request(reader)
+                    request = await self._read_request(reader, writer)
                 except _BadRequest as exc:
                     self.collector.add("serve.bad_requests")
                     error = protocol.error_response(exc.code, str(exc))
@@ -441,11 +459,17 @@ class Server:
                 await writer.wait_closed()
             except Exception:
                 pass
+            self._handlers.discard(task)
 
     async def _read_request(
-        self, reader: asyncio.StreamReader
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-        first = await reader.read(1)  # idle keep-alive wait: unbounded
+        # Idle keep-alive wait: unbounded until stop() closes the writer.
+        self._idle.add(writer)
+        try:
+            first = await reader.read(1)
+        finally:
+            self._idle.discard(writer)
         if not first:
             return None
         try:

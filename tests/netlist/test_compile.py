@@ -148,11 +148,10 @@ def test_fault_coverage_chunked_vector_dropping():
 
 def test_levelize_orders_gates_after_their_inputs():
     circuit = build_design("vlcsa2", 24, 6)
-    gate_level, net_level, readers = levelize(circuit)
+    gate_level, net_level = levelize(circuit)
     for index, gate in enumerate(circuit.gates):
         for net in gate.inputs:
             assert net_level[net] < net_level[gate.output]
-            assert index in readers[net]
         assert gate_level[index] == net_level[gate.output]
 
 

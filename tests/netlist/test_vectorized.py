@@ -239,14 +239,16 @@ def test_plan_perm_and_undriven_invariants():
             assert perm[net] >= plan.num_undriven
         else:
             assert perm[net] < plan.num_undriven
-    # Every driven row is written by exactly one group.
+    # Every driven row is written by exactly one group, the groups' rows
+    # follow each other in schedule order, and each group's output rows
+    # are one slice (the numpy runner writes them in place).
     written = []
     for group in plan.groups:
         out = group.out_idx.tolist()
+        assert isinstance(group.out_sel, slice)
+        assert out == list(range(group.out_sel.start, group.out_sel.stop))
         written.extend(out)
-    assert sorted(written) == list(
-        range(plan.num_undriven, circuit.num_nets)
-    )
+    assert written == list(range(plan.num_undriven, circuit.num_nets))
 
 
 def test_groups_fuse_by_level_and_kind():
@@ -595,6 +597,100 @@ def test_c_plan_runner_refuses_bad_arrays():
         lib.plan_runner(ops.astype(np.int64), pins, circuit.num_nets)
 
 
+_ALL = (1 << 64) - 1
+
+
+def _force_runners(circuit):
+    """The plan's numpy runner and, with the library, its C runner."""
+    plan = compile_circuit(circuit).vector_plan()
+    runners = {"numpy": _build_limb_runner(plan)}
+    lib = _accel.load()
+    if lib is not None:
+        ops, pins = _gate_table(plan, circuit.num_gates)
+        runners["c"] = lib.plan_runner(ops, pins, circuit.num_nets)
+    return plan, runners
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), gates=st.integers(1, 120),
+       limbs=st.integers(1, 5), extra=st.integers(0, 12))
+def test_forced_runners_agree(seed, gates, limbs, extra):
+    """With a force table, the C and numpy runners write the same limb
+    array bit for bit, and every forced row holds ``(row & keep) | set``
+    bits: SA0 and SA1 lanes on one row, an output row, and the first and
+    last table positions among the forced rows."""
+    lib = _accel_or_skip()
+    circuit = _every_kind_circuit(seed, gates)
+    plan, runners = _force_runners(circuit)
+    assert lib is not None and set(runners) == {"numpy", "c"}
+    rng = np.random.default_rng(seed)
+    first, last = plan.num_undriven, circuit.num_nets - 1
+    output_row = int(plan.perm[circuit.gates[-1].output])
+    picks = {first, last, output_row}
+    picks.update(rng.integers(first, last + 1, size=extra).tolist())
+    rows = np.array(sorted(picks), dtype=np.int64)
+    keep = rng.integers(0, 1 << 64, size=rows.size, dtype=np.uint64)
+    set_ = rng.integers(0, 1 << 64, size=rows.size, dtype=np.uint64)
+    keep[0], set_[0] = _U64(_ALL ^ 1), _U64(2)  # lane 0 stuck at 0, lane 1 at 1
+    V = rng.integers(0, 1 << 64, size=(circuit.num_nets, limbs), dtype=np.uint64)
+    ones = np.full(limbs, _ALL, dtype=np.uint64)
+    got = runners["c"](V.copy(), ones, (rows, keep, set_))
+    want = runners["numpy"](V.copy(), ones, (rows, keep, set_))
+    assert np.array_equal(got, want)
+    assert not np.any(got[rows] & ~(keep | set_)[:, None])
+    assert np.array_equal(got[rows] & set_[:, None], np.broadcast_to(set_[:, None], got[rows].shape))
+    assert not np.any(got[rows[0]] & _U64(1)) and np.all(got[rows[0]] & _U64(2))
+    # No force and an empty force are the plain forward pass.
+    plain = runners["c"](V.copy(), ones)
+    empty = (rows[:0], keep[:0], set_[:0])
+    for runner in runners.values():
+        assert np.array_equal(runner(V.copy(), ones, empty), plain)
+        assert np.array_equal(runner(V.copy(), ones), plain)
+
+
+def test_forced_runners_refuse_bad_rows():
+    """An unsorted, duplicated, out-of-range or undriven force row, or
+    masks of another dtype or length, raise before the runner writes:
+    the limb array and the rows around it stay as they were."""
+    circuit = _every_kind_circuit(gates=40)
+    plan, runners = _force_runners(circuit)
+    first, num_nets = plan.num_undriven, circuit.num_nets
+    rng = np.random.default_rng(3)
+    guarded = rng.integers(0, 1 << 64, size=(num_nets + 2, 3), dtype=np.uint64)
+    V = guarded[1:-1]  # C-contiguous, with a guard row on either side
+    ones = np.full(3, _ALL, dtype=np.uint64)
+
+    def masks(count):
+        return np.zeros(count, dtype=np.uint64), np.full(count, _ALL, dtype=np.uint64)
+
+    bad_rows = {
+        "unsorted": [first + 2, first + 1],
+        "duplicated": [first + 1, first + 1],
+        "out of range": [first, num_nets],
+        "undriven": [first - 1, first],
+        "negative": [-1],
+    }
+    for name, runner in runners.items():
+        before = guarded.copy()
+        for case, rows in bad_rows.items():
+            with pytest.raises(ValueError):
+                runner(V, ones, (np.array(rows), *masks(len(rows))))
+            assert np.array_equal(guarded, before), (name, case)
+        keep, set_ = masks(2)
+        rows = np.array([first, num_nets - 1])
+        with pytest.raises(TypeError):
+            runner(V, ones, (rows.astype(float), keep, set_))
+        with pytest.raises(TypeError):
+            runner(V, ones, (rows, keep.astype(np.int64), set_))
+        with pytest.raises(ValueError):
+            runner(V, ones, (rows, keep, set_[:1]))
+        assert np.array_equal(guarded, before), name
+        # The last table position is in bounds: only the guards stay.
+        runner(V, ones, (rows, keep, set_))
+        assert np.array_equal(guarded[[0, -1]], before[[0, -1]]), name
+        assert np.all(V[num_nets - 1] == _U64(_ALL))
+
+
 def test_transpose_bindings_refuse_bad_arrays():
     """Both bus bindings raise on a wrong dtype, a strided array, a short
     buffer, a bad vector count or a bad row table instead of reading or
@@ -785,20 +881,71 @@ assert kernel.limb_runner.__name__ == "_run"  # the generated numpy schedule
 
 
 def test_fault_coverage_backend_parity(monkeypatch):
-    """Fault verdicts are identical with and without the C transposes,
-    and equal the per-fault reference."""
+    """Fault verdicts are identical on the C runner and on the numpy
+    runner, and equal the per-fault reference.  The numpy side compiles
+    a fresh circuit into a private cache while the library is patched
+    away, so its kernel really holds the numpy runner."""
+    from repro.engine.cache import ElaborationCache
     from repro.netlist.faults import fault_coverage, fault_coverage_reference
 
     circuit = _circuit_of("vlcsa1", 16)
     inputs = _random_batch(circuit, 90, random.Random(8))
     with_accel = fault_coverage(circuit, inputs)
     monkeypatch.setattr(_accel, "load", lambda: None)
-    without = fault_coverage(circuit, inputs)
+    fresh = _circuit_of("vlcsa1", 16)
+    assert compile_circuit(fresh, cache=ElaborationCache(capacity=1)).kernel.runner == "numpy"
+    without = fault_coverage(fresh, inputs)
     reference = fault_coverage_reference(circuit, inputs)
     for report in (with_accel, without):
         assert report.total == reference.total
         assert report.detected == reference.detected
         assert report.undetected == reference.undetected
+
+
+def test_fault_coverage_is_one_plan_call_per_group_and_chunk(monkeypatch):
+    """With the library, fault simulation is the C plan evaluator alone:
+    after the golden pass, one ``_eval`` call per (fault group, vector
+    chunk), counted from the reference verdicts on each chunk's vector
+    prefix, and no gate evaluated through ``GATE_EVAL``."""
+    from repro.netlist import faults
+
+    lib = _accel_or_skip()
+    circuit = _circuit_of("vlcsa1", 16)
+    assert compile_circuit(circuit).kernel.runner == "c"
+    num_vectors = 200
+    inputs = _random_batch(circuit, num_vectors, random.Random(12))
+    ones = (1 << num_vectors) - 1
+    masks = {}
+    for name, nets in circuit.input_buses.items():
+        masks.update(zip(nets, _int_masks(inputs[name], len(nets))))
+    golden = faults.values_with_fault(circuit, masks, ones, None)
+    live = [
+        f for f in faults.enumerate_faults(circuit)
+        if golden[f.net] != (ones if f.stuck_at else 0)
+    ]
+    groups, lo, chunk = 0, 0, faults._CHUNK_VECTORS
+    left = live
+    while lo < num_vectors and left:
+        groups += -(-len(left) // 64)
+        lo, chunk = min(lo + chunk, num_vectors), chunk * 2
+        prefix = {name: values[:lo] for name, values in inputs.items()}
+        left = faults.fault_coverage_reference(circuit, prefix, faults=live).undetected
+    want = faults.fault_coverage_reference(circuit, inputs)
+    calls = []
+    real = lib._eval
+
+    def counted(*args):
+        calls.append(args[-1])  # the number of forced rows
+        return real(*args)
+
+    monkeypatch.setattr(lib, "_eval", counted)
+    monkeypatch.setattr(faults, "GATE_EVAL", {})  # any lookup raises
+    report = faults.fault_coverage(circuit, inputs)
+    assert (report.total, report.detected, report.undetected) == (
+        want.total, want.detected, want.undetected
+    )
+    assert groups > 1 and len(calls) == 1 + groups
+    assert calls[0] == 0 and all(forced > 0 for forced in calls[1:])
 
 
 def test_power_backend_parity():

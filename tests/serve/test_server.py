@@ -6,12 +6,14 @@ The asyncio tests run inside ``asyncio.run`` from sync test functions
 """
 
 import asyncio
+import gc
 import json
 import math
 import os
 import socket
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -425,6 +427,35 @@ def test_graceful_drain_answers_inflight_and_removes_socket(tmp_path):
     import os
 
     assert not os.path.exists(uds)
+
+
+def test_stop_closes_idle_keep_alive_connections(tmp_path):
+    """A keep-alive client idling between requests sees EOF once stop()
+    has drained, and no socket or transport is left unclosed."""
+    uds = _uds(tmp_path)
+
+    async def scenario():
+        server = Server(ServeConfig(uds=uds, shards=1))
+        await server.start()
+        reader, writer = await asyncio.open_unix_connection(uds)
+        try:
+            writer.write(b"GET /healthz HTTP/1.1\r\n\r\n")
+            head = await reader.readuntil(b"\r\n\r\n")
+            length = int(head.split(b"Content-Length: ")[1].split(b"\r\n")[0])
+            await reader.readexactly(length)
+            await asyncio.wait_for(server.stop(), 10)
+            return head, await asyncio.wait_for(reader.read(), 10)
+        finally:
+            writer.close()
+            await writer.wait_closed()
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        head, rest = asyncio.run(scenario())
+        gc.collect()
+    assert b"Connection: keep-alive" in head
+    assert rest == b""
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_draining_server_refuses_new_work(tmp_path):

@@ -511,6 +511,7 @@ def test_fuzz_replay_missing_corpus_fails(tmp_path):
 @pytest.mark.parametrize("argv, message", [
     (["nosuch", "--widths", "16"], "unknown design 'nosuch'"),
     (["vlcsa1", "--widths", "8", "--window", "0"], "window size must be positive"),
+    (["vlcsa1", "--widths", "0"], "width must be positive"),
 ])
 def test_lint_refuses_bad_points_before_any_chunk(argv, message, workers):
     with pytest.raises(SystemExit, match=message):
