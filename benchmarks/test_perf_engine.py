@@ -91,9 +91,14 @@ ACCEL_SPEEDUP_FLOOR = 10.0
 
 #: With the tuned library, a chunk whose counter kernel draws its own
 #: operands must beat the same chunk drawn as arrays first by this much.
-#: A Gaussian chunk is 75-85% numpy's ``normal`` draws on both sides
-#: (measured 1.1-1.35x), so there the drawn chunk need only not be slower.
-DRAW_SPEEDUP_FLOOR = {"uniform": 1.2, "gaussian": 1.0}
+#: A drawn Gaussian chunk takes its standard normals from the library's
+#: inlined ziggurat (measured 2.3-2.9x on a 2-vCPU x86 VM); with numpy's
+#: ``standard_normal`` in its place it read 1.17-1.24x, below the floor.
+DRAW_SPEEDUP_FLOOR = {"uniform": 1.2, "gaussian": 1.8}
+
+#: A drawn Gaussian chunk on numpy's ``standard_normal`` (a library built
+#: without numpy's ``libnpyrandom.a``) need only not be slower.
+NUMPY_NORMALS_DRAW_FLOOR = 1.0
 
 #: The checkpointed job: 48 chunks of 2^16 samples, timed best of this many.
 CHECKPOINT_CHUNKS = 48
@@ -247,7 +252,8 @@ def report(rows, repeat):
 
 def test_perf_engine_swar_vs_profile(benchmark):
     rows = run_once(benchmark, measure)
-    accel = kernels._counter_lib() is not None
+    lib = kernels._counter_lib()
+    accel = lib is not None
     floor = ACCEL_SPEEDUP_FLOOR if accel else SPEEDUP_FLOOR
     print()
     print(
@@ -279,6 +285,8 @@ def test_perf_engine_swar_vs_profile(benchmark):
             f"faster than the profile path (floor {floor:.0f}x)"
         )
         draw_floor = DRAW_SPEEDUP_FLOOR[r["distribution"]]
+        if accel and r["distribution"] != "uniform" and not lib.normals:
+            draw_floor = NUMPY_NORMALS_DRAW_FLOOR
         assert not accel or r["draw_speedup"] >= draw_floor, (
             f"{r['architecture']}: drawing in the kernel only {r['draw_speedup']:.2f}x "
             f"faster than a materialized chunk (floor {draw_floor:.1f}x)"

@@ -197,8 +197,13 @@ def export_figures(
     names: Optional[List[str]] = None,
     samples: int = 100_000,
 ) -> List[str]:
-    """Write the selected figure JSONs into ``out_dir``; returns paths."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Write the selected figure JSONs into ``out_dir``; returns paths.
+
+    Creates ``out_dir`` itself if missing, but no parent of it: a path
+    under a missing or non-directory parent raises :class:`OSError`.
+    """
+    if not os.path.isdir(out_dir):
+        os.mkdir(out_dir)
     targets = names if names is not None else sorted(FIGURES)
     written = []
     for name in targets:

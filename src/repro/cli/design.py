@@ -92,7 +92,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
-    written = export_figures(args.out_dir, args.names, args.samples)
+    try:
+        written = export_figures(args.out_dir, args.names, args.samples)
+    except OSError as exc:
+        print(f"error: cannot write figures to {args.out_dir!r}: {exc}", file=sys.stderr)
+        return 1
     for path in written:
         print(f"wrote {path}")
     return 0

@@ -92,10 +92,14 @@ block buffers itself, so no ``(rows, limbs)`` array exists:
   :func:`repro.inputs.generators.gaussian_operands` per block: rint,
   the ±2⁶² clip, the int64 cast, sign extension or the magnitude, and
   the signed-range check, which raises the encoder's ``ValueError``.
+  The draws themselves are the library's C copy of numpy's ziggurat
+  over the generator's PCG64 when it has one (``AccelLib.normals``),
+  numpy's ``standard_normal`` otherwise (:func:`_normals`).
 
 Both reproduce the recipe's arrays word for word below the width (bits
 above it are left as drawn; no mask reads them), so every seeded
-aggregate, checkpoint and fuzz corpus is unchanged.  Everything else
+aggregate, checkpoint and fuzz corpus is unchanged, and both leave the
+generator where the recipe leaves it.  Everything else
 draws arrays with the recipe :func:`repro.engine.jobs._operands`: the
 fallback of :func:`drawn_counter_counts` off the tuned library, and
 chunks that also need chain statistics or the ``"magnitude"`` counter,
@@ -103,8 +107,9 @@ which is read off the window profile, not this kernel.  Per 2¹⁶-sample
 chunk (2-vCPU x86 VM) a
 materialized chunk (recipe arrays, then the C kernel) takes 3.5–6.2 ms
 at n=256/k=12 and 0.8–1.7 ms at n=64/k=8; drawn in the kernel the
-whole chunk takes 1.5–3.0 and 0.4–0.9 ms.  A Gaussian chunk is 75–85%
-numpy's ``normal`` draws either way.
+whole chunk takes 1.5–3.0 and 0.4–0.9 ms.  A Gaussian chunk at
+n=64/k=8 takes 2.3–3.5 ms materialized (75–85% of it numpy's
+``normal`` draws) and 0.8–1.4 ms drawn with the C standard normals.
 """
 
 from __future__ import annotations
@@ -479,9 +484,11 @@ def drawn_counter_counts(
     With the tuned C library and a PCG64 generator, one call of the
     counter kernel that draws the operands itself, block by block:
     uniform ones from the generator's own stream, Gaussian ones from
-    numpy's ``normal`` draws, encoded in the kernel.  The counts are
-    those of the recipe's arrays bit for bit.  Otherwise the recipe
-    draws the arrays and :func:`counter_counts` counts them.
+    numpy's ``normal`` draws (:func:`_normals`), encoded in the kernel.
+    The counts are those of the recipe's arrays bit for bit, and the
+    generator is moved on past the words the recipe would take.
+    Otherwise the recipe draws the arrays and :func:`counter_counts`
+    counts them.
     """
     lib = _counter_lib()
     if lib is None or not isinstance(draw.rng.bit_generator, np.random.PCG64):
@@ -494,12 +501,12 @@ def drawn_counter_counts(
         return {}
     tables, needs = _c_request(draw.width, window_size, tuple(wanted))
     if draw.distribution == "uniform":
-        state = draw.rng.bit_generator.state["state"]
-        pcg = (state["state"], state["inc"])
-        counts = lib.counter_counts_drawn("uniform", draw.rows, tables, needs, pcg=pcg)
+        counts = lib.counter_counts_drawn(
+            "uniform", draw.rows, tables, needs, bits=draw.rng.bit_generator
+        )
     else:
         counts = lib.counter_counts_drawn(
-            draw.distribution, draw.rows, tables, needs, normals=_normals(draw)
+            draw.distribution, draw.rows, tables, needs, normals=_normals(draw, lib)
         )
         if counts is None:
             raise signed_range_error(draw.width)
@@ -510,23 +517,35 @@ def drawn_counter_counts(
 _SCRATCH = threading.local()
 
 
-def _normals(draw: OperandDraw) -> Tuple[np.ndarray, np.ndarray]:
+def _normals(draw: OperandDraw, lib: _accel.AccelLib) -> Tuple[np.ndarray, np.ndarray]:
     """``draw``'s Gaussian draws, ``a``'s then ``b``'s, as ``rng.normal(0,
     sigma, rows)`` gives them.
 
     ``normal(0, sigma)`` is ``0 + sigma * z`` of one standard normal ``z``,
     so ``standard_normal`` scaled by ``sigma`` is the same stream bit for
-    bit.  Drawn into a per-thread buffer that is reused from chunk to
-    chunk: two fresh arrays per chunk pay their page faults every time.
+    bit.  A plain ``Generator`` over ``PCG64`` draws in C
+    (:meth:`~repro.netlist._accel.AccelLib.standard_normals`, when the
+    library's draws passed its load-time check); any other generator
+    draws through its own ``standard_normal``.  Drawn into a per-thread
+    buffer that is reused from chunk to chunk: two fresh arrays per chunk
+    pay their page faults every time.
     """
+    rows, rng = draw.rows, draw.rng
     buf = getattr(_SCRATCH, "normals", None)
-    if buf is None or buf.shape[1] < draw.rows:
-        buf = _SCRATCH.normals = np.empty((2, draw.rows))
-    out = buf[0, : draw.rows], buf[1, : draw.rows]
-    for half in out:
-        draw.rng.standard_normal(out=half)
-        half *= draw.sigma
-    return out
+    if buf is None or buf.shape[0] < 2 * rows:
+        buf = _SCRATCH.normals = np.empty(2 * rows)
+    z = buf[: 2 * rows]
+    if (
+        lib.normals
+        and type(rng) is np.random.Generator
+        and type(rng.bit_generator) is np.random.PCG64
+    ):
+        lib.standard_normals(rng.bit_generator, z, draw.sigma)
+    else:
+        for half in (z[:rows], z[rows:]):
+            rng.standard_normal(out=half)
+        z *= draw.sigma
+    return z[:rows], z[rows:]
 
 
 def _counter_lib() -> Optional[_accel.AccelLib]:

@@ -20,10 +20,26 @@ generator's state, four lanes per block moved on by a precomputed LCG
 jump-ahead), Gaussian ones by encoding numpy's ``normal`` draws as
 :func:`repro.inputs.generators.gaussian_operands` does.  Both draws give
 the generators' words exactly, so counts do not depend on which path
-ran.  Its block counter and Gaussian encoder are built for AVX2 and for
-the baseline ISA (GCC on x86-64 glibc only, picked at load time); the
-rest of the library, and every other toolchain, stays at ``-O2``.  The
-library exports which build the counter kernel got
+ran.
+
+Those normal draws are made here too, when numpy ships its static
+``numpy/random/lib/libnpyrandom.a``: the library links it (and libm)
+and runs numpy's ziggurat fast path inline over the same C PCG64,
+handing every word it does not take back to the archive's own
+``random_standard_normal``, the only code that calls ``exp`` or
+``log1p``.  The fast path's tables are file-local in the archive, so
+they are probed out of that function at load (``repro_normals_probe``),
+and a few thousand draws of a fixed seed must then equal
+``Generator.standard_normal``'s bit for bit and leave the generator in
+the same state (``AccelLib.normals``); otherwise, or with no archive,
+the engine draws through numpy.  The archive's bytes are part of the
+build's cache key, so a numpy upgrade rebuilds.
+
+The counter kernel's block counter and Gaussian encoder are built for
+AVX2 and for the baseline ISA (GCC on x86-64 glibc only, picked at load
+time); the rest of the library, the standard normals included, and
+every other toolchain, stays at ``-O2``.  The library exports which
+build the counter kernel got
 (``AccelLib.tuned_counters``): the engine serves counts from it only
 when tuned, since the ``-O2`` build was measured slower than numpy at
 n=64.  The kernel needs the compiler's 128-bit integers
@@ -65,11 +81,14 @@ tables are checked once, when they are built:
   ``needs`` mask the number of rows holding all its terms;
   ``tuned_counters`` says whether this build of it carries the AVX2
   clone;
-* ``counter_counts_drawn(kind, rows, tables, needs, pcg=, normals=)`` —
+* ``counter_counts_drawn(kind, rows, tables, needs, bits=, normals=)`` —
   the same counts of operands the kernel draws (:data:`DRAW_KINDS`);
 * ``pcg64_advance(state, inc, delta)`` — the jump-ahead the drawing
   kernel starts and moves its lanes with, exposed to test it against
-  numpy's ``PCG64.advance``.
+  numpy's ``PCG64.advance``;
+* ``standard_normals(bits, out, scale)`` — ``scale`` times the standard
+  normals ``Generator(bits).standard_normal`` draws, into ``out``,
+  moving the ``PCG64`` ``bits`` on past them (only when ``normals``).
 """
 
 from __future__ import annotations
@@ -81,9 +100,11 @@ import os
 import subprocess
 import tempfile
 import threading
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
+
+_T = TypeVar("_T")
 
 #: Environment variable gating the fast path: set to ``0`` (or anything
 #: other than empty/``1``) to force the pure-numpy implementation.
@@ -459,6 +480,113 @@ void repro_pcg64_advance(uint64_t *st, const uint64_t *delta) {
     st[1] = (uint64_t)(s >> 64);
 }
 
+#if defined(REPRO_NPYRANDOM)
+/* numpy's standard normals over PCG64, the library linked against the
+ * libnpyrandom.a that ships inside numpy.  Its random_standard_normal is
+ * a ziggurat: per draw one word w, idx = w & 0xff, a sign bit and a
+ * 52-bit rabs; x = rabs * wi[idx] is the draw whenever rabs < ki[idx]
+ * (>99% of draws).  That fast path runs here, inlined over pcg_next;
+ * every other word goes back to numpy's own function, the only place
+ * exp and log1p run, so no libm result can differ from numpy's. */
+
+/* numpy's bitgen_t (numpy/random/bitgen.h). */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *);
+    uint32_t (*next_uint32)(void *);
+    double (*next_double)(void *);
+    uint64_t (*next_raw)(void *);
+} bitgen_t;
+double random_standard_normal(bitgen_t *);
+
+/* The words random_standard_normal is handed: first, then the PCG64
+ * stream (s, inc).  calls counts the words it took. */
+typedef struct {
+    u128 s, inc;
+    uint64_t first;
+    int pending, calls;
+} zig_source;
+
+static uint64_t zig_next64(void *p) {
+    zig_source *z = p;
+    z->calls++;
+    if (z->pending) {
+        z->pending = 0;
+        return z->first;
+    }
+    return pcg_next(&z->s, z->inc);
+}
+static uint32_t zig_next32(void *p) { return (uint32_t)(zig_next64(p) >> 32); }
+static double zig_next_double(void *p) {  /* numpy's PCG64 next_double */
+    return (double)(zig_next64(p) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* numpy's call on z: the next draw of its stream. */
+static double zig_slow(zig_source *z) {
+    bitgen_t g = {z, zig_next64, zig_next32, zig_next_double, zig_next64};
+    return random_standard_normal(&g);
+}
+
+/* numpy's ziggurat tables are file-local to the archive, so they are
+ * probed out of random_standard_normal: ki[i] is the smallest rabs that
+ * takes more than its first word, wi[i] the draw at rabs = 1 (wherever
+ * rabs = 1 is fast; elsewhere only rabs = 0 is, and x = +-0 for any
+ * wi).  The words after the first are a PCG64 stream, so the slow path
+ * ends as surely as it does on real draws. */
+static double zig_wi[256];
+static uint64_t zig_ki[256];
+
+static int zig_takes_more(unsigned idx, uint64_t rabs, double *x) {
+    zig_source z = {0, 1, rabs << 9 | idx, 1, 0};
+    *x = zig_slow(&z);
+    return z.calls != 1;
+}
+
+void repro_normals_probe(void) {
+    for (unsigned i = 0; i < 256; i++) {
+        uint64_t lo = 0, hi = (uint64_t)1 << 52;  /* hi: never slow */
+        double x;
+        while (lo < hi) {
+            const uint64_t mid = lo + (hi - lo) / 2;
+            if (zig_takes_more(i, mid, &x))
+                hi = mid;
+            else
+                lo = mid + 1;
+        }
+        zig_ki[i] = lo;
+        zig_wi[i] = lo > 1 && !zig_takes_more(i, 1, &x) ? x : 0.0;
+    }
+}
+
+/* n draws of Generator.standard_normal times scale into out, from and
+ * back into st = (state, inc) as (lo, hi) word pairs.  The sign is an
+ * XOR into bit 63, not numpy's branch: the same bits, and a coin-flip
+ * branch mispredicts half the time. */
+void repro_standard_normals(uint64_t *st, double *out, ptrdiff_t n, double scale) {
+    u128 s = U128(st);
+    const u128 inc = U128(st + 2);
+    for (ptrdiff_t i = 0; i < n; i++) {
+        const uint64_t w = pcg_next(&s, inc);
+        const unsigned idx = w & 0xff;
+        const uint64_t r = w >> 8;
+        const uint64_t rabs = (r >> 1) & 0x000fffffffffffffULL;
+        double x = (double)rabs * zig_wi[idx];
+        uint64_t bits;
+        __builtin_memcpy(&bits, &x, sizeof bits);
+        bits ^= r << 63;
+        __builtin_memcpy(&x, &bits, sizeof x);
+        if (__builtin_expect(rabs >= zig_ki[idx], 0)) {
+            zig_source z = {s, inc, w, 1, 0};
+            x = zig_slow(&z);
+            s = z.s;
+        }
+        out[i] = x * scale;
+    }
+    st[0] = (uint64_t)s;
+    st[1] = (uint64_t)(s >> 64);
+}
+#endif
+
 /* Lanes of the uniform draw: lane l fills rows l * LANE_ROWS .. of a
  * block, so four LCG chains run side by side. */
 #define LANES 4
@@ -710,7 +838,7 @@ class PlanTable:
 class AccelLib:
     """ctypes bindings of the compiled library.
 
-    Thin wrappers over the five exported C functions; ctypes releases
+    Thin wrappers over the exported C functions; ctypes releases
     the GIL for the duration of each call.  Arrays go in as raw
     ``c_void_p`` addresses after explicit checks (:func:`_address` plus
     each wrapper's extent checks), which is cheaper per argument than
@@ -718,7 +846,9 @@ class AccelLib:
     has the counter kernel (the compiler has 128-bit integers), and
     ``tuned_counters`` when it also gave the kernel its AVX2/``-O3``
     clones (GCC on x86-64 glibc), the only build measured faster than
-    the numpy kernel at every thesis point.
+    the numpy kernel at every thesis point.  ``normals`` is true when
+    the build links numpy's ``libnpyrandom.a`` and its standard normals
+    passed the load-time check (:func:`_normals_agree`).
     """
 
     def __init__(self, cdll: ctypes.CDLL):
@@ -743,6 +873,14 @@ class AccelLib:
             )
             self._counts.restype = _I
             self._advance = _bind(cdll, "repro_pcg64_advance", [_P, _P])
+        # Linked against numpy's libnpyrandom.a, and its draws checked.
+        self.normals = hasattr(cdll, "repro_standard_normals")
+        if self.normals:
+            self._normals = _bind(
+                cdll, "repro_standard_normals", [_P, _P, _N, ctypes.c_double]
+            )
+            _bind(cdll, "repro_normals_probe", [])()
+            self.normals = _normals_agree(self.standard_normals)
 
     def counter_counts(
         self,
@@ -776,14 +914,16 @@ class AccelLib:
         rows: int,
         tables: Sequence[PlanTable],
         needs: Sequence[int],
-        pcg: Optional[Tuple[int, int]] = None,
+        bits: Optional[np.random.PCG64] = None,
         normals: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> Optional[List[int]]:
         """:meth:`counter_counts` of ``rows`` operand pairs the kernel draws.
 
         ``kind`` is one of :data:`DRAW_KINDS`.  ``"uniform"`` draws from
-        numpy's PCG64 at ``pcg = (state, inc)``: ``a`` is the stream's
-        first ``rows * limbs`` words and ``b`` the next, row-major.  The
+        the PCG64 ``bits``: ``a`` is the stream's next ``rows * limbs``
+        words and ``b`` the ones after, row-major, and ``bits`` moves on
+        past both, as ``Generator(bits).integers(0, 2**64, dtype=uint64)``
+        would leave it.  The
         Gaussian kinds take ``normals = (a draws, b draws)``, two
         float64 ``(rows,)`` arrays, and encode them as
         :func:`repro.inputs.generators.gaussian_operands` does.  Returns
@@ -795,11 +935,16 @@ class AccelLib:
         if not isinstance(rows, int) or rows < 0:
             raise ValueError(f"rows: expected a non-negative int, got {rows!r}")
         if kind == "uniform":
-            state, inc = pcg if pcg is not None else (-1, -1)
-            if not (0 <= state < 1 << 128 and 0 <= inc < 1 << 128):
-                raise ValueError("pcg: expected a (state, inc) pair of 128-bit ints")
-            st = np.array(_words128(state) + _words128(inc), dtype=np.uint64)
-            return self._run_counts(0, None, None, st.ctypes.data, rows, first, plans)
+            if not isinstance(bits, np.random.PCG64):
+                raise TypeError(f"bits: expected a PCG64, got {type(bits).__name__}")
+            step = np.array(_words128(2 * rows * first.limbs), dtype=np.uint64)
+
+            def draw(st: np.ndarray) -> Optional[List[int]]:
+                counts = self._run_counts(0, None, None, st.ctypes.data, rows, first, plans)
+                self._advance(st.ctypes.data, step.ctypes.data)
+                return counts
+
+            return _on_pcg64(bits, draw)
         if first.width < 2:
             raise ValueError("Gaussian operands need width >= 2")
         ga, gb = normals if normals is not None else (None, None)
@@ -832,6 +977,20 @@ class AccelLib:
         step = np.array(_words128(delta % (1 << 128)), dtype=np.uint64)
         self._advance(st.ctypes.data, step.ctypes.data)
         return int(st[0]) | int(st[1]) << 64
+
+    def standard_normals(
+        self, bits: np.random.PCG64, out: np.ndarray, scale: float = 1.0
+    ) -> np.ndarray:
+        """Fill and return ``out`` with ``scale`` times the standard normals
+        ``Generator(bits).standard_normal`` would draw, and move ``bits``
+        past the words they took, as that call would.
+
+        ``out`` is a writeable 1-D float64 array.  Only for libraries
+        whose draws passed the load-time check (``normals``).
+        """
+        at = _address(out, 1, "out", written=True, dtype=np.float64)
+        _on_pcg64(bits, lambda st: self._normals(st.ctypes.data, at, out.shape[0], scale))
+        return out
 
     def pack_buses(
         self, words: np.ndarray, V: np.ndarray, table: RowTable, num_vectors: int
@@ -978,6 +1137,40 @@ def _check_plans(
     return first, plans, (need, pair)
 
 
+def _on_pcg64(bits: np.random.PCG64, fn: Callable[[np.ndarray], _T]) -> _T:
+    """``fn(st)`` under ``bits``' lock, ``st`` its ``(state, inc)`` as the
+    C code's (lo, hi) word pairs; the state ``fn`` leaves in ``st``
+    becomes ``bits``' state.  A buffered half word stays, as numpy's own
+    64-bit draws leave it."""
+    with bits.lock:
+        state = bits.state
+        pcg = state["state"]
+        st = np.array(_words128(pcg["state"]) + _words128(pcg["inc"]), dtype=np.uint64)
+        result = fn(st)
+        pcg["state"] = int(st[0]) | int(st[1]) << 64
+        bits.state = state
+    return result
+
+
+#: Seed and size of the load-time check of the C standard normals.
+_NORMALS_CHECK = (2012, 4096)
+
+
+def _normals_agree(fill: Callable[[np.random.PCG64, np.ndarray], np.ndarray]) -> bool:
+    """Whether ``fill(bits, out)`` draws ``Generator(bits).standard_normal``
+    bit for bit and leaves ``bits`` where that call does, on
+    :data:`_NORMALS_CHECK`."""
+    seed, draws = _NORMALS_CHECK
+    bits = np.random.PCG64(seed)
+    got = fill(bits, np.empty(draws))
+    numpy = np.random.Generator(np.random.PCG64(seed))
+    want = numpy.standard_normal(draws)
+    return (
+        np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        and bits.state == numpy.bit_generator.state
+    )
+
+
 def _words128(value: int) -> List[int]:
     return [value & 0xFFFFFFFFFFFFFFFF, value >> 64]
 
@@ -1013,33 +1206,38 @@ def _cache_dir() -> str:
     return os.path.join(base, "repro-accel")
 
 
+def _npyrandom_archive() -> Optional[str]:
+    """numpy's static ``libnpyrandom.a``, which exports
+    ``random_standard_normal``, or ``None`` when this numpy ships none."""
+    path = os.path.join(os.path.dirname(np.random.__file__), "lib", "libnpyrandom.a")
+    return path if os.path.isfile(path) else None
+
+
 def _build(source: str, out_path: str) -> bool:
     """Compile ``source`` into ``out_path``; False on any failure.
 
-    Writes through a temp file + atomic rename so concurrent builders
-    (e.g. serve shards warming in parallel) race benignly.
+    Links :func:`_npyrandom_archive` (and libm) with the standard normals
+    compiled in when the archive exists; if that link fails, builds
+    without them.  Writes through a temp file + atomic rename so
+    concurrent builders (e.g. serve shards warming in parallel) race
+    benignly.
     """
     directory = os.path.dirname(out_path)
+    archive = _npyrandom_archive()
     try:
         os.makedirs(directory, exist_ok=True)
         fd, src_path = tempfile.mkstemp(suffix=".c", dir=directory)
         with os.fdopen(fd, "w") as handle:
             handle.write(source)
         tmp_so = src_path[:-2] + ".so"
-        for compiler in ("cc", "gcc", "clang"):
+        base = ["-O2", "-shared", "-fPIC", "-o", tmp_so]
+        variants = [base + [src_path]]
+        if archive is not None:
+            variants.insert(0, base + ["-DREPRO_NPYRANDOM", src_path, archive, "-lm"])
+        for compiler, flags in itertools.product(("cc", "gcc", "clang"), variants):
             try:
                 result = subprocess.run(
-                    [
-                        compiler,
-                        "-O2",
-                        "-shared",
-                        "-fPIC",
-                        "-o",
-                        tmp_so,
-                        src_path,
-                    ],
-                    capture_output=True,
-                    timeout=60,
+                    [compiler, *flags], capture_output=True, timeout=60
                 )
             except (OSError, subprocess.TimeoutExpired):
                 continue
@@ -1085,7 +1283,15 @@ def _open() -> Optional[AccelLib]:
     gate = os.environ.get(ACCEL_ENV, "1")
     if gate not in ("", "1"):
         return None
-    digest = hashlib.sha256(_SOURCE.encode()).hexdigest()[:16]
+    key = hashlib.sha256(_SOURCE.encode())
+    archive = _npyrandom_archive()
+    if archive is not None:  # a numpy upgrade rebuilds
+        try:
+            with open(archive, "rb") as handle:
+                key.update(handle.read())
+        except OSError:
+            return None
+    digest = key.hexdigest()[:16]
     so_path = os.path.join(_cache_dir(), f"bitplanes-{digest}.so")
     if not os.path.exists(so_path) and not _build(_SOURCE, so_path):
         return None

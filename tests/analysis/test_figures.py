@@ -50,3 +50,12 @@ class TestExport:
     def test_unknown_figure_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown figure"):
             export_figures(str(tmp_path), names=["fig9_9"])
+
+    def test_creates_only_the_leaf_directory(self, tmp_path):
+        (tmp_path / "file").write_text("")
+        for out_dir in (tmp_path / "missing" / "out", tmp_path / "file" / "out"):
+            with pytest.raises(OSError):
+                export_figures(str(out_dir), names=["fig3_5"])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+        written = export_figures(str(tmp_path / "out"), names=["fig3_5"])
+        assert written == [str(tmp_path / "out" / "fig3_5.json")]

@@ -550,6 +550,130 @@ class TestDrawnCounterCounts:
             tracemalloc.stop()
         assert peak < 1 << 20, peak
 
+    @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
+    @pytest.mark.parametrize("half_word", [False, True])
+    def test_generator_ends_where_the_recipe_leaves_it(self, lib, distribution,
+                                                        half_word):
+        """Either path consumes ``rng``; ``half_word`` first leaves half a
+        word buffered in the generator, which neither path touches."""
+        states = []
+        for count in (drawn_counter_counts, lambda d, k: _numpy_counts(*_recipe(d), 129, k)):
+            rng = np.random.default_rng(chunk_seed_sequence(5, 2))
+            if half_word:
+                rng.integers(0, 1 << 32, dtype=np.uint32)
+            count(OperandDraw(129, 1000, distribution, rng, sigma=2.0 ** 32), 12)
+            states.append(rng.bit_generator.state)
+        assert states[0] == states[1]
+        assert states[0]["has_uint32"] == half_word
+
+
+@pytest.fixture
+def normals_lib(lib):
+    if not lib.normals:
+        pytest.skip("C standard normals unavailable (no libnpyrandom.a, or the check failed)")
+    return lib
+
+
+def _fresh_load(monkeypatch, tmp_path):
+    """Build and load the library anew, in an empty cache, for this test."""
+    monkeypatch.setattr(_accel, "_LIB", None)
+    monkeypatch.setattr(_accel, "_TRIED", False)
+    monkeypatch.setenv("REPRO_ACCEL_CACHE", str(tmp_path))
+    loaded = _accel.load()
+    if loaded is None or not loaded.counters:
+        pytest.skip("C library or its counter kernel unavailable")
+    monkeypatch.setattr(loaded, "tuned_counters", True)
+    return loaded
+
+
+class TestStandardNormals:
+    def test_linked_and_checked_wherever_numpy_ships_the_archive(self, lib):
+        """The load-time check gates the C draws, so a broken fast path
+        would otherwise pass unseen as a silent fall back to numpy."""
+        if _accel._npyrandom_archive() is None:
+            pytest.skip("this numpy ships no libnpyrandom.a")
+        assert lib.normals
+
+    def test_bit_identical_to_numpy_across_chunk_seeds(self, normals_lib):
+        """2^16 draws per seed: each crosses the tail strip (|z| past the
+        ziggurat's r = 3.654) ~17 times and the wedges far more often,
+        both numpy's own code behind the C fast path."""
+        tails = 0
+        for index in range(6):
+            seeds = chunk_seed_sequence(2012, index)
+            bits = np.random.PCG64(seeds)
+            got = normals_lib.standard_normals(bits, np.empty(1 << 16))
+            numpy = np.random.Generator(np.random.PCG64(seeds))
+            want = numpy.standard_normal(1 << 16)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), index
+            assert bits.state == numpy.bit_generator.state, index
+            tails += int(np.count_nonzero(np.abs(want) > 3.6541528853610088))
+        assert tails > 6 * 8
+
+    def test_calls_continue_one_stream_and_scale_like_normal(self, normals_lib):
+        seeds = chunk_seed_sequence(7, 1)
+        bits = np.random.PCG64(seeds)
+        out = np.empty(30_001)
+        for part in (out[:1], out[1:12_345], out[12_345:12_345], out[12_345:]):
+            normals_lib.standard_normals(bits, part, 2.0 ** 32)
+        want = np.random.Generator(np.random.PCG64(seeds)).normal(0, 2.0 ** 32, out.size)
+        assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+
+    def test_gaussian_chunks_draw_in_c_from_a_plain_generator_only(self, normals_lib,
+                                                                   monkeypatch):
+        calls = []
+        real = normals_lib.standard_normals
+        monkeypatch.setattr(normals_lib, "standard_normals",
+                            lambda *args: calls.append(1) or real(*args))
+        drawn_counter_counts(_draw(64, 300, "gaussian", 1), 8)
+        assert len(calls) == 1
+        drawn_counter_counts(_replay(64, "gaussian", [np.zeros(9), np.ones(9)]), 8)
+        assert len(calls) == 1
+
+    def test_load_check_refuses_a_wrong_draw_or_a_wrong_end_state(self, normals_lib):
+        assert _accel._normals_agree(normals_lib.standard_normals)
+
+        def one_ulp_off(bits, out):
+            normals_lib.standard_normals(bits, out)
+            out[100] = np.nextafter(out[100], np.inf)
+            return out
+
+        def one_word_short(bits, out):
+            normals_lib.standard_normals(bits, out)
+            bits.advance(-1)
+            return out
+
+        assert not _accel._normals_agree(one_ulp_off)
+        assert not _accel._normals_agree(one_word_short)
+
+    @pytest.mark.parametrize("fault", ["check fails", "no archive"])
+    def test_without_c_normals_gaussian_chunks_count_on_numpy(self, monkeypatch,
+                                                              tmp_path, fault):
+        if fault == "check fails":
+            monkeypatch.setattr(_accel, "_normals_agree", lambda fill: False)
+        else:
+            monkeypatch.setattr(_accel, "_npyrandom_archive", lambda: None)
+        loaded = _fresh_load(monkeypatch, tmp_path)
+        assert not loaded.normals
+        monkeypatch.setattr(loaded, "standard_normals", None)
+        for width, distribution in ((64, "gaussian"), (129, "gaussian-unsigned")):
+            draw = _draw(width, 5000, distribution, 1, sigma=2.0 ** 32)
+            want = _numpy_counts(*_recipe(draw), width, 8)
+            assert drawn_counter_counts(
+                _draw(width, 5000, distribution, 1, sigma=2.0 ** 32), 8
+            ) == want
+
+    def test_concurrent_threads_agree_with_serial_counts(self, normals_lib):
+        from concurrent.futures import ThreadPoolExecutor
+
+        def count(seed):
+            return drawn_counter_counts(_draw(64, 1 << 14, "gaussian", seed, 2.0 ** 32), 8)
+
+        seeds = list(range(16))
+        with ThreadPoolExecutor(4) as pool:
+            together = list(pool.map(count, seeds))
+        assert together == [count(seed) for seed in seeds]
+
 
 def _table(width=128, window=12, key="msb"):
     return kernels._plan_table(width, window, key)

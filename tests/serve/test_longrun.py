@@ -120,8 +120,7 @@ def _uds(tmp_path) -> str:
 
 def test_longrun_without_job_root_is_rejected(tmp_path):
     uds = _uds(tmp_path)
-    with ServerThread(ServeConfig(uds=uds)):
-        client = ServeClient(uds=uds)
+    with ServerThread(ServeConfig(uds=uds)), ServeClient(uds=uds) as client:
         with pytest.raises(ServeError) as excinfo:
             client.evaluate("longrun", PARAMS, seed=7)
         assert excinfo.value.status == 400
@@ -138,13 +137,13 @@ def test_longrun_resumes_across_server_restart(tmp_path):
     uds = _uds(tmp_path)
     job_root = str(tmp_path / "jobs")
 
-    with ServerThread(ServeConfig(uds=uds, job_root=job_root)):
-        first = ServeClient(uds=uds).evaluate("longrun", PARAMS, seed=7)
+    with ServerThread(ServeConfig(uds=uds, job_root=job_root)), ServeClient(uds=uds) as client:
+        first = client.evaluate("longrun", PARAMS, seed=7)
     assert first["result"]["checkpoint"]["partial"] is False
     assert first["result"]["checkpoint"]["resumed_chunks"] == 0
 
-    with ServerThread(ServeConfig(uds=uds, job_root=job_root)):
-        second = ServeClient(uds=uds).evaluate("longrun", PARAMS, seed=7)
+    with ServerThread(ServeConfig(uds=uds, job_root=job_root)), ServeClient(uds=uds) as client:
+        second = client.evaluate("longrun", PARAMS, seed=7)
     ckpt = second["result"]["checkpoint"]
     assert ckpt["resumed_chunks"] == ckpt["total_chunks"]  # pure restore
     assert second["result"]["scsa1_errors"] == first["result"]["scsa1_errors"]
@@ -156,8 +155,8 @@ def test_longrun_over_an_unusable_job_directory_is_a_well_formed_error(tmp_path)
     records; the answer is a 409 naming the directory, not a 500."""
     uds = _uds(tmp_path)
     job_root = tmp_path / "jobs"
-    with ServerThread(ServeConfig(uds=uds, job_root=str(job_root))):
-        client = ServeClient(uds=uds)
+    with ServerThread(ServeConfig(uds=uds, job_root=str(job_root))), \
+            ServeClient(uds=uds) as client:
         client.evaluate("longrun", PARAMS, seed=7)
         (header,) = job_root.glob("*/job.json")
         header.write_text("garbage\n")

@@ -662,6 +662,7 @@ def test_sta_tight_clock_fails_with_violation(capsys):
         (["engine", "errors", "16", "--window", "4", "--samples", "1000",
           "--no-design", "--no-cache"], "--merged"),
         (["seq", "vlcsa1", "16", "4"], "-o"),
+        (["figures", "--names", "fig3_5", "--samples", "100"], "-o"),
     ],
 )
 def test_unwritable_output_path_exits_1_without_traceback(argv, flag, tmp_path):
