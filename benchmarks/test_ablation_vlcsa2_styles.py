@@ -9,8 +9,8 @@ Trade: ``select`` is smaller; ``dual`` keeps the one-cycle path free of
 the serial ERR0 -> select dependency.
 """
 
-from repro.analysis.compare import measure_vlcsa2
 from repro.analysis.report import format_table, percent, ratio
+from repro.engine.elab import measure_design
 
 from benchmarks.conftest import run_once
 
@@ -20,8 +20,8 @@ POINTS = [(64, 13), (128, 13), (256, 13), (512, 13)]
 def test_ablation_vlcsa2_styles(benchmark):
     def compute():
         return [
-            (n, k, measure_vlcsa2(n, k, style="dual"),
-             measure_vlcsa2(n, k, style="select"))
+            (n, k, measure_design("vlcsa2", n, k, options={"style": "dual"}),
+             measure_design("vlcsa2", n, k, options={"style": "select"}))
             for n, k in POINTS
         ]
 

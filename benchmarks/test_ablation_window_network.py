@@ -7,8 +7,8 @@ BK windows are markedly smaller at a modest delay cost — an attractive
 point the thesis leaves on the table.
 """
 
-from repro.analysis.compare import measure_kogge_stone
 from repro.analysis.report import format_table, percent, ratio
+from repro.engine.elab import measure_design
 from repro.core import build_scsa_adder
 from repro.netlist.area import area as circuit_area
 from repro.netlist.optimize import optimize
@@ -31,7 +31,7 @@ def test_ablation_window_network(benchmark):
         return rows
 
     rows = run_once(benchmark, compute)
-    ks = measure_kogge_stone(N)
+    ks = measure_design("kogge_stone", N)
 
     print()
     print(

@@ -14,13 +14,9 @@ widths; the area ordering and the VLCSA2-costs-more-than-VLCSA1 shape
 reproduce.
 """
 
-from repro.analysis.compare import (
-    measure_designware,
-    measure_vlcsa1,
-    measure_vlcsa2,
-)
 from repro.analysis.report import format_table, percent, ratio
 from repro.analysis.sizing import THESIS_TABLE_7_4, THESIS_TABLE_7_5
+from repro.engine.elab import measure_design
 from repro.model.latency import VariableLatencyTiming
 
 from benchmarks.conftest import run_once
@@ -34,10 +30,10 @@ def test_fig_7_10_7_11_vlcsa2_vs_designware(benchmark):
             rows.append(
                 (
                     n,
-                    measure_designware(n),
-                    measure_vlcsa1(n, THESIS_TABLE_7_4[n][0]),
-                    measure_vlcsa2(n, k_low),
-                    measure_vlcsa2(n, k_high),
+                    measure_design("designware", n),
+                    measure_design("vlcsa1", n, THESIS_TABLE_7_4[n][0]),
+                    measure_design("vlcsa2", n, k_low),
+                    measure_design("vlcsa2", n, k_high),
                 )
             )
         return rows

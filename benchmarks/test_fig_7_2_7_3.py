@@ -8,13 +8,9 @@ Paper (0.01% error, parameters of Table 7.3):
   VLSA speculative adder (window-level vs per-bit speculation).
 """
 
-from repro.analysis.compare import (
-    measure_kogge_stone,
-    measure_scsa1,
-    measure_vlsa_speculative,
-)
 from repro.analysis.report import format_table, percent, ratio
 from repro.analysis.sizing import THESIS_TABLE_7_3
+from repro.engine.elab import measure_design
 
 from benchmarks.conftest import run_once
 
@@ -27,9 +23,9 @@ def test_fig_7_2_7_3_speculative_vs_kogge_stone(benchmark):
             rows.append(
                 (
                     n,
-                    measure_kogge_stone(n),
-                    measure_scsa1(n, k),
-                    measure_vlsa_speculative(n, l),
+                    measure_design("kogge_stone", n),
+                    measure_design("scsa1", n, k),
+                    measure_design("vlsa_spec", n, l),
                 )
             )
         return rows

@@ -11,9 +11,9 @@ Paper (0.01% error, parameters of Table 7.3):
   (i.e. can undercut KS, notably at 512 bits).
 """
 
-from repro.analysis.compare import measure_kogge_stone, measure_vlcsa1, measure_vlsa
 from repro.analysis.report import format_table, percent, ratio
 from repro.analysis.sizing import THESIS_TABLE_7_3
+from repro.engine.elab import measure_design
 from repro.model.latency import VariableLatencyTiming
 
 from benchmarks.conftest import run_once
@@ -25,7 +25,12 @@ def test_fig_7_4_7_5_variable_latency_vs_kogge_stone(benchmark):
         for n in sorted(THESIS_TABLE_7_3):
             k, l = THESIS_TABLE_7_3[n]
             rows.append(
-                (n, measure_kogge_stone(n), measure_vlcsa1(n, k), measure_vlsa(n, l))
+                (
+                    n,
+                    measure_design("kogge_stone", n),
+                    measure_design("vlcsa1", n, k),
+                    measure_design("vlsa", n, l),
+                )
             )
         return rows
 

@@ -8,9 +8,9 @@ error-rate/area trade-off.  (Their -10% is a synthesis *constraint*; our
 unconstrained STA shows larger speedups — EXPERIMENTS.md.)
 """
 
-from repro.analysis.compare import measure_designware, measure_scsa1
 from repro.analysis.report import format_table, percent, ratio
 from repro.analysis.sizing import THESIS_TABLE_7_4
+from repro.engine.elab import measure_design
 
 from benchmarks.conftest import run_once
 
@@ -23,9 +23,9 @@ def test_fig_7_6_7_7_scsa1_vs_designware(benchmark):
             rows.append(
                 (
                     n,
-                    measure_designware(n),
-                    measure_scsa1(n, k_low),
-                    measure_scsa1(n, k_high),
+                    measure_design("designware", n),
+                    measure_design("scsa1", n, k_low),
+                    measure_design("scsa1", n, k_high),
                 )
             )
         return rows

@@ -8,9 +8,9 @@ cycle follows Eq. 5.2: choosing 0.25% instead of 0.01% costs ~0.12% in
 average cycle and saves ~17% area.
 """
 
-from repro.analysis.compare import measure_designware, measure_vlcsa1
 from repro.analysis.report import format_table, percent, ratio
 from repro.analysis.sizing import THESIS_TABLE_7_4
+from repro.engine.elab import measure_design
 from repro.model.error_model import scsa_error_rate
 from repro.model.latency import VariableLatencyTiming, average_cycle
 
@@ -25,9 +25,9 @@ def test_fig_7_8_7_9_vlcsa1_vs_designware(benchmark):
             rows.append(
                 (
                     n,
-                    measure_designware(n),
-                    (k_low, measure_vlcsa1(n, k_low)),
-                    (k_high, measure_vlcsa1(n, k_high)),
+                    measure_design("designware", n),
+                    (k_low, measure_design("vlcsa1", n, k_low)),
+                    (k_high, measure_design("vlcsa1", n, k_high)),
                 )
             )
         return rows

@@ -13,8 +13,7 @@ Run with::
 
 import numpy as np
 
-from repro import GAUSSIAN_SIGMA_THESIS, WORKLOADS, gaussian_operands
-from repro.analysis.compare import measure_designware, measure_vlcsa1, measure_vlcsa2
+from repro import GAUSSIAN_SIGMA_THESIS, WORKLOADS, gaussian_operands, measure_design
 from repro.model.behavioral import (
     err0_flags,
     err1_flags,
@@ -48,9 +47,9 @@ def compare_on_gaussian_stream() -> None:
     p2 = window_profile(a, b, WIDTH, K2, "msb")
     stall2 = err0_flags(p2) & err1_flags(p2)
 
-    m1 = measure_vlcsa1(WIDTH, K1)
-    m2 = measure_vlcsa2(WIDTH, K2)
-    dw = measure_designware(WIDTH)
+    m1 = measure_design("vlcsa1", WIDTH, K1)
+    m2 = measure_design("vlcsa2", WIDTH, K2)
+    dw = measure_design("designware", WIDTH)
 
     sim1 = VariableLatencyAdderSim(
         VariableLatencyTiming(m1.t_spec, m1.t_detect, m1.t_recover)

@@ -14,27 +14,22 @@ Run with::
 
 import sys
 
-from repro import scsa_window_size_for
-from repro.analysis.compare import (
-    measure_designware,
-    measure_kogge_stone,
-    measure_vlcsa1,
-)
+from repro import measure_design, scsa_window_size_for
 from repro.analysis.report import format_table, percent, ratio
 from repro.model.error_model import scsa_error_rate
 from repro.model.latency import VariableLatencyTiming, average_cycle
 
 
 def sweep(width: int) -> None:
-    ks = measure_kogge_stone(width)
-    dw = measure_designware(width)
+    ks = measure_design("kogge_stone", width)
+    dw = measure_design("designware", width)
     print(f"baselines @ n={width}:  Kogge-Stone delay {ks.delay:.3f} / "
           f"area {ks.area:.0f};  DesignWare delay {dw.delay:.3f} / "
           f"area {dw.area:.0f}\n")
 
     rows = []
     for k in range(6, 22, 2):
-        m = measure_vlcsa1(width, k)
+        m = measure_design("vlcsa1", width, k)
         p = scsa_error_rate(width, k)
         timing = VariableLatencyTiming(m.t_spec, m.t_detect, m.t_recover)
         rows.append(
@@ -60,8 +55,8 @@ def sweep(width: int) -> None:
 def operating_points(width: int) -> None:
     k_low = scsa_window_size_for(width, 1e-4)
     k_high = scsa_window_size_for(width, 25e-4)
-    m_low = measure_vlcsa1(width, k_low)
-    m_high = measure_vlcsa1(width, k_high)
+    m_low = measure_design("vlcsa1", width, k_low)
+    m_high = measure_design("vlcsa1", width, k_high)
     t_low = VariableLatencyTiming(m_low.t_spec, m_low.t_detect, m_low.t_recover)
     t_high = VariableLatencyTiming(m_high.t_spec, m_high.t_detect, m_high.t_recover)
     ave_low = average_cycle(t_low, scsa_error_rate(width, k_low))

@@ -18,8 +18,7 @@ import math
 
 import numpy as np
 
-from repro import build_scsa_adder, simulate_batch
-from repro.analysis.compare import measure_kogge_stone, measure_scsa1
+from repro import build_scsa_adder, measure_design, simulate_batch
 
 
 WIDTH = 64
@@ -78,8 +77,8 @@ def main() -> None:
     print(f"  worst relative output error: {rel_err.max():.2e}")
     print(f"  output SNR vs exact filter:  {snr_db:.1f} dB")
 
-    ks = measure_kogge_stone(WIDTH)
-    sc = measure_scsa1(WIDTH, WINDOW)
+    ks = measure_design("kogge_stone", WIDTH)
+    sc = measure_design("scsa1", WIDTH, WINDOW)
     print(f"  exact adder (Kogge-Stone):   delay {ks.delay:.3f}, area {ks.area:.0f}")
     print(f"  speculative adder (SCSA):    delay {sc.delay:.3f}, area {sc.area:.0f}")
     print(f"  -> {100 * (1 - sc.delay / ks.delay):.0f}% faster, "

@@ -111,12 +111,6 @@ from repro.analysis import (
     scsa_window_size_for,
     vlsa_chain_length_for,
     vlcsa2_window_size_for,
-    measure_kogge_stone,
-    measure_designware,
-    measure_scsa1,
-    measure_vlcsa1,
-    measure_vlcsa2,
-    measure_vlsa,
     THESIS_WIDTHS,
 )
 
@@ -195,11 +189,5 @@ __all__ = [
     "scsa_window_size_for",
     "vlsa_chain_length_for",
     "vlcsa2_window_size_for",
-    "measure_kogge_stone",
-    "measure_designware",
-    "measure_scsa1",
-    "measure_vlcsa1",
-    "measure_vlcsa2",
-    "measure_vlsa",
     "THESIS_WIDTHS",
 ]

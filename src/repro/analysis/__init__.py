@@ -2,8 +2,9 @@
 
 * :mod:`repro.analysis.sizing`  — window-size / chain-length solvers for a
   target error rate (thesis Tables 7.3-7.5).
-* :mod:`repro.analysis.compare` — build-and-measure harness producing the
-  (delay, area) rows behind every Ch. 7 figure.
+* :mod:`repro.analysis.compare` — :class:`DesignMetrics`, the (delay,
+  area) row behind every Ch. 7 figure, which
+  :func:`repro.engine.elab.measure_design` produces.
 * :mod:`repro.analysis.report`  — plain-text tables and series the
   benchmarks print next to the paper's numbers.
 """
@@ -17,18 +18,7 @@ from repro.analysis.sizing import (
     THESIS_TABLE_7_4,
     THESIS_TABLE_7_5,
 )
-from repro.analysis.compare import (
-    DesignMetrics,
-    measure_adder,
-    measure_kogge_stone,
-    measure_designware,
-    measure_scsa1,
-    measure_scsa2,
-    measure_vlcsa1,
-    measure_vlcsa2,
-    measure_vlsa,
-    clear_measure_cache,
-)
+from repro.analysis.compare import DesignMetrics
 from repro.analysis.report import format_table, format_series, ratio
 from repro.analysis.pareto import (
     DesignPoint,
@@ -54,15 +44,6 @@ __all__ = [
     "THESIS_TABLE_7_4",
     "THESIS_TABLE_7_5",
     "DesignMetrics",
-    "measure_adder",
-    "measure_kogge_stone",
-    "measure_designware",
-    "measure_scsa1",
-    "measure_scsa2",
-    "measure_vlcsa1",
-    "measure_vlcsa2",
-    "measure_vlsa",
-    "clear_measure_cache",
     "format_table",
     "format_series",
     "ratio",

@@ -1,34 +1,16 @@
-"""Build-and-measure harness behind every Ch. 7 delay/area figure.
+"""The (delay, area) row behind every Ch. 7 delay/area figure.
 
-Each ``measure_*`` function elaborates a design, optionally runs the
-peephole optimizer (all measured designs get the same treatment, mirroring
-"circuits are synthesized ... in the Synopsys Design Compiler"), runs STA,
-and returns a :class:`DesignMetrics` row.  Variable-latency designs report
-the three path delays the thesis plots separately: speculative, detection,
-recovery.
-
-Measurements are memoized — the figure benchmarks revisit the same designs.
+:func:`repro.engine.elab.measure_design` produces these rows: it
+elaborates a design, runs the peephole optimizer and STA, and splits the
+delay of variable-latency designs into the three paths the thesis plots
+separately — speculative, detection, recovery.  The row type lives here
+because the engine's disk cache pickles it under this module's name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
-
-from repro.adders import build_designware_adder, build_kogge_stone_adder
-from repro.cells.library import CellLibrary, default_library
-from repro.core import (
-    build_scsa_adder,
-    build_scsa2_adder,
-    build_vlcsa1,
-    build_vlcsa2,
-    build_vlsa,
-    build_vlsa_speculative,
-)
-from repro.netlist.area import area as circuit_area
-from repro.netlist.circuit import Circuit
-from repro.netlist.optimize import optimize
-from repro.netlist.timing import analyze_timing
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -50,186 +32,3 @@ class DesignMetrics:
     t_spec: Optional[float] = None
     t_detect: Optional[float] = None
     t_recover: Optional[float] = None
-
-
-_CACHE: Dict[Tuple, DesignMetrics] = {}
-
-
-def clear_measure_cache() -> None:
-    """Drop memoized measurements (used by library-swap tests)."""
-    _CACHE.clear()
-
-
-def _measure(
-    circuit: Circuit,
-    width: int,
-    library: Optional[CellLibrary],
-    spec_buses: Optional[Tuple[str, ...]] = None,
-    detect_buses: Optional[Tuple[str, ...]] = None,
-    recover_buses: Optional[Tuple[str, ...]] = None,
-    run_optimizer: bool = True,
-) -> DesignMetrics:
-    lib = library if library is not None else default_library()
-    if run_optimizer:
-        circuit, _ = optimize(circuit)
-    report = analyze_timing(circuit, lib)
-    t_spec = t_detect = t_recover = None
-    if spec_buses:
-        t_spec = report.buses_delay(spec_buses)
-    if detect_buses:
-        t_detect = report.buses_delay(detect_buses)
-    if recover_buses:
-        t_recover = report.buses_delay(recover_buses)
-    if t_spec is not None and t_detect is not None:
-        delay = max(t_spec, t_detect)
-    else:
-        delay = report.critical_delay
-    return DesignMetrics(
-        name=circuit.name,
-        width=width,
-        delay=delay,
-        area=circuit_area(circuit, lib),
-        gates=circuit.num_gates,
-        t_spec=t_spec,
-        t_detect=t_detect,
-        t_recover=t_recover,
-    )
-
-
-def _cached(key: Tuple, builder: Callable[[], DesignMetrics]) -> DesignMetrics:
-    if key not in _CACHE:
-        _CACHE[key] = builder()
-    return _CACHE[key]
-
-
-def measure_adder(
-    builder: Callable[[int], Circuit],
-    width: int,
-    library: Optional[CellLibrary] = None,
-    run_optimizer: bool = True,
-) -> DesignMetrics:
-    """Measure any conventional ``build_*_adder``-style generator."""
-    return _measure(builder(width), width, library, run_optimizer=run_optimizer)
-
-
-def measure_kogge_stone(
-    width: int, library: Optional[CellLibrary] = None
-) -> DesignMetrics:
-    """The thesis' traditional baseline (Figs. 7.2-7.5)."""
-    return _cached(
-        ("ks", width),
-        lambda: measure_adder(build_kogge_stone_adder, width, library),
-    )
-
-
-def measure_designware(
-    width: int, library: Optional[CellLibrary] = None
-) -> DesignMetrics:
-    """The DesignWare substitute (Figs. 7.6-7.11); already optimized."""
-    return _cached(
-        ("dw", width),
-        lambda: _measure(
-            build_designware_adder(width), width, library, run_optimizer=False
-        ),
-    )
-
-
-def measure_scsa1(
-    width: int, window_size: int, library: Optional[CellLibrary] = None
-) -> DesignMetrics:
-    """SCSA 1 speculative adder at (n, k)."""
-    return _cached(
-        ("scsa1", width, window_size),
-        lambda: measure_adder(
-            lambda w: build_scsa_adder(w, window_size), width, library
-        ),
-    )
-
-
-def measure_scsa2(
-    width: int, window_size: int, library: Optional[CellLibrary] = None
-) -> DesignMetrics:
-    """SCSA 2 speculative adder at (n, k) — both hypotheses on the clock."""
-    return _cached(
-        ("scsa2", width, window_size),
-        lambda: _measure(
-            build_scsa2_adder(width, window_size),
-            width,
-            library,
-            spec_buses=("sum0", "sum1"),
-        ),
-    )
-
-
-def measure_vlcsa1(
-    width: int, window_size: int, library: Optional[CellLibrary] = None
-) -> DesignMetrics:
-    """VLCSA 1 with the speculative/detection/recovery path split."""
-    return _cached(
-        ("vlcsa1", width, window_size),
-        lambda: _measure(
-            build_vlcsa1(width, window_size),
-            width,
-            library,
-            spec_buses=("sum",),
-            detect_buses=("err",),
-            recover_buses=("sum_rec",),
-        ),
-    )
-
-
-def measure_vlcsa2(
-    width: int,
-    window_size: int,
-    library: Optional[CellLibrary] = None,
-    style: str = "dual",
-) -> DesignMetrics:
-    """VLCSA 2 with the path split.
-
-    For the default ``"dual"`` style the speculative path covers both
-    hypothesis buses and the final output mux is off the single-cycle path
-    (registered select, thesis section 6.7's timing constraint); for the
-    ``"select"`` ablation the ``sum`` bus — which serializes ERR0 into the
-    window selects — is the speculative path.
-    """
-    spec = ("sum0", "sum1") if style == "dual" else ("sum",)
-    return _cached(
-        ("vlcsa2", width, window_size, style),
-        lambda: _measure(
-            build_vlcsa2(width, window_size, style=style),
-            width,
-            library,
-            spec_buses=spec,
-            detect_buses=("err0", "err1", "err"),
-            recover_buses=("sum_rec",),
-        ),
-    )
-
-
-def measure_vlsa_speculative(
-    width: int, chain_length: int, library: Optional[CellLibrary] = None
-) -> DesignMetrics:
-    """The speculative adder inside the VLSA baseline."""
-    return _cached(
-        ("vlsa_spec", width, chain_length),
-        lambda: measure_adder(
-            lambda w: build_vlsa_speculative(w, chain_length), width, library
-        ),
-    )
-
-
-def measure_vlsa(
-    width: int, chain_length: int, library: Optional[CellLibrary] = None
-) -> DesignMetrics:
-    """The full VLSA baseline with the path split."""
-    return _cached(
-        ("vlsa", width, chain_length),
-        lambda: _measure(
-            build_vlsa(width, chain_length),
-            width,
-            library,
-            spec_buses=("sum",),
-            detect_buses=("err",),
-            recover_buses=("sum_rec",),
-        ),
-    )

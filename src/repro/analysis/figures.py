@@ -12,19 +12,10 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.compare import (
-    measure_designware,
-    measure_kogge_stone,
-    measure_scsa1,
-    measure_vlcsa1,
-    measure_vlcsa2,
-    measure_vlsa,
-    measure_vlsa_speculative,
-)
 from repro.analysis.sizing import (
     THESIS_TABLE_7_3,
     THESIS_TABLE_7_4,
@@ -113,16 +104,20 @@ def fig_7_1(samples: int = 200_000) -> Dict:
     }
 
 
-def _delay_area_figure(
-    figure: str,
-    rows: Dict[str, Callable[[int], object]],
-    paper: str,
-) -> Dict:
+#: A delay/area series: the design's name and, for windowed designs, its
+#: window at width ``n``.
+_Series = Tuple[str, Optional[Callable[[int], int]]]
+
+
+def _delay_area_figure(figure: str, rows: Dict[str, _Series], paper: str) -> Dict:
+    # Deferred: the engine imports this package for DesignMetrics.
+    from repro.engine.elab import measure_design
+
     delays = {name: [] for name in rows}
     areas = {name: [] for name in rows}
     for n in WIDTHS:
-        for name, fn in rows.items():
-            m = fn(n)
+        for name, (design, window) in rows.items():
+            m = measure_design(design, n, window(n) if window else None)
             delays[name].append(m.delay)
             areas[name].append(m.area)
     return {
@@ -143,11 +138,9 @@ def fig_7_2_7_3(samples: int = 0) -> Dict:
     return _delay_area_figure(
         "7.2/7.3",
         {
-            "kogge_stone": measure_kogge_stone,
-            "scsa1": lambda n: measure_scsa1(n, THESIS_TABLE_7_3[n][0]),
-            "vlsa_spec": lambda n: measure_vlsa_speculative(
-                n, THESIS_TABLE_7_3[n][1]
-            ),
+            "kogge_stone": ("kogge_stone", None),
+            "scsa1": ("scsa1", lambda n: THESIS_TABLE_7_3[n][0]),
+            "vlsa_spec": ("vlsa_spec", lambda n: THESIS_TABLE_7_3[n][1]),
         },
         "SCSA1 delay -18..-38% and area -15..-38% vs KS",
     )
@@ -158,9 +151,9 @@ def fig_7_4_7_5(samples: int = 0) -> Dict:
     return _delay_area_figure(
         "7.4/7.5",
         {
-            "kogge_stone": measure_kogge_stone,
-            "vlcsa1": lambda n: measure_vlcsa1(n, THESIS_TABLE_7_3[n][0]),
-            "vlsa": lambda n: measure_vlsa(n, THESIS_TABLE_7_3[n][1]),
+            "kogge_stone": ("kogge_stone", None),
+            "vlcsa1": ("vlcsa1", lambda n: THESIS_TABLE_7_3[n][0]),
+            "vlsa": ("vlsa", lambda n: THESIS_TABLE_7_3[n][1]),
         },
         "VLCSA1 6-19% faster than VLSA; VLSA area +14..32% over KS",
     )
@@ -171,11 +164,11 @@ def fig_7_6_to_7_11(samples: int = 0) -> Dict:
     return _delay_area_figure(
         "7.6-7.11",
         {
-            "designware": measure_designware,
-            "scsa1@0.01": lambda n: measure_scsa1(n, THESIS_TABLE_7_4[n][0]),
-            "scsa1@0.25": lambda n: measure_scsa1(n, THESIS_TABLE_7_4[n][1]),
-            "vlcsa1@0.01": lambda n: measure_vlcsa1(n, THESIS_TABLE_7_4[n][0]),
-            "vlcsa2@0.01": lambda n: measure_vlcsa2(n, THESIS_TABLE_7_5[n][0]),
+            "designware": ("designware", None),
+            "scsa1@0.01": ("scsa1", lambda n: THESIS_TABLE_7_4[n][0]),
+            "scsa1@0.25": ("scsa1", lambda n: THESIS_TABLE_7_4[n][1]),
+            "vlcsa1@0.01": ("vlcsa1", lambda n: THESIS_TABLE_7_4[n][0]),
+            "vlcsa2@0.01": ("vlcsa2", lambda n: THESIS_TABLE_7_5[n][0]),
         },
         "speculative/variable-latency designs ~10% faster than DesignWare "
         "(paper's synthesis constraint); area trades per Table 7.4/7.5",

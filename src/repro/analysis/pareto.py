@@ -10,9 +10,8 @@ objectives).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.analysis.compare import DesignMetrics, measure_scsa1, measure_vlcsa1
 from repro.model.error_model import scsa_error_rate
 
 
@@ -59,17 +58,15 @@ def design_space(
     (error rate = wrong-result rate); both follow Eq. 3.13 on uniform
     operands.
     """
-    measure: Callable[[int, int], DesignMetrics]
-    if family == "vlcsa1":
-        measure = measure_vlcsa1
-    elif family == "scsa1":
-        measure = measure_scsa1
-    else:
+    # Deferred: the engine imports this package for DesignMetrics.
+    from repro.engine.elab import measure_design
+
+    if family not in ("vlcsa1", "scsa1"):
         raise ValueError(f"unknown family {family!r}; use 'vlcsa1' or 'scsa1'")
     ks = window_sizes if window_sizes is not None else range(4, min(width, 22))
     points = []
     for k in ks:
-        m = measure(width, k)
+        m = measure_design(family, width, k)
         points.append(
             DesignPoint(
                 window_size=k,

@@ -14,9 +14,7 @@ its parsers next to its handlers (``register(sub)``):
   resumable), ``engine sweep`` (cached STA/area sweep), ``engine
   magnitude`` (error magnitude, thesis section 3.3), ``chains``
   (carry-chain histograms) and ``stats`` (latency-cycle histograms
-  against the Eq. 5.2 timing model).  ``errors`` and ``sweep`` are
-  second spellings of ``engine errors`` and ``engine sweep``: the same
-  options, handler, table and JSON;
+  against the Eq. 5.2 timing model);
 * :mod:`repro.cli.netlist` — ``sim`` (vectorized vs reference simulation
   benchmark with bit-for-bit cross-checks and fault coverage), ``equiv``
   (structural / miter sweep / BDD equivalence check), ``opt`` (the
@@ -52,9 +50,8 @@ from typing import Optional
 
 from repro._version import __version__
 
-from repro.engine import default_cache_dir
+from repro.engine.cache import default_cache_dir, process_cache
 from repro.engine.elab import build_design
-from repro.engine.jobs import process_cache
 
 DEFAULT_SEED = 2012
 

@@ -11,7 +11,7 @@ from repro.analysis.figures import export_figures
 from repro.analysis.report import format_table
 from repro.analysis.sizing import default_window
 from repro.cli import _build_design, _resolve_seed, _write_output
-from repro.engine.elab import MEASURED_WINDOWED_DESIGNS, measure_design
+from repro.engine.elab import WINDOWED_DESIGNS, measure_design
 from repro.netlist.lint import format_text, run_lint
 from repro.netlist.optimize import optimize
 from repro.rtl import to_testbench, to_verilog
@@ -70,14 +70,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
     k = default_window(width, args.window)
     rows = []
     for name in args.designs or _REPORT_DESIGNS:
-        window = k if name in MEASURED_WINDOWED_DESIGNS else None
+        window = k if name in WINDOWED_DESIGNS else None
         try:
             m = measure_design(name, width, window)
         except ValueError as exc:
             raise SystemExit(str(exc))
+        paths = (m.t_spec, m.t_detect, m.t_recover)
         split = (
-            f"{m.t_spec:.3f}/{m.t_detect:.3f}/{m.t_recover:.3f}"
-            if m.t_spec is not None
+            "/".join("-" if t is None else f"{t:.3f}" for t in paths)
+            if any(t is not None for t in paths)
             else "-"
         )
         rows.append((name, f"{m.delay:.3f}", split, f"{m.area:.0f}", m.gates))

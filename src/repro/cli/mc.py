@@ -1,11 +1,5 @@
 """Monte Carlo commands: ``engine errors|sweep|magnitude``, ``chains`` and
-``stats``.
-
-``errors`` and ``sweep`` are second spellings of ``engine errors`` and
-``engine sweep``: each pair is registered by one argument builder with one
-handler, so both spellings take the same options and print the same table
-and JSON.
-"""
+``stats``."""
 
 from __future__ import annotations
 
@@ -43,7 +37,7 @@ from repro.engine import (
     run_job,
     run_jobs,
 )
-from repro.engine.elab import MEASURED_WINDOWED_DESIGNS, SWEEPABLE_DESIGNS
+from repro.engine.elab import SWEEPABLE_DESIGNS, WINDOWED_DESIGNS
 from repro.inputs.generators import (
     GAUSSIAN_SIGMA_THESIS,
     check_gaussian_sigma,
@@ -293,13 +287,17 @@ def _cmd_engine_errors(args: argparse.Namespace) -> int:
 def _cmd_engine_sweep(args: argparse.Namespace) -> int:
     """STA/area (and optional Monte Carlo) sweep through the engine."""
     width = args.width
+    for name, value in (("width", width), ("--k-min", args.k_min), ("--k-step", args.k_step)):
+        if value < 1:
+            print(f"error: {name} must be >= 1, got {value}", file=sys.stderr)
+            raise SystemExit(2)
     points = []
     for design in args.designs:
         if design not in SWEEPABLE_DESIGNS:
             raise SystemExit(
                 f"unknown design {design!r}; choose from {SWEEPABLE_DESIGNS}"
             )
-        if design in MEASURED_WINDOWED_DESIGNS:
+        if design in WINDOWED_DESIGNS:
             points.extend(
                 SweepPoint(design, width, k)
                 for k in range(args.k_min, args.k_max + 1, args.k_step)
@@ -307,7 +305,8 @@ def _cmd_engine_sweep(args: argparse.Namespace) -> int:
         else:
             points.append(SweepPoint(design, width, None))
     cache, cache_dir = _engine_cache(args)
-    job = SweepJob(
+    job = _checked(
+        SweepJob,
         points=tuple(points),
         mc_samples=args.mc_samples,
         seed=_resolve_seed(args),
@@ -569,66 +568,60 @@ def _engine_common(p: argparse.ArgumentParser) -> None:
     _add_trace(p)
 
 
-def _add_errors(sub, help: str) -> None:
-    p = sub.add_parser("errors", help=help)
-    p.add_argument("width", type=int)
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--windows", type=int, nargs="*", default=None,
-                   help="sweep several window sizes through one pool")
-    p.add_argument("--inputs", choices=["uniform", "gaussian"], default="uniform")
-    p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--chunk", type=int, default=None)
-    p.add_argument("--no-design", action="store_true",
-                   help="skip the delay/area columns (no elaboration)")
-    p.add_argument("--checkpoint", default=None, metavar="DIR",
-                   help="run through the durable work-stealing runner; "
-                        "chunk results checkpoint under DIR/w<k> and a "
-                        "killed run resumes bit-identically")
-    p.add_argument("--resume", action="store_true",
-                   help="continue an existing --checkpoint directory "
-                        "(required when DIR already holds a run)")
-    p.add_argument("--progress", action="store_true",
-                   help="print throttled chunk-completion lines (rate, "
-                        "error events, ETA) to stderr")
-    p.add_argument("--time-budget", type=float, default=None, metavar="S",
-                   help="stop checkpointing after S seconds; the partial "
-                        "run resumes later with --resume")
-    p.add_argument("--check-model", action="store_true",
-                   help="exit 1 if any complete window's empirical rate "
-                        "deviates from the exact window-chain model by "
-                        "more than 6 sigma (the Eq. 3.13 sigma is "
-                        "reported alongside; its union-bound error is "
-                        "real at billion-sample resolution)")
-    p.add_argument("--merged", default=None, metavar="PATH",
-                   help="write the deterministic merged report ('-' for "
-                        "stdout): byte-identical across interrupted/"
-                        "resumed runs of the same job")
-    _engine_common(p)
-    p.set_defaults(fn=_cmd_engine_errors)
-
-
-def _add_sweep(sub, help: str) -> None:
-    p = sub.add_parser("sweep", help=help)
-    p.add_argument("width", type=int)
-    p.add_argument("--designs", nargs="*",
-                   default=["vlcsa1", "vlcsa2", "designware"])
-    p.add_argument("--k-min", type=int, default=6)
-    p.add_argument("--k-max", type=int, default=20)
-    p.add_argument("--k-step", type=int, default=2)
-    p.add_argument("--mc-samples", type=int, default=0)
-    _engine_common(p)
-    p.set_defaults(fn=_cmd_engine_sweep)
-
-
 def register(sub) -> None:
-    """Add ``engine errors|sweep|magnitude``, their ``errors`` and
-    ``sweep`` spellings, ``chains`` and ``stats``."""
+    """Add ``engine errors|sweep|magnitude``, ``chains`` and ``stats``."""
     engine = sub.add_parser(
         "engine", help="batch-execution engine: cached, parallel runs + metrics"
     )
     esub = engine.add_subparsers(dest="engine_command", required=True)
-    _add_errors(esub, "Monte Carlo error/stall rates (Fig. 7.1 style)")
-    _add_sweep(esub, "cached STA/area sweep over designs")
+    e_errors = esub.add_parser(
+        "errors", help="Monte Carlo error/stall rates (Fig. 7.1 style)"
+    )
+    e_errors.add_argument("width", type=int)
+    e_errors.add_argument("--window", type=int, default=None)
+    e_errors.add_argument("--windows", type=int, nargs="*", default=None,
+                          help="sweep several window sizes through one pool")
+    e_errors.add_argument("--inputs", choices=["uniform", "gaussian"], default="uniform")
+    e_errors.add_argument("--samples", type=int, default=1_000_000)
+    e_errors.add_argument("--chunk", type=int, default=None)
+    e_errors.add_argument("--no-design", action="store_true",
+                          help="skip the delay/area columns (no elaboration)")
+    e_errors.add_argument("--checkpoint", default=None, metavar="DIR",
+                          help="run through the durable work-stealing runner; "
+                               "chunk results checkpoint under DIR/w<k> and a "
+                               "killed run resumes bit-identically")
+    e_errors.add_argument("--resume", action="store_true",
+                          help="continue an existing --checkpoint directory "
+                               "(required when DIR already holds a run)")
+    e_errors.add_argument("--progress", action="store_true",
+                          help="print throttled chunk-completion lines (rate, "
+                               "error events, ETA) to stderr")
+    e_errors.add_argument("--time-budget", type=float, default=None, metavar="S",
+                          help="stop checkpointing after S seconds; the partial "
+                               "run resumes later with --resume")
+    e_errors.add_argument("--check-model", action="store_true",
+                          help="exit 1 if any complete window's empirical rate "
+                               "deviates from the exact window-chain model by "
+                               "more than 6 sigma (the Eq. 3.13 sigma is "
+                               "reported alongside; its union-bound error is "
+                               "real at billion-sample resolution)")
+    e_errors.add_argument("--merged", default=None, metavar="PATH",
+                          help="write the deterministic merged report ('-' for "
+                               "stdout): byte-identical across interrupted/"
+                               "resumed runs of the same job")
+    _engine_common(e_errors)
+    e_errors.set_defaults(fn=_cmd_engine_errors)
+
+    e_sweep = esub.add_parser("sweep", help="cached STA/area sweep over designs")
+    e_sweep.add_argument("width", type=int)
+    e_sweep.add_argument("--designs", nargs="*",
+                         default=["vlcsa1", "vlcsa2", "designware"])
+    e_sweep.add_argument("--k-min", type=int, default=6)
+    e_sweep.add_argument("--k-max", type=int, default=20)
+    e_sweep.add_argument("--k-step", type=int, default=2)
+    e_sweep.add_argument("--mc-samples", type=int, default=0)
+    _engine_common(e_sweep)
+    e_sweep.set_defaults(fn=_cmd_engine_sweep)
 
     e_mag = esub.add_parser(
         "magnitude", help="error-magnitude statistics (thesis section 3.3)"
@@ -640,9 +633,6 @@ def register(sub) -> None:
     e_mag.add_argument("--chunk", type=int, default=None)
     _engine_common(e_mag)
     e_mag.set_defaults(fn=_cmd_engine_magnitude)
-
-    _add_errors(sub, "Monte Carlo error/stall rates (same as 'engine errors')")
-    _add_sweep(sub, "window-size sweep (same as 'engine sweep')")
 
     chains = sub.add_parser("chains", help="carry-chain-length histogram")
     chains.add_argument("width", type=int)

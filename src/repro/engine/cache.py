@@ -202,3 +202,17 @@ class ElaborationCache:
             "cache_disk_hits": self.disk_hits,
             "cache_disk_discards": self.disk_discards,
         }
+
+
+#: Per-process elaboration caches, keyed by disk directory (lazy; workers
+#: of one run share the directory and therefore each other's disk entries).
+_PROCESS_CACHES: Dict[Optional[str], ElaborationCache] = {}
+
+
+def process_cache(directory: Optional[str], capacity: int = 128) -> ElaborationCache:
+    """The calling process's cache bound to ``directory`` (created lazily)."""
+    if directory not in _PROCESS_CACHES:
+        _PROCESS_CACHES[directory] = ElaborationCache(
+            capacity=capacity, directory=directory
+        )
+    return _PROCESS_CACHES[directory]

@@ -28,7 +28,7 @@ from typing import Any, Dict, Optional, Tuple
 import numpy as np
 import numpy.random  # noqa: F401 - numpy loads it lazily; forked workers inherit it
 
-from repro.engine.cache import ElaborationCache, cache_key
+from repro.engine.cache import cache_key, process_cache
 from repro.engine.kernels import (
     ERROR_COUNTERS,
     SWAR_MAX_WINDOW,
@@ -381,20 +381,6 @@ class MonteCarloErrorJob:
 # ---------------------------------------------------------------------------
 # STA / area sweeps
 # ---------------------------------------------------------------------------
-
-#: Per-process elaboration caches, keyed by disk directory (lazy; workers
-#: of one run share the directory and therefore each other's disk entries).
-_PROCESS_CACHES: Dict[Optional[str], ElaborationCache] = {}
-
-
-def process_cache(directory: Optional[str], capacity: int = 128) -> ElaborationCache:
-    """The calling process's cache bound to ``directory`` (created lazily)."""
-    if directory not in _PROCESS_CACHES:
-        _PROCESS_CACHES[directory] = ElaborationCache(
-            capacity=capacity, directory=directory
-        )
-    return _PROCESS_CACHES[directory]
-
 
 @dataclass(frozen=True)
 class SweepPoint:

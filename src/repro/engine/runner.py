@@ -361,7 +361,7 @@ class WorkerPool:
     across :meth:`run_group` / :meth:`submit` calls, so a long-lived
     caller (the ``repro serve`` scheduler, a figure's whole (n, k) grid, a
     DSE sweep) pays the fork once and every child keeps its process-level
-    caches — :func:`repro.engine.jobs.process_cache`, compiled kernels,
+    caches — :func:`repro.engine.cache.process_cache`, compiled kernels,
     the measure-function memos — warm.  Groups are serialized by an
     internal lock, so the pool is safe to share between threads.
 

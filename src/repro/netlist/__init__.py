@@ -65,10 +65,8 @@ from repro.netlist.faults import (
 )
 from repro.netlist.bdd import (
     BDD,
-    EquivalenceResult,
     circuit_to_bdds,
     interleaved_order,
-    prove_equivalent,
 )
 
 __all__ = [
@@ -110,10 +108,8 @@ __all__ = [
     "PowerReport",
     "estimate_power",
     "BDD",
-    "EquivalenceResult",
     "circuit_to_bdds",
     "interleaved_order",
-    "prove_equivalent",
     "ClockedDesign",
     "RegisterSpec",
     "to_json",

@@ -4,7 +4,8 @@ A small ROBDD engine (unique table + memoized ITE, no complement edges)
 sufficient to *prove* properties the rest of the repository only samples:
 
 * every conventional adder generator computes the same function
-  (:func:`prove_equivalent` on their ``sum`` buses);
+  (the proof stage of :func:`repro.netlist.equiv.check_equivalent` on
+  their ``sum`` buses);
 * VLCSA's recovery bus is formally the exact sum;
 * the speculative bus is *not* (with a concrete counterexample);
 * the optimizer's rewrites are sound.
@@ -16,7 +17,6 @@ default, so 64-bit designs verify in well under a second.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.netlist.circuit import Circuit, NetlistError
@@ -246,66 +246,3 @@ def circuit_to_bdds(
         name: [values[n] for n in nets]
         for name, nets in circuit.output_buses.items()
     }
-
-
-@dataclass
-class EquivalenceResult:
-    """Outcome of :func:`prove_equivalent`."""
-
-    equivalent: bool
-    #: first differing (bus, bit), if any
-    mismatch: Optional[Tuple[str, int]] = None
-    #: input bus values exhibiting the difference, if any
-    counterexample: Optional[Dict[str, int]] = None
-
-
-def prove_equivalent(
-    c1: Circuit,
-    c2: Circuit,
-    buses: Optional[Sequence[Tuple[str, str]]] = None,
-) -> EquivalenceResult:
-    """Formally compare output buses of two circuits over shared inputs.
-
-    Both circuits must declare identical input buses.  ``buses`` pairs an
-    output bus of ``c1`` with one of ``c2`` (default: every bus name they
-    share).  On inequivalence, a concrete counterexample assignment is
-    extracted from the XOR of the first differing bits.
-    """
-    in1 = {name: len(nets) for name, nets in c1.input_buses.items()}
-    in2 = {name: len(nets) for name, nets in c2.input_buses.items()}
-    if in1 != in2:
-        raise NetlistError(
-            f"input interfaces differ: {in1} vs {in2} — cannot compare"
-        )
-    if buses is None:
-        shared = sorted(set(c1.output_buses) & set(c2.output_buses))
-        if not shared:
-            raise NetlistError("circuits share no output bus names")
-        buses = [(name, name) for name in shared]
-
-    manager = BDD()
-    by_net = interleaved_order(c1)
-    levels = {c1.net_name(net): lvl for net, lvl in by_net.items()}
-    f1 = circuit_to_bdds(c1, manager, levels)
-    f2 = circuit_to_bdds(c2, manager, levels)
-
-    for bus1, bus2 in buses:
-        bits1 = f1[bus1]
-        bits2 = f2[bus2]
-        if len(bits1) != len(bits2):
-            return EquivalenceResult(False, (bus1, -1), None)
-        for bit, (x, y) in enumerate(zip(bits1, bits2)):
-            if x == y:
-                continue  # canonical: identical node iff identical function
-            diff = manager.xor(x, y)
-            assignment = manager.satisfy_one(diff)
-            assert assignment is not None
-            # translate levels back to bus values
-            values = {name: 0 for name in in1}
-            for name, nets in c1.input_buses.items():
-                for i, net in enumerate(nets):
-                    lvl = by_net[net]
-                    if assignment.get(lvl, 0):
-                        values[name] |= 1 << i
-            return EquivalenceResult(False, (bus1, bit), values)
-    return EquivalenceResult(True)

@@ -196,8 +196,8 @@ class LintContext:
         """``(manager, circuit BDDs by bus, exact-sum BDDs, order)``.
 
         The exact reference is a ripple adder over the same ``a``/``b``
-        variables (any exact adder works — :func:`prove_equivalent` pins
-        them all to each other elsewhere), so formal rules can compare
+        variables (any exact adder works — the tests prove them all
+        equivalent to each other), so formal rules can compare
         any output bus against the true sum bit by bit.
         """
         if self._bdd_products is None:

@@ -7,7 +7,7 @@ theorems over *every* input vector, not a Monte Carlo sample:
   sum (the thesis' reliability invariant for VLCSA 1/2 and VLSA);
 * ``F002`` — the recovery bus ``sum_rec`` *is* the exact sum,
   unconditionally (equivalently: it matches a Kogge-Stone adder, which
-  :func:`repro.netlist.bdd.prove_equivalent` pins to the same function);
+  :func:`repro.netlist.equiv.check_equivalent` pins to the same function);
 * ``F003`` — VLCSA 2's hypothesis selection: ``ERR0 = 0`` implies ``S*0``
   is exact and ``ERR0 = 1, ERR1 = 0`` implies ``S*1`` is exact
   (section 6.7's selection table);
@@ -154,11 +154,11 @@ def check_detector_constant(ctx: LintContext) -> Iterator[Finding]:
     applies=lambda ctx: bool(ctx.circuit.output_buses) and bool(ctx.circuit.input_buses),
 )
 def check_optimizer_soundness(ctx: LintContext) -> Iterator[Finding]:
-    from repro.netlist.bdd import prove_equivalent
+    from repro.netlist.equiv import check_equivalent
     from repro.netlist.optimize import optimize
 
     optimized, _ = optimize(ctx.circuit)
-    result = prove_equivalent(ctx.circuit, optimized)
+    result = check_equivalent(ctx.circuit, optimized, sim_vectors=0)
     if not result.equivalent:
         bus, bit = result.mismatch
         yield Finding(

@@ -180,7 +180,7 @@ def _validate_errors_params(
 
 
 def _validate_measure_params(params: Mapping[str, Any]) -> Dict[str, Any]:
-    from repro.engine.elab import MEASURED_WINDOWED_DESIGNS, SWEEPABLE_DESIGNS
+    from repro.engine.elab import SWEEPABLE_DESIGNS, WINDOWED_DESIGNS
 
     architecture = params.get("architecture")
     known = list(SWEEPABLE_DESIGNS)
@@ -190,7 +190,7 @@ def _validate_measure_params(params: Mapping[str, Any]) -> Dict[str, Any]:
         )
     width = _require_int(params, "width", 2, 4096)
     out: Dict[str, Any] = {"architecture": architecture, "width": width}
-    if architecture in MEASURED_WINDOWED_DESIGNS:
+    if architecture in WINDOWED_DESIGNS:
         if params.get("window") is not None:
             out["window"] = _require_int(params, "window", 1, width)
         else:

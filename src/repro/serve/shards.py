@@ -189,8 +189,8 @@ def _execute_longrun(entries, collector, job_root) -> List[Dict[str, Any]]:
 
 
 def _execute_measure(entries, collector, cache_dir) -> List[Dict[str, Any]]:
+    from repro.engine.cache import process_cache
     from repro.engine.elab import measure_design
-    from repro.engine.jobs import process_cache
 
     cache = process_cache(cache_dir)
     rows: List[Dict[str, Any]] = []

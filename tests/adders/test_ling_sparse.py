@@ -6,7 +6,7 @@ import pytest
 from repro.adders.ling import build_ling_adder
 from repro.adders.sparse import build_sparse_kogge_stone_adder
 from repro.netlist.area import area
-from repro.netlist.bdd import prove_equivalent
+from repro.netlist.equiv import check_equivalent
 from repro.netlist.simulate import simulate, simulate_batch
 from repro.netlist.validate import check_circuit
 
@@ -35,7 +35,7 @@ class TestLing:
     def test_formally_equivalent_to_kogge_stone(self):
         from repro.adders import build_kogge_stone_adder
 
-        result = prove_equivalent(build_ling_adder(16), build_kogge_stone_adder(16))
+        result = check_equivalent(build_ling_adder(16), build_kogge_stone_adder(16))
         assert result.equivalent
 
     @pytest.mark.parametrize("network", ["brent_kung", "sklansky"])
@@ -61,13 +61,13 @@ class TestSparseKoggeStone:
         from repro.adders import build_kogge_stone_adder
 
         c = build_sparse_kogge_stone_adder(16, 1)
-        result = prove_equivalent(c, build_kogge_stone_adder(16))
+        result = check_equivalent(c, build_kogge_stone_adder(16))
         assert result.equivalent
 
     def test_formally_equivalent_to_kogge_stone(self):
         from repro.adders import build_kogge_stone_adder
 
-        result = prove_equivalent(
+        result = check_equivalent(
             build_sparse_kogge_stone_adder(16, 4), build_kogge_stone_adder(16)
         )
         assert result.equivalent

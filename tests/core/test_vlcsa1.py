@@ -106,17 +106,17 @@ class TestTimingShape:
     def test_detection_not_much_slower_than_speculation(self):
         """Thesis Ch. 5.1: the detection path is comparable to the
         speculative path — the property VLSA lacks."""
-        from repro.analysis.compare import measure_vlcsa1
+        from repro.engine.elab import measure_design
 
-        m = measure_vlcsa1(64, 14)
+        m = measure_design("vlcsa1", 64, 14)
         assert m.t_detect <= 1.15 * m.t_spec
 
     def test_recovery_fits_two_cycles(self):
         """Thesis Ch. 5.2: recovery completes within two clock cycles."""
-        from repro.analysis.compare import measure_vlcsa1
+        from repro.engine.elab import measure_design
         from repro.model.latency import VariableLatencyTiming
 
         for n, k in [(64, 14), (256, 16)]:
-            m = measure_vlcsa1(n, k)
+            m = measure_design("vlcsa1", n, k)
             t = VariableLatencyTiming(m.t_spec, m.t_detect, m.t_recover)
             assert t.recovery_fits_two_cycles

@@ -92,32 +92,32 @@ class TestVlsaVersusVlcsa:
     """The thesis' comparative claims (Ch. 7.4), at the Table 7.3 points."""
 
     def test_vlsa_detection_slower_than_its_speculation(self):
-        from repro.analysis.compare import measure_vlsa
+        from repro.engine.elab import measure_design
 
-        m = measure_vlsa(256, 20)
+        m = measure_design("vlsa", 256, 20)
         assert m.t_detect >= 0.95 * m.t_spec  # detection dominates or ties
 
     def test_vlcsa1_single_cycle_faster_than_vlsa(self):
-        from repro.analysis.compare import measure_vlcsa1, measure_vlsa
+        from repro.engine.elab import measure_design
         from repro.analysis.sizing import THESIS_TABLE_7_3
 
         for n in (64, 256, 512):
             k, l = THESIS_TABLE_7_3[n]
-            assert measure_vlcsa1(n, k).delay < measure_vlsa(n, l).delay
+            assert measure_design("vlcsa1", n, k).delay < measure_design("vlsa", n, l).delay
 
     def test_vlcsa1_smaller_than_vlsa(self):
-        from repro.analysis.compare import measure_vlcsa1, measure_vlsa
+        from repro.engine.elab import measure_design
         from repro.analysis.sizing import THESIS_TABLE_7_3
 
         for n in (64, 256, 512):
             k, l = THESIS_TABLE_7_3[n]
-            assert measure_vlcsa1(n, k).area < measure_vlsa(n, l).area
+            assert measure_design("vlcsa1", n, k).area < measure_design("vlsa", n, l).area
 
     def test_vlsa_bigger_than_kogge_stone(self):
         """Thesis Fig. 7.5: VLSA area is 14-32% above Kogge-Stone."""
-        from repro.analysis.compare import measure_kogge_stone, measure_vlsa
+        from repro.engine.elab import measure_design
         from repro.analysis.sizing import THESIS_TABLE_7_3
 
         for n in (64, 256):
             _, l = THESIS_TABLE_7_3[n]
-            assert measure_vlsa(n, l).area > measure_kogge_stone(n).area
+            assert measure_design("vlsa", n, l).area > measure_design("kogge_stone", n).area

@@ -106,17 +106,17 @@ class TestEndToEndWithMeasurements:
     def test_vlcsa1_average_beats_kogge_stone_on_uniform_stream(self):
         """The thesis' bottom line, at (n=256, k=16): the variable-latency
         adder's average latency beats the fixed Kogge-Stone's."""
-        from repro.analysis.compare import measure_kogge_stone, measure_vlcsa1
+        from repro.engine.elab import measure_design
         from repro.inputs.generators import uniform_operands
         from repro.model.behavioral import err0_flags, window_profile
 
         n, k = 256, 16
-        m = measure_vlcsa1(n, k)
+        m = measure_design("vlcsa1", n, k)
         timing = VariableLatencyTiming(m.t_spec, m.t_detect, m.t_recover)
         gen = np.random.default_rng(4)
         a = uniform_operands(n, 100_000, gen)
         b = uniform_operands(n, 100_000, gen)
         flags = err0_flags(window_profile(a, b, n, k))
         result = VariableLatencyAdderSim(timing).run(flags)
-        ks = measure_kogge_stone(n)
+        ks = measure_design("kogge_stone", n)
         assert result.speedup_over(ks.delay) > 1.0

@@ -1,16 +1,12 @@
-"""Tests for the ROBDD engine and formal equivalence (repro.netlist.bdd)."""
+"""Tests for the ROBDD engine (repro.netlist.bdd) and the equivalence proofs it backs."""
 
 import itertools
 
 import pytest
 
-from repro.netlist.bdd import (
-    BDD,
-    circuit_to_bdds,
-    interleaved_order,
-    prove_equivalent,
-)
+from repro.netlist.bdd import BDD, circuit_to_bdds, interleaved_order
 from repro.netlist.circuit import Circuit, NetlistError
+from repro.netlist.equiv import check_equivalent
 from repro.netlist.simulate import simulate
 
 
@@ -103,12 +99,15 @@ def _eval_bdd(manager, node, values):
 
 
 class TestProveEquivalent:
+    """Formal equivalence through ``check_equivalent``, whose proof stage
+    runs on this engine (``sim_vectors=0`` goes straight to it)."""
+
     def test_all_conventional_adders_formally_equal(self):
         from repro.adders import ADDER_GENERATORS
 
         reference = ADDER_GENERATORS["ripple"](16)
         for name, gen in ADDER_GENERATORS.items():
-            result = prove_equivalent(reference, gen(16))
+            result = check_equivalent(reference, gen(16))
             assert result.equivalent, name
 
     def test_optimizer_soundness_formally(self):
@@ -117,7 +116,7 @@ class TestProveEquivalent:
 
         raw = build_kogge_stone_adder(24)
         opt, _ = optimize(raw)
-        assert prove_equivalent(raw, opt, buses=[("sum", "sum")]).equivalent
+        assert check_equivalent(raw, opt, buses=[("sum", "sum")]).equivalent
 
     def test_speculative_adder_inequivalent_with_counterexample(self):
         from repro.adders import build_kogge_stone_adder
@@ -125,8 +124,8 @@ class TestProveEquivalent:
 
         scsa = build_scsa_adder(20, 5)
         ks = build_kogge_stone_adder(20)
-        result = prove_equivalent(scsa, ks)
-        assert not result.equivalent
+        result = check_equivalent(scsa, ks, sim_vectors=0)
+        assert not result.equivalent and result.method == "bdd"
         a = result.counterexample["a"]
         b = result.counterexample["b"]
         assert simulate(scsa, {"a": a, "b": b})["sum"] != a + b
@@ -139,7 +138,7 @@ class TestProveEquivalent:
 
         ks = build_kogge_stone_adder(24)
         for circuit in (build_vlcsa1(24, 6), build_vlcsa2(24, 6)):
-            result = prove_equivalent(circuit, ks, buses=[("sum_rec", "sum")])
+            result = check_equivalent(circuit, ks, buses=[("sum_rec", "sum")])
             assert result.equivalent, circuit.name
 
     def test_verilog_roundtrip_formally_lossless(self):
@@ -148,7 +147,7 @@ class TestProveEquivalent:
 
         c = build_vlcsa1(16, 4)
         c2 = from_verilog(to_verilog(c))
-        assert prove_equivalent(c, c2).equivalent
+        assert check_equivalent(c, c2).equivalent
 
     def test_mismatched_interfaces_rejected(self):
         c1 = Circuit("x")
@@ -158,7 +157,7 @@ class TestProveEquivalent:
         b = c2.add_input_bus("a", 5)
         c2.set_output_bus("y", b)
         with pytest.raises(NetlistError, match="interfaces differ"):
-            prove_equivalent(c1, c2)
+            check_equivalent(c1, c2)
 
     def test_no_shared_buses_rejected(self):
         c1 = Circuit("x")
@@ -168,7 +167,7 @@ class TestProveEquivalent:
         b = c2.add_input_bus("a", 2)
         c2.set_output_bus("q", b)
         with pytest.raises(NetlistError, match="share no output"):
-            prove_equivalent(c1, c2)
+            check_equivalent(c1, c2)
 
     def test_mismatch_location_reported(self):
         c1 = Circuit("x")
@@ -178,8 +177,8 @@ class TestProveEquivalent:
         b = c2.add_input_bus("a", 3)
         flipped = [b[0], c2.not_(b[1]), b[2]]
         c2.set_output_bus("y", flipped)
-        result = prove_equivalent(c1, c2)
-        assert not result.equivalent
+        result = check_equivalent(c1, c2, sim_vectors=0)
+        assert not result.equivalent and result.method == "bdd"
         assert result.mismatch == ("y", 1)
 
 

@@ -1,7 +1,10 @@
 """The shared provenance helper every --json report goes through."""
 
+import os
 import platform
+import subprocess
 
+from repro.obs import provenance
 from repro.obs.provenance import (
     REPORT_SCHEMA_VERSION,
     git_revision,
@@ -24,11 +27,34 @@ class TestProvenanceBlock:
         assert block["numpy_version"] == numpy.__version__
 
     def test_git_revision_in_this_checkout(self):
+        """Inside a git work tree the revision is ``git rev-parse HEAD``
+        (40 hex digits); in an exported tree it is ``None``."""
+        try:
+            proc = subprocess.run(
+                ["git", "rev-parse", "HEAD"],
+                cwd=os.path.dirname(provenance.__file__),
+                capture_output=True,
+                text=True,
+            )
+            head = proc.stdout.strip() if proc.returncode == 0 else None
+        except OSError:  # no git binary: no work tree either
+            head = None
         rev = git_revision()
-        # this test runs inside the repository, so a 40-hex rev must resolve
-        assert rev is not None
-        assert len(rev) == 40
-        assert all(c in "0123456789abcdef" for c in rev)
+        assert rev == head
+        if head is not None:
+            assert len(rev) == 40
+            assert all(c in "0123456789abcdef" for c in rev)
+
+    def test_git_revision_is_none_when_git_fails(self, monkeypatch):
+        def no_git(*_args, **_kwargs):
+            raise OSError("git: not found")
+
+        git_revision.cache_clear()
+        monkeypatch.setattr(provenance.subprocess, "run", no_git)
+        try:
+            assert git_revision() is None
+        finally:
+            git_revision.cache_clear()
 
     def test_optional_fields_default_to_none(self):
         block = provenance_block()

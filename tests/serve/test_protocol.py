@@ -116,6 +116,12 @@ class TestParseRequest:
                             "window": 4}}
             )
 
+    def test_measure_accepts_every_buildable_design(self):
+        request = parse_request(
+            {"kind": "measure", "params": {"architecture": "brent_kung", "width": 32}}
+        )
+        assert request.param_dict() == {"architecture": "brent_kung", "width": 32}
+
     def test_measure_rejects_unknown_architecture(self):
         with pytest.raises(ProtocolError):
             parse_request(

@@ -396,6 +396,21 @@ def test_magnitude_is_not_a_served_counter(tmp_path):
                 assert excinfo.value.code == "bad-param"
 
 
+def test_served_measure_of_a_plain_adder(tmp_path):
+    """Every design ``build_design`` builds is measurable over the wire,
+    with the same row ``measure_design`` gives."""
+    from repro.engine.elab import measure_design
+    from repro.serve.protocol import measure_result
+
+    uds = _uds(tmp_path)
+    with ServerThread(ServeConfig(uds=uds, shards=1)):
+        with ServeClient(uds=uds) as client:
+            body = client.evaluate("measure", {"architecture": "brent_kung", "width": 16})
+    expected = measure_result(measure_design("brent_kung", 16))
+    assert {k: body["result"][k] for k in expected} == expected
+    assert body["result"]["t_spec"] is None
+
+
 def test_tcp_listener(tmp_path):
     with ServerThread(ServeConfig(port=0, shards=1)) as handle:
         assert handle.bound_port

@@ -69,20 +69,29 @@ def test_report_table(capsys):
     assert "delay" in out
 
 
+def test_report_prints_a_dash_for_each_missing_path(capsys):
+    """SCSA 2 has a speculative path but no detection or recovery."""
+    assert main(["report", "32", "--designs", "scsa2", "vlcsa1", "kogge_stone"]) == 0
+    rows = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines()[3:]}
+    assert rows["scsa2"][2].endswith("/-/-") and "-" not in rows["scsa2"][2][:-4]
+    assert "-" not in rows["vlcsa1"][2] and rows["vlcsa1"][2].count("/") == 2
+    assert rows["kogge_stone"][2] == "-"
+
+
 def test_report_unknown_design_fails():
     with pytest.raises(SystemExit):
         main(["report", "32", "--designs", "abacus"])
 
 
 def test_sweep_table(capsys):
-    assert main(["sweep", "32", "--k-min", "6", "--k-max", "10", "--k-step", "2"]) == 0
+    assert main(["engine", "sweep", "32", "--k-min", "6", "--k-max", "10", "--k-step", "2"]) == 0
     out = capsys.readouterr().out
     assert "P_err" in out
     assert out.count("\n") >= 5
 
 
 def test_errors_uniform(capsys):
-    assert main(["errors", "32", "--window", "8", "--samples", "20000"]) == 0
+    assert main(["engine", "errors", "32", "--window", "8", "--samples", "20000"]) == 0
     out = capsys.readouterr().out
     assert "Eq. 3.13" in out
     assert "VLCSA 2 stall" in out
@@ -90,7 +99,7 @@ def test_errors_uniform(capsys):
 
 def test_errors_gaussian_shows_vlcsa1_collapse(capsys):
     assert main(
-        ["errors", "64", "--inputs", "gaussian", "--samples", "30000"]
+        ["engine", "errors", "64", "--inputs", "gaussian", "--samples", "30000"]
     ) == 0
     out = capsys.readouterr().out
     # the 25%-ish VLCSA 1 rate appears in the table
@@ -133,22 +142,41 @@ def test_chains_gaussian(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["errors", "32", "--inputs", "gaussian"], "does not fit 32-bit"),
-        (["engine", "errors", "32", "--inputs", "gaussian", "--no-design"],
+        (["engine", "errors", "32", "--inputs", "gaussian", "--samples", "100"],
          "does not fit 32-bit"),
-        (["chains", "32", "--inputs", "gaussian"], "does not fit 32-bit"),
-        (["stats", "32", "--inputs", "gaussian", "--no-cache"], "does not fit 32-bit"),
-        (["errors", "128", "--window", "70"], "windows of 1..63"),
-        (["engine", "magnitude", "32", "--window", "8", "--chunk", "-5"],
-         "chunk_size must be positive"),
-        (["chains", "0"], "width must be >= 1, got 0"),
-        (["chains", "0", "--inputs", "gaussian"], "width must be >= 1, got 0"),
+        (["engine", "errors", "32", "--inputs", "gaussian", "--no-design",
+          "--samples", "100"], "does not fit 32-bit"),
+        (["chains", "32", "--inputs", "gaussian", "--samples", "100"],
+         "does not fit 32-bit"),
+        (["stats", "32", "--inputs", "gaussian", "--no-cache", "--samples", "100"],
+         "does not fit 32-bit"),
+        (["engine", "errors", "128", "--window", "70", "--samples", "100"],
+         "windows of 1..63"),
+        (["engine", "magnitude", "32", "--window", "8", "--chunk", "-5",
+          "--samples", "100"], "chunk_size must be positive"),
+        (["chains", "0", "--samples", "100"], "width must be >= 1, got 0"),
+        (["chains", "0", "--inputs", "gaussian", "--samples", "100"],
+         "width must be >= 1, got 0"),
+        (["engine", "sweep", "64", "--k-min", "0", "--k-max", "2", "--no-cache"],
+         "--k-min must be >= 1, got 0"),
+        (["engine", "sweep", "64", "--k-step", "0", "--no-cache", "--workers", "2"],
+         "--k-step must be >= 1, got 0"),
+        (["engine", "sweep", "0", "--no-cache"], "width must be >= 1, got 0"),
+        (["engine", "sweep", "64", "--designs", "vlcsa1", "--k-min", "9",
+          "--k-max", "2", "--no-cache"], "a sweep needs at least one point"),
     ],
 )
-def test_monte_carlo_jobs_that_cannot_run_exit_2(argv, message, capsys):
-    """Refused before any sample is drawn: ``error:`` and status 2."""
+def test_monte_carlo_jobs_that_cannot_run_exit_2(argv, message, capsys, monkeypatch):
+    """Refused before any sample is drawn or any chunk runs: ``error:``
+    and status 2."""
+    from repro.engine import jobs
+
+    def no_chunk(*_args, **_kwargs):
+        raise AssertionError("a refused command ran a chunk")
+
+    monkeypatch.setattr(jobs.SweepJob, "run_chunk", no_chunk)
     with pytest.raises(SystemExit) as excinfo:
-        main(argv + ["--samples", "100"])
+        main(argv)
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
@@ -698,11 +726,9 @@ def test_parser_tree_has_one_handler_per_command(capsys):
     leaves = dict(_leaves(build_parser()))
     handlers = {path: leaf.get_default("fn") for path, leaf in leaves.items()}
     assert all(callable(fn) for fn in handlers.values())
-    # ``errors`` and ``sweep`` are second spellings of the engine commands;
-    # every other command has its own handler.
-    assert handlers[("errors",)] is handlers[("engine", "errors")]
-    assert handlers[("sweep",)] is handlers[("engine", "sweep")]
-    assert len(set(handlers.values())) == len(handlers) - 2
+    # One path per handler: no command has a second spelling.
+    assert len(set(handlers.values())) == len(handlers)
+    assert ("errors",) not in handlers and ("sweep",) not in handlers
     modules = [repro.cli] + [
         importlib.import_module(f"repro.cli.{info.name}")
         for info in pkgutil.iter_modules(repro.cli.__path__)
@@ -717,13 +743,3 @@ def test_parser_tree_has_one_handler_per_command(capsys):
             main([*path, "--help"])
         assert excinfo.value.code == 0, path
     capsys.readouterr()
-
-
-def test_errors_spelling_writes_the_engine_errors_rows(tmp_path):
-    rows = []
-    for spelling in (["errors"], ["engine", "errors"]):
-        out = tmp_path / f"{'-'.join(spelling)}.json"
-        assert main(["--seed", "5", *spelling, "32", "--window", "8",
-                     "--samples", "4096", "--no-design", "--json", str(out)]) == 0
-        rows.append(json.loads(out.read_text())["rows"])
-    assert rows[0] == rows[1]

@@ -2,11 +2,14 @@
 
 Extracts every ```python fenced block from docs/tutorial.md and README.md
 and executes them in one shared namespace per document (the tutorial is
-written as a progressive session).
+written as a progressive session), and runs every script in examples/.
 """
 
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -56,3 +59,17 @@ def test_readme_mentions_all_examples():
     readme = (ROOT / "README.md").read_text()
     for example in sorted((ROOT / "examples").glob("*.py")):
         assert example.name in readme, f"{example.name} missing from README"
+
+
+@pytest.mark.parametrize(
+    "example", sorted(p.name for p in (ROOT / "examples").glob("*.py"))
+)
+def test_example_runs(example):
+    """Each script in examples/ runs to completion as documented."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "examples" / example)],
+        env=env, cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
