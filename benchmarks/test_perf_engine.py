@@ -29,7 +29,7 @@ reports differ in it.
 
 The ``mc_checkpoint_k8`` row times a whole checkpointed job (uniform
 64/8, scsa1 only, 48 chunks of 2^16) through ``run_checkpointed`` into
-fresh directories, serially and on two steal-workers (best of N each):
+fresh directories, serially and on two workers (best of N each):
 
 * ``pooled_over_serial`` — serial wall time over pooled wall time, the
   gated ratio (floor 1.0 on hosts with at least two CPUs);
@@ -105,7 +105,7 @@ CHECKPOINT_CHUNKS = 48
 CHECKPOINT_REPEAT = 7
 CHECKPOINT_WORKERS = 2
 
-#: Two steal-workers must not be slower than the serial runner.
+#: Two workers must not be slower than the serial runner.
 POOLED_FLOOR = 1.0
 
 
@@ -308,12 +308,12 @@ def test_perf_engine_checkpointed_pooled_vs_serial(benchmark):
                 f"{row['publish_s'] * 1e3:.2f} ms",
                 f"{row['samples_per_s'] / 1e6:.1f} M",
             )],
-            title=(f"checkpointed job, {CHECKPOINT_WORKERS} steal-workers vs serial "
+            title=(f"checkpointed job, {CHECKPOINT_WORKERS} workers vs serial "
                    f"(best of {CHECKPOINT_REPEAT})"),
         )
     )
     assert row["pooled_over_serial"] >= POOLED_FLOOR, (
-        f"{CHECKPOINT_WORKERS} steal-workers ran the checkpointed job at "
+        f"{CHECKPOINT_WORKERS} workers ran the checkpointed job at "
         f"{row['pooled_over_serial']:.2f}x the serial speed (floor {POOLED_FLOOR:.1f}x)"
     )
 

@@ -173,6 +173,10 @@ def main(argv: Optional[list] = None) -> int:
     stays disabled and the instrumented paths pay a single branch.
     """
     args = build_parser().parse_args(argv)
+    workers = getattr(args, "workers", 0)
+    if workers < 0:
+        print(f"error: --workers must be >= 0, got {workers}", file=sys.stderr)
+        raise SystemExit(2)
     trace_path = getattr(args, "trace", None)
     if not trace_path:
         return args.fn(args)

@@ -89,7 +89,7 @@ def _cmd_engine_errors(args: argparse.Namespace) -> int:
     """Fig. 7.1-style Monte Carlo run: one job per window size, one pool.
 
     With ``--checkpoint DIR`` each window runs through the durable
-    work-stealing runner (chunk results land in ``DIR/w<k>``); an
+    checkpointed runner (chunk results land in ``DIR/w<k>``); an
     interrupted or ``--time-budget``-limited run resumes with
     ``--resume`` to a byte-identical report.
     """
@@ -587,7 +587,7 @@ def register(sub) -> None:
     e_errors.add_argument("--no-design", action="store_true",
                           help="skip the delay/area columns (no elaboration)")
     e_errors.add_argument("--checkpoint", default=None, metavar="DIR",
-                          help="run through the durable work-stealing runner; "
+                          help="run through the durable checkpointed runner; "
                                "chunk results checkpoint under DIR/w<k> and a "
                                "killed run resumes bit-identically")
     e_errors.add_argument("--resume", action="store_true",

@@ -35,9 +35,9 @@ they now execute through:
   plus the incremental :class:`ManifestTail` reader the streamed
   reduction runs on;
 * :mod:`repro.engine.steal` — :func:`run_checkpointed` and the manifest
-  store: billion-sample jobs whose workers claim chunks through lease
-  files and steal a dead worker's lease, resumable after SIGKILL to a
-  bit-identical final aggregate with O(1) parent memory in samples.
+  store: billion-sample jobs whose workers claim chunks from the pool's
+  shared cursor and record each in the manifest, resumable after SIGKILL
+  to a bit-identical final aggregate with O(1) parent memory in samples.
 """
 
 from repro.engine.cache import ElaborationCache, cache_key, default_cache_dir
@@ -84,12 +84,7 @@ from repro.engine.runner import (
     run_job,
     run_jobs,
 )
-from repro.engine.steal import (
-    DEFAULT_LEASE_TTL,
-    CheckpointResult,
-    StealScheduler,
-    run_checkpointed,
-)
+from repro.engine.steal import CheckpointResult, run_checkpointed
 
 __all__ = [
     "CheckpointError",
@@ -98,7 +93,6 @@ __all__ = [
     "CheckpointStore",
     "ChunkSpec",
     "DEFAULT_CHUNK",
-    "DEFAULT_LEASE_TTL",
     "ElaborationCache",
     "EngineError",
     "EngineMetrics",
@@ -112,7 +106,6 @@ __all__ = [
     "LintRows",
     "ManifestTail",
     "MonteCarloErrorJob",
-    "StealScheduler",
     "SweepJob",
     "SweepPoint",
     "SweepRows",

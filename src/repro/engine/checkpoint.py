@@ -6,14 +6,14 @@ A *job directory* is the durable state of one huge Monte Carlo job:
 jobdir/
   job.json          # header: schema, job digest, chunk count, sample budget
   manifest.jsonl    # append-only: one {"chunk", "digest", "payload"} line per result
-  leases/<i>        # work-stealing claims (see repro.engine.steal)
   stats.json        # cumulative StreamingMoments telemetry across runs
 ```
 
 The manifest is the single source of truth: a chunk is *done* iff a
 newline-terminated manifest line carries its payload and the digest that
 payload hashes to (``chunk_digest(index, payload)``).  Everything else
-is recoverable garbage:
+is recoverable garbage (and a ``leases/`` directory an older version
+left is ignored):
 
 * a **torn manifest line** (a process died mid-append, or a short write
   on a full disk) has no newline yet and is skipped; the next append
@@ -21,9 +21,10 @@ is recoverable garbage:
 * a **damaged record** (bit rot, a tampered payload, a line that does
   not parse or has the wrong shape) fails its digest check, so it is
   ignored and the chunk is simply recomputed;
-* **duplicate chunk records** (two workers racing on a stolen chunk) are
-  deduplicated first-wins — harmless anyway, because a chunk's payload is
-  a pure function of ``(job, chunk index)``, so duplicates are identical.
+* **duplicate chunk records** (two invocations sharing the directory
+  both computed a chunk) are deduplicated first-wins — harmless anyway,
+  because a chunk's payload is a pure function of ``(job, chunk
+  index)``, so duplicates are identical.
 
 Each record is one ``os.write`` on an ``O_APPEND`` descriptor, so a crash
 leaves at most one torn line and no other file to reconcile.  A SIGKILL
@@ -34,11 +35,13 @@ commutatively.
 ``state_digest`` reuses the fuzz corpus's order-independent hashing
 idiom: a SHA-256 over the *sorted* chunk record digests, so two runs that
 completed the same chunk set in different orders (different worker
-schedules, interrupt points, steal patterns) report the same state hash.
+schedules, interrupt points, concurrent invocations) report the same
+state hash.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -55,7 +58,6 @@ CHECKPOINT_SCHEMA = 2
 
 MANIFEST_NAME = "manifest.jsonl"
 JOB_NAME = "job.json"
-LEASES_DIR = "leases"
 STATS_NAME = "stats.json"
 
 
@@ -97,47 +99,33 @@ def state_digest(digests: Iterable[str]) -> str:
     return h.hexdigest()
 
 
-def _write_temp(path: Path, data: bytes) -> Path:
-    """Write ``data`` to a temporary file beside ``path``, named by this
-    process and thread so concurrent writers never share one."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-    try:
-        view = memoryview(data)
-        while view:
-            view = view[os.write(fd, view):]
-    except BaseException:
-        _unlink_quietly(tmp)
-        raise
-    finally:
-        os.close(fd)
-    return tmp
-
-
-def _unlink_quietly(path: Path) -> None:
-    try:
-        os.unlink(path)
-    except OSError:
-        pass
-
-
 def _atomic_write(path: Path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` through a temporary file beside it,
+    named by this process and thread so concurrent writers never share
+    one."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = _write_temp(path, data)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
-        _unlink_quietly(tmp)
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
         raise
 
 
 class CheckpointStore:
-    """One job directory: header, manifest of chunk records, leases."""
+    """One job directory: header, manifest of chunk records, run stats."""
 
     def __init__(self, directory: os.PathLike):
         self.directory = Path(directory)
         self.manifest_path = self.directory / MANIFEST_NAME
-        self.leases_dir = self.directory / LEASES_DIR
         self.stats_path = self.directory / STATS_NAME
 
     # -- header -----------------------------------------------------------
@@ -198,7 +186,6 @@ class CheckpointStore:
             "total_samples": sum(spec.size for spec in specs),
             "seed": getattr(job, "seed", None),
         }
-        self.leases_dir.mkdir(parents=True, exist_ok=True)
         _atomic_write(
             self.directory / JOB_NAME,
             (json.dumps(header, indent=2, sort_keys=True) + "\n").encode("utf-8"),

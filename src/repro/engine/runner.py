@@ -14,8 +14,12 @@ Where claims and results live is the group's *completion store*:
   through a cursor shared by the pool's processes; each child sends each
   chunk's aggregate to the parent;
 * the **manifest store** (``repro.engine.steal._ManifestStore``) claims
-  chunks through lease files and appends them to a durable manifest, so
-  a run resumes after any interruption.
+  the job's pending chunks through the same shared cursor and appends
+  each finished one to a durable manifest, so a run resumes after any
+  interruption.
+
+Either way a claim that finds nothing left means the group is done: no
+process ever waits for a chunk held elsewhere.
 
 Chunks are seeded by index (``SeedSequence(seed, spawn_key=(i,))``) and
 aggregates merge exact integers associatively and commutatively (see
@@ -35,8 +39,9 @@ failure model covers every path:
   resumable;
 * Ctrl-C or SIGTERM terminates the children, breaks the pool and
   re-raises;
-* a dead child is its store's business: the manifest store steals its
-  lease, the memory store breaks the pool and raises :class:`EngineError`.
+* a dead child breaks the pool; the memory store raises
+  :class:`EngineError`, while a checkpointed run's parent computes the
+  chunk the child never recorded once the other children have ended.
 """
 
 from __future__ import annotations
@@ -58,12 +63,6 @@ from repro.netlist import _accel
 from repro.obs import spans as _obs
 from repro.obs.accumulator import StreamingMoments
 from repro.obs.collector import Collector
-
-#: Fallback timeout of an idle wait.  A process idles only while every
-#: pending chunk is leased elsewhere; a child's published chunk or the
-#: parent's stop ends the wait at once, so only a lease held by a foreign
-#: invocation sharing the job directory is noticed on this tick.
-_IDLE_S = 0.05
 
 _JOIN_TIMEOUT_S = 5.0
 
@@ -142,32 +141,23 @@ def _claim_loop(
     store: Any,
     publish: Callable[[Any], None],
     keep_going: Callable[[], bool],
-    idle: Callable[[], Any],
     stats: Stats,
 ) -> None:
     """Claim, compute, publish, repeat — every computing process's loop.
 
     Ends when ``keep_going`` turns false or ``store`` has nothing left to
-    claim; ``idle`` waits while every pending chunk is claimed elsewhere.
-    ``publish`` receives what the store's ``commit`` returned for each
-    chunk, and each chunk's compute and commit seconds go to ``stats``.
-    A failing chunk releases its claim before the exception propagates.
+    claim.  ``publish`` receives what the store's ``commit`` returned for
+    each chunk, and each chunk's compute and commit seconds go to
+    ``stats``.
     """
     while keep_going():
         item = store.claim()
         if item is None:
-            if store.finished():
-                return
-            idle()
-            continue
-        try:
-            start = time.perf_counter()
-            result = store.compute(item)
-            computed = time.perf_counter()
-            message = store.commit(item, result)
-        except BaseException:
-            store.release(item)
-            raise
+            return
+        start = time.perf_counter()
+        result = store.compute(item)
+        computed = time.perf_counter()
+        message = store.commit(item, result)
         stats["chunk_s"].record(computed - start)
         stats["checkpoint_s"].record(time.perf_counter() - computed)
         publish(message)
@@ -196,18 +186,12 @@ class _MemoryStore:
         index = next(self.cursor)
         return index if index < len(self.work) else None
 
-    def finished(self) -> bool:
-        return True  # a claim fails only once every chunk is claimed
-
     def compute(self, index: int) -> Any:
         job_index, spec = self.work[index]
         return self.jobs[job_index].run_chunk(spec)
 
     def commit(self, index: int, aggregate: Any) -> Any:
         return self.work[index][0], aggregate
-
-    def release(self, index: int) -> None:
-        pass  # a failed chunk fails the whole group
 
 
 class _SharedCursor:
@@ -277,7 +261,7 @@ def _worker_main(conn, inherited, cursor, rank: int) -> None:
                 try:
                     _claim_loop(
                         store, lambda message: conn.send(("chunk", message)),
-                        keep_going, lambda: conn.poll(_IDLE_S), stats,
+                        keep_going, stats,
                     )
                 except Exception:
                     error = traceback.format_exc()
@@ -317,15 +301,9 @@ def _drive(
             and (budget is None or own["chunk_s"].count < budget)
         )
 
-    def idle() -> None:
-        if live:
-            pool._collect(live, ends, absorb, store.durable, _IDLE_S)
-        else:
-            time.sleep(_IDLE_S)  # another invocation holds the rest
-
     with _sigterm_interrupts():
         try:
-            _claim_loop(store, absorb, keep_going, idle, own)
+            _claim_loop(store, absorb, keep_going, own)
         except _PoolDead:
             raise
         except Exception:
@@ -501,8 +479,9 @@ class WorkerPool:
 
         A chunk goes to ``absorb``; an end-of-group message moves its
         child from ``live`` to ``ends``.  A dead child leaves ``live`` and
-        breaks the pool; unless the store is ``durable`` (its leases get
-        stolen), the chunks it held raise :class:`_PoolDead`.
+        breaks the pool; unless the store is ``durable`` (its caller
+        recomputes what the manifest lacks), the chunks it held raise
+        :class:`_PoolDead`.
         """
         handles = {}
         for rank in live:

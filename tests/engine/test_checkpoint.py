@@ -4,7 +4,7 @@ The store's contract is that *any* on-disk damage short of losing valid
 manifest records degrades to recomputation, never to wrong statistics:
 truncated manifest lines are skipped, records whose payload no longer
 hashes to their digest are ignored and recomputed, and duplicate chunk
-records (racing steal-workers) deduplicate first-wins.
+records (two invocations sharing a directory) deduplicate first-wins.
 """
 
 import json
@@ -117,9 +117,7 @@ def test_append_round_trips(tmp_path):
     assert store.manifest_path.read_text() == _record(0, _payload(0))
     assert list(store.iter_records()) == [(0, _payload(0))]
     assert store.done_indices() == {0}
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "job.json", "leases", "manifest.jsonl",
-    ]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["job.json", "manifest.jsonl"]
 
 
 def test_record_under_wrong_index_fails_digest(tmp_path):
@@ -195,7 +193,7 @@ def test_duplicate_records_dedupe_first_wins(tmp_path):
     store = CheckpointStore(tmp_path)
     store.initialize(_job())
     store.append(0, _payload(0))
-    # A racing steal-worker publishes a *different* payload for the same
+    # A concurrent invocation publishes a *different* payload for the same
     # chunk (cannot happen for pure chunk functions, but the reader must
     # still pick exactly one — the first).
     with open(store.manifest_path, "a") as handle:

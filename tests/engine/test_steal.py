@@ -1,16 +1,18 @@
-"""Work-stealing checkpointed runner tests.
+"""Checkpointed runner tests.
 
 The load-bearing claims: a checkpointed run is bit-identical to a plain
 ``run_jobs`` pass, a killed-and-resumed run is bit-identical to an
-uninterrupted one (including a real SIGKILL of a pooled subprocess),
-stale leases from dead workers are stolen rather than waited on, and a
-pooled run completes on wake-ups, not on its fallback poll timeouts.
+uninterrupted one (including a real SIGKILL of a pooled subprocess), the
+parent computes the chunk of a child that died instead of leaving the
+run partial, each chunk of a pooled run is computed once, and a pooled
+run completes on its pipes' wake-ups, streaming progress as chunks land.
 """
 
 import json
 import multiprocessing as mp
 import multiprocessing.context
 import os
+import pickle
 import shutil
 import signal
 import subprocess
@@ -23,10 +25,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import EngineMetrics, runner
-from repro.engine.checkpoint import CheckpointMismatch, CheckpointStore
+from repro.engine.checkpoint import CheckpointMismatch, CheckpointStore, ManifestTail
 from repro.engine.jobs import MonteCarloErrorJob
 from repro.engine.runner import EngineError, run_job
-from repro.engine.steal import StealScheduler, run_checkpointed
+from repro.engine.steal import _ManifestStore, run_checkpointed
 
 needs_fork = pytest.mark.skipif(
     "fork" not in mp.get_all_start_methods(), reason="needs fork start method"
@@ -44,118 +46,65 @@ def _reference(job):
     return run_job(job).aggregate.to_payload()
 
 
-# -- scheduler ------------------------------------------------------------
+# -- claims ---------------------------------------------------------------
 
 
-def _scheduler(tmp_path, total=4):
+def _stores(tmp_path, total=4):
+    """Two manifest stores of one job sharing a tail and a claim cursor."""
+    job = _job(samples=total * 512)
     store = CheckpointStore(tmp_path)
-    store.initialize(_job(samples=total * 512))
-    return StealScheduler(store, total=total)
+    store.initialize(job)
+    tail = ManifestTail(store)
+    a, b = _ManifestStore(job, tail), _ManifestStore(job, tail)
+    b.cursor = a.cursor
+    return a, b
 
 
 def test_claim_is_exclusive(tmp_path):
-    a = _scheduler(tmp_path)
-    b = StealScheduler(a.store, total=a.total)
-    assert a.try_claim(0)
-    assert not b.try_claim(0)  # fresh lease from a live process holds
-    a.release(0)
-    assert b.try_claim(0)
+    a, b = _stores(tmp_path)
+    claims = [a.claim(), b.claim(), b.claim(), a.claim()]
+    assert sorted(claims) == [0, 1, 2, 3]
+    assert a.claim() is None and b.claim() is None
 
 
 def test_claim_walks_past_done_and_leased(tmp_path):
-    a = _scheduler(tmp_path)
-    b = StealScheduler(a.store, total=a.total)
-    a.complete(0, {"samples": 512})
+    a, b = _stores(tmp_path)
+    a.commit(0, {"samples": 512})
     assert a.claim() == 1
-    assert b.claim() == 2  # 0 done, 1 leased by a
-    a.complete(1, {"samples": 512})
-    b.complete(2, {"samples": 512})
+    assert b.claim() == 2  # 0 done, 1 claimed by a
+    a.commit(1, {"samples": 512})
+    b.commit(2, {"samples": 512})
     assert b.claim() == 3
-    b.complete(3, {"samples": 512})
+    b.commit(3, {"samples": 512})
     assert a.claim() is None
-    assert a.pending() == 0
+    assert sorted(CheckpointStore(tmp_path).done_indices()) == [0, 1, 2, 3]
 
 
-def test_dead_owner_lease_is_stolen(tmp_path):
-    sched = _scheduler(tmp_path)
-    # A real pid that is guaranteed dead: a reaped child of ours.
-    child = subprocess.Popen([sys.executable, "-c", "pass"])
-    child.wait()
-    lease = sched.store.leases_dir / "0"
-    lease.write_text(json.dumps(
-        {"pid": child.pid, "host": os.uname().nodename, "time": time.time()}
-    ))
-    assert sched.try_claim(0)  # takeover, not a wait
-
-
-def test_foreign_host_lease_respects_ttl(tmp_path):
-    sched = _scheduler(tmp_path)
-    sched.lease_ttl = 3600.0
-    lease = sched.store.leases_dir / "0"
-    fresh = {"pid": 1, "host": "another-box", "time": time.time()}
-    lease.write_text(json.dumps(fresh))
-    assert not sched.try_claim(0)  # unreachable owner, fresh: respected
-    stale = dict(fresh, time=time.time() - 7200.0)
-    lease.write_text(json.dumps(stale))
-    assert sched.try_claim(0)  # past the TTL: stolen
-
-
-def test_unreadable_lease_is_stolen(tmp_path):
-    sched = _scheduler(tmp_path)
-    (sched.store.leases_dir / "0").write_text("not json")
-    assert sched.try_claim(0)
-
-
-def test_empty_lease_with_fresh_mtime_is_live(tmp_path):
-    """An empty lease is one whose creator has not written its body yet."""
-    sched = _scheduler(tmp_path)
-    lease = sched.store.leases_dir / "0"
-    lease.write_bytes(b"")
-    assert not sched._lease_is_stale(lease)
-    assert not sched.try_claim(0)
-
-
-def test_empty_lease_past_ttl_is_stolen(tmp_path):
-    sched = _scheduler(tmp_path)
-    sched.lease_ttl = 60.0
-    lease = sched.store.leases_dir / "0"
-    lease.write_bytes(b"")
-    old = time.time() - 120.0
-    os.utime(lease, (old, old))
-    assert sched._lease_is_stale(lease)
-    assert sched.try_claim(0)
-    assert json.loads(lease.read_bytes())["pid"] == os.getpid()
-
-
-def test_claimed_lease_is_complete_and_leaves_no_temp_files(tmp_path):
-    sched = _scheduler(tmp_path)
-    assert sched.try_claim(0)
-    assert not sched.try_claim(0)  # our own live lease: link refuses
-    record = json.loads((sched.store.leases_dir / "0").read_bytes())
-    assert record["pid"] == os.getpid()
-    assert sorted(p.name for p in sched.store.leases_dir.iterdir()) == ["0"]
-
-
-def _claim_every_chunk(directory, total, start, results, done):
-    sched = StealScheduler(CheckpointStore(directory), total=total)
+def _claim_every_chunk(pickled, cursor, start, results):
+    store = pickle.loads(pickled)
+    store.cursor = cursor
     start.wait(60)
-    results.put([i for i in range(total) if sched.try_claim(i)])
-    done.wait(60)  # stay alive: a dead owner's leases are rightly stealable
+    results.put(list(iter(store.claim, None)))
 
 
+@needs_fork
 def test_racing_claimers_win_each_chunk_once(tmp_path):
-    """More claimers than cores race for every lease; each chunk must have
-    exactly one winner (a reader that saw a half-written lease used to
-    call it orphaned and take it over)."""
+    """More claimers than cores race on one shared cursor, each holding a
+    pickled copy of the store as a pool child does; each chunk must have
+    exactly one winner, and the restored chunks none."""
     total, claimers = 400, 4
-    _scheduler(tmp_path, total=total)
-    ctx = mp.get_context("spawn")
-    start, done, results = ctx.Barrier(claimers), ctx.Event(), ctx.Queue()
+    job = _job(samples=total * 512)
+    store = CheckpointStore(tmp_path)
+    store.initialize(job)
+    for index in (0, 7, 399):
+        store.append(index, {"samples": 512})
+    tail = ManifestTail(store)
+    tail.poll()
+    pickled = pickle.dumps(_ManifestStore(job, tail))
+    ctx = mp.get_context("fork")
+    cursor, start, results = runner._SharedCursor(ctx), ctx.Barrier(claimers), ctx.Queue()
     procs = [
-        ctx.Process(
-            target=_claim_every_chunk,
-            args=(str(tmp_path), total, start, results, done),
-        )
+        ctx.Process(target=_claim_every_chunk, args=(pickled, cursor, start, results))
         for _ in range(claimers)
     ]
     for proc in procs:
@@ -163,11 +112,12 @@ def test_racing_claimers_win_each_chunk_once(tmp_path):
     try:
         won = [results.get(timeout=120) for _ in procs]
     finally:
-        done.set()
         for proc in procs:
             proc.join(timeout=30)
     assert not any(proc.is_alive() for proc in procs)
-    assert sorted(i for chunk in won for i in chunk) == list(range(total))
+    assert sorted(i for chunk in won for i in chunk) == [
+        i for i in range(total) if i not in (0, 7, 399)
+    ]
 
 
 # -- run_checkpointed: bit-identity ---------------------------------------
@@ -459,10 +409,9 @@ def test_parent_chunk_failure_stops_workers_without_a_traceback(
 @needs_fork
 def test_pooled_completion_does_not_ride_a_timeout(tmp_path, monkeypatch):
     """A child's published chunk wakes the parent and the parent's stop
-    wakes an idle child, both over the child's pipe, so an idle timeout far
-    longer than the run (inherited by the forked child) never elapses.
-    The join timeout is raised too, or it would cut a stuck child short."""
-    monkeypatch.setattr(runner, "_IDLE_S", 30.0)
+    ends the child's group, both over the child's pipe, so the run takes
+    no timeout.  The join timeout is raised, or it would cut a stuck
+    child short."""
     monkeypatch.setattr(runner, "_JOIN_TIMEOUT_S", 30.0)
     run_chunk = MonteCarloErrorJob.run_chunk
 
@@ -486,11 +435,11 @@ def test_pooled_completion_does_not_ride_a_timeout(tmp_path, monkeypatch):
 
 
 @needs_fork
-def test_sibling_steals_the_lease_of_a_worker_that_died(tmp_path, monkeypatch):
-    """A forked worker dies mid-chunk, holding its lease; the parent (the
-    other steal-worker) reclaims the stale lease and the run lands on the
-    one-shot answer.  The death is injected only outside this process,
-    which now computes chunks too."""
+def test_parent_recomputes_the_chunk_of_a_child_that_died(tmp_path, monkeypatch):
+    """A forked child dies mid-chunk, so its chunk never reaches the
+    manifest; once the pool has ended the parent computes it, and the run
+    lands on the one-shot answer, not partial.  The death is injected only
+    outside this process, which computes chunks too."""
     job = _job()
     clean = run_checkpointed(job, tmp_path / "clean")
     marker = tmp_path / "died"
@@ -514,6 +463,56 @@ def test_sibling_steals_the_lease_of_a_worker_that_died(tmp_path, monkeypatch):
     assert not result.partial
     assert result.aggregate.to_payload() == clean.aggregate.to_payload()
     assert result.state_digest == clean.state_digest
+
+
+@needs_fork
+def test_pooled_run_computes_each_chunk_once_and_leaves_no_leases(tmp_path):
+    job = _job(samples=8192)
+    result = run_checkpointed(job, tmp_path / "ckpt", workers=2)
+    assert not result.partial
+    assert result.stats["chunk_s"].count == result.total_chunks == 16
+    assert sorted(p.name for p in (tmp_path / "ckpt").iterdir()) == [
+        "job.json", "manifest.jsonl", "stats.json",
+    ]
+
+
+def test_leases_left_by_an_older_run_are_ignored(tmp_path):
+    """A ``leases/`` directory from before claims moved into memory: a
+    live owner's, a dead owner's and a garbage lease hold nothing back."""
+    job = _job()
+    clean = run_checkpointed(job, tmp_path / "clean")
+    directory = tmp_path / "ckpt"
+    run_checkpointed(job, directory, max_chunks=3)
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()  # a reaped child: a pid guaranteed dead
+    leases = directory / "leases"
+    leases.mkdir()
+    host = os.uname().nodename
+    for index, body in ((3, {"pid": os.getpid(), "host": host, "time": time.time()}),
+                        (4, {"pid": child.pid, "host": host, "time": time.time()})):
+        (leases / str(index)).write_text(json.dumps(body))
+    (leases / "5").write_text("not json")
+    resumed = run_checkpointed(job, directory, workers=2)
+    assert not resumed.partial
+    assert resumed.resumed_chunks == 3
+    assert resumed.aggregate.to_payload() == clean.aggregate.to_payload()
+    assert resumed.state_digest == clean.state_digest
+
+
+@needs_fork
+def test_serial_pooled_and_resumed_runs_agree(tmp_path):
+    job = _job(samples=8192)
+    serial = run_checkpointed(job, tmp_path / "serial")
+    pooled = run_checkpointed(job, tmp_path / "pooled", workers=3)
+    run_checkpointed(job, tmp_path / "resumed", max_chunks=5)
+    resumed = run_checkpointed(job, tmp_path / "resumed", workers=2)
+    assert resumed.resumed_chunks == 5
+    runs = (serial, pooled, resumed)
+    assert not any(run.partial for run in runs)
+    assert {json.dumps(run.aggregate.to_payload(), sort_keys=True) for run in runs} == {
+        json.dumps(_reference(job), sort_keys=True)
+    }
+    assert len({run.state_digest for run in runs}) == 1
 
 
 @needs_fork
@@ -561,9 +560,9 @@ def test_pooled_run_ships_worker_details(tmp_path):
 
 @needs_fork
 def test_rerun_after_an_interrupted_pooled_run_completes(tmp_path, monkeypatch):
-    """Ctrl-C in the parent's own chunk releases its lease: a rerun in the
-    same process (same pid) would otherwise take the lease for a live
-    claim of its own and never run that chunk."""
+    """Ctrl-C in the parent's own chunk leaves nothing held: a rerun in the
+    same process (same pid) computes that chunk and every other one the
+    manifest lacks."""
     job = _job()
     parent = os.getpid()
     run_chunk = MonteCarloErrorJob.run_chunk
@@ -580,9 +579,7 @@ def test_rerun_after_an_interrupted_pooled_run_completes(tmp_path, monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         run_checkpointed(job, tmp_path / "ckpt", workers=2)
     monkeypatch.setattr(MonteCarloErrorJob, "run_chunk", run_chunk)
-    leases = CheckpointStore(tmp_path / "ckpt").leases_dir
-    owners = [json.loads(p.read_bytes())["pid"] for p in leases.glob("[0-9]*")]
-    assert parent not in owners
+    assert len(CheckpointStore(tmp_path / "ckpt").done_indices()) < 8
 
     result = run_checkpointed(job, tmp_path / "ckpt", workers=2, time_budget=60.0)
     assert not result.partial
@@ -607,8 +604,8 @@ print(json.dumps({"payload": result.aggregate.to_payload(),
 
 @needs_fork
 def test_concurrent_pooled_invocations_share_a_directory(tmp_path):
-    """Two pooled runs on one directory: neither one's pipe hears the
-    other's workers, so foreign completions arrive on the poll fallback."""
+    """Two pooled runs on one directory: each computes the chunks it has
+    not seen (at-least-once), and the manifest dedups first-wins."""
     job = MonteCarloErrorJob(width=64, window=8, samples=64 * 8192, chunk_size=8192)
     clean = run_checkpointed(job, tmp_path / "clean")
     directory, go = tmp_path / "shared", tmp_path / "go"

@@ -164,9 +164,23 @@ def test_chains_gaussian(capsys):
         (["engine", "sweep", "0", "--no-cache"], "width must be >= 1, got 0"),
         (["engine", "sweep", "64", "--designs", "vlcsa1", "--k-min", "9",
           "--k-max", "2", "--no-cache"], "a sweep needs at least one point"),
+        (["engine", "errors", "32", "--window", "8", "--samples", "1000", "--no-design",
+          "--workers", "-1"], "--workers must be >= 0, got -1"),
+        (["engine", "errors", "32", "--window", "8", "--samples", "1000", "--no-design",
+          "--workers", "-1", "--checkpoint", "ckpt"], "--workers must be >= 0, got -1"),
+        (["engine", "sweep", "32", "--designs", "kogge_stone", "--workers", "-1",
+          "--no-cache"], "--workers must be >= 0, got -1"),
+        (["engine", "magnitude", "32", "--window", "8", "--samples", "1000",
+          "--workers", "-1"], "--workers must be >= 0, got -1"),
+        (["stats", "32", "--window", "8", "--samples", "1000", "--workers", "-1",
+          "--no-cache"], "--workers must be >= 0, got -1"),
+        (["lint", "vlcsa1", "--widths", "16", "--workers", "-1"],
+         "--workers must be >= 0, got -1"),
+        (["fuzz", "--designs", "vlcsa1", "--widths", "16", "--rounds", "1",
+          "--workers", "-1"], "--workers must be >= 0, got -1"),
     ],
 )
-def test_monte_carlo_jobs_that_cannot_run_exit_2(argv, message, capsys, monkeypatch):
+def test_monte_carlo_jobs_that_cannot_run_exit_2(argv, message, capsys, monkeypatch, tmp_path):
     """Refused before any sample is drawn or any chunk runs: ``error:``
     and status 2."""
     from repro.engine import jobs
@@ -175,11 +189,14 @@ def test_monte_carlo_jobs_that_cannot_run_exit_2(argv, message, capsys, monkeypa
         raise AssertionError("a refused command ran a chunk")
 
     monkeypatch.setattr(jobs.SweepJob, "run_chunk", no_chunk)
+    monkeypatch.setattr(jobs.MonteCarloErrorJob, "run_chunk", no_chunk)
+    monkeypatch.chdir(tmp_path)  # a refused --checkpoint must write nothing
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(
