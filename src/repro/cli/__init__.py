@@ -46,7 +46,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro._version import __version__
 
@@ -74,8 +74,18 @@ def _checked(fn, *args, **kwargs):
         raise SystemExit(2)
 
 
+def _check_widths(flag: str, widths: Sequence[int]) -> None:
+    """``error: FLAG must be >= 1`` and exit status 2 for any width below
+    1, before a design is built (a netlist bus cannot be empty)."""
+    for width in widths:
+        if width < 1:
+            print(f"error: {flag} must be >= 1, got {width}", file=sys.stderr)
+            raise SystemExit(2)
+
+
 def _build_design(name: str, width: int, window: Optional[int]):
     """Elaborate any named design at the given parameters."""
+    _check_widths("width", [width])
     try:
         return build_design(name, width, window)
     except ValueError as exc:

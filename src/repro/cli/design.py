@@ -10,7 +10,7 @@ import numpy as np
 from repro.analysis.figures import export_figures
 from repro.analysis.report import format_table
 from repro.analysis.sizing import default_window
-from repro.cli import _build_design, _resolve_seed, _write_output
+from repro.cli import _build_design, _check_widths, _resolve_seed, _write_output
 from repro.engine.elab import WINDOWED_DESIGNS, measure_design
 from repro.netlist.lint import format_text, run_lint
 from repro.netlist.optimize import optimize
@@ -67,6 +67,7 @@ def _cmd_seq(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     width = args.width
+    _check_widths("width", [width])
     k = default_window(width, args.window)
     rows = []
     for name in args.designs or _REPORT_DESIGNS:

@@ -7,7 +7,7 @@ import sys
 
 from repro.analysis.report import format_table
 from repro.analysis.sizing import default_window
-from repro.cli import _add_trace, _emit_json, _print_metrics, _resolve_seed
+from repro.cli import _add_trace, _check_widths, _emit_json, _print_metrics, _resolve_seed
 
 #: Default fuzz grid: every speculative family plus an exact reference.
 _FUZZ_DESIGNS = ["vlcsa1", "vlcsa2", "scsa1", "scsa2", "kogge_stone"]
@@ -83,6 +83,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         )
         return 1 if divergences else 0
 
+    _check_widths("--widths", args.widths)
     points = _fuzz_points(args.designs, args.widths, args.window)
     fault = None
     if args.self_test:

@@ -14,6 +14,7 @@ from repro.analysis.report import format_table
 from repro.cli import (
     _add_trace,
     _build_design,
+    _check_widths,
     _emit_json,
     _engine_cache,
     _print_metrics,
@@ -57,6 +58,7 @@ def _cmd_sim(args: argparse.Namespace) -> int:
     """
     import statistics
 
+    _check_widths("--widths", args.widths)
     seed = _resolve_seed(args)
     backends = {
         "both": ["vectorized", "reference"],
@@ -350,6 +352,7 @@ def _cmd_opt(args: argparse.Namespace) -> int:
         designs = [d for d in grid_designs() if d not in designs] + designs
     if not designs:
         raise SystemExit("no designs given (name some, or pass --all)")
+    _check_widths("--widths", args.widths)
     pipeline = DEFAULT_PASSES if args.pipeline == "timing" else AREA_PASSES
     seed = _resolve_seed(args)
     rows = []

@@ -1,11 +1,21 @@
 """Job execution: one claim loop, run by every computing process.
 
-Every execution path — a serial run, a resident :class:`WorkerPool`, the
-ephemeral pool of one ``run_jobs`` call, a checkpointed run — is the same
-loop, :func:`_claim_loop`: claim a chunk, compute it, publish it, repeat.
-The caller's process is worker 0 and computes chunks like the rest, so
-``workers`` counts computing processes and ``WorkerPool(n)`` forks
-``n - 1`` children.
+Every execution path — a serial run, a caller's :class:`WorkerPool`, the
+process pool behind ``run_jobs(workers=n)``, a checkpointed run — is the
+same loop, :func:`_claim_loop`: claim a chunk, compute it, publish it,
+repeat.  The caller's process is worker 0 and computes chunks like the
+rest, so ``workers`` counts computing processes and ``WorkerPool(n)``
+forks ``n - 1`` children.
+
+A pooled call that brings no pool of its own (``run_jobs`` and
+``run_checkpointed`` with ``workers >= 2``) runs on the *process pool*
+(:func:`_process_pool`): one resident :class:`WorkerPool` per process,
+forked on the first such call and kept for the next, so a call pays no
+fork and no join.  It is replaced when a call asks for another worker
+count or when an interrupt or a dead child broke it; a process forked
+after it starts without one; an ``atexit`` handler closes it.  Its lock
+is held through each group, so pooled calls from two threads run one
+after the other on the one pool.
 
 Where claims and results live is the group's *completion store*:
 
@@ -46,6 +56,7 @@ failure model covers every path:
 
 from __future__ import annotations
 
+import atexit
 import itertools
 import multiprocessing as mp
 import os
@@ -337,8 +348,9 @@ class WorkerPool:
 
     ``WorkerPool(n)`` forks ``n - 1`` children once; they stay alive
     across :meth:`run_group` / :meth:`submit` calls, so a long-lived
-    caller (the ``repro serve`` scheduler, a figure's whole (n, k) grid, a
-    DSE sweep) pays the fork once and every child keeps its process-level
+    caller (the ``repro serve`` scheduler, the process pool behind pooled
+    ``run_jobs`` and ``run_checkpointed`` calls, a figure's whole (n, k)
+    grid) pays the fork once and every child keeps its process-level
     caches — :func:`repro.engine.cache.process_cache`, compiled kernels,
     the measure-function memos — warm.  Groups are serialized by an
     internal lock, so the pool is safe to share between threads.
@@ -377,8 +389,11 @@ class WorkerPool:
 
     @property
     def usable(self) -> bool:
-        """Whether the pool accepts submissions."""
-        return not (self._closed or self._broken)
+        """Whether the pool accepts submissions: neither closed nor broken,
+        and no child has died since its last group."""
+        return not (self._closed or self._broken) and all(
+            proc.is_alive() for proc in self._procs
+        )
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -451,14 +466,15 @@ class WorkerPool:
                 raise  # chunk failure: the children are idle again
             except _PoolDead as exc:
                 self._broken = True
-                self._shutdown()
                 raise EngineError(str(exc)) from None
             except BaseException:
                 # KeyboardInterrupt (possibly a translated SIGTERM) or an
                 # unexpected parent-side error: kill the children.
                 self._broken = True
-                self._shutdown()
                 raise
+            finally:
+                if self._broken:  # also a durable group that outlived a child
+                    self._shutdown()
 
     # -- the parent's side of the pipes -----------------------------------
 
@@ -517,6 +533,62 @@ class WorkerPool:
                 pass  # died since; _collect notices
 
 
+_resident: Optional[WorkerPool] = None  # the process pool (see _process_pool)
+_resident_lock = threading.Lock()
+
+
+@contextmanager
+def _process_pool(workers: int) -> Iterator[WorkerPool]:
+    """This process's resident pool of ``workers``, held for one group.
+
+    Forked on first use and kept for the next call; replaced when the
+    call asks for another worker count or the pool is no longer
+    :attr:`~WorkerPool.usable`.  A forked process starts without one
+    (:func:`_forget_process_pool`).
+    """
+    global _resident
+    with _resident_lock:
+        if _resident is None or _resident.workers != workers or not _resident.usable:
+            if _resident is not None:
+                _resident.close()
+            _resident = WorkerPool(workers)
+        yield _resident
+
+
+def _close_process_pool() -> None:
+    """Close the process pool, if any (at exit, and between tests)."""
+    global _resident
+    if not _resident_lock.acquire(blocking=False):
+        return  # a daemon thread's group at exit: multiprocessing ends its children
+    try:
+        if _resident is not None:
+            _resident.close()
+        _resident = None
+    finally:
+        _resident_lock.release()
+
+
+def _forget_process_pool() -> None:
+    """In a forked child, drop the parent's pool without closing it.
+
+    Its pipes lead to the parent's children, so the child forks its own
+    on its first pooled call; taking those children out of
+    multiprocessing's list keeps the child's exit from terminating them.
+    The child also gets an unheld lock: the thread that held the parent's
+    is not in the child to release it.
+    """
+    global _resident, _resident_lock
+    _resident_lock = threading.Lock()
+    if _resident is not None:
+        for proc in _resident._procs:
+            mp.process._children.discard(proc)
+        _resident = None
+
+
+os.register_at_fork(after_in_child=_forget_process_pool)
+atexit.register(_close_process_pool)  # runs before multiprocessing's own handler
+
+
 def run_jobs(
     jobs: Sequence[Any],
     workers: int = 0,
@@ -527,10 +599,11 @@ def run_jobs(
     """Execute a group of jobs through one (shared) runner.
 
     ``workers=0`` (or 1) runs the claim loop in this process alone;
-    ``workers>=2`` computes beside ``workers - 1`` children of one
-    ephemeral :class:`WorkerPool`.  A caller holding a resident pool
-    passes it via ``pool`` (``workers`` is then ignored) and keeps its
-    children's caches warm across calls.  Per-job results are
+    ``workers>=2`` computes beside the ``workers - 1`` children of the
+    process pool (see :func:`_process_pool`), forked by the first such
+    call and reused by the next; pooled calls from two threads run one
+    after the other on it.  A caller that owns a pool's lifetime passes
+    it via ``pool`` (``workers`` is then ignored).  Per-job results are
     bit-identical across all three paths for fixed job seeds.  All
     returned :class:`EngineResult`\\ s share the same metrics instance.
     ``progress`` is invoked from the parent as chunk results fold in,
@@ -548,8 +621,8 @@ def run_jobs(
         if pool is not None:
             pool.run_group(jobs, aggregates, metrics, progress)
         elif workers >= 2:
-            with WorkerPool(workers) as ephemeral:
-                ephemeral.run_group(jobs, aggregates, metrics, progress)
+            with _process_pool(workers) as resident:
+                resident.run_group(jobs, aggregates, metrics, progress)
         else:
             _drive(*_memory_group(jobs, aggregates, metrics, progress), metrics)
     for aggregate in aggregates:

@@ -14,11 +14,13 @@ A checkpointed run is the engine's one claim loop
 
 ``run_checkpointed`` restores completed chunks from the manifest, then
 runs the claim loop itself as worker 0 and, with ``workers >= 2``,
-beside ``workers - 1`` children of an ephemeral
-:class:`~repro.engine.runner.WorkerPool`.  The parent polls the same
-tail that restored the job as it folds chunks in, its own and its
-children's, into one merged accumulator, the only per-sample state it
-holds, so memory stays O(1) in samples and progress streams.  A child
+beside the ``workers - 1`` children of the process's resident pool
+(:func:`repro.engine.runner._process_pool`), which the first pooled call
+forks and later calls reuse; pooled calls from two threads run one after
+the other on it.  The parent polls the same tail that restored the job
+as it folds chunks in, its own and its children's, into one merged
+accumulator, the only per-sample state it holds, so memory stays O(1)
+in samples and progress streams.  A child
 that dies mid-group never records the chunk it held: once the children
 have ended, the parent computes every pending chunk still missing from
 the manifest, alone, through the same loop.
@@ -43,7 +45,7 @@ from typing import Any, Callable, Dict, Iterator, Optional, Sequence
 
 from repro.engine.checkpoint import CheckpointStore, ManifestTail, TailRecord
 from repro.engine.metrics import EngineMetrics
-from repro.engine.runner import ProgressFn, WorkerPool, _drive, _new_stats
+from repro.engine.runner import ProgressFn, _drive, _new_stats, _process_pool
 from repro.obs.accumulator import StreamingMoments
 
 
@@ -161,18 +163,21 @@ def run_checkpointed(
 
     Completed chunks found in the manifest are restored instead of
     recomputed; the parent computes the remainder as worker 0, beside
-    the ``workers - 1`` children of an ephemeral :class:`WorkerPool` when
-    ``workers >= 2`` (forked after the restore, and only when chunks are
-    pending).  ``time_budget`` (seconds) and ``max_chunks`` (newly
-    computed chunks this run; it keeps the run in-process, so the cap is
-    exact) both stop the run early with ``partial=True`` — the directory
-    stays resumable, and a later call continues to a final aggregate
-    bit-identical to an uninterrupted run.  A child that dies mid-group
-    leaves the parent its chunk: once the pool has ended, the parent
-    computes every pending chunk the manifest still lacks.  A failing
-    chunk raises :class:`~repro.engine.runner.EngineError` with the
-    directory resumable.  ``progress`` is invoked from the parent with
-    ``(done, total, [merged_aggregate])``.
+    the ``workers - 1`` children of the process pool when ``workers >= 2``
+    and chunks are pending (the first pooled call forks it, after its
+    restore; later calls reuse it, and pooled calls from two threads run
+    one after the other on it).  ``time_budget`` (seconds) and
+    ``max_chunks`` (newly computed chunks this run; it keeps the run
+    in-process, so the cap is exact) both stop the run early with
+    ``partial=True`` — the directory stays resumable, and a later call
+    continues to a final aggregate bit-identical to an uninterrupted run.
+    A child that dies mid-group breaks the pool and leaves the parent its
+    chunk: once the pool has ended, the parent computes every pending
+    chunk the manifest still lacks, and the next pooled call forks a
+    fresh pool.  A failing chunk raises
+    :class:`~repro.engine.runner.EngineError` with the directory
+    resumable.  ``progress`` is invoked from the parent with ``(done,
+    total, [merged_aggregate])``.
     """
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
@@ -217,7 +222,7 @@ def run_checkpointed(
     moments = _new_stats()
     with metrics.phase("simulate"):
         if pooled:
-            with WorkerPool(workers) as pool:
+            with _process_pool(workers) as pool:
                 moments = pool._run(manifest, absorb, metrics, deadline)
             absorb()  # a child may die between its append and its message
             # A child that died mid-chunk never recorded it: the parent

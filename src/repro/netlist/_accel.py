@@ -407,7 +407,7 @@ static int fill_gaussian(uint64_t *A, const double *x, int n, int kind, int widt
         const double t = x[r] + 0x1.8p52;
         int64_t bits;
         __builtin_memcpy(&bits, &t, sizeof bits);
-        v[r] = bits - 0x4338000000000000LL;
+        v[r] = (int64_t)((uint64_t)bits - 0x4338000000000000ULL);
         large |= !(__builtin_fabs(x[r]) < 0x1p51);
     }
     for (int r = 0; large && r < n; r++)

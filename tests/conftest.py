@@ -7,6 +7,22 @@ import random
 import numpy as np
 import pytest
 
+from repro.engine import runner
+
+
+@pytest.fixture(autouse=True)
+def _fresh_process_pool():
+    """Close the engine's process pool before and after each test.
+
+    Pooled ``run_jobs`` and ``run_checkpointed`` calls reuse one resident
+    pool per process.  Closing it around each test means a test's pooled
+    run forks after the test's own monkeypatches, so the children see
+    them, and no test inherits another's children.
+    """
+    runner._close_process_pool()
+    yield
+    runner._close_process_pool()
+
 
 @pytest.fixture
 def rng() -> np.random.Generator:

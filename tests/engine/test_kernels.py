@@ -536,6 +536,21 @@ class TestDrawnCounterCounts:
             want = _numpy_counts(*_recipe(_replay(width, distribution, draws)), width, k)
             assert drawn_counter_counts(_replay(width, distribution, draws), k) == want, k
 
+    @pytest.mark.parametrize("distribution", ["gaussian", "gaussian-unsigned"])
+    def test_draws_below_minus_one_and_a_half_times_2_to_52_encode_like_the_recipe(
+        self, lib, distribution
+    ):
+        """Below -1.5 * 2^52 the vector add's sum is negative, so its bit
+        pattern minus the 1.5 * 2^52 pattern wraps around 64 bits (done in
+        unsigned arithmetic); the scalar steps then overwrite the value."""
+        edge = 1.5 * 2.0 ** 52
+        special = [-edge, -edge - 1, -edge - 2, -edge - 3, -(2.0 ** 53), -(2.0 ** 53) - 2,
+                   -(2.0 ** 62) + 2 ** 10, -(2.0 ** 62) - 2 ** 11, -edge + 1, edge + 1]
+        draws = [np.array(special * 3), np.ones(len(special) * 3)]
+        for k in (1, 7):
+            want = _numpy_counts(*_recipe(_replay(64, distribution, draws)), 64, k)
+            assert drawn_counter_counts(_replay(64, distribution, draws), k) == want, k
+
     def test_uniform_chunk_draws_no_operand_arrays(self, lib):
         """A counters-only n=256 chunk of 2^16 rows: its operand arrays
         alone would take 4 MiB."""

@@ -3,15 +3,20 @@
 The headline additions over test_runner.py: a pool survives many
 submissions with bit-identical results, chunk failures leave it
 reusable, and interruption (the SIGTERM regression) kills every worker
-process — no orphans.
+process — no orphans.  The process pool behind pooled ``run_jobs`` and
+``run_checkpointed`` calls forks once per process and worker count, is
+replaced once broken, is not inherited by a fork, and leaves no child
+behind when its process exits or is SIGKILLed.
 """
 
+import json
 import multiprocessing as mp
 import os
 import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 from dataclasses import dataclass
 
@@ -27,6 +32,7 @@ from repro.engine import (
     runner,
 )
 from repro.engine.jobs import ChunkSpec
+from repro.engine.steal import run_checkpointed
 
 
 def _job(seed, samples=100_000):
@@ -241,3 +247,309 @@ class TestSigtermShutdown:
             time.sleep(0.05)
         assert all(not proc.is_alive() for proc in procs)
         pool.close()
+
+
+# -- the process pool -------------------------------------------------------
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (a zombie awaiting its reaper has
+    already exited)."""
+    if not os.path.isdir("/proc"):  # pragma: no cover - exotic hosts
+        return _pid_alive(pid)
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+def _wait_gone(pids, seconds=10.0):
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline and any(_running(pid) for pid in pids):
+        time.sleep(0.05)
+    return [pid for pid in pids if _running(pid)]
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Every child a ``ForkProcess.start`` forks from here on."""
+    started = []
+    start = mp.context.ForkProcess.start
+
+    def counting_start(self):
+        started.append(self)
+        return start(self)
+
+    monkeypatch.setattr(mp.context.ForkProcess, "start", counting_start)
+    return started
+
+
+def _ckpt_job(seed):
+    return MonteCarloErrorJob(width=16, window=4, samples=4096, chunk_size=512,
+                              seed=seed, counters=("scsa1", "vlcsa2"))
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in mp.get_all_start_methods(), reason="needs fork start method"
+)
+
+
+@needs_fork
+class TestProcessPool:
+    def test_consecutive_pooled_calls_fork_one_child(self, tmp_path, forks):
+        """Pooled ``run_checkpointed`` and ``run_jobs`` calls of one worker
+        count share one pool: one fork in all, every result exact."""
+        for seed in range(4):
+            job = _ckpt_job(seed)
+            result = run_checkpointed(job, tmp_path / f"ckpt-{seed}", workers=2)
+            assert result.aggregate.to_payload() == run_job(job).aggregate.to_payload()
+            pooled = run_jobs([_job(seed, samples=20_000)], workers=2)[0].aggregate
+            assert _counts(pooled) == _counts(run_job(_job(seed, samples=20_000)).aggregate)
+        assert len(forks) == 1
+        assert runner._resident.usable and runner._resident.workers == 2
+
+    def test_another_worker_count_replaces_the_pool(self, forks):
+        run_jobs([_job(1, samples=20_000)], workers=2)
+        first = runner._resident
+        result = run_jobs([_job(1, samples=20_000)], workers=3)[0].aggregate
+        assert _counts(result) == _counts(run_job(_job(1, samples=20_000)).aggregate)
+        assert runner._resident is not first and runner._resident.workers == 3
+        assert not first.usable
+        assert not any(proc.is_alive() for proc in first._procs)
+        assert len(forks) == 1 + 2
+
+    def test_a_child_killed_between_calls_is_replaced(self, forks):
+        run_jobs([_job(2, samples=20_000)], workers=2)
+        first = runner._resident
+        victim = first._procs[0]
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=10)
+        result = run_jobs([_job(2)], workers=2)[0].aggregate
+        assert _counts(result) == _counts(run_job(_job(2)).aggregate)
+        assert runner._resident is not first and len(forks) == 2
+
+    def test_a_child_dead_mid_group_breaks_the_pool_and_the_next_call_replaces_it(
+        self, tmp_path
+    ):
+        parent = os.getpid()
+        marker = tmp_path / "died"
+        job = _DiesOnceJob(parent=parent, marker=str(marker))
+        with pytest.raises(EngineError, match="died"):
+            run_jobs([job], workers=2)
+        assert marker.exists()
+        broken = runner._resident
+        assert not broken.usable
+        result = run_jobs([_job(3)], workers=2)[0].aggregate
+        assert _counts(result) == _counts(run_job(_job(3)).aggregate)
+        assert runner._resident is not broken
+
+    def test_a_child_dead_mid_checkpointed_run_is_replaced_by_the_next_call(
+        self, tmp_path, monkeypatch
+    ):
+        """A checkpointed run outlives its dead child and completes; the
+        broken pool's children are gone and the next pooled call forks a
+        fresh pool."""
+        marker = tmp_path / "died"
+        parent = os.getpid()
+        run_chunk = MonteCarloErrorJob.run_chunk
+
+        def dies_once(self, spec):
+            time.sleep(0.02)  # slow enough that the child claims chunks
+            if os.getpid() != parent:
+                try:
+                    os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+                except FileExistsError:
+                    pass
+                else:
+                    os._exit(1)
+            return run_chunk(self, spec)
+
+        monkeypatch.setattr(MonteCarloErrorJob, "run_chunk", dies_once)
+        result = run_checkpointed(_ckpt_job(7), tmp_path / "died-run", workers=2)
+        assert marker.exists() and not result.partial
+        broken = runner._resident
+        assert not broken.usable
+        assert not _wait_gone([proc.pid for proc in broken._procs])
+        monkeypatch.undo()
+        job = _ckpt_job(8)
+        again = run_checkpointed(job, tmp_path / "next-run", workers=2)
+        assert again.aggregate.to_payload() == run_job(job).aggregate.to_payload()
+        assert runner._resident is not broken and runner._resident.usable
+
+    def test_ctrl_c_breaks_the_pool_and_the_next_call_replaces_it(self):
+        with pytest.raises(KeyboardInterrupt):
+            run_jobs([_ParentInterruptJob(parent=os.getpid())], workers=2)
+        broken = runner._resident
+        assert not broken.usable
+        assert not _wait_gone([proc.pid for proc in broken._procs])
+        result = run_jobs([_job(4)], workers=2)[0].aggregate
+        assert _counts(result) == _counts(run_job(_job(4)).aggregate)
+        assert runner._resident is not broken
+
+    def test_a_forked_process_forks_its_own_pool(self):
+        """A process forked after the pool exists starts without it and
+        forks its own; the parent's pool keeps working."""
+        run_jobs([_job(5, samples=20_000)], workers=2)
+        mine = runner._resident
+        theirs = [proc.pid for proc in mine._procs]
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the forked caller
+            status = 1
+            try:
+                os.close(read)
+                inherited = runner._resident is not None
+                aggregate = run_jobs([_job(5, samples=20_000)], workers=2)[0].aggregate
+                own = [proc.pid for proc in runner._resident._procs]
+                report = {"counts": list(_counts(aggregate)), "pids": own,
+                          "inherited": inherited, "parent_pool": runner._resident is mine}
+                runner._close_process_pool()
+                os.write(write, json.dumps(report).encode())
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write)
+        with os.fdopen(read) as handle:
+            report = json.loads(handle.read())
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert not report["inherited"] and not report["parent_pool"]
+        assert not set(report["pids"]) & set(theirs)
+        assert tuple(report["counts"]) == _counts(run_job(_job(5, samples=20_000)).aggregate)
+        assert runner._resident is mine and mine.usable
+        again = run_jobs([_job(6, samples=20_000)], workers=2)[0].aggregate
+        assert _counts(again) == _counts(run_job(_job(6, samples=20_000)).aggregate)
+        assert runner._resident is mine
+
+    def test_two_threads_take_turns_on_one_pool(self, forks):
+        seeds = list(range(10, 16))
+        results = {}
+
+        def call(seed):
+            aggregate = run_jobs([_job(seed, samples=20_000)], workers=2)[0].aggregate
+            results[seed] = _counts(aggregate)
+
+        threads = [threading.Thread(target=call, args=(seed,)) for seed in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch often between the check and the fork
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == {seed: _counts(run_job(_job(seed, samples=20_000)).aggregate)
+                           for seed in seeds}
+        assert len(forks) == 1
+
+
+@dataclass(frozen=True)
+class _DiesOnceJob:
+    """Picklable job whose first chunk claimed outside ``parent`` kills its
+    process (``marker`` records the death); chunks take a while."""
+
+    parent: int
+    marker: str
+    chunks: int = 8
+
+    def chunk_specs(self):
+        return [ChunkSpec(index=i, size=1) for i in range(self.chunks)]
+
+    def new_aggregate(self):
+        return _BoomAgg()
+
+    def run_chunk(self, spec):
+        time.sleep(0.05)
+        if os.getpid() != self.parent:
+            try:
+                os.close(os.open(self.marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+            except FileExistsError:
+                pass
+            else:
+                os._exit(1)
+        return _BoomAgg()
+
+
+_IDLE_SCRIPT = textwrap.dedent(
+    """
+    import os, sys, time
+    from repro.engine import MonteCarloErrorJob, run_jobs, runner
+
+    job = MonteCarloErrorJob(width=64, window=8, samples=100_000, seed=1)
+    run_jobs([job], workers=2)
+    print("PIDS " + " ".join(str(p.pid) for p in runner._resident._procs), flush=True)
+    if sys.argv[1] == "idle":
+        time.sleep(120)
+    if sys.argv[1] == "fork":
+        pool = runner._resident
+        pid = os.fork()
+        if pid == 0:
+            sys.exit(0)  # a normal exit: the child runs the exit handlers it inherited
+        os.waitpid(pid, 0)
+        run_jobs([job], workers=2)
+        print("SAME", runner._resident is pool, flush=True)
+    """
+)
+
+
+def _run_script(mode):
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env["PYTHONPATH"] = os.path.abspath(src)
+    return subprocess.Popen(
+        [sys.executable, "-u", "-c", _IDLE_SCRIPT, mode],
+        stdout=subprocess.PIPE, text=True, env=env,
+    )
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="POSIX signals")
+class TestProcessPoolLifetime:
+    def test_sigkilled_parent_leaves_no_idle_child(self):
+        """The parent dies with no chance to clean up while its pool's
+        child waits for a group: the child reads EOF on its pipe and exits."""
+        proc = _run_script("idle")
+        try:
+            header = proc.stdout.readline()
+            assert header.startswith("PIDS "), header
+            pids = [int(p) for p in header.split()[1:]]
+            assert len(pids) == 1 and _running(pids[0])
+            proc.kill()
+            proc.wait(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+        orphans = _wait_gone(pids)
+        assert not orphans, f"pool children outlived their SIGKILLed parent: {orphans}"
+
+    def test_exit_leaves_no_child(self):
+        """A process that ran pooled jobs closes its pool at exit."""
+        proc = _run_script("exit")
+        try:
+            out, _ = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == 0
+        header = out.splitlines()[0]
+        assert header.startswith("PIDS "), header
+        pids = [int(p) for p in header.split()[1:]]
+        assert not [pid for pid in pids if _running(pid)]
+
+    def test_a_forked_child_exiting_leaves_the_pool_alive(self):
+        """A forked child's exit does not terminate its parent's pool
+        children: the parent's next pooled call reuses its pool."""
+        proc = _run_script("fork")
+        try:
+            out, _ = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == 0
+        assert out.splitlines()[-1] == "SAME True"

@@ -200,6 +200,32 @@ def test_monte_carlo_jobs_that_cannot_run_exit_2(argv, message, capsys, monkeypa
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "vlcsa1", "0"], "width must be >= 1, got 0"),
+        (["tb", "vlcsa1", "0"], "width must be >= 1, got 0"),
+        (["seq", "vlcsa1", "0"], "width must be >= 1, got 0"),
+        (["sim", "vlcsa1", "--widths", "0"], "--widths must be >= 1, got 0"),
+        (["opt", "vlcsa1", "--widths", "16", "0"], "--widths must be >= 1, got 0"),
+        (["report", "0"], "width must be >= 1, got 0"),
+        (["fuzz", "--widths", "0"], "--widths must be >= 1, got 0"),
+    ],
+)
+def test_widths_below_one_exit_2_before_any_design_is_built(argv, message, capsys,
+                                                            monkeypatch):
+    """A width below 1 is one ``error:`` line and status 2, not a
+    ``NetlistError`` traceback out of the netlist builder."""
+    def no_build(*_args, **_kwargs):
+        raise AssertionError("a refused command built a design")
+
+    monkeypatch.setattr(repro.cli, "build_design", no_build)
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv, expected",
     [
         # ``--seed 7 engine magnitude ... --samples 40000 --json`` at the parent
