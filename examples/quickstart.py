@@ -57,21 +57,24 @@ def main() -> None:
           f"average cycle: {average_cycle(timing, p_err):.4f} "
           f"vs clock {timing.t_clk:.4f}")
 
-    # 6. Export synthesizable Verilog (core plus a clocked shell).
+    # 6. Export synthesizable Verilog of the combinational core.
     verilog = to_verilog(adder)
     print(f"Verilog export: {len(verilog.splitlines())} lines "
-          f"(write with repro.rtl.write_verilog; clocked shell via "
-          f"repro.rtl.to_sequential_wrapper)")
+          f"(write with repro.rtl.write_verilog)")
 
-    # 7. Run the complete clocked machine at gate level (16 bits for speed).
-    from repro.core import PipelinedAdder
+    # 7. Run the complete clocked machine at gate level (16 bits for speed),
+    #    and emit it as RTL: next-state logic plus one register block.
+    from repro.core import PipelinedAdder, build_machine
+    from repro.rtl import clocked_to_verilog
 
-    pipe = PipelinedAdder(16, 4)
+    machine = build_machine(build_vlcsa1(16, 4))
+    pipe = PipelinedAdder(machine)
     stream = [(100, 200), ((1 << 12) - 1, 1), (7, 8)]  # middle one stalls
     results, stats = pipe.run_stream(stream)
     assert results == [a + b for a, b in stream]
     print(f"gate-level pipeline: {stats.operations} ops in {stats.cycles} "
-          f"cycles ({stats.stall_cycles} stall)")
+          f"cycles ({stats.stall_cycles} stall); clocked RTL: "
+          f"{len(clocked_to_verilog(machine).splitlines())} lines")
 
 
 if __name__ == "__main__":

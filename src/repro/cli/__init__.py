@@ -6,9 +6,9 @@ analyses this reproduction adds.  One module per command group declares
 its parsers next to its handlers (``register(sub)``):
 
 * :mod:`repro.cli.design` — ``gen`` (Verilog for any design), ``tb``
-  (self-checking testbench), ``seq`` (variable-latency core plus its
-  clocked shell), ``report`` (delay/area table) and ``figures`` (figure
-  data series as JSON);
+  (self-checking testbench), ``seq`` (the clocked Fig. 5.3 machine
+  around a variable-latency core), ``report`` (delay/area table) and
+  ``figures`` (figure data series as JSON);
 * :mod:`repro.cli.mc` — Monte Carlo through :mod:`repro.engine`:
   ``engine errors`` (error/stall rates, optionally checkpointed and
   resumable), ``engine sweep`` (cached STA/area sweep), ``engine

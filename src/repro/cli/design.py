@@ -11,11 +11,11 @@ from repro.analysis.figures import export_figures
 from repro.analysis.report import format_table
 from repro.analysis.sizing import default_window
 from repro.cli import _build_design, _check_widths, _resolve_seed, _write_output
+from repro.core.pipeline import build_machine
 from repro.engine.elab import WINDOWED_DESIGNS, measure_design
 from repro.netlist.lint import format_text, run_lint
 from repro.netlist.optimize import optimize
-from repro.rtl import to_testbench, to_verilog
-from repro.rtl.sequential import to_sequential_wrapper
+from repro.rtl import clocked_to_verilog, to_testbench, to_verilog
 
 #: The designs ``repro report`` tabulates when none are named.
 _REPORT_DESIGNS = ("designware", "kogge_stone", "scsa1", "vlcsa1", "vlcsa2", "vlsa")
@@ -60,8 +60,8 @@ def _cmd_seq(args: argparse.Namespace) -> int:
     circuit = _build_design(args.design, args.width, args.window)
     if args.optimize:
         circuit, _ = optimize(circuit)
-    text = to_verilog(circuit) + "\n" + to_sequential_wrapper(circuit)
-    _write_output(args.output, text, "Verilog", ": core + clocked shell")
+    text = clocked_to_verilog(build_machine(circuit))
+    _write_output(args.output, text, "Verilog", ": next-state logic + registers")
     return 0
 
 
@@ -128,7 +128,7 @@ def register(sub) -> None:
     tb.set_defaults(fn=_cmd_tb)
 
     seq = sub.add_parser(
-        "seq", help="emit a variable-latency core plus its clocked shell"
+        "seq", help="emit the clocked Fig. 5.3 machine around a variable-latency core"
     )
     seq.add_argument("design", choices=["vlcsa1", "vlcsa2", "vlsa"])
     seq.add_argument("width", type=int)

@@ -15,6 +15,8 @@ Module map (thesis chapter in parentheses):
   (Ch. 6).
 * :mod:`repro.core.vlsa`      — the Verma et al. DATE'08 baseline (thesis
   ref [17]) the evaluation compares against.
+* :mod:`repro.core.pipeline`  — the clocked VALID/STALL machine around any
+  variable-latency core (Fig. 5.3).
 """
 
 from repro.core.window import (
@@ -30,11 +32,7 @@ from repro.core.vlcsa import build_vlcsa1
 from repro.core.scsa2 import Scsa2Core, build_scsa2_adder, build_scsa2_core
 from repro.core.vlcsa2 import build_vlcsa2
 from repro.core.vlsa import build_vlsa_speculative, build_vlsa
-from repro.core.pipeline import (
-    PipelinedAdder,
-    PipelineStats,
-    build_vlcsa_pipeline,
-)
+from repro.core.pipeline import PipelinedAdder, PipelineStats, build_machine
 
 __all__ = [
     "WindowPlan",
@@ -56,5 +54,5 @@ __all__ = [
     "build_vlsa",
     "PipelinedAdder",
     "PipelineStats",
-    "build_vlcsa_pipeline",
+    "build_machine",
 ]

@@ -1,40 +1,51 @@
-"""The complete Fig. 5.3 machine at gate level (extension).
+"""The complete Fig. 5.3 machine at gate level.
 
-:func:`build_vlcsa_pipeline` elaborates one combinational netlist holding
-the VLCSA datapath *and* the control FSM's next-state logic — operand
-registers, the op-live/stalled control bits, and the registered
-result/valid outputs — and returns it bound into a
-:class:`repro.netlist.clocked.ClockedDesign`.  :class:`PipelinedAdder`
-wraps that with the VALID/STALL handshake so an operand stream can be
-pushed through cycle by cycle, every bit of behaviour coming from
-simulated gates (the Python layer only moves values across clock edges).
+:func:`build_machine` wraps any variable-latency core — a circuit with the
+``a, b -> sum, sum_rec, err`` port contract of VLCSA 1, VLCSA 2 and VLSA,
+faulted or optimized alike — in the control FSM's next-state logic:
+operand registers, the op-live/stalled control bits, and the registered
+result/valid outputs.  The one combinational netlist is bound into a
+:class:`repro.netlist.clocked.ClockedDesign`, which is what the tests
+simulate, the fuzz oracle drives and :func:`repro.rtl.clocked_to_verilog`
+emits.  :class:`PipelinedAdder` wraps a machine with the VALID/STALL
+handshake so an operand stream can be pushed through cycle by cycle,
+every bit of behaviour coming from simulated gates (the Python layer only
+moves values across clock edges).
 
-Protocol (matching the emitted Verilog shell in
-:mod:`repro.rtl.sequential`): an accepted operation completes one cycle
-later when speculation holds, two cycles later when the detector stalls
-the machine; ``in_ready`` drops during the stall cycle.
+Protocol: an accepted operation completes one cycle later when
+speculation holds, two cycles later when the detector stalls the machine;
+``in_ready`` drops during the stall-trigger cycle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.core.detection import build_err0
-from repro.core.recovery import build_recovery
-from repro.core.scsa import build_scsa_core
-from repro.netlist.circuit import Circuit
+from repro.netlist.circuit import Circuit, NetlistError, instantiate
 from repro.netlist.clocked import ClockedDesign, RegisterSpec
 from repro.netlist.optimize import strip_dead
 
 
-def build_vlcsa_pipeline(
-    width: int,
-    window_size: int,
-    network_name: str = "kogge_stone",
-) -> ClockedDesign:
-    """Elaborate the clocked VLCSA 1 machine (datapath + control FSM)."""
-    c = Circuit(f"vlcsa1_pipe_{width}w{window_size}")
+def build_machine(core: Circuit) -> ClockedDesign:
+    """Elaborate the clocked Fig. 5.3 machine around ``core``."""
+    outputs = core.output_buses
+    missing = [name for name in ("sum", "sum_rec", "err") if name not in outputs]
+    if missing:
+        raise NetlistError(f"{core.name!r} lacks variable-latency ports {missing}")
+    inputs = core.input_buses
+    if set(inputs) != {"a", "b"} or len(inputs["a"]) != len(inputs["b"]):
+        raise NetlistError(
+            f"{core.name!r} must have exactly inputs 'a' and 'b', of one width"
+        )
+    if len(outputs["sum_rec"]) != len(outputs["sum"]) or len(outputs["err"]) != 1:
+        raise NetlistError(
+            f"{core.name!r} needs 'sum_rec' as wide as 'sum' and a 1-bit 'err'"
+        )
+    width = len(inputs["a"])
+    result_width = len(outputs["sum"])
+
+    c = Circuit(f"{core.name}_seq")
     # environment inputs
     a = c.add_input_bus("a", width)
     b = c.add_input_bus("b", width)
@@ -45,12 +56,15 @@ def build_vlcsa_pipeline(
     op_live = c.add_input("op_live_q")
     stalled = c.add_input("stalled_q")
     out_valid_q = c.add_input("out_valid_q")
-    result_q = c.add_input_bus("result_q", width + 1)
+    result_q = c.add_input_bus("result_q", result_width)
 
-    # datapath on the registered operands
-    core = build_scsa_core(c, a_q, b_q, window_size, network_name)
-    err = build_err0(c, core.window_group_g, core.window_group_p)
-    recovered = build_recovery(c, core.windows)
+    # the core, on the registered operands
+    env: Dict[int, int] = dict(zip(inputs["a"], a_q))
+    env.update(zip(inputs["b"], b_q))
+    instantiate(core, c, env)
+    spec = [env[net] for net in outputs["sum"]]
+    recovered = [env[net] for net in outputs["sum_rec"]]
+    err = env[outputs["err"][0]]
 
     not_stalled = c.not_(stalled)
     live_now = c.and2(op_live, not_stalled)
@@ -64,10 +78,7 @@ def build_vlcsa_pipeline(
     capture = c.and2(in_valid, ready)
 
     next_out_valid = c.or2(complete_ok, stalled)
-    next_result = [
-        c.mux2(stalled, spec, rec)
-        for spec, rec in zip(core.sum_spec, recovered)
-    ]
+    next_result = [c.mux2(stalled, s, r) for s, r in zip(spec, recovered)]
     next_op_live = c.or2(capture, trigger_stall)
     next_a = [c.mux2(capture, a_q[i], a[i]) for i in range(width)]
     next_b = [c.mux2(capture, b_q[i], b[i]) for i in range(width)]
@@ -84,16 +95,11 @@ def build_vlcsa_pipeline(
     c.set_output_bus("result", result_q)
     c.set_output("in_ready", ready)
 
-    circuit = strip_dead(c)
     return ClockedDesign(
-        circuit,
+        strip_dead(c),
         [
-            RegisterSpec("a_q", "a_d"),
-            RegisterSpec("b_q", "b_d"),
-            RegisterSpec("op_live_q", "op_live_d"),
-            RegisterSpec("stalled_q", "stalled_d"),
-            RegisterSpec("out_valid_q", "out_valid_d"),
-            RegisterSpec("result_q", "result_d"),
+            RegisterSpec(q, q[:-2] + "_d")
+            for q in ("a_q", "b_q", "op_live_q", "stalled_q", "out_valid_q", "result_q")
         ],
     )
 
@@ -105,6 +111,9 @@ class PipelineStats:
     operations: int
     cycles: int
     stall_cycles: int
+    #: per operation, in order: cycles from acceptance to result (1, or 2
+    #: when it stalled)
+    latencies: List[int] = field(default_factory=list)
 
     @property
     def cycles_per_add(self) -> float:
@@ -112,11 +121,10 @@ class PipelineStats:
 
 
 class PipelinedAdder:
-    """Handshake driver around the gate-level VLCSA machine."""
+    """Handshake driver around a clocked machine from :func:`build_machine`."""
 
-    def __init__(self, width: int, window_size: int):
-        self.width = width
-        self.design = build_vlcsa_pipeline(width, window_size)
+    def __init__(self, machine: ClockedDesign):
+        self.design = machine
 
     def run_stream(
         self, operands: Iterable[Tuple[int, int]], max_cycles: Optional[int] = None
@@ -126,31 +134,53 @@ class PipelinedAdder:
         Back-pressure is honoured: an operand is only presented while
         ``in_ready`` is high.  Returns the results plus cycle statistics.
         """
+        from repro.obs import spans as _obs
+
         pending = list(operands)
+        expected = len(pending)
+        with _obs.span(
+            "machine.run", circuit=self.design.circuit.name, operations=expected
+        ):
+            results, stats = self._run(pending, max_cycles)
+            stalls = stats.latencies.count(2)
+            _obs.record("machine.latency_cycles", 1, expected - stalls)
+            _obs.record("machine.latency_cycles", 2, stalls)
+        return results, stats
+
+    def _run(
+        self, pending: List[Tuple[int, int]], max_cycles: Optional[int]
+    ) -> Tuple[List[int], PipelineStats]:
         self.design.reset()
         results: List[int] = []
+        accepted: List[int] = []  # the cycle each operand was taken
+        latencies: List[int] = []
         expected = len(pending)
         cycles = 0
         stall_cycles = 0
         idle = {"a": 0, "b": 0, "in_valid": 0}
         limit = max_cycles if max_cycles is not None else 4 * expected + 8
-        index = 0
         while len(results) < expected:
             if cycles > limit:
                 raise RuntimeError("pipeline did not drain — protocol bug")
-            if index < len(pending):
+            index = len(accepted)
+            if index < expected:
                 a, b = pending[index]
                 feed = {"a": a, "b": b, "in_valid": 1}
             else:
                 feed = idle
             out = self.design.step(feed)
-            cycles += 1
-            if index < len(pending) and out["in_ready"]:
-                index += 1  # operand was accepted this cycle
+            if out["out_valid"]:
+                # registered one cycle after the op's last evaluation cycle
+                latencies.append(cycles - accepted[len(results)] - 1)
+                results.append(out["result"])
+            if index < expected and out["in_ready"]:
+                accepted.append(cycles)
             if not out["in_ready"]:
                 stall_cycles += 1
-            if out["out_valid"]:
-                results.append(out["result"])
+            cycles += 1
         return results, PipelineStats(
-            operations=expected, cycles=cycles, stall_cycles=stall_cycles
+            operations=expected,
+            cycles=cycles,
+            stall_cycles=stall_cycles,
+            latencies=latencies,
         )

@@ -17,9 +17,13 @@ implementations and cross-checks them:
    must reproduce the profile's per-sample counter flags, and
    :func:`repro.engine.kernels.counter_counts` (the C counter kernel
    when the library loads tuned) their sums (check id ``kernel-swar``);
-4. **gate-level machine** — :class:`repro.model.machine.VariableLatencyMachine`
-   executes a subsample through the VALID/STALL protocol and its latency
-   cycles are checked against the behaviourally predicted stalls.
+4. **gate-level machine** — the clocked Fig. 5.3 machine built around the
+   same (possibly faulted) core (:func:`repro.core.pipeline.build_machine`)
+   takes a subsample back-to-back through the VALID/STALL handshake; every
+   accepted result must be exact (check id ``machine-result``) and each
+   operation's latency must match the behaviourally predicted stall
+   (``latency``).  Back-to-back issue also exercises an operand offered in
+   the very cycle a stall is detected.
 
 Every disagreement becomes a :class:`Divergence` carrying the failing
 check id, the operand pair, and both sides' values — the record the
@@ -168,9 +172,9 @@ class Oracle:
         self.out_buses = circuit.output_buses
         self._machine = None
         if point.design in _VARIABLE_LATENCY:
-            from repro.model.machine import VariableLatencyMachine
+            from repro.core.pipeline import PipelinedAdder, build_machine
 
-            self._machine = VariableLatencyMachine(circuit)
+            self._machine = PipelinedAdder(build_machine(circuit))
 
     # -- helpers ----------------------------------------------------------
 
@@ -489,7 +493,11 @@ class Oracle:
             return
         design = self.point.design
         sample = list(pairs[:_MACHINE_SAMPLE])
-        trace = self._machine.run(sample)
+        try:
+            results, stats = self._machine.run_stream(sample)
+        except RuntimeError as exc:  # the FSM lost an operation: no results
+            self._diverge(out, "machine-result", sample[0], str(exc))
+            return
         if design == "vlcsa1":
             stalls = err0_flags(profiles["lsb"])
         elif design == "vlcsa2":
@@ -498,17 +506,17 @@ class Oracle:
             stalls = None
         for i, pair in enumerate(sample):
             a, b = pair
-            if trace.results[i] != a + b:
+            if results[i] != a + b:
                 self._diverge(
                     out, "machine-result", pair,
-                    f"accepted result {trace.results[i]:#x} != {a + b:#x}",
+                    f"accepted result {results[i]:#x} != {a + b:#x}",
                 )
             if stalls is not None:
                 want_cycles = 2 if stalls[i] else 1
-                if trace.cycles[i] != want_cycles:
+                if stats.latencies[i] != want_cycles:
                     self._diverge(
                         out, "latency", pair,
-                        f"machine took {trace.cycles[i]} cycle(s), behavioural "
+                        f"machine took {stats.latencies[i]} cycle(s), behavioural "
                         f"model predicts {want_cycles}",
                     )
 

@@ -55,7 +55,6 @@ from repro.model.gaussian_model import (
     vlcsa2_gaussian_stall_rate,
     vlcsa2_gaussian_window_size_for,
 )
-from repro.model.machine import MachineTrace, VariableLatencyMachine
 from repro.model.latency import (
     VariableLatencyTiming,
     average_cycle,
@@ -97,8 +96,6 @@ __all__ = [
     "relative_error_stats",
     "scsa1_magnitude_stats",
     "vlsa_magnitude_stats",
-    "MachineTrace",
-    "VariableLatencyMachine",
     "active_width",
     "vlcsa1_gaussian_error_rate",
     "vlcsa2_gaussian_stall_rate",

@@ -388,3 +388,19 @@ def concat_buses(*buses: Iterable[int]) -> List[int]:
     for bus in buses:
         out.extend(bus)
     return out
+
+
+def instantiate(src: Circuit, dst: Circuit, env: Dict[int, int]) -> None:
+    """Copy every gate of ``src`` into ``dst``; ``env`` maps src→dst nets.
+
+    ``env`` must already map ``src``'s input nets and gains every gate
+    output.  Constants are routed through ``dst``'s memoized const cells,
+    so two copies instantiated into one circuit share them.
+    """
+    for gate in src.gates:
+        if gate.kind == "CONST0":
+            env[gate.output] = dst.const0()
+        elif gate.kind == "CONST1":
+            env[gate.output] = dst.const1()
+        else:
+            env[gate.output] = dst.add_gate(gate.kind, [env[n] for n in gate.inputs])

@@ -10,7 +10,8 @@ next-state cloud) and is exactly what synthesis does with always-blocks.
 
 Used by :mod:`repro.core.pipeline` to run the thesis' Fig. 5.3 machine —
 operand registers, VALID/STALL handshake and all — entirely at gate
-level.
+level, and by :func:`repro.rtl.clocked_to_verilog` to emit it as one
+next-state module plus one register block.
 """
 
 from __future__ import annotations
@@ -34,17 +35,9 @@ class RegisterSpec:
 class ClockedDesign:
     """A combinational circuit plus register bindings, stepped per cycle."""
 
-    def __init__(
-        self,
-        circuit: Circuit,
-        registers: Iterable[RegisterSpec],
-        backend: str = "auto",
-    ):
+    def __init__(self, circuit: Circuit, registers: Iterable[RegisterSpec]):
         self.circuit = circuit
         self.registers: List[RegisterSpec] = list(registers)
-        #: simulation backend for every step (as
-        #: :func:`repro.netlist.simulate.simulate_batch`).
-        self.backend = backend
         in_buses = circuit.input_buses
         out_buses = circuit.output_buses
         q_names = set()
@@ -64,6 +57,11 @@ class ClockedDesign:
                 raise NetlistError(f"duplicate register bank {reg.q_bus!r}")
             q_names.add(reg.q_bus)
         self._free_inputs = [name for name in in_buses if name not in q_names]
+        #: (Q bus, D bus, Q width mask) per register bank, latched each edge
+        self._latches = [
+            (reg.q_bus, reg.d_bus, (1 << len(in_buses[reg.q_bus])) - 1)
+            for reg in self.registers
+        ]
         # One compilation serves every cycle of the stepped simulation.
         self._sim = compile_circuit(circuit)
         self._state: Dict[str, int] = {}
@@ -98,17 +96,10 @@ class ClockedDesign:
             raise NetlistError(f"unknown input buses {sorted(given)}")
         batch = {name: [value] for name, value in feed.items()}
         outputs = {
-            name: vals[0]
-            for name, vals in self._sim.run_batch(
-                batch, backend=self.backend
-            ).items()
+            name: vals[0] for name, vals in self._sim.run_batch(batch).items()
         }
-        width_mask = {
-            reg.q_bus: (1 << len(self.circuit.input_buses[reg.q_bus])) - 1
-            for reg in self.registers
-        }
-        for reg in self.registers:
-            self._state[reg.q_bus] = outputs[reg.d_bus] & width_mask[reg.q_bus]
+        for q_bus, d_bus, mask in self._latches:
+            self._state[q_bus] = outputs[d_bus] & mask
         return outputs
 
     def run(

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.netlist.bdd import BDD, circuit_to_bdds, interleaved_order
-from repro.netlist.circuit import Circuit, NetlistError
+from repro.netlist.circuit import Circuit, NetlistError, instantiate
 from repro.netlist.simulate import GATE_EVAL, simulate, simulate_batch
 
 #: Default seed for the random simulation sweep (the paper's year, as
@@ -164,24 +164,6 @@ def structural_equal(c1: Circuit, c2: Circuit) -> bool:
     return structural_key(c1) == structural_key(c2)
 
 
-def _instantiate(src: Circuit, dst: Circuit, env: Dict[int, int]) -> None:
-    """Copy every gate of ``src`` into ``dst``; ``env`` maps src→dst nets.
-
-    ``env`` must already map ``src``'s input nets; constants are routed
-    through ``dst``'s memoized const cells so the two instantiated halves
-    of a miter share them.
-    """
-    for gate in src.gates:
-        if gate.kind == "CONST0":
-            env[gate.output] = dst.const0()
-        elif gate.kind == "CONST1":
-            env[gate.output] = dst.const1()
-        else:
-            env[gate.output] = dst.add_gate(
-                gate.kind, [env[n] for n in gate.inputs]
-            )
-
-
 def build_miter(
     c1: Circuit,
     c2: Circuit,
@@ -206,8 +188,8 @@ def build_miter(
         new_nets = miter.add_input_bus(bus_name, len(nets))
         env1.update(zip(nets, new_nets))
         env2.update(zip(c2.input_bus(bus_name), new_nets))
-    _instantiate(c1, miter, env1)
-    _instantiate(c2, miter, env2)
+    instantiate(c1, miter, env1)
+    instantiate(c2, miter, env2)
     diff_bits: List[int] = []
     for bus1, bus2 in pairs:
         bits = [

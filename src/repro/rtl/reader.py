@@ -5,14 +5,20 @@ shape our emitter produces (module header, input/output declarations, wire
 declarations, one continuous assignment per gate, in topological order).
 Round-tripping ``circuit -> Verilog -> circuit`` and checking functional
 equivalence is how the test suite proves the emission is faithful.
+:func:`clocked_from_verilog` reads a clocked design back the same way: its
+next-state module, plus the one register block
+:func:`repro.rtl.verilog.clocked_to_verilog` writes around it.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
-from repro.netlist.circuit import Circuit
+from repro.netlist.circuit import Circuit, NetlistError
+
+if TYPE_CHECKING:
+    from repro.netlist.clocked import ClockedDesign
 
 
 class VerilogParseError(Exception):
@@ -31,6 +37,15 @@ _AOI21_RE = re.compile(r"^~\(\((\S+) & (\S+)\) \| (\S+)\)$")
 _OAI21_RE = re.compile(r"^~\(\((\S+) \| (\S+)\) & (\S+)\)$")
 _AOI22_RE = re.compile(r"^~\(\((\S+) & (\S+)\) \| \((\S+) & (\S+)\)\)$")
 _OAI22_RE = re.compile(r"^~\(\((\S+) \| (\S+)\) & \((\S+) \| (\S+)\)\)$")
+
+_MODULES_RE = re.compile(r"\bmodule\b.*?\bendmodule\b", re.S)
+_ALWAYS_RE = re.compile(
+    r"always\s*@\(posedge clk or negedge rst_n\)\s*begin\s*"
+    r"if\s*\(!rst_n\)\s*begin(.*?)\bend\s+else\s+begin(.*?)\bend\s+end\b",
+    re.S,
+)
+_RESET_RE = re.compile(r"(\w+)\s*<=\s*\d+'d(\d+)\s*;")
+_LOAD_RE = re.compile(r"(\w+)\s*<=\s*(\w+)(?:\[\d+:0\])?\s*;")
 
 _BINARY_KIND = {"&": "AND2", "|": "OR2", "^": "XOR2"}
 _NEG_BINARY_KIND = {"&": "NAND2", "|": "NOR2", "^": "XNOR2"}
@@ -122,3 +137,29 @@ def from_verilog(text: str) -> Circuit:
             raise VerilogParseError(f"output {name!r} bits {missing} unassigned")
         circuit.set_output_bus(name, [bits[i] for i in range(output_widths[name])])
     return circuit
+
+
+def clocked_from_verilog(text: str) -> "ClockedDesign":
+    """Parse :func:`repro.rtl.verilog.clocked_to_verilog` output back into
+    a :class:`~repro.netlist.clocked.ClockedDesign`."""
+    from repro.netlist.clocked import ClockedDesign, RegisterSpec
+
+    modules = _MODULES_RE.findall(_strip_comments(text))
+    if len(modules) != 2:
+        raise VerilogParseError("expected a next-state module and its register wrapper")
+    next_state, wrapper = modules
+    circuit = from_verilog(next_state)
+    if not re.search(rf"^\s*{circuit.name}\s+\w+\s*\(", wrapper, re.M):
+        raise VerilogParseError(f"the wrapper does not instantiate {circuit.name!r}")
+    block = _ALWAYS_RE.search(wrapper)
+    if block is None:
+        raise VerilogParseError("the wrapper has no register block")
+    resets = dict(_RESET_RE.findall(block.group(1)))
+    loads = _LOAD_RE.findall(block.group(2))
+    if not loads or set(resets) != {q for q, _ in loads}:
+        raise VerilogParseError("every register needs one reset value and one next state")
+    registers = [RegisterSpec(q, d, int(resets[q])) for q, d in loads]
+    try:
+        return ClockedDesign(circuit, registers)
+    except NetlistError as exc:
+        raise VerilogParseError(str(exc)) from None

@@ -3,14 +3,19 @@
 One continuous assignment per gate, in topological order, using only the
 operators every synthesis tool maps directly onto standard cells.  Port and
 bus names are taken from the circuit; internal nets are named ``n<index>``.
+A clocked design is its next-state circuit in that form plus one wrapper
+module holding the registers (:func:`clocked_to_verilog`).
 """
 
 from __future__ import annotations
 
 import re
-from typing import Dict, List
+from typing import TYPE_CHECKING, Dict, List
 
 from repro.netlist.circuit import Circuit, Gate, NetlistError
+
+if TYPE_CHECKING:
+    from repro.netlist.clocked import ClockedDesign
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -58,6 +63,10 @@ def _gate_expr(gate: Gate, ref: Dict[int, str]) -> str:
     raise NetlistError(f"cannot emit Verilog for gate kind {kind!r}")
 
 
+def _declare(kind: str, name: str, width: int) -> str:
+    return f"  {kind} [{width - 1}:0] {name};" if width > 1 else f"  {kind} {name};"
+
+
 def to_verilog(circuit: Circuit) -> str:
     """Return the circuit as a structural Verilog module string."""
     module = _check_identifier(circuit.name)
@@ -79,15 +88,9 @@ def to_verilog(circuit: Circuit) -> str:
                  f"{circuit.num_gates} gates)")
     lines.append(f"module {module} ({', '.join(port_order)});")
     for name, nets in in_buses.items():
-        width = len(nets)
-        decl = f"  input [{width - 1}:0] {name};" if width > 1 else f"  input {name};"
-        lines.append(decl)
+        lines.append(_declare("input", name, len(nets)))
     for name, nets in out_buses.items():
-        _check_identifier(name)
-        width = len(nets)
-        decl = (f"  output [{width - 1}:0] {name};" if width > 1
-                else f"  output {name};")
-        lines.append(decl)
+        lines.append(_declare("output", _check_identifier(name), len(nets)))
 
     wires = [f"n{gate.output}" for gate in circuit.gates]
     for chunk_start in range(0, len(wires), 16):
@@ -106,6 +109,54 @@ def to_verilog(circuit: Circuit) -> str:
 
     lines.append("endmodule")
     return "\n".join(lines) + "\n"
+
+
+def clocked_to_verilog(design: "ClockedDesign") -> str:
+    """Return a clocked design as Verilog: :func:`to_verilog` of its
+    next-state circuit, plus a ``<circuit>_top`` wrapper module.
+
+    The wrapper's ports are ``clk``, the active-low asynchronous reset
+    ``rst_n`` and the environment's buses (the circuit's free inputs and
+    its outputs that are not next-state buses).  One ``always`` block
+    loads each register bank's reset value, or its next state at each
+    rising clock edge.
+    """
+    circuit = design.circuit
+    in_buses, out_buses = circuit.input_buses, circuit.output_buses
+    if {"clk", "rst_n"} & (set(in_buses) | set(out_buses)):
+        raise NetlistError(f"{circuit.name!r} uses a port name the wrapper needs")
+    d_buses = {reg.d_bus for reg in design.registers}
+    env_in = design.free_inputs
+    env_out = [name for name in out_buses if name not in d_buses]
+    lines = [
+        f"// registers of {circuit.name} (the next-state logic above)",
+        f"module {_check_identifier(circuit.name + '_top')} "
+        f"({', '.join(['clk', 'rst_n'] + env_in + env_out)});",
+        "  input clk;",
+        "  input rst_n;",
+        *(_declare("input", name, len(in_buses[name])) for name in env_in),
+        *(_declare("output", name, len(out_buses[name])) for name in env_out),
+    ]
+    resets, loads = [], []
+    for reg in design.registers:
+        width, d_width = len(in_buses[reg.q_bus]), len(out_buses[reg.d_bus])
+        lines += [_declare("reg", reg.q_bus, width), _declare("wire", reg.d_bus, d_width)]
+        resets.append(f"      {reg.q_bus} <= {width}'d{reg.reset_value};")
+        d = reg.d_bus if d_width == 1 else f"{reg.d_bus}[{width - 1}:0]"
+        loads.append(f"      {reg.q_bus} <= {d};")
+    pins = ", ".join(f".{name}({name})" for name in [*in_buses, *out_buses])
+    lines += [
+        f"  {circuit.name} next_state ({pins});",
+        "  always @(posedge clk or negedge rst_n) begin",
+        "    if (!rst_n) begin",
+        *resets,
+        "    end else begin",
+        *loads,
+        "    end",
+        "  end",
+        "endmodule",
+    ]
+    return to_verilog(circuit) + "\n" + "\n".join(lines) + "\n"
 
 
 def write_verilog(circuit: Circuit, path: str) -> None:

@@ -58,9 +58,15 @@ MAX_HEADER_LINES = 100
 
 #: Longest a request may take from its first byte to its last body byte
 #: before it is answered 408 and its connection closed: a client stalled
-#: mid-request must not hold its connection and task forever.  Idle
-#: keep-alive time between requests is not bounded.
+#: mid-request must not hold its connection and task forever.  Idle time
+#: between requests is bounded by ``KEEP_ALIVE_IDLE_S`` instead.
 REQUEST_READ_TIMEOUT_S = 10.0
+
+#: Longest a keep-alive connection may sit idle between requests (before
+#: the next request's first byte) until the server closes it without a
+#: response.  Clients reconnect, as
+#: :class:`repro.serve.client.ServeClient` does once.
+KEEP_ALIVE_IDLE_S = 60.0
 
 _HTTP_REASONS = {
     200: "OK",
@@ -464,11 +470,14 @@ class Server:
     async def _read_request(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-        # Idle keep-alive wait: unbounded until stop() closes the writer.
+        # Idle keep-alive wait: until the first byte arrives, or the writer
+        # is closed by stop() or after KEEP_ALIVE_IDLE_S (the read sees EOF).
         self._idle.add(writer)
+        idle_close = self._loop.call_later(KEEP_ALIVE_IDLE_S, writer.close)
         try:
             first = await reader.read(1)
         finally:
+            idle_close.cancel()
             self._idle.discard(writer)
         if not first:
             return None

@@ -100,6 +100,18 @@ def test_machine_latency_cross_check_runs():
     assert _MACHINE_SAMPLE > 0
 
 
+def test_machine_that_does_not_drain_is_a_machine_result_divergence(monkeypatch):
+    oracle = Oracle(DesignPoint("vlcsa1", 16, 4))
+
+    def lose_operations(operands, max_cycles=None):
+        raise RuntimeError("pipeline did not drain — protocol bug")
+
+    monkeypatch.setattr(oracle._machine, "run_stream", lose_operations)
+    outcome = oracle.check_batch(_pairs(16))
+    assert [d.check for d in outcome.divergences] == ["machine-result"]
+    assert "did not drain" in outcome.divergences[0].detail
+
+
 @pytest.mark.parametrize("design", ["vlcsa1", "vlcsa2"])
 def test_kernel_leg_catches_a_wrong_counter_flag(design, monkeypatch):
     """The SWAR kernel leg compares per-sample counter flags with the

@@ -965,30 +965,6 @@ def test_power_backend_parity():
     assert estimate_power(circuit, inputs).toggles == want
 
 
-def test_machine_backend_parity():
-    """The machine's VALID/STALL verdicts follow the reference outputs,
-    under both accepted backend names."""
-    from repro.model.machine import VariableLatencyMachine
-
-    circuit = _circuit_of("vlcsa1", 16)
-    rng = random.Random(10)
-    pairs = [(rng.getrandbits(16), rng.getrandbits(16)) for _ in range(120)]
-    ref = simulate_batch_reference(
-        circuit, {"a": [a for a, _ in pairs], "b": [b for _, b in pairs]}
-    )
-    want_results = [
-        rec if err else spec
-        for spec, rec, err in zip(ref["sum"], ref["sum_rec"], ref["err"])
-    ]
-    want_cycles = [2 if err else 1 for err in ref["err"]]
-    for backend in ("auto", "vectorized"):
-        trace = VariableLatencyMachine(circuit, backend=backend).run(pairs)
-        assert trace.results == want_results
-        assert trace.cycles == want_cycles
-    with pytest.raises(NetlistError, match="backend"):
-        VariableLatencyMachine(circuit, backend="compiled").run(pairs)
-
-
 def test_simulate_design_digest_identity():
     from repro.engine.elab import simulate_design
 

@@ -1,67 +1,108 @@
-"""Tests for the sequential Verilog wrapper (repro.rtl.sequential)."""
+"""Tests for the clocked Verilog of the Fig. 5.3 machine
+(:func:`repro.rtl.clocked_to_verilog`): the register wrapper's text, and
+the handshake of the machine read back from that text."""
+
+import random
 
 import pytest
 
 from repro.core import build_vlcsa1, build_vlcsa2, build_vlsa
+from repro.core.pipeline import PipelinedAdder, build_machine
 from repro.netlist.circuit import Circuit, NetlistError
-from repro.rtl.sequential import to_sequential_wrapper
+from repro.netlist.clocked import ClockedDesign, RegisterSpec
+from repro.rtl import clocked_from_verilog, clocked_to_verilog
+
+#: A carry chain across windows: VLCSA 1 at n=20, k=5 stalls on it.
+STALL_PAIR = ((1 << 15) - 1, 1)
 
 
 @pytest.fixture(scope="module")
 def wrapper_text():
-    return to_sequential_wrapper(build_vlcsa1(32, 8))
+    return clocked_to_verilog(build_machine(build_vlcsa1(32, 8)))
+
+
+@pytest.fixture(scope="module")
+def read_back():
+    """The VLCSA 1 machine as read back from its own Verilog."""
+    text = clocked_to_verilog(build_machine(build_vlcsa1(20, 5)))
+    return PipelinedAdder(clocked_from_verilog(text))
 
 
 class TestStructure:
     def test_module_header_and_ports(self, wrapper_text):
-        assert "module vlcsa1_32w8_seq (" in wrapper_text
-        for port in ("clk", "rst_n", "in_valid", "in_ready", "out_valid", "result"):
-            assert port in wrapper_text
-        assert "input  wire [31:0] a," in wrapper_text
-        assert "output reg  [32:0] result" in wrapper_text
+        assert wrapper_text.count("endmodule") == 2
+        assert (
+            "module vlcsa1_32w8_seq_top (clk, rst_n, a, b, in_valid, "
+            "out_valid, result, in_ready);"
+        ) in wrapper_text
+        for line in ("input clk;", "input rst_n;", "input [31:0] a;",
+                     "input in_valid;", "output [32:0] result;", "output in_ready;"):
+            assert f"  {line}\n" in wrapper_text
 
     def test_instantiates_core_by_name(self, wrapper_text):
-        assert "vlcsa1_32w8 core (" in wrapper_text
-        assert ".sum(spec_sum)" in wrapper_text
-        assert ".sum_rec(rec_sum)" in wrapper_text
+        """The wrapper instantiates the next-state module emitted above it."""
+        assert "module vlcsa1_32w8_seq (" in wrapper_text
+        assert "  vlcsa1_32w8_seq next_state (" in wrapper_text
+        assert ".result_d(result_d)" in wrapper_text
+        assert ".in_ready(in_ready)" in wrapper_text
 
-    def test_handshake_logic_present(self, wrapper_text):
-        assert "assign in_ready = !(op_live && err && ~stalled);" in wrapper_text
-        assert "stalled <= 1'b1;   // STALL" in wrapper_text
-        assert "result    <= rec_sum;" in wrapper_text
+    def test_handshake_logic_present(self, wrapper_text, read_back):
+        for reg in ("op_live_q <= op_live_d;", "stalled_q <= stalled_d;",
+                    "out_valid_q <= out_valid_d;", "result_q <= result_d[32:0];"):
+            assert f"      {reg}\n" in wrapper_text
+        pairs = [(5, 6), STALL_PAIR, (7, 8)]
+        results, stats = read_back.run_stream(pairs)
+        assert results == [a + b for a, b in pairs]
+        assert stats.latencies == [1, 2, 1]
 
-    def test_capture_gated_by_ready(self, wrapper_text):
+    def test_capture_gated_by_ready(self, read_back):
         """Capture must not clobber operands in the stall-trigger cycle."""
-        assert "if (in_valid && in_ready) begin" in wrapper_text
+        gen = random.Random(9)
+        pairs = []
+        for _ in range(20):
+            pairs.append(STALL_PAIR)
+            pairs.append((gen.randrange(1 << 20), gen.randrange(1 << 20)))
+        results, stats = read_back.run_stream(pairs)
+        assert results == [a + b for a, b in pairs]
+        assert stats.stall_cycles >= 20
 
     def test_reset_clears_state(self, wrapper_text):
-        assert "if (!rst_n) begin" in wrapper_text
-        assert "out_valid <= 1'b0;" in wrapper_text
+        assert "  always @(posedge clk or negedge rst_n) begin\n" in wrapper_text
+        assert "    if (!rst_n) begin\n" in wrapper_text
+        for reset in ("a_q <= 32'd0;", "op_live_q <= 1'd0;", "stalled_q <= 1'd0;",
+                      "out_valid_q <= 1'd0;", "result_q <= 33'd0;"):
+            assert f"      {reset}\n" in wrapper_text
 
     def test_custom_wrapper_name(self):
-        text = to_sequential_wrapper(build_vlcsa1(16, 4), wrapper_name="my_adder")
-        assert "module my_adder (" in text
+        """The wrapper is named after the core it wraps."""
+        core = build_vlcsa1(16, 4)
+        core.name = "my_adder"
+        text = clocked_to_verilog(build_machine(core))
+        assert "module my_adder_seq_top (" in text
+        assert "  my_adder_seq next_state (" in text
 
 
 class TestContract:
     def test_works_for_all_variable_latency_designs(self):
-        for circuit in (build_vlcsa1(16, 4), build_vlcsa2(16, 4), build_vlsa(16, 4)):
-            text = to_sequential_wrapper(circuit)
-            assert f"module {circuit.name}_seq (" in text
+        for core in (build_vlcsa1(16, 4), build_vlcsa2(16, 4), build_vlsa(16, 4)):
+            machine = build_machine(core)
+            text = clocked_to_verilog(machine)
+            assert f"module {core.name}_seq_top (" in text
+            assert clocked_from_verilog(text).registers == machine.registers
 
     def test_missing_ports_rejected(self):
+        """A register bank whose next-state bus the circuit lacks."""
         c = Circuit("plain")
-        a = c.add_input_bus("a", 4)
-        c.add_input_bus("b", 4)
-        c.set_output_bus("sum", a)
-        with pytest.raises(NetlistError, match="lacks"):
-            to_sequential_wrapper(c)
+        c.add_input("q")
+        c.set_output("y", c.const0())
+        with pytest.raises(NetlistError, match="next-state bus 'd'"):
+            clocked_to_verilog(ClockedDesign(c, [RegisterSpec("q", "d")]))
 
     def test_wrong_inputs_rejected(self):
+        """A port named like one the wrapper needs (``clk``/``rst_n``)."""
         c = Circuit("odd")
-        x = c.add_input_bus("x", 4)
-        c.set_output_bus("sum", x)
-        c.set_output_bus("sum_rec", x)
-        c.set_output("err", c.const0())
-        with pytest.raises(NetlistError, match="inputs 'a' and 'b'"):
-            to_sequential_wrapper(c)
+        q = c.add_input("q")
+        c.add_input("clk")
+        c.set_output("d", c.not_(q))
+        with pytest.raises(NetlistError, match="port name"):
+            clocked_to_verilog(ClockedDesign(c, [RegisterSpec("q", "d")]))

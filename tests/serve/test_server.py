@@ -588,6 +588,46 @@ def _raw_exchange(uds: str, head: bytes) -> tuple:
     return int(status_line.split()[1]), json.loads(body), headers["connection"]
 
 
+def _get(sock, path=b"/healthz") -> bytes:
+    """One keep-alive GET over a raw socket; returns the response head."""
+    sock.sendall(b"GET " + path + b" HTTP/1.1\r\n\r\n")
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = sock.recv(65536)
+        assert chunk, "server closed mid-response"
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    length = int(head.split(b"Content-Length: ")[1].split(b"\r\n")[0])
+    while len(body) < length:
+        body += sock.recv(65536)
+    return head
+
+
+def test_idle_keep_alive_connection_is_closed(tmp_path, monkeypatch):
+    monkeypatch.setattr(server_module, "KEEP_ALIVE_IDLE_S", 0.2)
+    uds = _uds(tmp_path)
+    with ServerThread(ServeConfig(uds=uds, shards=1)):
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.settimeout(10)
+            sock.connect(uds)
+            assert b"Connection: keep-alive" in _get(sock)
+            started = time.monotonic()
+            assert sock.recv(1) == b""  # EOF, no response
+            assert time.monotonic() - started < 5
+        # A client busier than the idle limit keeps its one connection.
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.settimeout(10)
+            sock.connect(uds)
+            for _ in range(8):
+                assert b" 200 " in _get(sock)
+                time.sleep(0.05)
+        # ServeClient reconnects once after the server closed it idle.
+        with ServeClient(uds=uds) as client:
+            assert client.health()["ok"] is True
+            time.sleep(0.5)
+            assert client.health()["ok"] is True
+
+
 @pytest.mark.parametrize(
     "length, status, code",
     [

@@ -285,6 +285,20 @@ def test_seq_emits_core_and_shell(tmp_path):
     assert "posedge clk" in text
 
 
+def test_seq_text_round_trips(tmp_path):
+    from repro.core.pipeline import build_machine
+    from repro.engine.elab import build_design
+    from repro.netlist.equiv import check_equivalent
+    from repro.rtl import clocked_from_verilog
+
+    out = tmp_path / "seq.v"
+    assert main(["seq", "vlcsa2", "16", "4", "-o", str(out)]) == 0
+    back = clocked_from_verilog(out.read_text())
+    machine = build_machine(build_design("vlcsa2", 16, 4))
+    assert back.registers == machine.registers
+    assert check_equivalent(machine.circuit, back.circuit).equivalent
+
+
 def test_figures_command(tmp_path, capsys):
     assert main(
         ["figures", "-o", str(tmp_path), "--names", "fig3_5"]
