@@ -27,7 +27,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             port=args.port,
             uds=args.uds,
             shards=args.shards,
-            shard_depth=args.shard_depth,
             max_batch=args.max_batch,
             coalesce_ms=args.coalesce_ms,
             max_pending=args.max_pending,
@@ -139,8 +138,6 @@ def register(sub) -> None:
                        help="unix-socket path to listen on")
     serve.add_argument("--shards", type=int, default=2,
                        help="warm worker shards (default 2)")
-    serve.add_argument("--shard-depth", type=int, default=8,
-                       help="bounded batch queue per shard (default 8)")
     serve.add_argument("--max-batch", type=int, default=8,
                        help="entries per engine submission (default 8)")
     serve.add_argument("--coalesce-ms", type=float, default=0.0, metavar="MS",

@@ -13,16 +13,15 @@ This package turns the batch engine into that long-lived service:
   requests into engine batch jobs: identical requests are deduplicated
   into one evaluation fanned out to every waiter, compatible ones ride
   one engine submission;
-* **shards** (:mod:`repro.serve.shards`) — persistent worker shards with
-  bounded queues; requests route by affinity hash so repeat design points
-  land on warm :class:`ElaborationCache`/kernel caches — no per-request
-  elaboration;
+* **shards** (:mod:`repro.serve.shards`) — persistent worker threads;
+  requests route by affinity hash so repeat design points land on warm
+  :class:`ElaborationCache`/kernel caches — no per-request elaboration;
 * **server** (:mod:`repro.serve.server`) — a stdlib-``asyncio`` HTTP/1.1
-  server (TCP and/or unix socket) with admission control, 429-style shed
-  responses, graceful drain on SIGTERM, and a ``/metrics`` JSON endpoint
+  server (TCP and/or unix socket) with one admission cap (429 past
+  ``max_pending``), graceful drain on SIGTERM, an optional resident
+  engine pool shared by the shards, and a ``/metrics`` JSON endpoint
   tracking SLOs (p50/p99 latency and shard queue wait, coalescing
-  factor, cache hit rate, shed rate, per-shard saturation) through
-  :mod:`repro.obs`;
+  factor, cache hit rate, shed rate) through :mod:`repro.obs`;
 * **client** (:mod:`repro.serve.client`) — sync and async clients;
 * **loadgen** (:mod:`repro.serve.loadgen`) — a seeded open-loop workload
   driver emitting a provenance-stamped SLO report.
@@ -47,7 +46,7 @@ from repro.serve.protocol import (
     request_to_job,
 )
 from repro.serve.server import ServeConfig, Server
-from repro.serve.shards import ShardSet, execute_entries
+from repro.serve.shards import execute_entries
 
 __all__ = [
     "AsyncServeClient",
@@ -60,7 +59,6 @@ __all__ = [
     "ServeError",
     "Server",
     "ServerThread",
-    "ShardSet",
     "affinity_key",
     "execute_entries",
     "identity_key",

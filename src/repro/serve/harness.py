@@ -9,8 +9,8 @@ talk to it with the blocking :class:`ServeClient`:
         client.evaluate("errors", {...})
 
 ``__exit__`` performs the same graceful drain as SIGTERM would: pending
-work is flushed, in-flight requests answer, shard threads (and any
-resident pool) stop.
+work is flushed, in-flight requests answer, shard threads stop, then the
+server's resident pool (``handle.server.pool``, when configured) closes.
 """
 
 from __future__ import annotations

@@ -12,12 +12,12 @@ when traffic is light, full batches under a burst.  An opt-in linger
 admission, time parked behind a busy shard included.  The shard resolves
 every waiter's future from its thread via ``call_soon_threadsafe``.
 
-Admission control is two-layered and always answers — never hangs:
-
-* a global in-flight cap (``max_pending``): past it, new evaluations get
-  an immediate 429 with a well-formed ``overloaded`` error body;
-* bounded shard queues: a batch routed to a saturated shard is shed the
-  same way (the clients that coalesced into it all get the 429).
+Admission control is one bound and always answers — never hangs: past
+the global in-flight cap (``max_pending``) a new evaluation gets an
+immediate 429 with a well-formed ``overloaded`` error body, and a
+draining server answers 503.  An admitted request is never shed: the
+pending set is the only place work waits, and a shard's queue holds at
+most the batches of admitted requests.
 
 Shutdown is graceful: SIGTERM/SIGINT stop the listeners, flush the
 pending set through the dispatcher, wait for in-flight evaluations to
@@ -25,9 +25,9 @@ answer, then drain the shard threads (and the resident engine pool, when
 configured) — no orphaned processes, no dropped responses.
 
 SLOs are measured, not asserted: every response latency lands in a
-mergeable histogram, coalescing and cache efficiency are counters, queue
-depths are gauges, and ``GET /metrics`` reports p50/p99 latency and
-shard queue wait (admission to shard start), the coalescing factor,
+mergeable histogram, coalescing and cache efficiency are counters, the
+in-flight count is a gauge, and ``GET /metrics`` reports p50/p99 latency
+and shard queue wait (admission to shard start), the coalescing factor,
 cache hit rate, and shed rate as one JSON object.
 """
 
@@ -46,7 +46,7 @@ from repro._version import __version__
 from repro.obs.collector import Collector
 from repro.serve import protocol
 from repro.serve.coalescer import Batch, PendingEntry, admit, plan_batches
-from repro.serve.shards import ShardSet, execute_entries
+from repro.serve.shards import WorkerShard, execute_entries
 
 #: Largest request body the server will read (a request is a few hundred
 #: bytes of JSON; anything larger is a client bug, answered 413).
@@ -118,10 +118,6 @@ def _content_length(text: str) -> int:
     return length
 
 
-class OverloadedError(RuntimeError):
-    """Raised into a waiter when its batch was shed (maps to 429)."""
-
-
 class WorkError(RuntimeError):
     """Raised into a waiter when its batch failed: 409 when a longrun's job
     directory cannot be used, 500 for anything else."""
@@ -145,7 +141,6 @@ class ServeConfig:
     port: Optional[int] = None  # None = no TCP listener
     uds: Optional[str] = None  # unix-socket path (None = no UDS listener)
     shards: int = 2
-    shard_depth: int = 8  # bounded per-shard batch queue
     max_batch: int = 8  # entries per engine submission
     coalesce_ms: float = 0.0  # opt-in linger: max wait for company after admission
     max_pending: int = 64  # global in-flight request cap
@@ -158,25 +153,29 @@ class ServeConfig:
         """Reject contradictory or out-of-range settings early."""
         if self.port is None and self.uds is None:
             raise ValueError("serve needs a TCP port and/or a unix-socket path")
-        for name in ("shards", "shard_depth", "max_batch", "max_pending"):
+        for name in ("shards", "max_batch", "max_pending"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.drain_timeout_s < 0:
             raise ValueError(f"drain_timeout_s must be >= 0, got {self.drain_timeout_s}")
         if self.coalesce_ms < 0:
             raise ValueError(f"coalesce_ms must be >= 0, got {self.coalesce_ms}")
-        if self.pool_workers == 1:
-            raise ValueError("pool_workers is 0 (in-shard serial) or >= 2 (pool)")
+        if self.pool_workers < 0 or self.pool_workers == 1:
+            raise ValueError(
+                f"pool_workers is 0 (in-shard serial) or >= 2 (pool), got {self.pool_workers}"
+            )
 
 
 class Server:
-    """The evaluation service: listeners, dispatcher, shard fleet."""
+    """The evaluation service: listeners, dispatcher, shards, optional pool."""
 
     def __init__(self, config: ServeConfig):
         config.validate()
         self.config = config
         self.collector = Collector()
-        self.shards: Optional[ShardSet] = None
+        self.shards: List[WorkerShard] = []
+        #: The resident engine pool every shard shares (``pool_workers >= 2``).
+        self.pool: Optional[Any] = None
         self._pending: Dict[str, PendingEntry] = {}
         self._busy: List[int] = []  # batches in flight, per shard
         self._pending_event: Optional[asyncio.Event] = None
@@ -195,22 +194,18 @@ class Server:
     # -- lifecycle --------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind listeners, start the shard fleet and the dispatcher."""
+        """Bind listeners, start the pool, the shards and the dispatcher."""
         self._loop = asyncio.get_running_loop()
         self._pending_event = asyncio.Event()
         self._stop_event = asyncio.Event()
-        pool = None
         if self.config.pool_workers >= 2:
             from repro.engine import WorkerPool
 
-            pool = WorkerPool(self.config.pool_workers)
-        self.shards = ShardSet(
-            self.config.shards,
-            self.config.shard_depth,
-            collector=self.collector,
-            pool=pool,
-            cache_dir=self.config.cache_dir,
-        )
+            # Fork before any shard thread exists.
+            self.pool = WorkerPool(self.config.pool_workers)
+        self.shards = [
+            WorkerShard(index, self.collector) for index in range(self.config.shards)
+        ]
         self._busy = [0] * len(self.shards)
         if self.config.port is not None:
             server = await asyncio.start_server(
@@ -278,8 +273,10 @@ class Server:
             except (asyncio.CancelledError, Exception):
                 pass
             self._dispatcher = None
-        if self.shards is not None:
-            self.shards.drain(timeout=self.config.drain_timeout_s)
+        for shard in self.shards:
+            shard.drain(timeout=self.config.drain_timeout_s)
+        if self.pool is not None:
+            self.pool.close()
         if self.config.uds is not None and os.path.exists(self.config.uds):
             os.unlink(self.config.uds)
 
@@ -349,23 +346,13 @@ class Server:
             self._pending_event.set()
 
     def _dispatch(self, entries: List[PendingEntry]) -> None:
-        assert self.shards is not None
-        batches = plan_batches(entries, self.config.max_batch)
-        for batch in batches:
+        for batch in plan_batches(entries, self.config.max_batch):
             self.collector.add("serve.batches")
             self.collector.add("serve.batch_requests", batch.requests)
             self.collector.add("serve.batch_entries", len(batch.entries))
-            if self.shards.try_submit(batch.shard, self._make_work(batch)):
-                self._busy[batch.shard] += 1
-            else:
-                self._shed_batch(batch)
-
-    def _shed_batch(self, batch: Batch) -> None:
-        self.collector.add("serve.shed", batch.requests)
-        self._fail(
-            batch.entries,
-            OverloadedError(f"shard {batch.shard} queue is full; retry with backoff"),
-        )
+            # Always accepted: every queued batch has waiters counted in _inflight <= max_pending.
+            self.shards[batch.shard].submit(self._make_work(batch))
+            self._busy[batch.shard] += 1
 
     def _fail(self, entries, exc: Exception) -> None:
         """Raise ``exc`` into every waiter of ``entries`` not yet answered."""
@@ -376,8 +363,8 @@ class Server:
 
     def _make_work(self, batch: Batch):
         loop = self._loop
-        assert loop is not None and self.shards is not None
-        pool = self.shards.pool
+        assert loop is not None
+        pool = self.pool
 
         def work() -> None:  # runs on the shard thread
             started = time.monotonic()
@@ -553,7 +540,7 @@ class Server:
         self.collector.add("serve.requests")
         try:
             payload = json.loads(body)
-        except (ValueError, UnicodeDecodeError):
+        except (ValueError, UnicodeDecodeError, RecursionError):
             self.collector.add("serve.bad_requests")
             return 400, protocol.error_response("bad-json", "request body is not JSON")
         try:
@@ -588,9 +575,7 @@ class Server:
 
         assert self._loop is not None and self._pending_event is not None
         waiter: asyncio.Future = self._loop.create_future()
-        entry = admit(
-            self._pending, request, waiter, len(self.shards or ()) or 1, time.monotonic()
-        )
+        entry = admit(self._pending, request, waiter, len(self.shards), time.monotonic())
         if entry.fanout > 1:
             self.collector.add("serve.dedup_joins")
         self._inflight += 1
@@ -598,11 +583,6 @@ class Server:
         self._pending_event.set()
         try:
             value = await waiter
-        except OverloadedError as exc:
-            # already counted under serve.shed by the dispatcher
-            return 429, protocol.error_response(
-                "overloaded", str(exc), request.request_id
-            )
         except WorkError as exc:
             return exc.status, protocol.error_response(
                 exc.code, str(exc), request.request_id
@@ -642,7 +622,7 @@ class Server:
         """The ``GET /`` body: service identity + protocol version."""
         block = protocol.server_block(__version__)
         block["endpoints"] = ["/", "/healthz", "/metrics", "/v1/eval"]
-        block["shards"] = len(self.shards) if self.shards is not None else 0
+        block["shards"] = len(self.shards)
         return block
 
     def metrics_snapshot(self) -> Dict[str, Any]:
@@ -671,5 +651,5 @@ class Server:
         }
         block = protocol.server_block(__version__)
         block["draining"] = self._draining
-        block["shards"] = len(self.shards) if self.shards is not None else 0
+        block["shards"] = len(self.shards)
         return {"server": block, "slo": slo, "obs": self.collector.to_dict()}

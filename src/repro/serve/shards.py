@@ -1,24 +1,19 @@
-"""Warm worker shards: persistent executors with bounded admission queues.
+"""Warm worker shards: persistent executor threads.
 
-A shard is one long-lived worker thread plus a **bounded** queue.  Work
+A shard is one long-lived worker thread plus its work queue.  Work
 routed to it (by the affinity hash) executes serially in arrival order;
 because the engine's chunk streams depend only on ``(seed, index)``, the
 shard-serial execution is bit-identical to any other schedule.  The
 payoff of shard persistence is cache locality: all shard threads share
 the process-level :class:`ElaborationCache` (and the compiled-kernel and
 measure-function memos underneath), so a repeat design point skips
-elaboration entirely — and routing repeats to the *same* shard keeps one
-queue's worth of latency between a design point and its warm state.
+elaboration entirely — and routing repeats to the *same* shard keeps
+them next to their warm state.
 
-Optionally every shard dispatches its engine groups through one shared
-resident :class:`repro.engine.WorkerPool` (``pool_workers >= 2``): batch
-jobs then fan out across processes whose caches stay warm across
-requests, which is the scale-out path for heavy budgets.
-
-Saturation is explicit: a full shard queue rejects the submission
-(``try_submit`` returns False) and the server sheds the batch with a 429
-rather than queueing unboundedly; each shard counts executed batches,
-busy seconds, saturation events, and exposes its queue depth as a gauge.
+The queue is unbounded on purpose: the server's admission cap is the
+only bound.  Every queued batch has waiters counted against
+``max_pending``, so :meth:`WorkerShard.submit` always succeeds.  Each
+shard counts executed batches, failed batches and busy seconds.
 """
 
 from __future__ import annotations
@@ -32,14 +27,12 @@ from repro.serve import protocol
 
 
 class WorkerShard:
-    """One persistent executor thread with a bounded admission queue."""
+    """One persistent executor thread running submitted work in order."""
 
-    def __init__(self, index: int, depth: int, collector: Collector):
-        if depth < 1:
-            raise ValueError(f"shard queue depth must be positive, got {depth}")
+    def __init__(self, index: int, collector: Collector):
         self.index = index
-        self._queue: "queue.Queue[Optional[Callable[[], None]]]" = queue.Queue(
-            maxsize=depth
+        self._queue: "queue.SimpleQueue[Optional[Callable[[], None]]]" = (
+            queue.SimpleQueue()
         )
         self._collector = collector
         self._thread = threading.Thread(
@@ -47,24 +40,15 @@ class WorkerShard:
         )
         self._thread.start()
 
-    def try_submit(self, work: Callable[[], None]) -> bool:
-        """Enqueue ``work``; False (and a saturation count) when full."""
-        try:
-            self._queue.put_nowait(work)
-        except queue.Full:
-            self._collector.add(f"shard{self.index}.saturated")
-            return False
-        self._collector.gauge(f"shard{self.index}.queue_depth", self._queue.qsize())
-        return True
+    def submit(self, work: Callable[[], None]) -> None:
+        """Enqueue ``work`` behind everything already submitted."""
+        self._queue.put(work)
 
     def _run(self) -> None:
         while True:
             work = self._queue.get()
             if work is None:
                 return
-            self._collector.gauge(
-                f"shard{self.index}.queue_depth", self._queue.qsize()
-            )
             try:
                 with self._collector.timer(f"shard{self.index}.busy"):
                     work()
@@ -75,46 +59,9 @@ class WorkerShard:
 
     def drain(self, timeout: float = 10.0) -> bool:
         """Stop the shard after the queued work finishes; True on clean exit."""
-        self._queue.put(None)  # blocks while full: shutdown waits its turn
+        self._queue.put(None)
         self._thread.join(timeout=timeout)
         return not self._thread.is_alive()
-
-
-class ShardSet:
-    """The server's shard fleet plus its shared obs collector."""
-
-    def __init__(
-        self,
-        shards: int,
-        depth: int,
-        collector: Optional[Collector] = None,
-        pool: Optional[Any] = None,
-        cache_dir: Optional[str] = None,
-    ):
-        if shards < 1:
-            raise ValueError(f"need at least one shard, got {shards}")
-        self.collector = collector if collector is not None else Collector()
-        self.pool = pool
-        self.cache_dir = cache_dir
-        self.shards: List[WorkerShard] = [
-            WorkerShard(index, depth, self.collector) for index in range(shards)
-        ]
-
-    def __len__(self) -> int:
-        return len(self.shards)
-
-    def try_submit(self, shard: int, work: Callable[[], None]) -> bool:
-        """Enqueue ``work`` on one shard; False when its queue is full."""
-        return self.shards[shard].try_submit(work)
-
-    def drain(self, timeout: float = 10.0) -> bool:
-        """Drain every shard (and close the pool); True on clean exit."""
-        ok = True
-        for shard in self.shards:
-            ok = shard.drain(timeout=timeout) and ok
-        if self.pool is not None:
-            self.pool.close()
-        return ok
 
 
 # ---------------------------------------------------------------------------

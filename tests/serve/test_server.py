@@ -87,7 +87,7 @@ def test_config_requires_a_listener():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("shards", 0), ("shard_depth", 0), ("max_batch", 0), ("drain_timeout_s", -1.0)],
+    [("shards", 0), ("pool_workers", -1), ("max_batch", 0), ("drain_timeout_s", -1.0)],
 )
 def test_config_rejects_out_of_range_sizes(field, value):
     with pytest.raises(ValueError, match=field):
@@ -125,6 +125,39 @@ def test_requests_parked_behind_a_busy_shard_become_its_next_batch(tmp_path, gat
     assert snapshot["slo"]["coalescing_factor"] > 1.0
     assert all(r["server"]["coalesced"] == len(seeds) for r in parked)
     assert all(r["server"]["coalesced"] == 1 for r in solo)
+
+
+def test_every_request_parked_behind_a_busy_shard_is_answered(tmp_path, gate):
+    """The admission cap is the only bound: a backlog far larger than one
+    batch, parked behind a busy shard, is served in full once the shard
+    frees, and each answer matches the request sent solo and ``run_job``."""
+    uds = _uds(tmp_path)
+    seeds = list(range(1000, 1120))
+
+    async def scenario():
+        server = Server(ServeConfig(uds=uds, shards=1, max_pending=256))
+        await server.start()
+        try:
+            slow = asyncio.ensure_future(_evaluate(uds, SLOW_SEED, samples=64))
+            await _until(lambda: server._busy[0] == 1)
+            burst = [asyncio.ensure_future(_evaluate(uds, seed, samples=64)) for seed in seeds]
+            await _until(lambda: len(server._pending) == len(seeds))
+            gate.set()
+            parked = await asyncio.gather(*burst, return_exceptions=True)
+            await slow
+            solo = [await _evaluate(uds, seed, samples=64) for seed in seeds]
+            return parked, solo, server.metrics_snapshot()
+        finally:
+            await server.stop()
+
+    parked, solo, snapshot = asyncio.run(scenario())
+    assert not [r for r in parked if isinstance(r, BaseException)]
+    assert [r["seed"] for r in parked] == seeds
+    assert [r["result"] for r in parked] == [r["result"] for r in solo]
+    params = _errors_params(samples=64)
+    assert [r["result"] for r in solo] == [_direct_result(params, seed) for seed in seeds]
+    assert snapshot["slo"]["shed"] == 0
+    assert snapshot["slo"]["ok"] == 1 + 2 * len(seeds)
 
 
 def _linger_spy(monkeypatch):
@@ -236,7 +269,7 @@ def test_served_errors_on_a_resident_pool_match_one_shot(tmp_path):
     uds = _uds(tmp_path)
     params = _errors_params(samples=4 << 16)  # four default-size chunks
     with ServerThread(ServeConfig(uds=uds, shards=1, pool_workers=2)) as handle:
-        procs = list(handle.server.shards.pool._procs)
+        procs = list(handle.server.pool._procs)
         assert len(procs) == 1 and procs[0].is_alive()
         with ServeClient(uds=uds) as client:
             served = [client.evaluate("errors", params, seed=seed) for seed in (3, 4)]
@@ -586,6 +619,25 @@ def _raw_exchange(uds: str, head: bytes) -> tuple:
     )
     assert int(headers["content-length"]) == len(body)
     return int(status_line.split()[1]), json.loads(body), headers["connection"]
+
+
+def test_deeply_nested_json_gets_400(tmp_path):
+    """A body nested past the JSON parser's recursion limit is bad JSON:
+    answered 400 and counted, not a dropped connection."""
+    uds = _uds(tmp_path)
+    body = b"[" * 200_000
+    with ServerThread(ServeConfig(uds=uds, shards=1)):
+        head = (
+            b"POST /v1/eval HTTP/1.1\r\nConnection: close\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(body)
+        )
+        got_status, payload, connection = _raw_exchange(uds, head + body)
+        assert got_status == 400
+        assert payload["ok"] is False
+        assert payload["error"]["code"] == "bad-json"
+        assert connection == "close"
+        with ServeClient(uds=uds) as client:
+            assert client.metrics()["slo"]["bad_requests"] == 1
 
 
 def _get(sock, path=b"/healthz") -> bytes:

@@ -1,4 +1,4 @@
-"""Warm shards: bounded queues, saturation accounting, batch execution."""
+"""Warm shards: in-order execution, failure survival, batch execution."""
 
 import threading
 import time
@@ -6,59 +6,36 @@ import time
 from repro.obs.collector import Collector
 from repro.serve.coalescer import admit, plan_batches
 from repro.serve.protocol import errors_result, parse_request, request_to_job
-from repro.serve.shards import ShardSet, WorkerShard, execute_entries
+from repro.serve.shards import WorkerShard, execute_entries
 
 
 def test_shard_executes_in_order_and_counts():
     collector = Collector()
-    shard = WorkerShard(0, depth=4, collector=collector)
+    shard = WorkerShard(0, collector)
     seen = []
     done = threading.Event()
     for i in range(3):
-        assert shard.try_submit(lambda i=i: seen.append(i))
-    shard.try_submit(done.set)
+        shard.submit(lambda i=i: seen.append(i))
+    shard.submit(done.set)
     assert done.wait(5)
     assert seen == [0, 1, 2]
     assert collector.counters["shard0.executed"] >= 3
     assert shard.drain(timeout=5)
 
 
-def test_shard_saturation_rejects_instead_of_blocking():
-    collector = Collector()
-    shard = WorkerShard(1, depth=1, collector=collector)
-    release = threading.Event()
-    shard.try_submit(release.wait)  # occupies the worker
-    # Fill the queue, then overflow it: try_submit must return, not block.
-    accepted = sum(shard.try_submit(lambda: None) for _ in range(4))
-    assert accepted < 4
-    assert collector.counters["shard1.saturated"] == 4 - accepted
-    release.set()
-    assert shard.drain(timeout=5)
-
-
 def test_shard_survives_raising_work():
     collector = Collector()
-    shard = WorkerShard(2, depth=4, collector=collector)
+    shard = WorkerShard(2, collector)
 
     def boom():
         raise RuntimeError("work failed")
 
     done = threading.Event()
-    shard.try_submit(boom)
-    shard.try_submit(done.set)
+    shard.submit(boom)
+    shard.submit(done.set)
     assert done.wait(5)  # the thread survived the exception
     assert collector.counters["shard2.work_errors"] == 1
     assert shard.drain(timeout=5)
-
-
-def test_shard_set_drains_all_shards():
-    shards = ShardSet(3, depth=4)
-    ran = []
-    for index in range(3):
-        assert shards.try_submit(index, lambda index=index: ran.append(index))
-    assert shards.drain(timeout=5)
-    assert sorted(ran) == [0, 1, 2]
-    assert len(shards) == 3
 
 
 def test_execute_errors_batch_matches_direct_run():
@@ -103,8 +80,8 @@ def test_execute_measure_tracks_cache_hits(tmp_path):
 
 def test_shard_busy_time_is_recorded():
     collector = Collector()
-    shard = WorkerShard(0, depth=2, collector=collector)
-    shard.try_submit(lambda: time.sleep(0.02))
+    shard = WorkerShard(0, collector)
+    shard.submit(lambda: time.sleep(0.02))
     assert shard.drain(timeout=5)
     assert collector.timers["shard0.busy"] >= 0.02
 

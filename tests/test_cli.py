@@ -663,11 +663,20 @@ def test_serve_rejects_bad_config(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--shards", "--shard-depth", "--max-batch"])
+@pytest.mark.parametrize("flag", ["--shards", "--max-batch"])
 def test_serve_rejects_out_of_range_sizes(tmp_path, capsys, flag):
     uds = tmp_path / "serve.sock"
     assert main(["serve", "--uds", str(uds), "--no-disk-cache", flag, "0"]) == 2
     assert "error:" in capsys.readouterr().err
+    assert not uds.exists()  # refused before it listened
+
+
+def test_serve_rejects_negative_pool_workers(tmp_path, capsys):
+    uds = tmp_path / "serve.sock"
+    code = main(["serve", "--uds", str(uds), "--no-disk-cache", "--pool-workers", "-1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "pool_workers" in err
     assert not uds.exists()  # refused before it listened
 
 
